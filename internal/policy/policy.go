@@ -147,6 +147,14 @@ func (s *reservingStarter) Name() string {
 	return fmt.Sprintf("%s+reserve(%.2f)", s.inner.Name(), s.reserve)
 }
 
+// SetInterrupt implements sched.Interruptible by forwarding to the inner
+// policy, whose walk loops do the polling.
+func (s *reservingStarter) SetInterrupt(f func() bool) {
+	if ii, ok := s.inner.(sched.Interruptible); ok {
+		ii.SetInterrupt(f)
+	}
+}
+
 // LastStartDecision implements sim.DecisionExplainer by delegating to the
 // inner policy (the wrapper only pre-filters the queue).
 func (s *reservingStarter) LastStartDecision(j *job.Job) (telemetry.Decision, bool) {

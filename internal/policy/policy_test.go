@@ -3,7 +3,9 @@ package policy
 import (
 	"testing"
 
+	"jobsched/internal/job"
 	"jobsched/internal/objective"
+	"jobsched/internal/sched"
 )
 
 func scenario(t *testing.T) *Scenario {
@@ -155,5 +157,21 @@ func TestFigure2OfflineWeaklyDominates(t *testing.T) {
 	if best(offline) > best(online)*1.10 {
 		t.Errorf("off-line best drug response %.0f notably worse than on-line %.0f",
 			best(offline), best(online))
+	}
+}
+
+// TestReservingStarterForwardsInterrupt pins that the engine's
+// cancellation hook reaches the wrapped start policy's walk loop: the
+// wrapper itself never polls, so a hook it swallowed would never be seen.
+func TestReservingStarterForwardsInterrupt(t *testing.T) {
+	s := buildReserving(nil, 0.5, 8, sched.OrderFCFS, sched.StartConservative)
+	polls := 0
+	s.(sched.Interruptible).SetInterrupt(func() bool { polls++; return false })
+	s.Submit(&job.Job{ID: 1, Nodes: 1, Estimate: 10, Runtime: 10}, 0)
+	if picked := s.Startable(0, 8, nil); len(picked) != 1 {
+		t.Fatalf("started %d jobs, want 1", len(picked))
+	}
+	if polls == 0 {
+		t.Error("the interrupt hook was never polled: the wrapper dropped it")
 	}
 }

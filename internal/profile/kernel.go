@@ -6,8 +6,9 @@ import "jobsched/internal/job"
 // implementations in this package:
 //
 //   - Tree, the O(log S) balanced-tree kernel (the production default);
-//   - Profile, the array-backed skip-ahead kernel it replaced (kept as the
-//     perf baseline of cmd/bench's deep-backlog family); and
+//   - Profile, the array-backed skip-ahead kernel it replaced (the
+//     baseline of the recorded BENCH_3.json numbers, and a second backend
+//     for the backend-independence tests); and
 //   - Reference, the brute-force oracle of the differential tests.
 //
 // Schedulers hold their scratch profiles through this interface so the

@@ -31,7 +31,7 @@
 //
 // The original naive implementation is kept alive as Reference, the
 // brute-force oracle of the differential tests (differential_test.go,
-// FuzzProfileOps) and of cmd/bench's before/after numbers (BENCH_1.json).
+// FuzzProfileOps) and the "before" side of the recorded BENCH_1.json.
 package profile
 
 import (

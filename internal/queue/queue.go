@@ -457,9 +457,9 @@ func (ix *Index) MaxEstimateFirst(k int) int64 {
 	return res
 }
 
-// AppendOrdered appends the visible jobs in priority order to dst — the
-// compatibility adapter for slice-based consumers and the differential
-// oracle against the cursor API.
+// AppendOrdered appends the visible jobs in priority order to dst. Tests
+// use it as the differential oracle against the cursor API; passes
+// iterate with a Cursor instead.
 func (ix *Index) AppendOrdered(dst []*job.Job) []*job.Job {
 	for s, j := range ix.slots {
 		if j != nil && ix.cnt[ix.size+s] > 0 {

@@ -119,7 +119,7 @@ func checkAgainstNaive(t *testing.T, ix *Index, n *naive, maxNodes int) {
 		}
 	}
 
-	// Compatibility adapter.
+	// Materialized order.
 	adapted := ix.AppendOrdered(nil)
 	if len(adapted) != len(vis) {
 		t.Fatalf("AppendOrdered len = %d, want %d", len(adapted), len(vis))

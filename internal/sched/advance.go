@@ -110,6 +110,10 @@ func (s *ReservedStarter) SetProfileFactory(f ProfileFactory) {
 	}
 }
 
+// SetInterrupt implements Interruptible by forwarding to the inner
+// policy, whose walk loops do the polling.
+func (s *ReservedStarter) SetInterrupt(f func() bool) { forwardInterrupt(s.inner, f) }
+
 // LastStartDecision implements sim.DecisionExplainer by delegating to the
 // inner policy (the wrapper only pre-filters the queue; the inner policy
 // makes — and classifies — the start decision).

@@ -1,11 +1,11 @@
 package sched
 
-// The IndexedStarter implementations: each start policy's batched pass
-// against the order policy's queue.Index instead of a materialized
-// ordered slice. Every method mirrors its slice counterpart (PickMany /
-// the pick-one loop) decision for decision — same jobs, same order, same
-// telemetry — the property the batch-equivalence and indexed-differential
-// tests pin. The wins are structural: no O(Q) slice walk per pass,
+// The BatchStarter implementations: each start policy's whole pass
+// against the order policy's queue.Index. Every method mirrors the
+// Pick-until-nil loop over the same policy's Pick decision for decision
+// — same jobs, same order, same telemetry — the property
+// TestBatchedPassesMatchSequential pins. The wins are structural: one
+// profile build per pass instead of one per start, no O(Q) slice walk,
 // width-pruned scans that skip runs of too-wide jobs in O(log Q), an
 // O(1) "nothing fits" precheck for the conservative walk, and an
 // O(log Q) horizon lookup for its fast mode.
@@ -19,15 +19,16 @@ import (
 )
 
 var (
-	_ IndexedStarter = (*ListStarter)(nil)
-	_ IndexedStarter = (*GareyGrahamStarter)(nil)
-	_ IndexedStarter = (*EASYStarter)(nil)
-	_ IndexedStarter = (*ConservativeStarter)(nil)
+	_ BatchStarter = (*ListStarter)(nil)
+	_ BatchStarter = (*GareyGrahamStarter)(nil)
+	_ BatchStarter = (*EASYStarter)(nil)
+	_ BatchStarter = (*ConservativeStarter)(nil)
 )
 
-// PickManyIndexed implements IndexedStarter: the startable prefix of the
-// queue (see PickMany), iterated via cursor.
-func (s *ListStarter) PickManyIndexed(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
+// PickMany implements BatchStarter: the startable prefix of the queue.
+// The head is never skipped, so the sequential loop starts consecutive
+// heads until one does not fit — exactly this prefix.
+func (s *ListStarter) PickMany(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
 	s.reset()
 	s.picked = s.picked[:0]
 	it := ix.Iter()
@@ -35,7 +36,7 @@ func (s *ListStarter) PickManyIndexed(ix *queue.Index, now int64, free int, runn
 		if j.Nodes > free || stopAt(s.interrupt, len(s.picked)) {
 			break
 		}
-		if limit > 0 && len(s.picked) >= limit {
+		if len(s.picked) >= limit {
 			break
 		}
 		s.stash(j, telemetry.Decision{
@@ -47,21 +48,23 @@ func (s *ListStarter) PickManyIndexed(ix *queue.Index, now int64, free int, runn
 	return s.picked
 }
 
-// PickManyIndexed implements IndexedStarter with a single width-pruned
-// forward scan (see PickMany for the equivalence argument). The skipped
-// (too-wide) jobs are never touched: the cursor jumps over each run of
-// misfits in O(log Q). Depth — the pick's index in the remaining queue,
+// PickMany implements BatchStarter with a single width-pruned forward
+// scan. The sequential loop rescans the remaining queue after every
+// start, but free nodes only shrink during a pass, so a job that did not
+// fit earlier can never fit later: the rescans would re-skip exactly the
+// jobs this scan already skipped. Those skipped (too-wide) jobs are never
+// touched: the cursor jumps over each run of misfits in O(log Q). Depth — the pick's index in the remaining queue,
 // equal to the skips so far — is reconstructed as rank minus prior picks,
 // and Head (the first job that failed to fit) is the job ranked exactly
 // at the pick count when the first gap appears: until then every
 // lower-ranked job was picked.
-func (s *GareyGrahamStarter) PickManyIndexed(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
+func (s *GareyGrahamStarter) PickMany(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
 	s.reset()
 	s.picked = s.picked[:0]
 	headID := telemetry.None
 	headSet := false
 	it := ix.Iter()
-	for free > 0 && (limit <= 0 || len(s.picked) < limit) && !stopNow(s.interrupt) {
+	for free > 0 && len(s.picked) < limit && !stopNow(s.interrupt) {
 		j := it.NextFit(free)
 		if j == nil {
 			break
@@ -87,10 +90,15 @@ func (s *GareyGrahamStarter) PickManyIndexed(ix *queue.Index, now int64, free in
 	return s.picked
 }
 
-// PickManyIndexed implements IndexedStarter: the sequential EASY loop
-// with picked jobs hidden pass-locally instead of copied out of a
-// private queue (see PickMany for the drain-profile argument).
-func (s *EASYStarter) PickManyIndexed(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
+// PickMany implements BatchStarter as the literal sequential EASY loop
+// with picked jobs hidden pass-locally — except that the drain-aware
+// path builds its availability profile once per pass and extends it
+// incrementally with each started job, instead of rebuilding it per
+// start. The incremental Reserve equals the rebuild: a started job passed
+// the profile fit check, so within its reservation window the drains'
+// zero-clamp was not active and plain subtraction commutes with the
+// clamped drain subtraction.
+func (s *EASYStarter) PickMany(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
 	s.reset()
 	s.picked = s.picked[:0]
 	if ix.Len() == 0 {
@@ -101,7 +109,7 @@ func (s *EASYStarter) PickManyIndexed(ix *queue.Index, now int64, free int, runn
 		p := s.scratch
 		p.BeginPass(now)
 		for ix.Len() > 0 && free > 0 && !stopNow(s.interrupt) {
-			if limit > 0 && len(s.picked) >= limit {
+			if len(s.picked) >= limit {
 				break
 			}
 			j := s.drainPickOneIx(ix, now, free)
@@ -123,7 +131,7 @@ func (s *EASYStarter) PickManyIndexed(ix *queue.Index, now int64, free int, runn
 	}
 	runLocal := append(s.runBuf[:0], running...)
 	for ix.Len() > 0 && free > 0 && !stopNow(s.interrupt) {
-		if limit > 0 && len(s.picked) >= limit {
+		if len(s.picked) >= limit {
 			break
 		}
 		j := s.pickOneIx(ix, now, free, runLocal)
@@ -144,7 +152,7 @@ func (s *EASYStarter) PickManyIndexed(ix *queue.Index, now int64, free int, runn
 // candidates that fit the free nodes (width-pruned), never the runs of
 // too-wide jobs between them. Depth = the candidate's rank in the
 // remaining (visible) order, which is exactly its index in the slice
-// pickOne's queue.
+// Pick is handed.
 func (s *EASYStarter) pickOneIx(ix *queue.Index, now int64, free int, running []sim.Running) *job.Job {
 	head, headSlot := ix.First()
 	if head == nil {
@@ -248,18 +256,20 @@ func (s *EASYStarter) drainPickOneIx(ix *queue.Index, now int64, free int) *job.
 	return nil
 }
 
-// PickManyIndexed implements IndexedStarter (see PickMany: exact mode is
-// one continued profile walk, fast mode restarts the decision per start
-// because its horizon moves with the remaining queue).
-func (s *ConservativeStarter) PickManyIndexed(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
+// PickMany implements BatchStarter. Exact mode runs the whole pass as
+// one continued profile walk (exactPass); fast mode restarts the
+// sequential decision per start, because its skip horizon depends on the
+// maximum estimate over the *remaining* queue and so legitimately moves
+// as jobs leave it.
+func (s *ConservativeStarter) PickMany(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
 	s.reset()
 	s.picked = s.picked[:0]
 	if !s.fast {
-		return s.pickManyExactIx(ix, now, free, running, machineNodes, limit)
+		return s.exactPass(ix, now, free, running, machineNodes, limit)
 	}
 	runLocal := append(s.runBuf[:0], running...)
 	for ix.Len() > 0 && free > 0 && !stopNow(s.interrupt) {
-		if limit > 0 && len(s.picked) >= limit {
+		if len(s.picked) >= limit {
 			break
 		}
 		j := s.pickOneIx(ix, now, free, runLocal, machineNodes)
@@ -276,11 +286,10 @@ func (s *ConservativeStarter) PickManyIndexed(ix *queue.Index, now int64, free i
 	return s.picked
 }
 
-// pickOneIx is the conservative pickOne against the index. Two index
-// wins over the slice walk: the "nothing in the queue fits" precheck —
-// an O(Q) scan per pass on the slice path, and the dominant cost of
-// saturated deep-backlog passes — collapses to one O(1) subtree-minimum
-// lookup, and fast mode's walk horizon (max estimate over the walked
+// pickOneIx is the conservative Pick decision against the index. Two
+// index wins over the slice walk: the "nothing in the queue fits" precheck —
+// an O(Q) scan per Pick, and the dominant cost of saturated deep-backlog
+// passes — collapses to one O(1) subtree-minimum lookup, and fast mode's walk horizon (max estimate over the walked
 // prefix) is an O(log Q) range query instead of a prefix scan. The
 // reservation walk itself still visits the first depth jobs: every
 // unstarted job holds a reservation that constrains later placements,
@@ -361,11 +370,17 @@ func (s *ConservativeStarter) pickOneIx(ix *queue.Index, now int64, free int, ru
 	return nil
 }
 
-// pickManyExactIx is pickManyExact against the index: one profile build,
-// one cursor walk (see pickManyExact for the equivalence argument), with
-// the O(1) no-fit precheck in front and the batch bounded by the epoch
-// window when the order policy requires it.
-func (s *ConservativeStarter) pickManyExactIx(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
+// exactPass computes an exact conservative pass with ONE profile build
+// and ONE cursor walk, where the sequential protocol rebuilds and rewalks
+// after every start. Equivalence: when a job starts, the next sequential
+// rebuild differs from the current profile only by that job's running
+// reservation, which is added here immediately; re-walked unstarted jobs
+// keep their placements because (a) the started job's fit check passed
+// *on top of* their reservations, so each old window stays feasible, and
+// (b) capacity only shrank, so no earlier fit can open. The depth budget
+// counts unstarted jobs only — each sequential walk indexes maxDepth jobs
+// of its remaining (started-jobs-removed) queue.
+func (s *ConservativeStarter) exactPass(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
 	if ix.Len() == 0 || free <= 0 {
 		return s.picked
 	}
@@ -397,7 +412,7 @@ func (s *ConservativeStarter) pickManyExactIx(ix *queue.Index, now int64, free i
 		if s.maxDepth > 0 && walked >= s.maxDepth {
 			break
 		}
-		if limit > 0 && len(s.picked) >= limit {
+		if len(s.picked) >= limit {
 			break
 		}
 		if stopAt(s.interrupt, pos) {
@@ -416,7 +431,9 @@ func (s *ConservativeStarter) pickManyExactIx(ix *queue.Index, now int64, free i
 			s.picked = append(s.picked, j)
 			free -= j.Nodes
 			// The reservation the next sequential rebuild would hold for
-			// this now-running job (see pickManyExact).
+			// this now-running job. Its fit check passed on the drained
+			// profile, so the plain Reserve commutes with the drains'
+			// zero-clamp inside the window.
 			end := job.AddSat(now, j.Estimate)
 			if end <= now {
 				end = now + 1

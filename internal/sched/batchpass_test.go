@@ -18,6 +18,22 @@ import (
 // and regardless of which profile kernel backs the starter's scratch
 // state. These tests pin that equivalence end to end through the engine.
 
+// pickOnly hides a start policy's batch interface, so composing through
+// it resolves to the sequential Pick loop — the same way any production
+// wrapper (ReservedStarter, policy windows) does. It forwards
+// LastStartDecision so start events keep their classification.
+type pickOnly struct{ Starter }
+
+func (p pickOnly) LastStartDecision(j *job.Job) (telemetry.Decision, bool) {
+	return p.Starter.(sim.DecisionExplainer).LastStartDecision(j)
+}
+
+// sequentialOf recomposes c over the Pick loop. The policies are shared,
+// so c itself must not be run afterwards.
+func sequentialOf(c *Composite) *Composite {
+	return WrapStarter(c, func(s Starter) Starter { return pickOnly{s} })
+}
+
 // runTraced simulates jobs under alg and returns the schedule plus the
 // recorded start events (decisions included). EventPass/EventBackfill
 // counts legitimately differ between the protocols — a batched pass is
@@ -89,7 +105,7 @@ func batchGridCases(nodes int) []struct {
 // for every algorithm configuration and several random workloads, the
 // batched engine run must produce a byte-identical schedule AND
 // identical start events (time, free-node accounting, reason, depth,
-// head, shadow, spare) to the forced-sequential run.
+// head, shadow, spare) to the same policies run through the Pick loop.
 func TestBatchedPassesMatchSequential(t *testing.T) {
 	const nodes = 16
 	for seed := int64(1); seed <= 4; seed++ {
@@ -99,11 +115,11 @@ func TestBatchedPassesMatchSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sequential, err := tc.mk()
+			reference, err := tc.mk()
 			if err != nil {
 				t.Fatal(err)
 			}
-			sequential.SetSequentialPasses(true)
+			sequential := sequentialOf(reference)
 
 			bs, bev := runTraced(t, batched, jobs, nodes)
 			ss, sev := runTraced(t, sequential, jobs, nodes)
@@ -173,7 +189,36 @@ func TestProfileBackendIndependence(t *testing.T) {
 	}
 }
 
-// TestBatchedPassStartsManyPerPass is the non-vacuity check: on a
+// TestPassProtocolResolution is the non-vacuity check on the gate above:
+// every configuration New can build resolves to the batched path, and a
+// start policy behind a wrapper resolves to the Pick loop. Were either
+// false, TestBatchedPassesMatchSequential would compare a path with
+// itself.
+func TestPassProtocolResolution(t *testing.T) {
+	const nodes = 16
+	for _, tc := range batchGridCases(nodes) {
+		c, err := tc.mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.batchStart == nil || c.batchOrder == nil {
+			t.Errorf("%s: resolved to the Pick loop, want the batched pass", tc.name)
+		}
+		if seq := sequentialOf(c); seq.batchStart != nil || seq.batchOrder != nil {
+			t.Errorf("%s: Pick-only wrapper resolved to the batched pass", tc.name)
+		}
+	}
+	cal, err := NewCalendar(nodes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reserved := Compose(NewFCFSOrder(string(OrderFCFS)), NewReservedStarter(NewEASYStarter(), cal), nodes)
+	if reserved.batchStart != nil || reserved.batchOrder != nil {
+		t.Error("ReservedStarter resolved to the batched pass; it filters the queue and must be handed the slice")
+	}
+}
+
+// TestBatchedPassStartsManyPerPass checks that a batch really is one: on a
 // saturated FCFS/List workload where many queued jobs fit at one drain
 // instant, a single batched pass must actually start more than one job
 // (otherwise the equivalence tests above would be comparing two

@@ -31,8 +31,11 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New("nope", StartList, Config{MachineNodes: 4}); err == nil {
 		t.Error("unknown order accepted")
 	}
-	if _, err := New(OrderFCFS, "nope", Config{MachineNodes: 4}); err == nil {
-		t.Error("unknown starter accepted")
+	// Garey&Graham ignores a valid start policy, not an invalid one.
+	for _, o := range GridOrders() {
+		if _, err := New(o, "nope", Config{MachineNodes: 4}); err == nil {
+			t.Errorf("%s: unknown starter accepted", o)
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // removals from quadratic memmove traffic into constant work.
 //
 // Alongside the slice it maintains a queue.Index over the same order
-// (IndexedOrderer): submission order never changes under removal, so the
+// (BatchOrderer): submission order never changes under removal, so the
 // index is never rebuilt — Push appends and Remove tombstones, both
 // O(log Q) — and the batched passes iterate it with width pruning
 // instead of scanning the slice.
@@ -25,39 +25,29 @@ type FCFSOrder struct {
 	name  string
 	queue []*job.Job
 	head  int
-	// ix mirrors queue[head:]; indexed gates its maintenance (the slice
-	// path is the differential oracle and must not pay for the index).
-	ix      *queue.Index
-	indexed bool
+	// ix mirrors queue[head:].
+	ix *queue.Index
 }
 
 // NewFCFSOrder returns a submission-order queue with the given display
 // name (Garey&Graham reuses it under its own name).
 func NewFCFSOrder(name string) *FCFSOrder {
-	return &FCFSOrder{name: name, ix: queue.NewIndex(), indexed: true}
+	return &FCFSOrder{name: name, ix: queue.NewIndex()}
 }
 
 // Name implements Orderer.
 func (o *FCFSOrder) Name() string { return o.name }
 
-// StableUnderRemoval marks FCFS order as removal-stable: taking any job
-// out never changes the relative order of the rest.
-func (o *FCFSOrder) StableUnderRemoval() {}
-
 // Push implements Orderer. The engine delivers submissions in time order,
 // so appending preserves FCFS order.
 func (o *FCFSOrder) Push(j *job.Job, now int64) {
 	o.queue = append(o.queue, j)
-	if o.indexed {
-		o.ix.Push(j)
-	}
+	o.ix.Push(j)
 }
 
 // Remove implements Orderer.
 func (o *FCFSOrder) Remove(j *job.Job, now int64) {
-	if o.indexed {
-		o.ix.Remove(j)
-	}
+	o.ix.Remove(j)
 	if o.head < len(o.queue) && o.queue[o.head] == j {
 		o.queue[o.head] = nil // release for GC; the slot is dead
 		o.head++
@@ -89,17 +79,12 @@ func (o *FCFSOrder) Ordered(now int64) []*job.Job { return o.queue[o.head:] }
 // Len implements Orderer.
 func (o *FCFSOrder) Len() int { return len(o.queue) - o.head }
 
-// OrderedIter implements IndexedOrderer.
+// OrderedIter implements BatchOrderer.
 func (o *FCFSOrder) OrderedIter(now int64) *queue.Index { return o.ix }
 
-// SetIndexed implements IndexedOrderer. Turning the index on
-// resynchronizes it from the slice.
-func (o *FCFSOrder) SetIndexed(on bool) {
-	if on && !o.indexed {
-		o.ix.Rebuild(o.queue[o.head:])
-	}
-	o.indexed = on
-}
+// BatchWindow implements BatchOrderer: taking any job out never changes
+// the relative order of the rest, so a batch is never cut short.
+func (o *FCFSOrder) BatchWindow() int { return UnlimitedWindow }
 
 // Instrument implements Instrumented: attaches the queue-index operation
 // counter.

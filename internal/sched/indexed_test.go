@@ -8,17 +8,17 @@ import (
 	"jobsched/internal/job"
 )
 
-// The indexed-queue layer maintains a queue.Index mirror of every order
-// policy's slice order. These tests pin the mirror op-for-op (the index
-// enumerates exactly the slice order after every Push/Remove, for all
-// four order policies), pin the indexed batched engine path against the
-// slice batched path end to end, and gate the alloc-free width scan.
+// Every order policy maintains a queue.Index mirror of its slice order:
+// the batched passes read the index, the Pick loop reads the slice. These
+// tests pin the mirror op-for-op (the index enumerates exactly the slice
+// order after every Push/Remove, for all four order policies) and gate
+// the alloc-free width scan.
 
 // indexedOrderers builds one instance of each order policy (both SMART
-// variants) with the index enabled — the differential subjects.
-func indexedOrderers(nodes int) []IndexedOrderer {
+// variants) — the differential subjects.
+func indexedOrderers(nodes int) []BatchOrderer {
 	cfg := Config{MachineNodes: nodes}.withDefaults()
-	return []IndexedOrderer{
+	return []BatchOrderer{
 		NewFCFSOrder(string(OrderFCFS)),
 		NewFCFSOrder("Garey&Graham"),
 		NewPSRSOrder(cfg),
@@ -98,84 +98,6 @@ func TestIndexedOrdererMatchesSlice(t *testing.T) {
 	}
 }
 
-// TestIndexedQueueToggleResyncs pins SetIndexed round trips: disabling
-// the mirror, mutating the queue, and re-enabling must rebuild an index
-// that matches the slice order again.
-func TestIndexedQueueToggleResyncs(t *testing.T) {
-	const nodes = 32
-	for _, o := range indexedOrderers(nodes) {
-		o := o
-		t.Run(o.Name(), func(t *testing.T) {
-			r := rand.New(rand.NewSource(5))
-			var pending []*job.Job
-			for i := 0; i < 200; i++ {
-				j := &job.Job{ID: job.ID(i), Nodes: 1 + r.Intn(nodes), Estimate: int64(1 + r.Intn(100))}
-				pending = append(pending, j)
-				o.Push(j, int64(i))
-			}
-			o.SetIndexed(false)
-			// Mutate while the mirror is off.
-			for i := 0; i < 80; i++ {
-				k := r.Intn(len(pending))
-				o.Remove(pending[k], 300)
-				pending = append(pending[:k], pending[k+1:]...)
-			}
-			o.SetIndexed(true)
-			want := o.Ordered(400)
-			got := o.OrderedIter(400).AppendOrdered(nil)
-			if len(got) != len(want) {
-				t.Fatalf("after resync: index has %d jobs, slice %d", len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("after resync: position %d: index job %d, slice job %d",
-						i, got[i].ID, want[i].ID)
-				}
-			}
-		})
-	}
-}
-
-// TestIndexedEngineMatchesSliceBatched is the third leg of the protocol
-// equivalence triangle (batchpass_test pins indexed-batched against
-// sequential): the indexed engine path must produce byte-identical
-// schedules and start events to the slice batched path on every grid
-// configuration.
-func TestIndexedEngineMatchesSliceBatched(t *testing.T) {
-	const nodes = 16
-	for seed := int64(1); seed <= 3; seed++ {
-		jobs := randomJobs(rand.New(rand.NewSource(seed+100)), 220, nodes)
-		for _, tc := range batchGridCases(nodes) {
-			indexed, err := tc.mk()
-			if err != nil {
-				t.Fatal(err)
-			}
-			slicePath, err := tc.mk()
-			if err != nil {
-				t.Fatal(err)
-			}
-			slicePath.SetIndexedQueue(false)
-
-			is, iev := runTraced(t, indexed, jobs, nodes)
-			ss, sev := runTraced(t, slicePath, jobs, nodes)
-
-			if ifp, sfp := scheduleFingerprint(is), scheduleFingerprint(ss); ifp != sfp {
-				t.Fatalf("seed %d %s: indexed schedule diverged from slice path\nindexed: %s\nslice:   %s",
-					seed, tc.name, ifp, sfp)
-			}
-			if len(iev) != len(sev) {
-				t.Fatalf("seed %d %s: %d start events indexed, %d slice", seed, tc.name, len(iev), len(sev))
-			}
-			for i := range iev {
-				if iev[i] != sev[i] {
-					t.Fatalf("seed %d %s: start event %d diverged\nindexed: %+v\nslice:   %+v",
-						seed, tc.name, i, iev[i], sev[i])
-				}
-			}
-		}
-	}
-}
-
 // TestIndexedScanZeroAlloc gates the width-pruned pass: a Garey&Graham
 // pass over a deep queue of too-wide jobs must allocate nothing — the
 // whole scan is cursor descents over the width index.
@@ -187,9 +109,9 @@ func TestIndexedScanZeroAlloc(t *testing.T) {
 	s := NewGareyGrahamStarter()
 	ix := o.OrderedIter(5000)
 	// Warm the picked/decision buffers so steady-state capacity is measured.
-	s.PickManyIndexed(ix, 5000, 4, nil, 16, 0)
+	s.PickMany(ix, 5000, 4, nil, 16, UnlimitedWindow)
 	if allocs := testing.AllocsPerRun(100, func() {
-		s.PickManyIndexed(ix, 5000, 4, nil, 16, 0)
+		s.PickMany(ix, 5000, 4, nil, 16, UnlimitedWindow)
 	}); allocs != 0 {
 		t.Fatalf("width-pruned no-fit pass allocates %v objects per run, want 0", allocs)
 	}

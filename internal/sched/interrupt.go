@@ -42,10 +42,15 @@ var _ Interruptible = (*Composite)(nil)
 // services install a per-request context check.
 func (c *Composite) SetInterrupt(f func() bool) {
 	c.interrupt = f
-	if ii, ok := c.start.(Interruptible); ok {
-		ii.SetInterrupt(f)
-	}
-	if ii, ok := c.order.(Interruptible); ok {
+	forwardInterrupt(c.start, f)
+	forwardInterrupt(c.order, f)
+}
+
+// forwardInterrupt installs the hook on a wrapped policy if it polls one.
+// Every wrapper forwards, so the hook reaches the walk loops however
+// deeply the start policy that owns them is nested.
+func forwardInterrupt(policy any, f func() bool) {
+	if ii, ok := policy.(Interruptible); ok {
 		ii.SetInterrupt(f)
 	}
 }

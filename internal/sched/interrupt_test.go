@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"jobsched/internal/job"
+	"jobsched/internal/objective"
 	"jobsched/internal/profile"
 	"jobsched/internal/sim"
 	"jobsched/internal/telemetry"
@@ -26,44 +27,80 @@ func deepBacklog(n int) (queue []*job.Job, running []sim.Running) {
 	return queue, running
 }
 
-// TestBatchedPassPollsInterrupt pins the satellite fix: a raised
-// interrupt hook bounds the work of a single batched conservative pass.
-// Before the fix the pass walked the whole queue (one EarliestFit and
-// one Reserve per job, ~2n profile ops) regardless of the hook; with
-// the in-pass polls the op count stays below a small constant.
+// interruptibleScheduler is what the promptness test drives: a scheduler
+// the engine can install its cancellation hook on.
+type interruptibleScheduler interface {
+	sim.Scheduler
+	Interruptible
+}
+
+// TestBatchedPassPollsInterrupt pins that a raised interrupt hook bounds
+// the work of a single conservative pass — ~2n profile ops uninterrupted
+// (one EarliestFit and one Reserve per job), a small constant with the
+// hook up — for the plain composition and for the compositions that wrap
+// the start policy: the hook has to travel through the wrapper to the
+// walk loop that polls it.
 func TestBatchedPassPollsInterrupt(t *testing.T) {
 	const n = 20000
 	queue, running := deepBacklog(n)
 
-	for _, indexed := range []bool{true, false} {
+	// A reservation far beyond every estimate: the calendar is live (the
+	// wrapper filters the queue on every Pick) but admits all jobs.
+	cal, err := NewCalendar(100, []AdvanceReservation{{Name: "far", Nodes: 1, Start: 1 << 40, End: 1<<40 + 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		mk   func(h telemetry.Hooks) interruptibleScheduler
+	}{
+		{"composite", func(h telemetry.Hooks) interruptibleScheduler {
+			c := Compose(NewFCFSOrder(string(OrderFCFS)), NewConservativeStarter(0), 100)
+			c.Instrument(h)
+			return c
+		}},
+		{"reserved", func(h telemetry.Hooks) interruptibleScheduler {
+			c := Compose(NewFCFSOrder(string(OrderFCFS)),
+				NewReservedStarter(NewConservativeStarter(0), cal), 100)
+			c.Instrument(h)
+			return c
+		}},
+		{"switching", func(h telemetry.Hooks) interruptibleScheduler {
+			s, err := NewSwitching(objective.PrimeTime, OrderFCFS, StartConservative,
+				OrderFCFS, StartConservative, Config{MachineNodes: 100, Hooks: h})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+	}
+	for _, tc := range cases {
 		var stats profile.Stats
-		c := Compose(NewFCFSOrder(string(OrderFCFS)), NewConservativeStarter(0), 100)
-		c.SetIndexedQueue(indexed)
-		c.Instrument(telemetry.Hooks{ProfileStats: &stats})
+		c := tc.mk(telemetry.Hooks{ProfileStats: &stats})
 		for _, j := range queue {
 			c.Submit(j, 1)
 		}
 
 		// Sanity: the uninterrupted pass really is a full-queue walk (the
-		// scenario would otherwise not exercise the fix).
+		// scenario would otherwise not exercise the hook).
 		picked := c.Startable(1, 1, running)
 		if len(picked) != 0 {
-			t.Fatalf("indexed=%v: expected a fruitless pass, started %d jobs", indexed, len(picked))
+			t.Fatalf("%s: expected a fruitless pass, started %d jobs", tc.name, len(picked))
 		}
 		if stats.Total() < int64(n) {
-			t.Fatalf("indexed=%v: uninterrupted pass did only %d profile ops, want >= %d (scenario too easy)",
-				indexed, stats.Total(), n)
+			t.Fatalf("%s: uninterrupted pass did only %d profile ops, want >= %d (scenario too easy)",
+				tc.name, stats.Total(), n)
 		}
 
 		stats = profile.Stats{}
 		c.SetInterrupt(func() bool { return true })
 		picked = c.Startable(1, 1, running)
 		if len(picked) != 0 {
-			t.Fatalf("indexed=%v: interrupted pass started %d jobs", indexed, len(picked))
+			t.Fatalf("%s: interrupted pass started %d jobs", tc.name, len(picked))
 		}
 		if got := stats.Total(); got > 8*interruptStride {
-			t.Errorf("indexed=%v: interrupted pass did %d profile ops, want <= %d — the pass ignored the hook",
-				indexed, got, 8*interruptStride)
+			t.Errorf("%s: interrupted pass did %d profile ops, want <= %d — the pass ignored the hook",
+				tc.name, got, 8*interruptStride)
 		}
 	}
 }

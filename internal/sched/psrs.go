@@ -47,13 +47,10 @@ func (o *PSRSOrder) Remove(j *job.Job, now int64) { o.rp.remove(j) }
 // Ordered implements Orderer.
 func (o *PSRSOrder) Ordered(now int64) []*job.Job { return o.rp.ordered() }
 
-// OrderedIter implements IndexedOrderer.
+// OrderedIter implements BatchOrderer.
 func (o *PSRSOrder) OrderedIter(now int64) *queue.Index { return o.rp.index() }
 
-// SetIndexed implements IndexedOrderer.
-func (o *PSRSOrder) SetIndexed(on bool) { o.rp.setIndexed(on) }
-
-// BatchWindow implements EpochOrderer: PSRS order is removal-stable
+// BatchWindow implements BatchOrderer: PSRS order is removal-stable
 // within a plan epoch (see replanner.batchWindow).
 func (o *PSRSOrder) BatchWindow() int { return o.rp.batchWindow() }
 

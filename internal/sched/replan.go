@@ -38,32 +38,26 @@ type replanner struct {
 	combined []*job.Job
 	dirty    bool
 	// ix mirrors plan tail + unplanned as an indexed queue, rebuilt once
-	// per plan epoch; indexed gates its maintenance (the slice path is
-	// the differential oracle and must not pay or depend on the index).
-	ix      *queue.Index
-	indexed bool
+	// per plan epoch.
+	ix *queue.Index
 }
 
 func newReplanner(ratio float64, compute func([]*job.Job) []*job.Job) *replanner {
 	if ratio <= 0 || ratio > 1 {
 		panic("sched: recompute ratio must be in (0,1]")
 	}
-	return &replanner{ratio: ratio, compute: compute, ix: queue.NewIndex(), indexed: true}
+	return &replanner{ratio: ratio, compute: compute, ix: queue.NewIndex()}
 }
 
 func (r *replanner) push(j *job.Job) {
 	r.unplanned = append(r.unplanned, j)
 	r.dirty = true
-	if r.indexed {
-		r.ix.Push(j)
-	}
+	r.ix.Push(j)
 }
 
 func (r *replanner) remove(j *job.Job) {
 	r.dirty = true
-	if r.indexed {
-		r.ix.Remove(j)
-	}
+	r.ix.Remove(j)
 	if r.planHead < len(r.plan) && r.plan[r.planHead] == j {
 		r.plan[r.planHead] = nil // release for GC; the slot is dead
 		r.planHead++
@@ -135,9 +129,7 @@ func (r *replanner) ensureFresh() {
 	r.startedFromPlan = 0
 	r.recomputations++
 	r.dirty = true
-	if r.indexed {
-		r.ix.Rebuild(r.plan)
-	}
+	r.ix.Rebuild(r.plan)
 }
 
 // ordered returns the current priority order, replanning if stale. The
@@ -162,16 +154,6 @@ func (r *replanner) ordered() []*job.Job {
 func (r *replanner) index() *queue.Index {
 	r.ensureFresh()
 	return r.ix
-}
-
-// setIndexed toggles index maintenance. Turning it on resynchronizes the
-// index from the current order (turning it off leaves a stale index that
-// must not be consulted — Composite gates on the same switch).
-func (r *replanner) setIndexed(on bool) {
-	if on && !r.indexed {
-		r.ix.Rebuild(r.plan[r.planHead:], r.unplanned)
-	}
-	r.indexed = on
 }
 
 // batchWindow returns how many consecutive picks of the current order are

@@ -11,6 +11,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"jobsched/internal/job"
 	"jobsched/internal/profile"
@@ -48,77 +49,45 @@ type Starter interface {
 	Pick(ordered []*job.Job, now int64, free int, running []sim.Running, machineNodes int) *job.Job
 }
 
-// BatchStarter is implemented by start policies that can compute a whole
-// scheduling pass at once: PickMany returns, in start order, exactly the
-// jobs the engine's Pick-until-nil loop would have started at `now` —
-// same jobs, same order, same decisions — while sharing the expensive
-// per-pass state (the reservation profile rebuild) across the batch.
-// Composite uses it only when the order policy is order-stable under
-// removal (StableOrderer), because the equivalence argument assumes the
-// remaining queue keeps its relative order as started jobs leave it.
-type BatchStarter interface {
-	Starter
-	// PickMany returns the maximal set of jobs startable now, in the
-	// order Pick would have returned them. The returned slice is only
-	// valid until the next Pick/PickMany call.
-	PickMany(ordered []*job.Job, now int64, free int, running []sim.Running, machineNodes int) []*job.Job
-}
-
-// StableOrderer marks order policies whose Ordered sequence is invariant
-// under Remove: taking a started job out never reorders the remaining
-// jobs (FCFS, Garey&Graham). SMART and PSRS are not stable — removals
-// advance their replan trigger, which can rebuild the plan mid-pass —
-// but they are epoch-stable (EpochOrderer), which admits bounded batches.
-type StableOrderer interface {
-	// StableUnderRemoval is a marker; implementations do nothing.
-	StableUnderRemoval()
-}
-
-// EpochOrderer is implemented by order policies whose order is
-// removal-stable *within a plan epoch*: removals never reorder the
-// remaining jobs, but a replan — triggered by the removal counters —
-// rebuilds the whole order (SMART, PSRS). BatchWindow returns how many
-// consecutive picks of the current order are provably replan-free, so a
-// batched pass truncated to the window is exactly equivalent to the
-// sequential pick-one protocol: the engine's follow-up Startable call
-// re-enters the order policy at the same queue state at which the
-// sequential run would have re-checked the replan trigger.
-type EpochOrderer interface {
-	Orderer
-	// BatchWindow returns the maximal safe batch size for the current
-	// epoch (≥ 1 when the queue is nonempty). Call after Ordered or
-	// OrderedIter — i.e. against a fresh plan.
-	BatchWindow() int
-}
-
-// IndexedOrderer is implemented by order policies that maintain their
-// priority order as a queue.Index, replacing the O(Q) Ordered slice
-// materialization per pass with O(log Q) cursor iteration and
-// width-pruned scans. Ordered stays available as the compatibility
-// adapter and differential oracle.
-type IndexedOrderer interface {
+// BatchOrderer is implemented by order policies that maintain their
+// priority order as a queue.Index and can say how far that order is
+// stable under removal. Removals never reorder the remaining jobs of an
+// indexed order; the only instability is a replan that rebuilds it
+// (SMART, PSRS), and BatchWindow bounds a batch so that it ends exactly
+// where the paper's pick-one loop would have re-checked the replan
+// trigger.
+type BatchOrderer interface {
 	Orderer
 	// OrderedIter returns the indexed view of the current priority order
 	// (replanning first, exactly where Ordered would). The index is owned
 	// by the order policy; callers must restore any pass-local hiding
 	// before returning control.
 	OrderedIter(now int64) *queue.Index
-	// SetIndexed toggles index maintenance; turning it on resynchronizes
-	// the index from the slice order. Composite.SetIndexedQueue drives it.
-	SetIndexed(on bool)
+	// BatchWindow returns how many consecutive picks of the current order
+	// are provably replan-free (≥ 1 when the queue is nonempty). Call
+	// after OrderedIter — i.e. against a fresh plan. An order that no
+	// removal can ever rebuild (FCFS, Garey&Graham) reports
+	// UnlimitedWindow.
+	BatchWindow() int
 }
 
-// IndexedStarter is implemented by start policies that can compute a
-// batched pass against an indexed queue view (the O(log Q) counterpart
-// of BatchStarter.PickMany — same jobs, same order, same decisions).
-type IndexedStarter interface {
+// UnlimitedWindow is the BatchWindow of a removal-stable order.
+const UnlimitedWindow = math.MaxInt
+
+// BatchStarter is implemented by start policies that can compute a whole
+// scheduling pass at once against a BatchOrderer's index: PickMany
+// returns, in start order, exactly the jobs the Pick-until-nil loop would
+// have started at `now` — same jobs, same order, same decisions — while
+// sharing the expensive per-pass state (the reservation profile rebuild)
+// across the batch and pruning the walk by width in O(log Q).
+type BatchStarter interface {
 	Starter
-	// PickManyIndexed returns the jobs startable now, in the order Pick
-	// would have returned them, bounded by limit when limit > 0 (the
-	// epoch batch window; 0 = unlimited). Implementations must leave the
-	// index exactly as found (hidden entries restored). The returned
-	// slice is only valid until the next Pick/PickMany call.
-	PickManyIndexed(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job
+	// PickMany returns the jobs startable now, in the order Pick would
+	// have returned them, at most limit of them (the order's batch
+	// window). Implementations must leave the index exactly as found
+	// (hidden entries restored). The returned slice is only valid until
+	// the next Pick/PickMany call.
+	PickMany(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job
 }
 
 // ProfileFactory constructs a scratch availability profile. The default
@@ -150,24 +119,12 @@ type Composite struct {
 	// decider is the start policy's sim.DecisionExplainer view, resolved
 	// once at composition (nil when the policy cannot classify starts).
 	decider sim.DecisionExplainer
-	// batch is the start policy's BatchStarter view; set when the order
-	// policy is StableOrderer (unbounded batches) or EpochOrderer
-	// (batches truncated to the epoch window), the preconditions for a
-	// batched pass being equivalent to the Pick-until-nil loop.
-	batch BatchStarter
-	// stable records the StableOrderer marker; epoch the EpochOrderer
-	// view (nil for stable orders). Exactly one is set when batching.
-	stable bool
-	epoch  EpochOrderer
-	// ixOrder/ixStart are the indexed-protocol views, set when both sides
-	// support it and batching is sound; indexed (default true) gates the
-	// indexed path at run time (SetIndexedQueue).
-	ixOrder IndexedOrderer
-	ixStart IndexedStarter
-	indexed bool
-	// sequentialPasses forces the one-job-per-Startable path even when a
-	// batched pass is available (differential tests and A/B benches).
-	sequentialPasses bool
+	// batchOrder/batchStart are the batched-pass views, set together when
+	// the order policy is a BatchOrderer and the start policy a
+	// BatchStarter. Otherwise (a wrapper that hands its inner policy a
+	// filtered queue) both are nil and passes run the Pick loop.
+	batchOrder BatchOrderer
+	batchStart BatchStarter
 	// interrupt is the cooperative cancellation hook (Interruptible),
 	// polled between and inside batched passes; nil = never interrupt.
 	interrupt func() bool
@@ -197,41 +154,15 @@ func Compose(order Orderer, start Starter, machineNodes int) *Composite {
 	if machineNodes <= 0 {
 		panic("sched: machine must have at least one node")
 	}
-	c := &Composite{order: order, start: start, machine: machineNodes, indexed: true}
+	c := &Composite{order: order, start: start, machine: machineNodes}
 	c.decider, _ = start.(sim.DecisionExplainer)
-	_, c.stable = order.(StableOrderer)
-	if !c.stable {
-		c.epoch, _ = order.(EpochOrderer)
-	}
-	if c.stable || c.epoch != nil {
-		c.batch, _ = start.(BatchStarter)
-		if io, ok := order.(IndexedOrderer); ok {
-			if is, ok := start.(IndexedStarter); ok {
-				c.ixOrder, c.ixStart = io, is
-			}
+	if bo, ok := order.(BatchOrderer); ok {
+		if bs, ok := start.(BatchStarter); ok {
+			c.batchOrder, c.batchStart = bo, bs
 		}
 	}
 	return c
 }
-
-// SetIndexedQueue enables (default) or disables the indexed-queue
-// protocol: OrderedIter/PickManyIndexed with O(log Q) iteration and
-// width-pruned scans. Off, the order policy stops maintaining its index
-// and passes run the slice protocol — the differential oracle and the
-// pre-index baseline for A/B benches. Both sides start identical jobs in
-// identical order.
-func (c *Composite) SetIndexedQueue(on bool) {
-	c.indexed = on
-	if io, ok := c.order.(IndexedOrderer); ok {
-		io.SetIndexed(on)
-	}
-}
-
-// SetSequentialPasses forces (true) or re-enables (false) the
-// one-job-per-Startable protocol. Batched and sequential passes start
-// identical jobs in identical order; the switch exists so equivalence
-// tests and benches can run both sides.
-func (c *Composite) SetSequentialPasses(on bool) { c.sequentialPasses = on }
 
 // SetProfileFactory swaps the start policy's scratch-profile backend
 // (no-op for policies without one). sched.New calls it with
@@ -257,18 +188,24 @@ func (c *Composite) JobStarted(j *job.Job, now int64) { c.order.Remove(j, now) }
 // not react to completions (reservation state is rebuilt by the starters).
 func (c *Composite) JobFinished(j *job.Job, now int64) {}
 
-// Startable implements sim.Scheduler. With a batch-capable start policy
-// over a removal-stable order, one call computes the whole pass; the
-// engine's follow-up call (after starting the batch) finds nothing new
-// and terminates the pass. Epoch-stable orders (SMART/PSRS) batch too,
-// truncated to the replan-free window. Otherwise one job per call, as
-// before. The indexed protocol (default) runs the same passes against
-// the order policy's queue.Index instead of the materialized slice.
+// Startable implements sim.Scheduler. There are two pass protocols, and
+// the composition — not a switch — decides which one runs.
+//
+// A BatchStarter over a BatchOrderer computes the whole pass in one call
+// against the order's queue.Index, truncated to the order's replan-free
+// window; the engine's follow-up call (after starting the batch) finds
+// nothing new and terminates the pass.
+//
+// Any other start policy gets the paper's literal protocol: Pick one job
+// from the ordered slice, be called again until nil. That is the only
+// protocol a wrapper which filters the queue before delegating can speak
+// (ReservedStarter, policy windows), and it is the reference the batched
+// passes are tested against.
 func (c *Composite) Startable(now int64, free int, running []sim.Running) []*job.Job {
 	if c.order.Len() == 0 || free <= 0 {
 		return nil
 	}
-	if c.batch == nil || c.sequentialPasses {
+	if c.batchStart == nil {
 		j := c.start.Pick(c.order.Ordered(now), now, free, running, c.machine)
 		if j == nil {
 			return nil
@@ -276,68 +213,34 @@ func (c *Composite) Startable(now int64, free int, running []sim.Running) []*job
 		return []*job.Job{j}
 	}
 
-	if c.ixOrder != nil && c.indexed {
-		ix := c.ixOrder.OrderedIter(now)
-		// A batched pass is complete: PickMany returns every job startable
-		// at `now` (the property the batch equivalence tests pin), so the
-		// engine's follow-up Startable call — its loop-termination check —
-		// would walk the whole queue only to find nothing. If the state is
-		// exactly the one the last fruitful pass predicted (same instant,
-		// picked jobs moved from queue to running, their nodes debited),
-		// answer it without the walk. Any other intervening change (a
-		// same-instant outage, resubmit, or kill) breaks the signature and
-		// forces the full pass. An epoch order's follow-up OrderedIter is
-		// itself the replan-trigger check and has already run at exactly
-		// the sequential protocol's point — the memo (set only when the
-		// pass ended below the epoch window, so its removals provably left
-		// the trigger cold) skips just the fruitless walk behind it.
-		if m := &c.passDone; m.valid {
-			m.valid = false
-			if now == m.now && free == m.free &&
-				ix.Len() == m.queueLen && len(running) == m.runningLen {
-				return nil
-			}
-		}
-		limit := 0
-		if c.epoch != nil {
-			limit = c.epoch.BatchWindow()
-		}
-		picked := c.ixStart.PickManyIndexed(ix, now, free, running, c.machine, limit)
-		// An interrupted pass may have been abandoned mid-walk: its picks
-		// are a prefix of the full pass, so the completion memo must not
-		// claim the follow-up call needs no walk.
-		if len(picked) > 0 && (c.stable || len(picked) < limit) && !stopNow(c.interrupt) {
-			c.passDone = c.memoAfter(now, free, ix.Len(), len(running), picked)
-		}
-		return picked
-	}
-
-	ordered := c.order.Ordered(now)
+	ix := c.batchOrder.OrderedIter(now)
+	// A batched pass is complete: PickMany returns every job startable
+	// at `now` (the property the batch equivalence tests pin), so the
+	// engine's follow-up Startable call — its loop-termination check —
+	// would walk the whole queue only to find nothing. If the state is
+	// exactly the one the last fruitful pass predicted (same instant,
+	// picked jobs moved from queue to running, their nodes debited),
+	// answer it without the walk. Any other intervening change (a
+	// same-instant outage, resubmit, or kill) breaks the signature and
+	// forces the full pass. A replanning order's follow-up OrderedIter is
+	// itself the replan-trigger check and has already run at exactly
+	// the sequential protocol's point — the memo (set only when the
+	// pass ended below the batch window, so its removals provably left
+	// the trigger cold) skips just the fruitless walk behind it.
 	if m := &c.passDone; m.valid {
 		m.valid = false
 		if now == m.now && free == m.free &&
-			len(ordered) == m.queueLen && len(running) == m.runningLen {
+			ix.Len() == m.queueLen && len(running) == m.runningLen {
 			return nil
 		}
 	}
-	picked := c.batch.PickMany(ordered, now, free, running, c.machine)
-	complete := c.stable
-	if c.epoch != nil {
-		// Truncate to the epoch's replan-free window; the engine's next
-		// pass resumes at the queue state the sequential protocol would
-		// have re-checked the replan trigger at. A pass ending below the
-		// window was not truncated — it is the full pick-until-nil output,
-		// and its removals provably leave the replan trigger cold, so the
-		// follow-up call may answer from the memo.
-		w := c.epoch.BatchWindow()
-		if len(picked) > w {
-			picked = picked[:w]
-		} else if len(picked) < w {
-			complete = true
-		}
-	}
-	if complete && len(picked) > 0 && !stopNow(c.interrupt) {
-		c.passDone = c.memoAfter(now, free, len(ordered), len(running), picked)
+	limit := c.batchOrder.BatchWindow()
+	picked := c.batchStart.PickMany(ix, now, free, running, c.machine, limit)
+	// An interrupted pass may have been abandoned mid-walk: its picks
+	// are a prefix of the full pass, so the completion memo must not
+	// claim the follow-up call needs no walk.
+	if len(picked) > 0 && len(picked) < limit && !stopNow(c.interrupt) {
+		c.passDone = c.memoAfter(now, free, ix.Len(), len(running), picked)
 	}
 	return picked
 }
@@ -472,30 +375,19 @@ func (c Config) withDefaults() Config {
 }
 
 // New builds one cell of the paper's algorithm grid. Garey&Graham ignores
-// the start policy argument (backfilling "will be of no benefit for this
-// method"): it always uses its own free-for-all start policy.
+// a valid start policy argument (backfilling "will be of no benefit for
+// this method"): it always uses its own free-for-all start policy. An
+// unknown order or start name is an error for every cell.
 func New(order OrderName, start StartName, cfg Config) (*Composite, error) {
 	cfg = cfg.withDefaults()
 	if cfg.MachineNodes <= 0 {
 		return nil, fmt.Errorf("sched: config needs MachineNodes > 0")
 	}
 
-	if order == OrderGG {
-		c := Compose(NewFCFSOrder(string(OrderGG)), NewGareyGrahamStarter(), cfg.MachineNodes)
-		c.Instrument(cfg.Hooks)
-		if len(cfg.Announced) > 0 {
-			c.Announce(cfg.Announced)
-		}
-		if cfg.ProfileFactory != nil {
-			c.SetProfileFactory(cfg.ProfileFactory)
-		}
-		return c, nil
-	}
-
 	var ord Orderer
 	switch order {
-	case OrderFCFS:
-		ord = NewFCFSOrder(string(OrderFCFS))
+	case OrderFCFS, OrderGG:
+		ord = NewFCFSOrder(string(order))
 	case OrderPSRS:
 		ord = NewPSRSOrder(cfg)
 	case OrderSMARTFFIA:
@@ -521,6 +413,11 @@ func New(order OrderName, start StartName, cfg Config) (*Composite, error) {
 	default:
 		return nil, fmt.Errorf("sched: unknown start policy %q", start)
 	}
+	if order == OrderGG {
+		// The name was validated above; the policy it names is not used.
+		st = NewGareyGrahamStarter()
+	}
+
 	c := Compose(ord, st, cfg.MachineNodes)
 	c.Instrument(cfg.Hooks)
 	if len(cfg.Announced) > 0 {

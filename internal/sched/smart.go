@@ -73,13 +73,10 @@ func (o *SMARTOrder) Remove(j *job.Job, now int64) { o.rp.remove(j) }
 // Ordered implements Orderer.
 func (o *SMARTOrder) Ordered(now int64) []*job.Job { return o.rp.ordered() }
 
-// OrderedIter implements IndexedOrderer.
+// OrderedIter implements BatchOrderer.
 func (o *SMARTOrder) OrderedIter(now int64) *queue.Index { return o.rp.index() }
 
-// SetIndexed implements IndexedOrderer.
-func (o *SMARTOrder) SetIndexed(on bool) { o.rp.setIndexed(on) }
-
-// BatchWindow implements EpochOrderer: SMART order is removal-stable
+// BatchWindow implements BatchOrderer: SMART order is removal-stable
 // within a plan epoch (see replanner.batchWindow).
 func (o *SMARTOrder) BatchWindow() int { return o.rp.batchWindow() }
 

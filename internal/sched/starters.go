@@ -100,24 +100,6 @@ func (d *decided) LastStartDecision(j *job.Job) (telemetry.Decision, bool) {
 	return telemetry.Decision{}, false
 }
 
-// removeJob deletes the first occurrence of j from q, preserving the
-// order of the remaining jobs (the batched passes simulate the order
-// policy's Remove on their private queue copy). Head removal — by far
-// the common case: backfilling mostly starts a queue prefix — is O(1) by
-// reslicing; only a mid-queue backfill pick pays the memmove, which
-// keeps deep-backlog (100k-queue) passes linear.
-func removeJob(q []*job.Job, j *job.Job) []*job.Job {
-	if len(q) > 0 && q[0] == j {
-		return q[1:]
-	}
-	for i, x := range q {
-		if x == j {
-			return append(q[:i], q[i+1:]...)
-		}
-	}
-	return q
-}
-
 // ensureScratch reuses (after Reset) or creates a starter's scratch
 // profile with the configured backend, attaching the op counters.
 func ensureScratch(scratch profile.Kernel, f ProfileFactory, stats *profile.Stats, nodes int, now int64) profile.Kernel {
@@ -160,25 +142,6 @@ func (s *ListStarter) Pick(ordered []*job.Job, now int64, free int, running []si
 	return ordered[0]
 }
 
-// PickMany implements BatchStarter: the startable prefix of the queue.
-// The head is never skipped, so the sequential loop starts consecutive
-// heads until one does not fit — exactly this prefix.
-func (s *ListStarter) PickMany(ordered []*job.Job, now int64, free int, running []sim.Running, machineNodes int) []*job.Job {
-	s.reset()
-	s.picked = s.picked[:0]
-	for i, j := range ordered {
-		if j.Nodes > free || stopAt(s.interrupt, i) {
-			break
-		}
-		s.stash(j, telemetry.Decision{
-			Starter: s.Name(), Reason: telemetry.ReasonHeadOfQueue, Head: telemetry.None,
-		})
-		s.picked = append(s.picked, j)
-		free -= j.Nodes
-	}
-	return s.picked
-}
-
 // GareyGrahamStarter implements the classical list scheduling of Garey
 // and Graham [6] (Section 5.3): always start the next job for which
 // enough resources are available, scanning the whole queue. It needs no
@@ -218,46 +181,6 @@ func (s *GareyGrahamStarter) Pick(ordered []*job.Job, now int64, free int, runni
 	return nil
 }
 
-// PickMany implements BatchStarter with a single forward scan. The
-// sequential loop rescans the remaining queue after every start, but free
-// nodes only shrink during a pass, so a job that did not fit earlier can
-// never fit later: the rescans would re-skip exactly the jobs this scan
-// already skipped. Depth counts the skipped (unstarted) jobs before each
-// pick — its index in the remaining queue — and Head is the first job
-// that failed to fit, which stays the remaining head for the whole pass.
-func (s *GareyGrahamStarter) PickMany(ordered []*job.Job, now int64, free int, running []sim.Running, machineNodes int) []*job.Job {
-	s.reset()
-	s.picked = s.picked[:0]
-	depth := 0
-	headID := telemetry.None
-	for i, j := range ordered {
-		if stopAt(s.interrupt, i) {
-			break
-		}
-		if j.Nodes <= free {
-			d := telemetry.Decision{
-				Starter: s.Name(), Reason: telemetry.ReasonScanFit,
-				Depth: depth, Head: telemetry.None,
-			}
-			if depth > 0 {
-				d.Head = headID
-			}
-			s.stash(j, d)
-			s.picked = append(s.picked, j)
-			free -= j.Nodes
-			if free <= 0 {
-				break
-			}
-			continue
-		}
-		if depth == 0 {
-			headID = int64(j.ID)
-		}
-		depth++
-	}
-	return s.picked
-}
-
 // EASYStarter implements Lifka's aggressive backfilling [10] as described
 // by Feitelson and Weil [4] (Section 5.2): only the queue head holds a
 // reservation. A lower-priority job may start now if it fits into the
@@ -285,9 +208,8 @@ type EASYStarter struct {
 	// allocated when windows are announced); factory selects its backend.
 	scratch profile.Kernel
 	factory ProfileFactory
-	// picked/rem/runBuf are PickMany's reusable pass buffers.
+	// picked/runBuf are PickMany's reusable pass buffers.
 	picked []*job.Job
-	rem    []*job.Job
 	runBuf []sim.Running
 	// interrupt is the cooperative cancellation hook (Interruptible).
 	interrupt func() bool
@@ -330,60 +252,8 @@ func (s *EASYStarter) Pick(ordered []*job.Job, now int64, free int, running []si
 	return s.pickOne(ordered, now, free, running)
 }
 
-// PickMany implements BatchStarter as the literal sequential loop over a
-// private queue copy — except that the drain-aware path builds its
-// availability profile once per pass and extends it incrementally with
-// each started job, instead of rebuilding it per start. The incremental
-// Reserve equals the rebuild: a started job passed the profile fit check,
-// so within its reservation window the drains' zero-clamp was not active
-// and plain subtraction commutes with the clamped drain subtraction.
-func (s *EASYStarter) PickMany(ordered []*job.Job, now int64, free int, running []sim.Running, machineNodes int) []*job.Job {
-	s.reset()
-	s.picked = s.picked[:0]
-	if len(ordered) == 0 {
-		return nil
-	}
-	rem := append(s.rem[:0], ordered...)
-	if drainsPending(s.announced, now) {
-		s.buildDrainProfile(now, running, machineNodes)
-		p := s.scratch
-		p.BeginPass(now)
-		for len(rem) > 0 && free > 0 && !stopNow(s.interrupt) {
-			j := s.drainPickOne(rem, now, free)
-			if j == nil {
-				break
-			}
-			s.picked = append(s.picked, j)
-			free -= j.Nodes
-			end := job.AddSat(now, j.Estimate)
-			if end <= now {
-				end = now + 1
-			}
-			p.Reserve(j.Nodes, now, end)
-			rem = removeJob(rem, j)
-		}
-		p.CommitPass()
-		s.rem = rem[:0]
-		return s.picked
-	}
-	runLocal := append(s.runBuf[:0], running...)
-	for len(rem) > 0 && free > 0 && !stopNow(s.interrupt) {
-		j := s.pickOne(rem, now, free, runLocal)
-		if j == nil {
-			break
-		}
-		s.picked = append(s.picked, j)
-		free -= j.Nodes
-		runLocal = append(runLocal, sim.Running{Job: j, Start: now, EstEnd: job.AddSat(now, j.Estimate)})
-		rem = removeJob(rem, j)
-	}
-	s.rem, s.runBuf = rem[:0], runLocal[:0]
-	return s.picked
-}
-
 // pickOne is the fault-free EASY decision against an explicit running
-// list (Pick's body; PickMany feeds it the pass-local queue and running
-// copies).
+// list (Pick's body).
 func (s *EASYStarter) pickOne(ordered []*job.Job, now int64, free int, running []sim.Running) *job.Job {
 	head := ordered[0]
 	if head.Nodes <= free {
@@ -572,15 +442,9 @@ type ConservativeStarter struct {
 	// them out of the scratch profile, so reservations — and therefore
 	// start-now decisions — route around known drains.
 	announced []sim.Failure
-	// picked/rem/runBuf are PickMany's reusable pass buffers.
+	// picked/runBuf are PickMany's reusable pass buffers.
 	picked []*job.Job
-	rem    []*job.Job
 	runBuf []sim.Running
-	// sufMin is pickManyExact's reusable suffix-min-of-widths buffer:
-	// sufMin[i] = narrowest job in ordered[i:], the O(1) "can anything
-	// still start" probe behind the no-fit fast path and the post-pick
-	// early stop.
-	sufMin []int
 	// interrupt is the cooperative cancellation hook (Interruptible).
 	interrupt func() bool
 }
@@ -620,16 +484,11 @@ func (s *ConservativeStarter) Instrument(h telemetry.Hooks) {
 // SetProfileFactory implements ProfileBacked.
 func (s *ConservativeStarter) SetProfileFactory(f ProfileFactory) { s.factory, s.scratch = f, nil }
 
-// Pick implements Starter.
+// Pick implements Starter — the full sequential decision: build the
+// reservation profile from scratch, walk the queue, start the first job
+// whose reservation is due now.
 func (s *ConservativeStarter) Pick(ordered []*job.Job, now int64, free int, running []sim.Running, machineNodes int) *job.Job {
 	s.reset()
-	return s.pickOne(ordered, now, free, running, machineNodes)
-}
-
-// pickOne is the full sequential decision (Pick's historical body): build
-// the reservation profile from scratch, walk the queue, start the first
-// job whose reservation is due now.
-func (s *ConservativeStarter) pickOne(ordered []*job.Job, now int64, free int, running []sim.Running, machineNodes int) *job.Job {
 	if len(ordered) == 0 || free <= 0 {
 		return nil
 	}
@@ -732,141 +591,4 @@ func (s *ConservativeStarter) pickOne(ordered []*job.Job, now int64, free int, r
 		}
 	}
 	return nil
-}
-
-// PickMany implements BatchStarter. Exact mode runs the whole pass as
-// one continued profile walk (pickManyExact); fast mode restarts the
-// sequential decision per start, because its skip horizon depends on the
-// maximum estimate over the *remaining* queue and so legitimately moves
-// as jobs leave it.
-func (s *ConservativeStarter) PickMany(ordered []*job.Job, now int64, free int, running []sim.Running, machineNodes int) []*job.Job {
-	s.reset()
-	s.picked = s.picked[:0]
-	if !s.fast {
-		return s.pickManyExact(ordered, now, free, running, machineNodes)
-	}
-	rem := append(s.rem[:0], ordered...)
-	runLocal := append(s.runBuf[:0], running...)
-	for len(rem) > 0 && free > 0 && !stopNow(s.interrupt) {
-		j := s.pickOne(rem, now, free, runLocal, machineNodes)
-		if j == nil {
-			break
-		}
-		s.picked = append(s.picked, j)
-		free -= j.Nodes
-		runLocal = append(runLocal, sim.Running{Job: j, Start: now, EstEnd: job.AddSat(now, j.Estimate)})
-		rem = removeJob(rem, j)
-	}
-	s.rem, s.runBuf = rem[:0], runLocal[:0]
-	return s.picked
-}
-
-// pickManyExact computes an exact conservative pass with ONE profile
-// build and ONE queue walk, where the sequential protocol rebuilds and
-// rewalks after every start. Equivalence: when a job starts, the next
-// sequential rebuild differs from the current profile only by that job's
-// running reservation, which is added here immediately; re-walked
-// unstarted jobs keep their placements because (a) the started job's fit
-// check passed *on top of* their reservations, so each old window stays
-// feasible, and (b) capacity only shrank, so no earlier fit can open.
-// The depth budget counts unstarted jobs only — each sequential walk
-// indexes maxDepth jobs of its remaining (started-jobs-removed) queue.
-func (s *ConservativeStarter) pickManyExact(ordered []*job.Job, now int64, free int, running []sim.Running, machineNodes int) []*job.Job {
-	if len(ordered) == 0 || free <= 0 {
-		return s.picked
-	}
-	// Same fast path as the sequential walk: nothing fits, nothing to do
-	// (and no backfill event — the sequential pass never walks either).
-	// The suffix minima also drive the post-pick early stop below.
-	if cap(s.sufMin) < len(ordered) {
-		s.sufMin = make([]int, len(ordered))
-	}
-	s.sufMin = s.sufMin[:len(ordered)]
-	minW := ordered[len(ordered)-1].Nodes
-	for i := len(ordered) - 1; i >= 0; i-- {
-		if ordered[i].Nodes < minW {
-			minW = ordered[i].Nodes
-		}
-		s.sufMin[i] = minW
-	}
-	if s.sufMin[0] > free {
-		return s.picked
-	}
-
-	s.scratch = ensureScratch(s.scratch, s.factory, s.stats, machineNodes, now)
-	p := s.scratch
-	for _, r := range running {
-		end := r.EstEnd
-		if end <= now {
-			end = now + 1
-		}
-		p.Reserve(r.Job.Nodes, now, end)
-	}
-	reserveDrains(p, s.announced, now, profile.Infinity)
-
-	p.BeginPass(now)
-	walked := 0 // unstarted jobs examined: the remaining-queue index
-	headID := telemetry.None
-	for pos, j := range ordered {
-		if free <= 0 {
-			break // the sequential protocol stops passing at zero free
-		}
-		if s.maxDepth > 0 && walked >= s.maxDepth {
-			break
-		}
-		if stopAt(s.interrupt, pos) {
-			break // interrupted: partial pass, run is being discarded
-		}
-		t := p.EarliestFit(j.Nodes, j.Estimate, now)
-		if t == now && j.Nodes <= free {
-			d := telemetry.Decision{
-				Starter: s.Name(), Reason: telemetry.ReasonReservationDueNow,
-				Depth: walked, Head: telemetry.None,
-			}
-			if walked > 0 {
-				d.Head = headID
-			}
-			s.stash(j, d)
-			s.picked = append(s.picked, j)
-			free -= j.Nodes
-			// The reservation the next sequential rebuild would hold for
-			// this now-running job. Its fit check passed on the drained
-			// profile, so the plain Reserve commutes with the drains'
-			// zero-clamp inside the window.
-			end := job.AddSat(now, j.Estimate)
-			if end <= now {
-				end = now + 1
-			}
-			p.Reserve(j.Nodes, now, end)
-			// Early stop: a start-now fit needs Nodes <= free, so if no
-			// job past this one is narrow enough for the shrunken free,
-			// no further pick is possible and the remaining reservations
-			// cannot influence any decision this pass — mirroring the
-			// sequential protocol, whose next pass exits on its width
-			// precheck without touching the profile.
-			if pos+1 == len(ordered) || s.sufMin[pos+1] > free {
-				break
-			}
-			continue
-		}
-		if walked == 0 {
-			// First unstarted job: the remaining head for the rest of the
-			// pass (capacity only shrinks, so it cannot start later).
-			headID = int64(j.ID)
-			if s.rec != nil && len(ordered)-len(s.picked) > 1 {
-				s.rec.Record(telemetry.Event{Type: telemetry.EventBackfill, At: now,
-					Job: telemetry.None, Starter: s.Name(), Head: int64(j.ID)})
-			}
-		}
-		walked++
-		if t >= profile.Infinity {
-			continue // never placeable: holds no reservation
-		}
-		end := job.AddSat(t, j.Estimate)
-		if end > t {
-			p.Reserve(j.Nodes, t, end)
-		}
-	}
-	p.CommitPass()
-	return s.picked
 }

@@ -32,6 +32,7 @@ type Switching struct {
 }
 
 var _ sim.Scheduler = (*Switching)(nil)
+var _ Interruptible = (*Switching)(nil)
 
 // NewSwitching composes the day and night algorithms. The paper's
 // administrator would pass her picks: day = SMART or PSRS with
@@ -110,6 +111,13 @@ func (s *Switching) Startable(now int64, free int, running []sim.Running) []*job
 
 // QueueLen implements sim.Scheduler.
 func (s *Switching) QueueLen() int { return s.queueLen }
+
+// SetInterrupt implements Interruptible: whichever regime is active, its
+// start policy's walk loops poll the hook.
+func (s *Switching) SetInterrupt(f func() bool) {
+	forwardInterrupt(s.dayStart, f)
+	forwardInterrupt(s.nightStart, f)
+}
 
 // LastStartDecision implements sim.DecisionExplainer: the regime whose
 // start policy picked the job answers (starters match on the exact job

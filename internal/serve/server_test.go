@@ -66,6 +66,12 @@ func TestServerEndToEnd(t *testing.T) {
 	if w := doJSON(t, srv, "POST", "/v1/sessions", "", createRequest{Name: "bad", Config: Config{Nodes: -1}}); w.Code != http.StatusBadRequest {
 		t.Fatalf("invalid create: %d", w.Code)
 	}
+	// So is a start policy nobody knows, even under Garey&Graham, which
+	// would ignore a valid one: the name is stored durably.
+	w = doJSON(t, srv, "POST", "/v1/sessions", "", createRequest{Name: "gg", Config: Config{Nodes: 8, Order: "Garey&Graham", Start: "nope"}})
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "unknown start policy") {
+		t.Fatalf("unknown start under G&G: %d %s", w.Code, w.Body)
+	}
 	// SMART without allow_unstable is refused, with the reason named.
 	w = doJSON(t, srv, "POST", "/v1/sessions", "", createRequest{Name: "sm", Config: Config{Nodes: 8, Order: "SMART-FFIA"}})
 	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "allow_unstable") {

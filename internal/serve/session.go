@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"regexp"
+	"slices"
 
 	"jobsched/internal/job"
 	"jobsched/internal/sched"
@@ -276,6 +277,7 @@ type Session struct {
 	interrupt func() bool
 
 	runBuf []sim.Running
+	idBuf  []job.ID
 }
 
 // NewSession builds an empty session. The config must already be
@@ -538,22 +540,15 @@ func (s *Session) runningList() []sim.Running {
 	return s.runBuf
 }
 
-// runningIDs returns the running job IDs sorted ascending.
+// runningIDs returns the running job IDs sorted ascending, in a buffer
+// that the next call reuses.
 func (s *Session) runningIDs() []job.ID {
-	ids := make([]job.ID, 0, len(s.running))
+	s.idBuf = s.idBuf[:0]
 	for id := range s.running {
-		ids = append(ids, id)
+		s.idBuf = append(s.idBuf, id)
 	}
-	sortIDs(ids)
-	return ids
-}
-
-func sortIDs(ids []job.ID) {
-	for i := 1; i < len(ids); i++ {
-		for k := i; k > 0 && ids[k] < ids[k-1]; k-- {
-			ids[k], ids[k-1] = ids[k-1], ids[k]
-		}
-	}
+	slices.Sort(s.idBuf)
+	return s.idBuf
 }
 
 // retire appends a settled job to the bounded history ring, evicting

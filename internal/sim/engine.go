@@ -61,8 +61,7 @@ type Options struct {
 	// arrivals, starts (with the start-reason classification supplied by
 	// DecisionExplainer schedulers), finishes, failure aborts, capacity
 	// changes and per-query pass events. nil disables tracing at the
-	// cost of one branch per event (the nil-recorder fast path gated by
-	// cmd/bench).
+	// cost of one branch per event (the nil-recorder fast path).
 	Recorder telemetry.Recorder
 }
 

@@ -59,7 +59,8 @@ type Counters struct {
 
 	// Queue counts indexed waiting-queue operations (pushes, removals,
 	// width-pruned scan steps, order-statistic lookups); attach it via
-	// Hooks(). Zero when the scheduler runs the slice path.
+	// Hooks(). Only pushes and removals move when a wrapped start policy
+	// runs the Pick loop.
 	Queue queue.Stats
 
 	// QueueDepth and FreeNodes sample the waiting-queue depth and the

@@ -12,9 +12,9 @@
 // after the fact.
 //
 // Everything is opt-in. A nil Recorder in sim.Options and sched.Config
-// costs one pointer comparison per decision point — the bench harness
-// (cmd/bench, BENCH_2.json) gates that the disabled path stays within a
-// few percent of the untraced engine.
+// costs one pointer comparison per decision point — BENCH_2.json records
+// that the disabled path stays within a few percent of the untraced
+// engine.
 package telemetry
 
 // Type classifies a trace event.

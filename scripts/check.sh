@@ -41,9 +41,10 @@
 #                budget — regressions on the seeded corpus and shallow
 #                mutations fail here; deep exploration is for manual
 #                `make fuzz` sessions
-#   bench-smoke  cmd/bench -quick: the perf harness still runs end to
-#                end (tiny benchtime, no BENCH_*.json written), and the
-#                telemetry nil-recorder gate holds (see cmd/bench)
+#   bench-smoke  go run ./benchmark -smoke — the repository's benchmark
+#                at tiny sizes: all six workloads run end to end, and the
+#                schedules they produce must match the committed
+#                benchmark/expect.json (see benchmark/README.md)
 #   stream-smoke scripts/stream-smoke.sh — a ~1M-job synthetic trace
 #                simulated end-to-end under a GOMEMLIMIT heap ceiling
 #                (the bounded-memory streaming path), plus a 2-shard
@@ -80,8 +81,8 @@ run fuzz-smoke go test -run='^$' -fuzz='^FuzzProfileTree$' -fuzztime=500x ./inte
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzFailureSchedule$' -fuzztime=500x ./internal/faults
 
 step=bench-smoke
-echo "==> bench-smoke: go run ./cmd/bench -quick"
-go run ./cmd/bench -quick -out "" -out2 "" -out3 "" -out4 "" -out5 "" >/dev/null
+echo "==> bench-smoke: go run ./benchmark -smoke"
+go run ./benchmark -smoke >/dev/null
 
 run stream-smoke ./scripts/stream-smoke.sh
 run serve-smoke ./scripts/serve-smoke.sh
