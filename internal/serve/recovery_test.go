@@ -5,9 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"jobsched/internal/telemetry"
 )
 
 // randomSpecs draws a small submission batch.
@@ -234,6 +239,133 @@ func TestRecoveryPoisonPreservesCause(t *testing.T) {
 	}
 	if err := store.Drain(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoveryInterruptedEmptyPassRollsBack: a request whose budget
+// expires inside a pass that has picked nothing yet must take the
+// rolled-back path — 504, "safe to retry", no WAL record — not commit a
+// "nothing startable" outcome that replaying the record would
+// contradict by starting the job.
+func TestRecoveryInterruptedEmptyPassRollsBack(t *testing.T) {
+	for _, start := range []string{"List", "EASY-Backfilling", "Backfilling"} {
+		srv, store := newTestServer(t, StoreOptions{}, ServerOptions{})
+		if err := store.Create("s", Config{Nodes: 8, Start: start}); err != nil {
+			t.Fatal(err)
+		}
+		// n=2: the commit loop's pre-apply Err() check and the interrupt
+		// hook's first poll pass; every later poll reports the deadline.
+		ctx := &countdownCtx{Context: context.Background(), n: 2}
+		_, err := store.Submit(ctx, "s", []JobSpec{{Nodes: 4, Estimate: 100}})
+		if !errors.Is(err, ErrInterrupted) || !strings.Contains(fmt.Sprint(err), "rolled back, safe to retry") {
+			t.Fatalf("%s: interrupted submit returned %v", start, err)
+		}
+		w := httptest.NewRecorder()
+		srv.writeError(w, err, 0)
+		if w.Code != http.StatusGatewayTimeout {
+			t.Fatalf("%s: interrupted submit maps to %d, want 504", start, w.Code)
+		}
+		info, err := store.Info("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.WALSeq != 0 || info.Agg.Submitted != 0 {
+			t.Fatalf("%s: rolled-back submit left wal_seq=%d agg=%+v", start, info.WALSeq, info.Agg)
+		}
+		// The retry commits and the job starts.
+		rs, err := store.Submit(context.Background(), "s", []JobSpec{{Nodes: 4, Estimate: 100}})
+		if err != nil {
+			t.Fatalf("%s: retry: %v", start, err)
+		}
+		if ji, err := store.Job("s", rs[0].ID); err != nil || ji.Status != StatusRunning {
+			t.Fatalf("%s: retried job: %+v err=%v", start, ji, err)
+		}
+	}
+}
+
+// TestAuditStartEventsClassified: with the audit trail on, start events
+// carry the engine's start-reason classification, no per-pass events
+// are written, and replaying the WAL on reopen emits nothing.
+func TestAuditStartEventsClassified(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	opt := StoreOptions{Audit: true}
+	store, err := OpenStore(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Create("s", Config{Nodes: 8}); err != nil {
+		t.Fatal(err)
+	}
+	// Job 1 leaves 2 nodes free, job 2 (the head) must wait for it until
+	// t=100, job 3 fits beside job 1 and ends before that shadow time.
+	if _, err := store.Submit(ctx, "s", []JobSpec{
+		{Nodes: 6, Estimate: 100}, {Nodes: 8, Estimate: 100}, {Nodes: 2, Estimate: 50},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Advance(ctx, "s", 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sessDir := filepath.Join(dir, "sessions", "s")
+	readAudit := func() []telemetry.Event {
+		f, err := os.Open(filepath.Join(sessDir, auditFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		evs, err := telemetry.ReadJSONL(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return evs
+	}
+	evs := readAudit()
+	starts := map[int64]telemetry.Event{}
+	for _, ev := range evs {
+		switch ev.Type {
+		case telemetry.EventPass:
+			t.Fatalf("per-pass event in the audit trail: %+v", ev)
+		case telemetry.EventStart:
+			starts[ev.Job] = ev
+		}
+	}
+	want := map[int64]telemetry.Event{
+		1: {Starter: "EASY-Backfilling", Reason: telemetry.ReasonHeadOfQueue, Head: telemetry.None},
+		2: {Starter: "EASY-Backfilling", Reason: telemetry.ReasonHeadOfQueue, Head: telemetry.None},
+		3: {Starter: "EASY-Backfilling", Reason: telemetry.ReasonBackfillBeforeShadow, Head: 2, Shadow: 100},
+	}
+	for id, w := range want {
+		got, ok := starts[id]
+		if !ok {
+			t.Fatalf("no start event for job %d in %+v", id, evs)
+		}
+		if got.Starter != w.Starter || got.Reason != w.Reason || got.Head != w.Head || got.Shadow != w.Shadow {
+			t.Fatalf("job %d start event %+v, want starter=%q reason=%q head=%d shadow=%d",
+				id, got, w.Starter, w.Reason, w.Head, w.Shadow)
+		}
+	}
+	if starts[3].Depth == 0 {
+		t.Fatalf("backfilled job's start event has no queue depth: %+v", starts[3])
+	}
+
+	// Drop the snapshot so the reopen replays the whole WAL: the trail
+	// must not grow.
+	if err := os.Remove(filepath.Join(sessDir, snapshotFile)); err != nil {
+		t.Fatal(err)
+	}
+	store, err = OpenStore(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if after := readAudit(); len(after) != len(evs) {
+		t.Fatalf("replay grew the audit trail from %d to %d events", len(evs), len(after))
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"regexp"
-	"slices"
 
 	"jobsched/internal/job"
 	"jobsched/internal/sched"
@@ -184,34 +183,17 @@ type jobState struct {
 	start  int64
 	end    int64
 	seq    int      // start order; breaks completion ties
-	j      *job.Job // live core job (pending/running only)
+	j      *job.Job // the scheduler's handle while the job waits
 }
 
-// completionEvent and deadlineEvent are the session's two event heaps.
-type completionEvent struct {
-	at  int64
-	seq int
-	id  job.ID
+// coreJob builds the core job a spec stands for.
+func coreJob(id job.ID, sp JobSpec, submit int64) *job.Job {
+	return &job.Job{ID: id, Name: sp.Name, User: sp.User, Nodes: sp.Nodes,
+		Submit: submit, Estimate: sp.Estimate, Runtime: sp.Runtime}
 }
 
-type completionQueue []completionEvent
-
-func (h completionQueue) Len() int { return len(h) }
-func (h completionQueue) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h completionQueue) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *completionQueue) Push(x any)   { *h = append(*h, x.(completionEvent)) }
-func (h *completionQueue) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
-}
-
+// deadlineEvent is an entry of the session's deadline heap (lazy
+// deletion: entries whose job started or retired are skipped).
 type deadlineEvent struct {
 	at int64
 	id job.ID
@@ -235,21 +217,22 @@ func (h *deadlineQueue) Pop() any {
 	return x
 }
 
-// Session is one machine's live scheduling state: a deterministic
-// logical-clock event engine around a sched.Composite. Its state is a
-// pure function of the operation sequence (submit/advance), which is
-// the invariant WAL replay and snapshot restore rely on. A Session is
-// not safe for concurrent use; the per-session store worker is its
-// single writer.
+// Session is one machine's live scheduling state: the daemon's driver of
+// the sim.Stepper event loop around a sched.Composite. The stepper owns
+// the machine (free nodes, running set, completions, passes); the
+// session adds the logical clock, deadlines, the bounded history and the
+// aggregates. Its state is a pure function of the operation sequence
+// (submit/advance), which is the invariant WAL replay and snapshot
+// restore rely on. A Session is not safe for concurrent use; the
+// per-session store worker is its single writer.
 type Session struct {
 	name string
 	cfg  Config
 	sch  *sched.Composite
+	step *sim.Stepper
 
-	clock    int64
-	nextID   int64
-	free     int
-	startSeq int
+	clock  int64
+	nextID int64
 
 	jobs map[job.ID]*jobState
 	// pendingOrder is the arrival order of pending jobs (entries whose
@@ -257,27 +240,25 @@ type Session struct {
 	// the live ones.
 	pendingOrder []job.ID
 	pendingN     int
-	running      map[job.ID]*jobState
-	completions  completionQueue
 	deadlines    deadlineQueue
 	// retired is the bounded eviction ring over done/expired/shed jobs,
 	// oldest first.
 	retired []job.ID
 	agg     Aggregates
 
-	// audit receives the decision trace (nil = off); replaying marks
-	// recovery replay, which re-applies state without re-emitting audit.
-	audit     telemetry.Recorder
-	replaying bool
-	// interrupt is polled between event instants and threaded into the
-	// scheduler's pass loops. The hook must be sticky (once true, stays
-	// true for the rest of the operation — a context check is): a
-	// transient hook could truncate a pass without the operation
-	// noticing, committing a state replay would not reproduce.
-	interrupt func() bool
+	// audit receives the decision trace (nil = off, and during replay,
+	// which re-applies state without re-emitting it).
+	audit telemetry.Recorder
+}
 
-	runBuf []sim.Running
-	idBuf  []job.ID
+// auditTap is the recorder the stepper writes to: the engine's finish
+// and start events reach the audit trail, its per-pass events do not.
+type auditTap struct{ out telemetry.Recorder }
+
+func (a auditTap) Record(ev telemetry.Event) {
+	if out := a.out; out != nil && ev.Type != telemetry.EventPass {
+		out.Record(ev)
+	}
 }
 
 // NewSession builds an empty session. The config must already be
@@ -292,26 +273,32 @@ func NewSession(name string, cfg Config) (*Session, error) {
 		return nil, rejectf("serve: %v", err)
 	}
 	return &Session{
-		name:    name,
-		cfg:     cfg,
-		sch:     sch,
-		free:    cfg.Nodes,
-		nextID:  1,
-		jobs:    make(map[job.ID]*jobState),
-		running: make(map[job.ID]*jobState),
+		name:   name,
+		cfg:    cfg,
+		sch:    sch,
+		step:   sim.NewStepper(sim.Machine{Nodes: cfg.Nodes}, sch, sim.Options{}),
+		nextID: 1,
+		jobs:   make(map[job.ID]*jobState),
 	}, nil
 }
 
 // SetAudit installs the audit-trace recorder (nil = off).
-func (s *Session) SetAudit(rec telemetry.Recorder) { s.audit = rec }
+func (s *Session) SetAudit(rec telemetry.Recorder) {
+	s.audit = rec
+	if rec != nil {
+		rec = auditTap{rec}
+	}
+	s.step.SetRecorder(rec)
+}
 
 // SetInterrupt installs the cooperative cancellation hook for the next
-// operations (nil = never). See the field comment for the stickiness
-// requirement.
-func (s *Session) SetInterrupt(f func() bool) {
-	s.interrupt = f
-	s.sch.SetInterrupt(f)
-}
+// operations (nil = never): polled between event instants and after
+// every scheduling pass, and threaded into the scheduler's own pass
+// loops. An operation that observes it fails with ErrInterrupted. The
+// hook must be sticky (once true, true for the rest of the operation, as
+// a context check is): one that flips back between polls could truncate
+// a pass unnoticed.
+func (s *Session) SetInterrupt(f func() bool) { s.step.SetInterrupt(f) }
 
 // Name returns the session name.
 func (s *Session) Name() string { return s.name }
@@ -320,15 +307,13 @@ func (s *Session) Name() string { return s.name }
 func (s *Session) Clock() int64 { return s.clock }
 
 // Counts returns (pending, running) job counts.
-func (s *Session) Counts() (pending, running int) { return s.pendingN, len(s.running) }
+func (s *Session) Counts() (pending, running int) { return s.pendingN, s.step.RunningLen() }
 
 // Agg returns the session's running totals.
 func (s *Session) Agg() Aggregates { return s.agg }
 
 // ConfigValue returns the session's configuration.
 func (s *Session) ConfigValue() Config { return s.cfg }
-
-func stopNow(f func() bool) bool { return f != nil && f() }
 
 // Submit validates and applies a batch of job submissions at the
 // current clock. Validation happens before any mutation, so a rejected
@@ -364,45 +349,43 @@ func (s *Session) Submit(specs []JobSpec) ([]SubmitResult, error) {
 			s.retire(st)
 		default:
 			st.status = StatusPending
-			st.j = &job.Job{ID: id, Name: sp.Name, User: sp.User, Nodes: sp.Nodes,
-				Submit: s.clock, Estimate: sp.Estimate, Runtime: sp.Runtime}
+			st.j = coreJob(id, sp, s.clock)
 			s.pendingOrder = append(s.pendingOrder, id)
 			s.pendingN++
 			if sp.Deadline > 0 {
 				heap.Push(&s.deadlines, deadlineEvent{at: sp.Deadline, id: id})
 			}
 			s.agg.Submitted++
-			s.sch.Submit(st.j, s.clock)
-			if s.audit != nil && !s.replaying {
+			s.step.Submit(st.j, s.clock)
+			if s.audit != nil {
 				s.audit.Record(telemetry.Event{Type: telemetry.EventArrival, At: s.clock,
 					Job: int64(id), Nodes: sp.Nodes, Head: telemetry.None})
 			}
 		}
 		results = append(results, SubmitResult{ID: int64(id), Status: st.status})
 	}
-	if err := s.runPasses(); err != nil {
+	if err := s.startJobs(); err != nil {
 		return nil, err
 	}
 	s.maybeCompact()
 	return results, nil
 }
 
-// Advance moves the session clock to `to`, delivering completions,
-// expiring deadlines, and running scheduling passes at every event
-// instant in between. Advancing to or before the current clock is a
-// deterministic no-op (idempotent under client retries). Any non-nil
-// error except ErrRejected poisons the state.
+// Advance moves the session clock to `to`; every event instant on the
+// way runs completions → deadline expiry → passes. Advancing to or
+// before the current clock is a deterministic no-op (idempotent under
+// client retries). Any non-nil error except ErrRejected poisons the state.
 func (s *Session) Advance(to int64) error {
 	if to < 0 {
 		return rejectf("serve: advance target must be >= 0")
 	}
 	for s.clock < to {
-		if stopNow(s.interrupt) {
+		if s.step.Interrupted() {
 			return ErrInterrupted
 		}
 		t := to
-		if s.completions.Len() > 0 && s.completions[0].at < t {
-			t = s.completions[0].at
+		if at, ok := s.step.NextCompletion(); ok && at < t {
+			t = at
 		}
 		if d, ok := s.earliestDeadline(); ok {
 			// Expiry takes effect the instant after the deadline: at the
@@ -412,12 +395,11 @@ func (s *Session) Advance(to int64) error {
 			}
 		}
 		s.clock = t
-		for s.completions.Len() > 0 && s.completions[0].at == t {
-			ev := heap.Pop(&s.completions).(completionEvent)
-			s.finish(ev.id, t)
+		for _, e := range s.step.Complete(t) {
+			s.finish(e)
 		}
 		s.expireDeadlines(t)
-		if err := s.runPasses(); err != nil {
+		if err := s.startJobs(); err != nil {
 			return err
 		}
 	}
@@ -443,112 +425,56 @@ func (s *Session) earliestDeadline() (int64, bool) {
 // expireDeadlines withdraws every still-pending job whose deadline lies
 // strictly before now.
 func (s *Session) expireDeadlines(now int64) {
-	for s.deadlines.Len() > 0 {
-		ev := s.deadlines[0]
-		st := s.jobs[ev.id]
-		if st == nil || st.status != StatusPending {
-			heap.Pop(&s.deadlines)
-			continue
-		}
-		if ev.at >= now {
+	for {
+		if at, ok := s.earliestDeadline(); !ok || at >= now {
 			return
 		}
-		heap.Pop(&s.deadlines)
+		st := s.jobs[heap.Pop(&s.deadlines).(deadlineEvent).id]
 		s.sch.Withdraw(st.j, now)
 		st.status = StatusExpired
 		st.j = nil
 		s.pendingN--
 		s.agg.Expired++
 		s.retire(st)
-		if s.audit != nil && !s.replaying {
+		if s.audit != nil {
 			s.audit.Record(telemetry.Event{Type: telemetry.EventLost, At: now,
 				Job: int64(st.id), Nodes: st.spec.Nodes, Head: telemetry.None})
 		}
 	}
 }
 
-// finish delivers one completion: free the nodes, settle the record,
-// notify the scheduler.
-func (s *Session) finish(id job.ID, now int64) {
-	st := s.running[id]
-	if st == nil {
-		return
-	}
-	delete(s.running, id)
-	s.free += st.spec.Nodes
+// finish settles the record of a job the stepper completed.
+func (s *Session) finish(e sim.RunEntry) {
+	st := s.jobs[e.Job.ID]
 	st.status = StatusDone
 	s.agg.Completed++
 	s.agg.SumResponse = job.AddSat(s.agg.SumResponse, st.end-st.submit)
-	j := st.j
-	st.j = nil
 	s.retire(st)
-	if s.audit != nil && !s.replaying {
-		s.audit.Record(telemetry.Event{Type: telemetry.EventFinish, At: now,
-			Job: int64(id), Nodes: st.spec.Nodes, Head: telemetry.None, Killed: j.Killed()})
-	}
-	s.sch.JobFinished(j, now)
 }
 
-// runPasses lets the scheduler start jobs at the current instant until
-// it declines, mirroring the sim engine's pass loop.
-func (s *Session) runPasses() error {
-	for {
-		if stopNow(s.interrupt) {
-			return ErrInterrupted
-		}
-		starts := s.sch.Startable(s.clock, s.free, s.runningList())
-		if len(starts) == 0 {
-			return nil
-		}
-		for _, j := range starts {
-			if j.Nodes > s.free {
-				return fmt.Errorf("serve: session %s: scheduler started %v with only %d nodes free", s.name, j, s.free)
-			}
-			st := s.jobs[j.ID]
-			if st == nil || st.status != StatusPending {
-				return fmt.Errorf("serve: session %s: scheduler started unknown or non-pending job %d", s.name, j.ID)
-			}
-			s.free -= j.Nodes
-			st.status = StatusRunning
-			st.start = s.clock
-			st.end = job.AddSat(s.clock, j.EffectiveRuntime())
-			st.seq = s.startSeq
-			s.startSeq++
-			s.pendingN--
-			s.running[j.ID] = st
-			heap.Push(&s.completions, completionEvent{at: st.end, seq: st.seq, id: j.ID})
-			s.agg.Started++
-			s.agg.SumWait = job.AddSat(s.agg.SumWait, st.start-st.submit)
-			if s.audit != nil && !s.replaying {
-				s.audit.Record(telemetry.Event{Type: telemetry.EventStart, At: s.clock,
-					Job: int64(j.ID), Nodes: j.Nodes, Free: s.free, Head: telemetry.None})
-			}
-			s.sch.JobStarted(j, s.clock)
-		}
+// startJobs runs the stepper's passes at the current instant and
+// settles the records of the jobs they started.
+func (s *Session) startJobs() error {
+	started, err := s.step.RunPasses(s.clock)
+	if errors.Is(err, sim.ErrInterrupted) {
+		return ErrInterrupted
 	}
-}
-
-// runningList snapshots the running set in ID order (the sim engine's
-// contract with Startable) into a reused buffer.
-func (s *Session) runningList() []sim.Running {
-	s.runBuf = s.runBuf[:0]
-	for _, id := range s.runningIDs() {
-		st := s.running[id]
-		s.runBuf = append(s.runBuf, sim.Running{Job: st.j, Start: st.start,
-			EstEnd: job.AddSat(st.start, st.spec.Estimate)})
+	if err != nil {
+		return fmt.Errorf("serve: session %s: %w", s.name, err)
 	}
-	return s.runBuf
-}
-
-// runningIDs returns the running job IDs sorted ascending, in a buffer
-// that the next call reuses.
-func (s *Session) runningIDs() []job.ID {
-	s.idBuf = s.idBuf[:0]
-	for id := range s.running {
-		s.idBuf = append(s.idBuf, id)
+	for _, e := range started {
+		st := s.jobs[e.Job.ID]
+		if st == nil || st.status != StatusPending {
+			return fmt.Errorf("serve: session %s: scheduler started unknown or non-pending job %d", s.name, e.Job.ID)
+		}
+		st.status = StatusRunning
+		st.start, st.end, st.seq = e.Start, e.End, e.Seq
+		st.j = nil
+		s.pendingN--
+		s.agg.Started++
+		s.agg.SumWait = job.AddSat(s.agg.SumWait, st.start-st.submit)
 	}
-	slices.Sort(s.idBuf)
-	return s.idBuf
+	return nil
 }
 
 // retire appends a settled job to the bounded history ring, evicting
@@ -593,22 +519,19 @@ func (s *Session) pendingIDs() []job.ID {
 // record committed once, so a rejection here means the log does not
 // match the state and the session must not serve.
 func (s *Session) Apply(rec Record) error {
-	s.replaying = true
-	defer func() { s.replaying = false }()
+	defer s.SetAudit(s.audit)
+	s.SetAudit(nil)
+	var err error
 	switch rec.Op {
 	case opSubmit:
-		_, err := s.Submit(rec.Jobs)
-		if errors.Is(err, ErrRejected) {
-			return fmt.Errorf("serve: session %s: wal record %d no longer applies: %v", s.name, rec.Seq, err)
-		}
-		return err
+		_, err = s.Submit(rec.Jobs)
 	case opAdvance:
-		err := s.Advance(rec.At)
-		if errors.Is(err, ErrRejected) {
-			return fmt.Errorf("serve: session %s: wal record %d no longer applies: %v", s.name, rec.Seq, err)
-		}
-		return err
+		err = s.Advance(rec.At)
 	default:
 		return fmt.Errorf("serve: session %s: wal record %d has unknown op %q", s.name, rec.Seq, rec.Op)
 	}
+	if errors.Is(err, ErrRejected) {
+		return fmt.Errorf("serve: session %s: wal record %d no longer applies: %v", s.name, rec.Seq, err)
+	}
+	return err
 }

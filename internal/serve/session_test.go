@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -178,11 +179,26 @@ func TestSubmitValidationLeavesStateUntouched(t *testing.T) {
 	}
 }
 
-// TestSessionMatchesEngine: the service's incremental event loop and
-// the batch sim engine are two drivers of the same scheduler; fed the
-// same workload they must produce identical placements.
+// TestSessionMatchesEngine: the session and the batch engine are two
+// drivers of one sim.Stepper; fed the same workload they must produce
+// identical placements and totals in every cell of the paper's grid.
 func TestSessionMatchesEngine(t *testing.T) {
-	for _, start := range []sched.StartName{sched.StartList, sched.StartEASY, sched.StartConservative} {
+	type cell struct {
+		order sched.OrderName
+		start sched.StartName
+	}
+	var cells []cell
+	for _, order := range sched.GridOrders() {
+		if order == sched.OrderGG {
+			cells = append(cells, cell{order, sched.StartList})
+			continue
+		}
+		for _, start := range sched.GridStarts() {
+			cells = append(cells, cell{order, start})
+		}
+	}
+	for _, c := range cells {
+		name := string(c.order) + "/" + string(c.start)
 		r := rand.New(rand.NewSource(7))
 		const n, nodes = 300, 64
 		jobs := make([]*job.Job, n)
@@ -201,7 +217,7 @@ func TestSessionMatchesEngine(t *testing.T) {
 			jobs[i].ID = job.ID(i + 1)
 		}
 
-		ref, err := sched.New(sched.OrderFCFS, start, sched.Config{MachineNodes: nodes})
+		ref, err := sched.New(c.order, c.start, sched.Config{MachineNodes: nodes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,12 +225,13 @@ func TestSessionMatchesEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantStart := make(map[job.ID]int64, n)
+		want := Aggregates{Submitted: n, Started: n, Completed: n}
 		for _, a := range res.Schedule.Allocs {
-			wantStart[a.Job.ID] = a.Start
+			want.SumWait += a.Start - a.Job.Submit
+			want.SumResponse += a.End - a.Job.Submit
 		}
 
-		sess, err := NewSession("m1", Config{Nodes: nodes, Start: string(start)})
+		sess, err := NewSession("m1", Config{Nodes: nodes, Order: string(c.order), Start: string(c.start), AllowUnstable: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +250,7 @@ func TestSessionMatchesEngine(t *testing.T) {
 			rs := mustSubmit(t, sess, specs)
 			for bi, j := range jobs[i:k] {
 				if job.ID(rs[bi].ID) != j.ID {
-					t.Fatalf("%s: session assigned id %d where engine job %d expected", start, rs[bi].ID, j.ID)
+					t.Fatalf("%s: session assigned id %d where engine job %d expected", name, rs[bi].ID, j.ID)
 				}
 			}
 			i = k
@@ -241,17 +258,18 @@ func TestSessionMatchesEngine(t *testing.T) {
 		if err := sess.Advance(res.Schedule.Makespan() + 1); err != nil {
 			t.Fatal(err)
 		}
-		if agg := sess.Agg(); agg.Completed != n {
-			t.Fatalf("%s: %d jobs completed, want %d", start, agg.Completed, n)
-		}
-		for id, want := range wantStart {
-			ji, ok := sess.Job(int64(id))
+		for _, a := range res.Schedule.Allocs {
+			ji, ok := sess.Job(int64(a.Job.ID))
 			if !ok {
-				t.Fatalf("%s: job %d missing from session", start, id)
+				t.Fatalf("%s: job %d missing from session", name, a.Job.ID)
 			}
-			if ji.Start != want {
-				t.Fatalf("%s: job %d started at %d in the session, %d under the engine", start, id, ji.Start, want)
+			if ji.Start != a.Start || ji.End != a.End {
+				t.Fatalf("%s: job %d ran [%d,%d) in the session, [%d,%d) under the engine",
+					name, a.Job.ID, ji.Start, ji.End, a.Start, a.End)
 			}
+		}
+		if agg := sess.Agg(); agg != want {
+			t.Fatalf("%s: session totals %+v, engine totals %+v", name, agg, want)
 		}
 	}
 }
@@ -267,5 +285,64 @@ func TestSessionInterruptPoisons(t *testing.T) {
 	sess.SetInterrupt(func() bool { return true })
 	if err := sess.Advance(1000); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("want ErrInterrupted, got %v", err)
+	}
+}
+
+// pollsBefore returns a cancellation hook that reports false for its
+// first k polls and true from then on, plus a probe reporting whether
+// it has fired.
+func pollsBefore(k int) (hook func() bool, fired func() bool) {
+	polls := 0
+	return func() bool { polls++; return polls > k }, func() bool { return polls > k }
+}
+
+// TestSessionInterruptedEmptyPassPoisons: an interrupt that fires inside
+// a pass which has picked nothing yet makes the scheduler return an
+// empty, truncated pick list — indistinguishable from "nothing
+// startable" unless the loop polls again after the pass. Whenever the
+// hook fired during an operation, the operation must fail with
+// ErrInterrupted instead of committing a state replay would not
+// reproduce; when it never fired, the job must have started.
+func TestSessionInterruptedEmptyPassPoisons(t *testing.T) {
+	for _, start := range sched.GridStarts() {
+		for k := 0; k <= 4; k++ {
+			// Submit of one startable job on an empty machine.
+			sess, err := NewSession("m1", Config{Nodes: 8, Start: string(start)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hook, fired := pollsBefore(k)
+			sess.SetInterrupt(hook)
+			_, err = sess.Submit([]JobSpec{{Nodes: 4, Estimate: 100}})
+			checkInterruptOutcome(t, fmt.Sprintf("%s submit k=%d", start, k), sess, 1, err, fired())
+
+			// Advance whose last instant frees the machine for a waiting job.
+			sess, err = NewSession("m1", Config{Nodes: 8, Start: string(start)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustSubmit(t, sess, []JobSpec{{Nodes: 8, Estimate: 100}, {Nodes: 4, Estimate: 100}})
+			hook, fired = pollsBefore(k)
+			sess.SetInterrupt(hook)
+			err = sess.Advance(100)
+			checkInterruptOutcome(t, fmt.Sprintf("%s advance k=%d", start, k), sess, 2, err, fired())
+		}
+	}
+}
+
+func checkInterruptOutcome(t *testing.T, name string, sess *Session, id int64, err error, fired bool) {
+	t.Helper()
+	if fired {
+		if !errors.Is(err, ErrInterrupted) {
+			ji, _ := sess.Job(id)
+			t.Fatalf("%s: the hook fired mid-operation but the operation returned %v with job %d %s", name, err, id, ji.Status)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%s: the hook never fired, got %v", name, err)
+	}
+	if ji, _ := sess.Job(id); ji.Status != StatusRunning {
+		t.Fatalf("%s: uninterrupted operation left job %d %s", name, id, ji.Status)
 	}
 }

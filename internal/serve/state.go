@@ -1,11 +1,12 @@
 package serve
 
 import (
+	"container/heap"
 	"fmt"
-	"sort"
 
 	"jobsched/internal/eval"
 	"jobsched/internal/job"
+	"jobsched/internal/sim"
 )
 
 // Fingerprint hashes the session's complete observable state: config,
@@ -24,8 +25,8 @@ func (s *Session) Fingerprint() uint64 {
 	fp.Int(int64(s.cfg.DoneHistory))
 	fp.Int(s.clock)
 	fp.Int(s.nextID)
-	fp.Int(int64(s.startSeq))
-	fp.Int(int64(s.free))
+	fp.Int(int64(s.step.StartSeq()))
+	fp.Int(int64(s.step.Free()))
 	fp.Int(s.agg.Submitted)
 	fp.Int(s.agg.Started)
 	fp.Int(s.agg.Completed)
@@ -52,8 +53,8 @@ func (s *Session) Fingerprint() uint64 {
 		hashJob(s.jobs[id])
 	}
 	fp.String("running")
-	for _, st := range s.runningByStart() {
-		hashJob(st)
+	for _, e := range s.step.Entries() {
+		hashJob(s.jobs[e.Job.ID])
 	}
 	fp.String("retired")
 	for _, id := range s.retired {
@@ -62,17 +63,6 @@ func (s *Session) Fingerprint() uint64 {
 		}
 	}
 	return fp.Sum()
-}
-
-// runningByStart returns the running jobs in start order — the order
-// completion ties resolve in, and the canonical snapshot order.
-func (s *Session) runningByStart() []*jobState {
-	out := make([]*jobState, 0, len(s.running))
-	for _, id := range s.runningIDs() {
-		out = append(out, s.running[id])
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].seq < out[k].seq })
-	return out
 }
 
 // Snapshot captures the session's durable state as of WAL sequence
@@ -84,7 +74,7 @@ func (s *Session) Snapshot(walSeq uint64) *Snapshot {
 		Config:   s.cfg,
 		Clock:    s.clock,
 		NextID:   s.nextID,
-		StartSeq: s.startSeq,
+		StartSeq: s.step.StartSeq(),
 		WALSeq:   walSeq,
 		Agg:      s.agg,
 	}
@@ -95,8 +85,8 @@ func (s *Session) Snapshot(walSeq uint64) *Snapshot {
 	for _, id := range s.pendingIDs() {
 		snap.Pending = append(snap.Pending, toSnap(s.jobs[id]))
 	}
-	for _, st := range s.runningByStart() {
-		snap.Running = append(snap.Running, toSnap(st))
+	for _, e := range s.step.Entries() {
+		snap.Running = append(snap.Running, toSnap(s.jobs[e.Job.ID]))
 	}
 	for _, id := range s.retired {
 		if st := s.jobs[id]; st != nil {
@@ -117,10 +107,7 @@ func RestoreSession(snap *Snapshot) (*Session, error) {
 	}
 	s.clock = snap.Clock
 	s.nextID = snap.NextID
-	s.startSeq = snap.StartSeq
 	s.agg = snap.Agg
-	s.replaying = true
-	defer func() { s.replaying = false }()
 
 	// Pending jobs re-enter the order policy in arrival order — the same
 	// Push sequence the original session performed, so removal-stable
@@ -128,33 +115,29 @@ func RestoreSession(snap *Snapshot) (*Session, error) {
 	for _, sj := range snap.Pending {
 		sp := sj.Spec.normalized()
 		st := &jobState{id: job.ID(sj.ID), spec: sp, status: StatusPending, submit: sj.Submit}
-		st.j = &job.Job{ID: st.id, Name: sp.Name, User: sp.User, Nodes: sp.Nodes,
-			Submit: sj.Submit, Estimate: sp.Estimate, Runtime: sp.Runtime}
+		st.j = coreJob(st.id, sp, sj.Submit)
 		s.jobs[st.id] = st
 		s.pendingOrder = append(s.pendingOrder, st.id)
 		s.pendingN++
 		if sp.Deadline > 0 {
 			s.deadlines = append(s.deadlines, deadlineEvent{at: sp.Deadline, id: st.id})
 		}
-		s.sch.Submit(st.j, sj.Submit)
+		s.step.Submit(st.j, sj.Submit)
 	}
-	fixDeadlineHeap(&s.deadlines)
+	heap.Init(&s.deadlines)
 
+	running := make([]sim.RunEntry, 0, len(snap.Running))
 	for _, sj := range snap.Running {
 		sp := sj.Spec.normalized()
 		st := &jobState{id: job.ID(sj.ID), spec: sp, status: StatusRunning,
 			submit: sj.Submit, start: sj.Start, end: sj.End, seq: sj.Seq}
-		st.j = &job.Job{ID: st.id, Name: sp.Name, User: sp.User, Nodes: sp.Nodes,
-			Submit: sj.Submit, Estimate: sp.Estimate, Runtime: sp.Runtime}
-		if s.free < sp.Nodes {
-			return nil, fmt.Errorf("serve: restore %s: running jobs oversubscribe the machine", snap.Name)
-		}
-		s.free -= sp.Nodes
 		s.jobs[st.id] = st
-		s.running[st.id] = st
-		s.completions = append(s.completions, completionEvent{at: st.end, seq: st.seq, id: st.id})
+		running = append(running, sim.RunEntry{Job: coreJob(st.id, sp, sj.Submit),
+			Start: sj.Start, End: sj.End, Seq: sj.Seq})
 	}
-	fixCompletionHeap(&s.completions)
+	if err := s.step.Restore(running, snap.StartSeq); err != nil {
+		return nil, fmt.Errorf("serve: restore %s: %w", snap.Name, err)
+	}
 
 	for _, sj := range snap.Retired {
 		sp := sj.Spec.normalized()
@@ -174,16 +157,6 @@ func RestoreSession(snap *Snapshot) (*Session, error) {
 			snap.Name, got, snap.Fingerprint)
 	}
 	return s, nil
-}
-
-// fixCompletionHeap re-establishes the heap invariant after bulk loads.
-func fixCompletionHeap(h *completionQueue) {
-	sort.Slice(*h, func(i, k int) bool { return h.Less(i, k) })
-}
-
-// fixDeadlineHeap re-establishes the heap invariant after bulk loads.
-func fixDeadlineHeap(h *deadlineQueue) {
-	sort.Slice(*h, func(i, k int) bool { return h.Less(i, k) })
 }
 
 // JobInfo is a job's externally visible record.

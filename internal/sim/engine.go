@@ -100,10 +100,11 @@ type Result struct {
 	LostJobs int
 }
 
-// completion is a pending job completion in the event heap.
+// completion is one entry of a time-ordered event heap: a running job's
+// completion, or (in the batch driver) a backoff-delayed resubmission.
 type completion struct {
 	at  int64
-	seq int // tie-break: start order
+	seq int // tie-break: start order (abort order for resubmissions)
 	job *job.Job
 }
 
@@ -120,28 +121,258 @@ func (h completionHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *completionHeap) Push(x interface{}) { *h = append(*h, x.(completion)) }
 func (h *completionHeap) Pop() interface{} {
 	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
 	return x
 }
 
-// newestRunning returns the most recently started running job (largest
-// start time, ties broken toward the larger ID for determinism), or nil
-// when nothing runs. Failure handling aborts the newest job first: it
-// has the least sunk work.
-func newestRunning(running map[job.ID]Running) *Running {
-	var best *Running
-	//lint:ignore maprange max-selection with a total tie-break on (Start, Job.ID): every iteration order yields the same victim, and sorting would allocate on the failure-handling path
-	for id := range running {
-		r := running[id]
-		if best == nil || r.Start > best.Start ||
-			(r.Start == best.Start && r.Job.ID > best.Job.ID) {
-			cp := r
-			best = &cp
+// RunEntry is one executing job as the Stepper tracks it: unlike the
+// scheduler-facing Running it carries the actual completion time End and
+// the job's position Seq in the machine's start order, which breaks
+// completion ties.
+type RunEntry struct {
+	Job        *job.Job
+	Start, End int64
+	Seq        int
+}
+
+// Allocation is the entry's placement in the schedule once it completes.
+func (e RunEntry) Allocation() Allocation {
+	return Allocation{Job: e.Job, Start: e.Start, End: e.End, Killed: e.Job.Killed()}
+}
+
+// Stepper is the one event loop of the repository, in resumable form: it
+// owns the machine state (free nodes, the running set, the start
+// sequence and the completion heap) and drives a Scheduler through one
+// time instant at a time. The phases of an instant are separate methods
+// so each driver inserts its own events between them:
+//
+//	Complete(now)   deliver the completions due at now
+//	…               driver events: capacity changes and aborts, expiries
+//	Submit(j, now)  hand arrivals to the scheduler
+//	RunPasses(now)  let the scheduler start jobs until it declines
+//
+// Instants must be visited in non-decreasing order and no completion
+// may be skipped: the next instant is never later than NextCompletion.
+// sim.run (Run/RunStream) is the batch driver; serve.Session is the
+// daemon's. A Stepper is not safe for concurrent use.
+type Stepper struct {
+	s         Scheduler
+	rec       telemetry.Recorder
+	interrupt func() bool
+	measure   bool
+	schedTime time.Duration // inside the scheduler's methods, if measure
+
+	free     int
+	startSeq int
+	// running holds the executing jobs. A heap entry in due is live only
+	// while running still maps its job to the same Seq: an aborted
+	// attempt leaves its completion behind, and Complete skips it.
+	running map[job.ID]RunEntry
+	due     completionHeap
+
+	runBuf []Running  // the running list handed to Startable
+	out    []RunEntry // the slice Complete and RunPasses return
+}
+
+// NewStepper returns an idle machine driving s. Of opt it honours
+// Recorder, Interrupt and MeasureCPU; the rest is the batch driver's.
+func NewStepper(m Machine, s Scheduler, opt Options) *Stepper {
+	st := &Stepper{s: s, rec: opt.Recorder, measure: opt.MeasureCPU,
+		free: m.Nodes, running: make(map[job.ID]RunEntry, 64)}
+	if opt.Interrupt != nil {
+		st.SetInterrupt(opt.Interrupt)
+	}
+	return st
+}
+
+// SetRecorder installs the recorder (nil = off) of the finish, pass and
+// start events; the latter carry a DecisionExplainer's classification.
+func (st *Stepper) SetRecorder(rec telemetry.Recorder) { st.rec = rec }
+
+// SetInterrupt installs the cancellation hook (see Options.Interrupt) and
+// threads it into a scheduler that polls one inside its passes
+// (structural interface: sim cannot import sched).
+func (st *Stepper) SetInterrupt(f func() bool) {
+	st.interrupt = f
+	if ii, ok := st.s.(interface{ SetInterrupt(func() bool) }); ok {
+		ii.SetInterrupt(f)
+	}
+}
+
+// Interrupted polls the cancellation hook.
+func (st *Stepper) Interrupted() bool { return st.interrupt != nil && st.interrupt() }
+
+// Free, StartSeq and RunningLen report the unassigned nodes, the number
+// of jobs started so far and the number executing now.
+func (st *Stepper) Free() int       { return st.free }
+func (st *Stepper) StartSeq() int   { return st.startSeq }
+func (st *Stepper) RunningLen() int { return len(st.running) }
+
+func (st *Stepper) timed(f func()) {
+	if !st.measure {
+		f()
+		return
+	}
+	t0 := time.Now()
+	f()
+	st.schedTime += time.Since(t0)
+}
+
+// NextCompletion returns the earliest instant with a completion in the
+// heap. The completion of an aborted attempt still marks an instant
+// (Complete delivers nothing for it).
+func (st *Stepper) NextCompletion() (int64, bool) {
+	if st.due.Len() == 0 {
+		return 0, false
+	}
+	return st.due[0].at, true
+}
+
+// Complete delivers every completion due at now — resources freed at t
+// are available to jobs started at t — and returns the finished entries
+// in delivery order. The slice is reused by the next Complete or
+// RunPasses call.
+func (st *Stepper) Complete(now int64) []RunEntry {
+	st.out = st.out[:0]
+	for st.due.Len() > 0 && st.due[0].at == now {
+		c := heap.Pop(&st.due).(completion)
+		e, ok := st.running[c.job.ID]
+		if !ok || e.Seq != c.seq {
+			continue // completion of an aborted attempt
+		}
+		st.free += c.job.Nodes
+		delete(st.running, c.job.ID)
+		st.out = append(st.out, e)
+		if st.rec != nil {
+			st.rec.Record(telemetry.Event{Type: telemetry.EventFinish, At: now,
+				Job: int64(c.job.ID), Nodes: c.job.Nodes, Head: telemetry.None,
+				Killed: c.job.Killed()})
+		}
+		st.timed(func() { st.s.JobFinished(c.job, now) })
+	}
+	return st.out
+}
+
+// Submit hands a waiting job to the scheduler.
+func (st *Stepper) Submit(j *job.Job, now int64) {
+	st.timed(func() { st.s.Submit(j, now) })
+}
+
+// RunPasses lets the scheduler start jobs at now until it declines and
+// returns the started entries in start order (same reuse rule as
+// Complete). The interrupt hook is polled after every pass: a scheduler
+// that saw it mid-walk returned a truncated, possibly empty pick list,
+// so none of it starts and ErrInterrupted tells the caller to discard
+// the state.
+func (st *Stepper) RunPasses(now int64) ([]RunEntry, error) {
+	st.out = st.out[:0]
+	for {
+		var starts []*job.Job
+		running := st.runningList()
+		if st.rec != nil {
+			st.rec.Record(telemetry.Event{Type: telemetry.EventPass, At: now,
+				Job: telemetry.None, Head: telemetry.None,
+				Queue: st.s.QueueLen(), Free: st.free})
+		}
+		st.timed(func() { starts = st.s.Startable(now, st.free, running) })
+		if st.Interrupted() {
+			return nil, ErrInterrupted
+		}
+		if len(starts) == 0 {
+			return st.out, nil
+		}
+		for _, j := range starts {
+			if j.Nodes > st.free {
+				return nil, fmt.Errorf("sim: scheduler %s started %v with only %d nodes free",
+					st.s.Name(), j, st.free)
+			}
+			st.free -= j.Nodes
+			e := RunEntry{Job: j, Start: now, End: job.AddSat(now, j.EffectiveRuntime()), Seq: st.startSeq}
+			st.startSeq++
+			st.running[j.ID] = e
+			heap.Push(&st.due, completion{at: e.End, seq: e.Seq, job: j})
+			st.out = append(st.out, e)
+			if st.rec != nil {
+				ev := telemetry.Event{Type: telemetry.EventStart, At: now,
+					Job: int64(j.ID), Nodes: j.Nodes, Free: st.free,
+					Head: telemetry.None}
+				if ex, ok := st.s.(DecisionExplainer); ok {
+					if d, ok := ex.LastStartDecision(j); ok {
+						ev.Starter, ev.Reason, ev.Depth = d.Starter, d.Reason, d.Depth
+						ev.Head, ev.Shadow, ev.Spare = d.Head, d.Shadow, d.Spare
+					}
+				}
+				st.rec.Record(ev)
+			}
+			st.timed(func() { st.s.JobStarted(j, now) })
 		}
 	}
-	return best
+}
+
+// runningList snapshots the running set in ID order into a buffer
+// reused across scheduling rounds. Schedulers must not retain the slice
+// past the Startable call (the Scheduler contract).
+func (st *Stepper) runningList() []Running {
+	st.runBuf = st.runBuf[:0]
+	for _, e := range st.running {
+		st.runBuf = append(st.runBuf, Running{Job: e.Job, Start: e.Start, EstEnd: job.AddSat(e.Start, e.Job.Estimate)})
+	}
+	slices.SortFunc(st.runBuf, func(a, b Running) int { return cmp.Compare(a.Job.ID, b.Job.ID) })
+	return st.runBuf
+}
+
+// Entries returns the running set in start order: the order completion
+// ties resolve in, and what Restore takes back.
+func (st *Stepper) Entries() []RunEntry {
+	out := make([]RunEntry, 0, len(st.running))
+	for _, e := range st.running {
+		out = append(out, e)
+	}
+	slices.SortFunc(out, func(a, b RunEntry) int { return cmp.Compare(a.Seq, b.Seq) })
+	return out
+}
+
+// Restore loads running entries captured by Entries, and the start
+// sequence to continue from, into an idle Stepper. The scheduler learns
+// of the jobs from the next pass's running list.
+func (st *Stepper) Restore(entries []RunEntry, startSeq int) error {
+	for _, e := range entries {
+		if e.Job.Nodes > st.free {
+			return fmt.Errorf("sim: running jobs oversubscribe the machine")
+		}
+		st.free -= e.Job.Nodes
+		st.running[e.Job.ID] = e
+		st.due = append(st.due, completion{at: e.End, seq: e.Seq, job: e.Job})
+	}
+	heap.Init(&st.due)
+	st.startSeq = startSeq
+	return nil
+}
+
+// AddCapacity applies a capacity change (a failure or its repair). Free
+// may go negative; the driver aborts running jobs until it is not.
+func (st *Stepper) AddCapacity(delta int) { st.free += delta }
+
+// AbortNewest cuts short the most recently started running job (largest
+// start time, ties toward the larger ID) — the one with the least sunk
+// work — or reports false when nothing runs. Its nodes are free again
+// and its completion will be skipped; resubmitting is the driver's call.
+func (st *Stepper) AbortNewest() (RunEntry, bool) {
+	var best RunEntry
+	found := false
+	//lint:ignore maprange max-selection with a total tie-break on (Start, Job.ID): every iteration order yields the same victim, and sorting would allocate on the failure-handling path
+	for _, e := range st.running {
+		if !found || e.Start > best.Start ||
+			(e.Start == best.Start && e.Job.ID > best.Job.ID) {
+			best, found = e, true
+		}
+	}
+	if found {
+		st.free += best.Job.Nodes
+		delete(st.running, best.Job.ID)
+	}
+	return best, found
 }
 
 // Run simulates the scheduler on the job stream and returns the final
@@ -177,8 +408,12 @@ func RunStream(m Machine, src Source, s Scheduler, opt Options) (*Result, error)
 	return run(m, src, s, opt, 0)
 }
 
-// run is the event loop shared by Run and RunStream. capHint sizes the
-// retained allocation slice when the job count is known up front.
+// run is the batch driver of the Stepper, shared by Run and RunStream:
+// it pumps a Source, failure edges and backoff resubmits through the
+// loop and keeps the Sink / retained-schedule bookkeeping. Each instant
+// runs completions → failure edges → delayed resubmits → arrivals →
+// passes. capHint sizes the retained allocation slice when the job count
+// is known up front.
 func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result, error) {
 	sink := opt.Sink
 	if sink != nil && opt.Validate {
@@ -223,35 +458,10 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 	}}
 
 	rec := opt.Recorder
-	var explainer DecisionExplainer
-	if rec != nil {
-		explainer, _ = s.(DecisionExplainer)
-	}
-
-	// Thread the cancellation hook into the scheduler's own pass loops
-	// (structural interface: sim cannot import sched). Without it a pass
-	// already inside Startable runs unbounded on a deep backlog; the
-	// per-event poll below only fires between batches.
-	if opt.Interrupt != nil {
-		if ii, ok := s.(interface{ SetInterrupt(func() bool) }); ok {
-			ii.SetInterrupt(opt.Interrupt)
-		}
-	}
+	st := NewStepper(m, s, opt)
 
 	var (
-		pending    completionHeap
-		free       = m.Nodes
-		nextEdge   = 0
-		startSeq   = 0
-		schedTime  time.Duration
-		runningBy  = make(map[job.ID]Running, 64)
-		runningSeq = make(map[job.ID]int, 64)
-		// runningAlloc maps a running job to its allocation record so a
-		// failure abort can rewrite it in place (retained-schedule mode);
-		// openAlloc holds the not-yet-finalized allocation in sink mode.
-		runningAlloc map[job.ID]int
-		openAlloc    map[job.ID]Allocation
-		cancelled    = make(map[int]bool)
+		nextEdge = 0
 		// resub holds backoff-delayed resubmissions (a second event source
 		// reusing the completion heap shape; seq is the abort order).
 		resub    completionHeap
@@ -262,11 +472,6 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 	)
 	if len(failures) > 0 {
 		attempts = make(map[job.ID]int)
-	}
-	if sink == nil {
-		runningAlloc = make(map[job.ID]int, 64)
-	} else {
-		openAlloc = make(map[job.ID]Allocation, 64)
 	}
 
 	// Streaming arrival state: a one-job peek buffer over the source and
@@ -307,39 +512,16 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 		return nil
 	}
 
-	timed := func(f func()) {
-		if !opt.MeasureCPU {
-			f()
-			return
-		}
-		t0 := time.Now()
-		f()
-		schedTime += time.Since(t0)
-	}
-
-	// runningList snapshots the running set in ID order into a buffer
-	// reused across scheduling rounds. Schedulers must not retain the
-	// slice past the Startable call (the Scheduler contract); the engine
-	// rewrites it on the next round.
-	var runningBuf []Running
-	runningList := func() []Running {
-		runningBuf = runningBuf[:0]
-		for _, r := range runningBy {
-			runningBuf = append(runningBuf, r)
-		}
-		slices.SortFunc(runningBuf, func(a, b Running) int { return cmp.Compare(a.Job.ID, b.Job.ID) })
-		return runningBuf
-	}
-
 	for {
 		nxt, err := peek()
 		if err != nil {
 			return nil, err
 		}
-		if nxt == nil && pending.Len() == 0 && nextEdge >= len(edges) && resub.Len() == 0 {
+		due, hasDue := st.NextCompletion()
+		if nxt == nil && !hasDue && nextEdge >= len(edges) && resub.Len() == 0 {
 			break
 		}
-		if opt.Interrupt != nil && opt.Interrupt() {
+		if st.Interrupted() {
 			return nil, ErrInterrupted
 		}
 		// Determine the next event time.
@@ -347,8 +529,8 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 		if nxt != nil {
 			now = nxt.Submit
 		}
-		if pending.Len() > 0 && (now < 0 || pending[0].at < now) {
-			now = pending[0].at
+		if hasDue && (now < 0 || due < now) {
+			now = due
 		}
 		if nextEdge < len(edges) && (now < 0 || edges[nextEdge].at < now) {
 			// Failure edges only matter while work remains; a trailing
@@ -361,77 +543,46 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 		}
 		if opt.MaxTime > 0 && now > opt.MaxTime {
 			return nil, fmt.Errorf("sim: clock passed MaxTime %d with %d jobs running and %d waiting",
-				opt.MaxTime, len(runningBy), s.QueueLen())
+				opt.MaxTime, st.RunningLen(), s.QueueLen())
 		}
 		res.Events++
 
-		// Deliver all completions at `now` first: resources freed at t are
-		// available to jobs started at t. Completions of failure-aborted
-		// attempts were cancelled and are skipped.
-		for pending.Len() > 0 && pending[0].at == now {
-			c := heap.Pop(&pending).(completion)
-			if cancelled[c.seq] {
-				delete(cancelled, c.seq)
-				continue
-			}
-			free += c.job.Nodes
-			delete(runningBy, c.job.ID)
-			delete(runningSeq, c.job.ID)
-			if sink != nil {
-				a := openAlloc[c.job.ID]
-				delete(openAlloc, c.job.ID)
-				if err := emit(a); err != nil {
+		done := st.Complete(now)
+		if sink != nil {
+			for _, e := range done {
+				if err := emit(e.Allocation()); err != nil {
 					return nil, err
 				}
 			}
-			if rec != nil {
-				rec.Record(telemetry.Event{Type: telemetry.EventFinish, At: now,
-					Job: int64(c.job.ID), Nodes: c.job.Nodes, Head: telemetry.None,
-					Killed: c.job.Killed()})
-			}
-			timed(func() { s.JobFinished(c.job, now) })
 		}
 		// Apply failure edges at `now`: capacity drops abort the
 		// newest-started jobs until the survivors fit; repairs hand the
 		// nodes back. Edges were coalesced per timestamp, so only the net
 		// capacity change is applied.
 		for nextEdge < len(edges) && edges[nextEdge].at == now {
-			free += edges[nextEdge].delta
+			st.AddCapacity(edges[nextEdge].delta)
 			if rec != nil {
 				rec.Record(telemetry.Event{Type: telemetry.EventCapacity, At: now,
 					Job: telemetry.None, Head: telemetry.None,
 					Delta: edges[nextEdge].delta})
 			}
 			nextEdge++
-			for free < 0 {
-				victim := newestRunning(runningBy)
-				if victim == nil {
+			for st.Free() < 0 {
+				victim, ok := st.AbortNewest()
+				if !ok {
 					return nil, fmt.Errorf("sim: failure at %d cannot be absorbed", now)
 				}
-				free += victim.Job.Nodes
-				// Rewrite the victim's allocation record: the attempt ends
-				// now, cut short. In sink mode the open allocation is
-				// finalized and emitted instead of rewritten in place.
+				// The attempt ends now, cut short. A retained schedule holds
+				// one allocation per start, so the victim's sits at index Seq;
+				// in sink mode it is finalized and emitted.
+				a := victim.Allocation()
+				a.End, a.Aborted, a.Killed = now, true, false
 				if sink == nil {
-					a := &res.Schedule.Allocs[runningAlloc[victim.Job.ID]]
-					a.End = now
-					a.Aborted = true
-					a.Killed = false
-					delete(runningAlloc, victim.Job.ID)
-				} else {
-					a := openAlloc[victim.Job.ID]
-					a.End = now
-					a.Aborted = true
-					a.Killed = false
-					delete(openAlloc, victim.Job.ID)
-					if err := emit(a); err != nil {
-						return nil, err
-					}
+					res.Schedule.Allocs[victim.Seq] = a
+				} else if err := emit(a); err != nil {
+					return nil, err
 				}
 				res.AbortedAttempts++
-				cancelled[runningSeq[victim.Job.ID]] = true
-				delete(runningBy, victim.Job.ID)
-				delete(runningSeq, victim.Job.ID)
 				// Resubmit: the job restarts from scratch; its original
 				// submission time is kept so response metrics account the
 				// full delay. The resubmit policy may delay the retry
@@ -464,7 +615,7 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 						Job: int64(j.ID), Nodes: j.Nodes, Head: telemetry.None,
 						Resubmit: true, Attempt: n})
 				}
-				timed(func() { s.Submit(j, now) })
+				st.Submit(j, now)
 			}
 		}
 		// Deliver backoff-delayed resubmissions due at `now` (after the
@@ -479,8 +630,7 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 					Job: int64(c.job.ID), Nodes: c.job.Nodes, Head: telemetry.None,
 					Resubmit: true, Attempt: attempts[c.job.ID]})
 			}
-			j := c.job
-			timed(func() { s.Submit(j, now) })
+			st.Submit(c.job, now)
 		}
 		// Deliver all arrivals at `now`, sorted by ID within the instant:
 		// the source only guarantees submit order, and the sort makes a
@@ -503,66 +653,19 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 				rec.Record(telemetry.Event{Type: telemetry.EventArrival, At: now,
 					Job: int64(j.ID), Nodes: j.Nodes, Head: telemetry.None})
 			}
-			timed(func() { s.Submit(j, now) })
+			st.Submit(j, now)
 		}
 		if q := s.QueueLen(); q > res.MaxQueue {
 			res.MaxQueue = q
 		}
 
-		// Let the scheduler start jobs until it declines.
-		for {
-			var starts []*job.Job
-			running := runningList()
-			if rec != nil {
-				rec.Record(telemetry.Event{Type: telemetry.EventPass, At: now,
-					Job: telemetry.None, Head: telemetry.None,
-					Queue: s.QueueLen(), Free: free})
-			}
-			timed(func() { starts = s.Startable(now, free, running) })
-			// Poll between passes too: an interrupted scheduler may have
-			// abandoned its pass mid-walk and returned a truncated pick
-			// list; the run is being discarded, so none of it starts.
-			if opt.Interrupt != nil && opt.Interrupt() {
-				return nil, ErrInterrupted
-			}
-			if len(starts) == 0 {
-				break
-			}
-			for _, j := range starts {
-				if j.Nodes > free {
-					return nil, fmt.Errorf("sim: scheduler %s started %v with only %d nodes free",
-						s.Name(), j, free)
-				}
-				free -= j.Nodes
-				end := job.AddSat(now, j.EffectiveRuntime())
-				alloc := Allocation{Job: j, Start: now, End: end, Killed: j.Killed()}
-				if sink == nil {
-					runningAlloc[j.ID] = len(res.Schedule.Allocs)
-					res.Schedule.Allocs = append(res.Schedule.Allocs, alloc)
-				} else {
-					openAlloc[j.ID] = alloc
-				}
-				runningBy[j.ID] = Running{Job: j, Start: now, EstEnd: job.AddSat(now, j.Estimate)}
-				runningSeq[j.ID] = startSeq
-				heap.Push(&pending, completion{at: end, seq: startSeq, job: j})
-				startSeq++
-				if rec != nil {
-					ev := telemetry.Event{Type: telemetry.EventStart, At: now,
-						Job: int64(j.ID), Nodes: j.Nodes, Free: free,
-						Head: telemetry.None}
-					if explainer != nil {
-						if d, ok := explainer.LastStartDecision(j); ok {
-							ev.Starter = d.Starter
-							ev.Reason = d.Reason
-							ev.Depth = d.Depth
-							ev.Head = d.Head
-							ev.Shadow = d.Shadow
-							ev.Spare = d.Spare
-						}
-					}
-					rec.Record(ev)
-				}
-				timed(func() { s.JobStarted(j, now) })
+		started, err := st.RunPasses(now)
+		if err != nil {
+			return nil, err
+		}
+		if sink == nil {
+			for _, e := range started {
+				res.Schedule.Allocs = append(res.Schedule.Allocs, e.Allocation())
 			}
 		}
 	}
@@ -571,7 +674,7 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 		return nil, fmt.Errorf("sim: scheduler %s left %d jobs waiting after all events",
 			s.Name(), s.QueueLen())
 	}
-	res.SchedulerTime = schedTime
+	res.SchedulerTime = st.schedTime
 	if opt.Validate {
 		if err := res.Schedule.Validate(); err != nil {
 			return nil, err
