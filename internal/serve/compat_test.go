@@ -1,24 +1,36 @@
 package serve
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"jobsched/internal/eval"
 )
 
-// The files under testdata/compat-v1 — a session directory (config,
-// snapshot at WAL seq 6, nine-record WAL) and the fingerprint the
-// session ended at — were written by the code at commit 329e23d, the
-// last one whose Session owned its own completion heap and pass loop,
-// by applying compatOps below through Session + WAL and snapshotting
-// after the sixth record. They pin the on-disk formats and the
-// serve-session-v1 fingerprint across the move onto sim.Stepper: never
-// regenerate them from current code.
-const compatDir = "testdata/compat-v1"
+// Two pinned data directories, each a session directory (config,
+// snapshot at WAL seq 6, nine-record WAL) plus the fingerprint the
+// session ended at, both produced by applying compatOps below and
+// snapshotting after the sixth record. Never regenerate either from
+// current code.
+//
+// testdata/compat-v1 was written by the code at commit 329e23d, the last
+// one whose Session owned its own completion heap and pass loop. Its
+// snapshot is version 1 and its fingerprint serve-session-v1, the
+// whole-walk FNV hash fingerprintV1 below keeps alive as an oracle: the
+// directory pins the WAL format and the state semantics.
+//
+// testdata/compat-v2 was written through OpenStore (SnapshotEvery 6) by
+// the code of the change that introduced snapshot version 2 and the
+// serve-session-v2 fingerprint. It pins both byte for byte.
+const (
+	compatV1Dir = "testdata/compat-v1"
+	compatV2Dir = "testdata/compat-v2"
+)
 
 var compatConfig = Config{Nodes: 16, MaxPending: 3, DoneHistory: 6}
 
@@ -52,18 +64,67 @@ var compatOps = []Record{
 	{Op: opSubmit, Jobs: []JobSpec{{Name: "last", User: "cy", Nodes: 6, Estimate: 500}}},
 }
 
-func compatFingerprint(t *testing.T) string {
+func compatFingerprint(t *testing.T, dir string) string {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(compatDir, "fingerprint.txt"))
+	data, err := os.ReadFile(filepath.Join(dir, "fingerprint.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return strings.TrimSpace(string(data))
 }
 
-// copyCompatDir copies the pinned data directory somewhere writable:
+// fingerprintV1 is the serve-session-v1 fingerprint: FNV-1a over the
+// header and every job record in section order. Production code computed
+// it on every ack until the v2 definition replaced it; it stays here so
+// the v1 pin keeps checking that an operation sequence still means the
+// same state.
+func fingerprintV1(s *Session) string {
+	fp := eval.NewFingerprint()
+	fp.String("serve-session-v1")
+	fp.String(s.name)
+	fp.Int(int64(s.cfg.Nodes))
+	fp.String(s.cfg.Order)
+	fp.String(s.cfg.Start)
+	fp.Int(int64(s.cfg.MaxPending))
+	fp.Int(int64(s.cfg.DoneHistory))
+	fp.Int(s.clock)
+	fp.Int(s.nextID)
+	fp.Int(int64(s.step.StartSeq()))
+	fp.Int(int64(s.step.Free()))
+	fp.Int(s.agg.Submitted)
+	fp.Int(s.agg.Started)
+	fp.Int(s.agg.Completed)
+	fp.Int(s.agg.Expired)
+	fp.Int(s.agg.Shed)
+	fp.Int(s.agg.SumWait)
+	fp.Int(s.agg.SumResponse)
+	for sec, key := range sectionKeys {
+		fp.String(key)
+		err := s.eachJob(section(sec), func(st *jobState) error {
+			fp.Int(int64(st.id))
+			fp.String(string(st.status))
+			fp.String(st.spec.Name)
+			fp.String(st.spec.User)
+			fp.Int(int64(st.spec.Nodes))
+			fp.Int(st.spec.Estimate)
+			fp.Int(st.spec.Runtime)
+			fp.Int(st.spec.Deadline)
+			fp.Int(st.submit)
+			fp.Int(st.start)
+			fp.Int(st.end)
+			fp.Int(int64(st.seq))
+			return nil
+		})
+		if err != nil {
+			panic(err)
+		}
+	}
+	return fmt.Sprintf("%016x", fp.Sum())
+}
+
+// copyCompatDir copies a pinned data directory somewhere writable:
 // opening a store appends to the WAL and rewrites the snapshot.
-func copyCompatDir(t *testing.T) string {
+func copyCompatDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
 	sess := filepath.Join("sessions", "pin")
@@ -71,7 +132,7 @@ func copyCompatDir(t *testing.T) string {
 		t.Fatal(err)
 	}
 	for _, name := range []string{configFile, snapshotFile, walFile} {
-		data, err := os.ReadFile(filepath.Join(compatDir, sess, name))
+		data, err := os.ReadFile(filepath.Join(src, sess, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +145,7 @@ func copyCompatDir(t *testing.T) string {
 
 func readCompatSnapshot(t *testing.T) *Snapshot {
 	t.Helper()
-	snap, err := readSnapshot(filepath.Join(copyCompatDir(t), "sessions", "pin"))
+	snap, err := readSnapshot(filepath.Join(compatV2Dir, "sessions", "pin"))
 	if err != nil || snap == nil {
 		t.Fatalf("pinned snapshot unreadable: %v", err)
 	}
@@ -92,8 +153,8 @@ func readCompatSnapshot(t *testing.T) *Snapshot {
 }
 
 // TestCompatPinnedOpsFingerprint: applying the pinned operation sequence
-// to a fresh session lands on the fingerprint the parent commit's
-// session computed.
+// to a fresh session lands on both pinned fingerprints — the state the
+// v1 writer's session reached, under either definition.
 func TestCompatPinnedOpsFingerprint(t *testing.T) {
 	sess, err := NewSession("pin", compatConfig)
 	if err != nil {
@@ -105,50 +166,85 @@ func TestCompatPinnedOpsFingerprint(t *testing.T) {
 			t.Fatalf("op %d: %v", op.Seq, err)
 		}
 	}
-	if got, want := fmt.Sprintf("%016x", sess.Fingerprint()), compatFingerprint(t); got != want {
-		t.Fatalf("fingerprint %s, the parent commit computed %s", got, want)
+	if got, want := fingerprintV1(sess), compatFingerprint(t, compatV1Dir); got != want {
+		t.Fatalf("serve-session-v1 fingerprint %s, the v1 writer computed %s", got, want)
+	}
+	if got, want := fmt.Sprintf("%016x", sess.Fingerprint()), compatFingerprint(t, compatV2Dir); got != want {
+		t.Fatalf("fingerprint %s, pinned %s", got, want)
 	}
 }
 
-// TestCompatPinnedDataDirLoads: a data directory written before the
-// refactor still opens — snapshot restore (self-check included) plus
-// WAL-suffix replay, and bare WAL replay with the snapshot removed —
-// and recovers the pinned fingerprint.
+// TestCompatPinnedDataDirLoads: both pinned data directories still open
+// — snapshot restore (self-check included) plus WAL-suffix replay for
+// v2, the version-1 snapshot logged and ignored for v1, and bare WAL
+// replay with the snapshot removed for both — and recover the pinned
+// state. A drain then leaves a version-2 snapshot behind either way.
 func TestCompatPinnedDataDirLoads(t *testing.T) {
-	want := compatFingerprint(t)
-	for _, dropSnapshot := range []bool{false, true} {
-		dir := copyCompatDir(t)
-		if dropSnapshot {
-			if err := os.Remove(filepath.Join(dir, "sessions", "pin", snapshotFile)); err != nil {
+	wantV1, wantV2 := compatFingerprint(t, compatV1Dir), compatFingerprint(t, compatV2Dir)
+	for _, c := range []struct {
+		src          string
+		dropSnapshot bool
+		wantIgnored  bool
+	}{
+		{compatV1Dir, false, true},
+		{compatV1Dir, true, false},
+		{compatV2Dir, false, false},
+		{compatV2Dir, true, false},
+	} {
+		name := fmt.Sprintf("%s dropSnapshot=%v", c.src, c.dropSnapshot)
+		dir := copyCompatDir(t, c.src)
+		snapPath := filepath.Join(dir, "sessions", "pin", snapshotFile)
+		if c.dropSnapshot {
+			if err := os.Remove(snapPath); err != nil {
 				t.Fatal(err)
 			}
 		}
-		store, err := OpenStore(dir, StoreOptions{})
+		var logged []string
+		store, err := OpenStore(dir, StoreOptions{Logf: func(format string, args ...any) {
+			logged = append(logged, fmt.Sprintf(format, args...))
+		}})
 		if err != nil {
-			t.Fatalf("dropSnapshot=%v: %v", dropSnapshot, err)
+			t.Fatalf("%s: %v", name, err)
+		}
+		if ignored := strings.Contains(strings.Join(logged, "\n"), "ignoring version-1 snapshot"); ignored != c.wantIgnored {
+			t.Fatalf("%s: version-1 snapshot ignored = %v, log:\n%s", name, ignored, strings.Join(logged, "\n"))
 		}
 		info, err := store.Info("pin")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if info.Fingerprint != want || info.WALSeq != uint64(len(compatOps)) {
-			t.Fatalf("dropSnapshot=%v: recovered fingerprint %s at seq %d, pinned %s at seq %d",
-				dropSnapshot, info.Fingerprint, info.WALSeq, want, len(compatOps))
+		if info.Fingerprint != wantV2 || info.WALSeq != uint64(len(compatOps)) {
+			t.Fatalf("%s: recovered fingerprint %s at seq %d, pinned %s at seq %d",
+				name, info.Fingerprint, info.WALSeq, wantV2, len(compatOps))
 		}
 		if info.Pending != 2 || info.Running != 2 || info.Clock != 130 {
-			t.Fatalf("dropSnapshot=%v: recovered %+v", dropSnapshot, info)
+			t.Fatalf("%s: recovered %+v", name, info)
+		}
+		h, err := store.get("pin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.mu.Lock()
+		got := fingerprintV1(h.sess)
+		h.mu.Unlock()
+		if got != wantV1 {
+			t.Fatalf("%s: recovered state hashes to %s under serve-session-v1, pinned %s", name, got, wantV1)
 		}
 		if err := store.Drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+		snap, err := readSnapshot(filepath.Dir(snapPath))
+		if err != nil || snap == nil || snap.Version != snapshotVersion || snap.WALSeq != uint64(len(compatOps)) || snap.Fingerprint != wantV2 {
+			t.Fatalf("%s: snapshot after drain: %+v, %v", name, snap, err)
+		}
 	}
 }
 
-// TestCompatSnapshotBytesUnchanged: restoring the pinned snapshot and
-// capturing it again yields the same bytes — the snapshot v1 format did
-// not move.
-func TestCompatSnapshotBytesUnchanged(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join(compatDir, "sessions", "pin", snapshotFile))
+// TestCompatSnapshotV2BytesPinned: restoring the pinned version-2
+// snapshot and streaming it again yields the same bytes — neither the
+// format nor the fingerprint definition moved.
+func TestCompatSnapshotV2BytesPinned(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join(compatV2Dir, "sessions", "pin", snapshotFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,18 +253,14 @@ func TestCompatSnapshotBytesUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := json.MarshalIndent(sess.Snapshot(snap.WALSeq), "", " ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
+	if got := streamSnapshot(t, sess, snap.WALSeq); !bytes.Equal(got, want) {
 		t.Fatalf("re-captured snapshot differs from the pinned one:\n%s", got)
 	}
 }
 
-// TestCompatRestoreRefusals: the two restore safety checks survive the
-// refactor — running jobs that do not fit the machine, and a snapshot
-// that does not reproduce its own fingerprint.
+// TestCompatRestoreRefusals: the two restore safety checks survive —
+// running jobs that do not fit the machine, and a snapshot that does
+// not reproduce its own fingerprint.
 func TestCompatRestoreRefusals(t *testing.T) {
 	snap := readCompatSnapshot(t)
 	snap.Running[0].Spec.Nodes = snap.Config.Nodes

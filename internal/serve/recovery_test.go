@@ -242,6 +242,63 @@ func TestRecoveryPoisonPreservesCause(t *testing.T) {
 	}
 }
 
+// TestRecoveryReloadKeepsSnapshotCadence: a reload counts the WAL suffix
+// it replayed towards the next snapshot, so a session that has just been
+// poisoned snapshots after SnapshotEvery records in all, not after
+// SnapshotEvery more.
+func TestRecoveryReloadKeepsSnapshotCadence(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	store, err := OpenStore(dir, StoreOptions{SnapshotEvery: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Create("s", Config{Nodes: 8}); err != nil {
+		t.Fatal(err)
+	}
+	commit := func() {
+		t.Helper()
+		if _, err := store.Submit(ctx, "s", []JobSpec{{Nodes: 1, Estimate: 60}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// snapshotSeq is the WAL position of the published snapshot (0 =
+	// none). Info takes the lock the committer holds while it snapshots,
+	// so the file is settled once it returns.
+	snapshotSeq := func() uint64 {
+		t.Helper()
+		if _, err := store.Info("s"); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := readSnapshot(filepath.Join(dir, "sessions", "s"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap == nil {
+			return 0
+		}
+		return snap.WALSeq
+	}
+	for i := 0; i < 5; i++ {
+		commit()
+	}
+	if err := store.Advance(&countdownCtx{Context: ctx, n: 1}, "s", 100); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("poisoning advance returned %v", err)
+	}
+	for seq := uint64(6); seq <= 8; seq++ {
+		if got := snapshotSeq(); got != 0 {
+			t.Fatalf("snapshot at seq %d before record %d committed", got, seq)
+		}
+		commit()
+	}
+	if got := snapshotSeq(); got != 8 {
+		t.Fatalf("after 5 records, a reload and 3 more, the snapshot is at seq %d, want 8", got)
+	}
+	if err := store.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRecoveryInterruptedEmptyPassRollsBack: a request whose budget
 // expires inside a pass that has picked nothing yet must take the
 // rolled-back path — 504, "safe to retry", no WAL record — not commit a
@@ -445,7 +502,7 @@ func TestRecoveryRefusesCorruptSnapshot(t *testing.T) {
 	}
 	tampered := []byte(string(data))
 	// Flip the submitted counter inside the published snapshot.
-	tampered = []byte(replaceOnce(t, string(tampered), `"submitted": 1`, `"submitted": 2`))
+	tampered = []byte(replaceOnce(t, string(tampered), `"submitted":1`, `"submitted":2`))
 	if err := os.WriteFile(snapPath, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}

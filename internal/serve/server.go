@@ -273,20 +273,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, fmt.Errorf("%w: user %s exceeds %g jobs/s", ErrRateLimited, user, s.opt.Rate), wait)
 		return
 	}
-	results, err := s.store.Submit(r.Context(), r.PathValue("name"), req.Jobs)
+	res, err := s.store.submit(r.Context(), r.PathValue("name"), req.Jobs)
 	if err != nil {
 		s.writeError(w, err, 0)
 		return
 	}
 	s.admitted.Add(1)
-	info, ierr := s.store.Info(r.PathValue("name"))
-	if ierr != nil {
-		// The commit succeeded; report it even if the clock read raced a
-		// recovery.
-		writeJSON(w, http.StatusOK, submitResponse{Results: results})
-		return
-	}
-	writeJSON(w, http.StatusOK, submitResponse{Results: results, Clock: info.Clock})
+	writeJSON(w, http.StatusOK, submitResponse{Results: res.results, Clock: res.clock})
 }
 
 type advanceRequest struct {

@@ -123,6 +123,54 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServerSubmitAckClock: with an advancing writer racing the
+// submitting one, every submit ack reports the clock its jobs were
+// submitted at — the one GET .../jobs/{id} shows — not whatever the clock
+// has moved on to by the time the ack is written.
+func TestServerSubmitAckClock(t *testing.T) {
+	srv, store := newTestServer(t, StoreOptions{}, ServerOptions{})
+	if err := store.Create("m1", Config{Nodes: 8}); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	advanced := make(chan error, 1)
+	go func() {
+		for to := int64(1); ; to++ {
+			select {
+			case <-stop:
+				advanced <- nil
+				return
+			default:
+			}
+			if err := store.Advance(context.Background(), "m1", to); err != nil {
+				advanced <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 400; i++ {
+		w := doJSON(t, srv, "POST", "/v1/sessions/m1/jobs", "ann", submitRequest{Jobs: []JobSpec{{Nodes: 1, Estimate: 5}}})
+		if w.Code != http.StatusOK {
+			t.Fatalf("submit %d: %d %s", i, w.Code, w.Body)
+		}
+		var ack submitResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &ack); err != nil {
+			t.Fatal(err)
+		}
+		ji, err := store.Job("m1", ack.Results[0].ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ack.Clock != ji.Submit {
+			t.Fatalf("submit %d acked clock %d, job %d was submitted at %d", i, ack.Clock, ji.ID, ji.Submit)
+		}
+	}
+	close(stop)
+	if err := <-advanced; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServerRateLimit429: admission refusals are 429 with a concrete
 // Retry-After, and waiting that long succeeds.
 func TestServerRateLimit429(t *testing.T) {

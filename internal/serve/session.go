@@ -184,6 +184,7 @@ type jobState struct {
 	end    int64
 	seq    int      // start order; breaks completion ties
 	j      *job.Job // the scheduler's handle while the job waits
+	digest uint64   // what the record contributes to its section's sum
 }
 
 // coreJob builds the core job a spec stands for.
@@ -245,6 +246,9 @@ type Session struct {
 	// oldest first.
 	retired []job.ID
 	agg     Aggregates
+	// sums holds, per section, the wrapping sum of its jobs' digests: the
+	// part of the fingerprint that would otherwise need a walk.
+	sums [numSections]uint64
 
 	// audit receives the decision trace (nil = off, and during replay,
 	// which re-applies state without re-emitting it).
@@ -352,6 +356,7 @@ func (s *Session) Submit(specs []JobSpec) ([]SubmitResult, error) {
 			st.j = coreJob(id, sp, s.clock)
 			s.pendingOrder = append(s.pendingOrder, id)
 			s.pendingN++
+			s.fold(secPending, st, 0)
 			if sp.Deadline > 0 {
 				heap.Push(&s.deadlines, deadlineEvent{at: sp.Deadline, id: id})
 			}
@@ -431,6 +436,7 @@ func (s *Session) expireDeadlines(now int64) {
 		}
 		st := s.jobs[heap.Pop(&s.deadlines).(deadlineEvent).id]
 		s.sch.Withdraw(st.j, now)
+		s.unfold(secPending, st)
 		st.status = StatusExpired
 		st.j = nil
 		s.pendingN--
@@ -446,6 +452,7 @@ func (s *Session) expireDeadlines(now int64) {
 // finish settles the record of a job the stepper completed.
 func (s *Session) finish(e sim.RunEntry) {
 	st := s.jobs[e.Job.ID]
+	s.unfold(secRunning, st)
 	st.status = StatusDone
 	s.agg.Completed++
 	s.agg.SumResponse = job.AddSat(s.agg.SumResponse, st.end-st.submit)
@@ -467,10 +474,12 @@ func (s *Session) startJobs() error {
 		if st == nil || st.status != StatusPending {
 			return fmt.Errorf("serve: session %s: scheduler started unknown or non-pending job %d", s.name, e.Job.ID)
 		}
+		s.unfold(secPending, st)
 		st.status = StatusRunning
 		st.start, st.end, st.seq = e.Start, e.End, e.Seq
 		st.j = nil
 		s.pendingN--
+		s.fold(secRunning, st, 0)
 		s.agg.Started++
 		s.agg.SumWait = job.AddSat(s.agg.SumWait, st.start-st.submit)
 	}
@@ -478,12 +487,15 @@ func (s *Session) startJobs() error {
 }
 
 // retire appends a settled job to the bounded history ring, evicting
-// the oldest records beyond DoneHistory.
+// the oldest records beyond DoneHistory. The caller has already counted
+// the job in the aggregates, which retireOrdinal relies on.
 func (s *Session) retire(st *jobState) {
 	s.retired = append(s.retired, st.id)
+	s.fold(secRetired, st, s.retireOrdinal(len(s.retired)-1))
 	for len(s.retired) > s.cfg.DoneHistory {
 		old := s.retired[0]
 		s.retired = s.retired[1:]
+		s.unfold(secRetired, s.jobs[old])
 		delete(s.jobs, old)
 	}
 }
@@ -502,17 +514,6 @@ func (s *Session) maybeCompact() {
 		}
 	}
 	s.pendingOrder = live
-}
-
-// pendingIDs returns the pending jobs in arrival order.
-func (s *Session) pendingIDs() []job.ID {
-	out := make([]job.ID, 0, s.pendingN)
-	for _, id := range s.pendingOrder {
-		if st := s.jobs[id]; st != nil && st.status == StatusPending {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // Apply replays one WAL record. Replay must never cleanly reject: the

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -23,11 +24,14 @@ type snapJob struct {
 	Status string `json:"status,omitempty"`
 }
 
-// Snapshot is a session's full durable state at one WAL position:
-// restoring it and replaying the WAL records after WALSeq reconstructs
-// the session exactly. Pending jobs are stored in arrival order (the
-// order the order policy saw them), running jobs in start order.
-type Snapshot struct {
+// snapshotVersion is the format this code writes: compact JSON carrying
+// a serve-session-v2 fingerprint. Version 1 (indented, whole-walk v1
+// fingerprint) is still recognised on disk, and ignored: see loadSession.
+const snapshotVersion = 2
+
+// snapHeader is the scalar part of a snapshot; the streaming writer
+// encodes it on its own, ahead of the job sections.
+type snapHeader struct {
 	Version  int        `json:"version"`
 	Name     string     `json:"name"`
 	Config   Config     `json:"config"`
@@ -36,9 +40,17 @@ type Snapshot struct {
 	StartSeq int        `json:"start_seq"`
 	WALSeq   uint64     `json:"wal_seq"`
 	Agg      Aggregates `json:"agg"`
-	Pending  []snapJob  `json:"pending"`
-	Running  []snapJob  `json:"running"`
-	Retired  []snapJob  `json:"retired"`
+}
+
+// Snapshot is a session's full durable state at one WAL position:
+// restoring it and replaying the WAL records after WALSeq reconstructs
+// the session exactly. Pending jobs are stored in arrival order (the
+// order the order policy saw them), running jobs in start order.
+type Snapshot struct {
+	snapHeader
+	Pending []snapJob `json:"pending"`
+	Running []snapJob `json:"running"`
+	Retired []snapJob `json:"retired"`
 	// Fingerprint is the state fingerprint at capture time; restore
 	// recomputes it and refuses a snapshot that does not round-trip, so
 	// a corrupt or hand-edited snapshot cannot silently resurrect a
@@ -46,28 +58,23 @@ type Snapshot struct {
 	Fingerprint string `json:"fingerprint"`
 }
 
-// writeSnapshot atomically replaces the session's snapshot. A crash at
-// any point leaves either the old or the new snapshot intact — never a
-// torn one (the kill-mid-write recovery test pins this).
-func writeSnapshot(dir string, snap *Snapshot) error {
-	data, err := json.MarshalIndent(snap, "", " ")
-	if err != nil {
-		return fmt.Errorf("serve: snapshot: %w", err)
-	}
-	return writeFileAtomic(dir, snapshotFile, data)
-}
-
-// writeFileAtomic durably replaces dir/name: write to a temp file,
-// fsync it, rename over the target, fsync the directory. The content
-// fsync before the rename is what makes the rename a commit point — a
-// crash can leave the old file or the new one, never a torn mix.
-func writeFileAtomic(dir, name string, data []byte) error {
+// writeFileAtomic durably replaces dir/name with what write produces:
+// write to a temp file, fsync it, rename over the target, fsync the
+// directory. The content fsync before the rename is what makes the
+// rename a commit point — a crash can leave the old file or the new one,
+// never a torn mix (the kill-mid-write recovery test pins this).
+func writeFileAtomic(dir, name string, write func(*bufio.Writer) error) error {
 	tmp := filepath.Join(dir, name+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("serve: writing %s: %w", name, err)
 	}
-	if _, err := f.Write(data); err != nil {
+	w := bufio.NewWriterSize(f, 64<<10)
+	err = write(w)
+	if err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
 		cerr := f.Close()
 		_ = cerr // the write failure is the actionable error
 		return fmt.Errorf("serve: writing %s: %w", name, err)
@@ -115,12 +122,21 @@ func readSnapshot(dir string) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: snapshot: %w", err)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	snap, err := decodeSnapshot(data)
+	if err != nil {
 		return nil, fmt.Errorf("serve: snapshot %s: %w", filepath.Join(dir, snapshotFile), err)
 	}
-	if snap.Version != 1 {
-		return nil, fmt.Errorf("serve: snapshot %s: unsupported version %d", filepath.Join(dir, snapshotFile), snap.Version)
+	return snap, nil
+}
+
+// decodeSnapshot parses a snapshot document of either known version.
+func decodeSnapshot(data []byte) (*Snapshot, error) {
+	var snap Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return nil, err
+	}
+	if snap.Version != 1 && snap.Version != snapshotVersion {
+		return nil, fmt.Errorf("unsupported version %d", snap.Version)
 	}
 	return &snap, nil
 }

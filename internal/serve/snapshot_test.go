@@ -1,14 +1,44 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
+// streamSnapshot returns the snapshot document the store would write
+// for sess at WAL position walSeq.
+func streamSnapshot(t testing.TB, sess *Session, walSeq uint64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	if err := sess.writeSnapshot(w, walSeq); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// publishSnapshot writes sess's snapshot into dir the way the store does.
+func publishSnapshot(t testing.TB, dir string, sess *Session, walSeq uint64) {
+	t.Helper()
+	err := writeFileAtomic(dir, snapshotFile, func(w *bufio.Writer) error {
+		return sess.writeSnapshot(w, walSeq)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // buildSession makes a session with a mix of pending, running, retired,
 // expired, and shed jobs — every state class a snapshot must carry.
-func buildSession(t *testing.T) *Session {
+func buildSession(t testing.TB) *Session {
 	t.Helper()
 	sess, err := NewSession("snap", Config{Nodes: 16, MaxPending: 4})
 	if err != nil {
@@ -32,7 +62,7 @@ func buildSession(t *testing.T) *Session {
 	return sess
 }
 
-func mustSubmit(t *testing.T, sess *Session, specs []JobSpec) []SubmitResult {
+func mustSubmit(t testing.TB, sess *Session, specs []JobSpec) []SubmitResult {
 	t.Helper()
 	rs, err := sess.Submit(specs)
 	if err != nil {
@@ -48,10 +78,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	sess := buildSession(t)
 	dir := t.TempDir()
 	want := sess.Fingerprint()
-	snap := sess.Snapshot(42)
-	if err := writeSnapshot(dir, snap); err != nil {
-		t.Fatal(err)
-	}
+	publishSnapshot(t, dir, sess, 42)
 
 	got, err := readSnapshot(dir)
 	if err != nil {
@@ -91,9 +118,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotIgnoresTornTemp(t *testing.T) {
 	sess := buildSession(t)
 	dir := t.TempDir()
-	if err := writeSnapshot(dir, sess.Snapshot(7)); err != nil {
-		t.Fatal(err)
-	}
+	publishSnapshot(t, dir, sess, 7)
 	torn := filepath.Join(dir, snapshotFile+".tmp")
 	if err := os.WriteFile(torn, []byte(`{"version":1,"name":"snap","clo`), 0o644); err != nil {
 		t.Fatal(err)
@@ -120,13 +145,56 @@ func TestSnapshotIgnoresTornTemp(t *testing.T) {
 	}
 }
 
+// TestSnapshotStreamMatchesMarshal: the streaming writer and the
+// materialised Snapshot are two encodings of one document — the bytes
+// the store writes are json.Marshal of what Session.Snapshot returns.
+func TestSnapshotStreamMatchesMarshal(t *testing.T) {
+	empty, err := NewSession("empty", Config{Nodes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sess := range []*Session{buildSession(t), empty} {
+		want, err := json.Marshal(sess.Snapshot(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := streamSnapshot(t, sess, 9); !bytes.Equal(got, want) {
+			t.Fatalf("streamed snapshot\n%s\ndiffers from the marshalled one\n%s", got, want)
+		}
+	}
+}
+
 // TestRestoreRefusesTamperedSnapshot: the self-check fingerprint catches
-// a snapshot whose content was altered after capture.
+// a snapshot whose content was altered after capture, and the structural
+// checks catch the reorderings a sum of digests cannot see.
 func TestRestoreRefusesTamperedSnapshot(t *testing.T) {
 	sess := buildSession(t)
-	snap := sess.Snapshot(1)
-	snap.Agg.Completed++ // silent corruption
-	if _, err := RestoreSession(snap); err == nil {
-		t.Fatal("tampered snapshot restored without complaint")
+	mustSubmit(t, sess, []JobSpec{{Name: "w1", Nodes: 16, Estimate: 10}, {Name: "w2", Nodes: 16, Estimate: 10}})
+	if p, r := sess.Counts(); p < 2 || r < 2 || len(sess.retired) < 2 {
+		t.Fatalf("fixture too small to swap entries: %d pending, %d running, %d retired", p, r, len(sess.retired))
+	}
+	swap := func(js []snapJob) { js[0], js[1] = js[1], js[0] }
+	for _, c := range []struct {
+		name   string
+		tamper func(*Snapshot)
+		want   string
+	}{
+		{"counter edited", func(s *Snapshot) { s.Agg.Completed++ }, "does not round-trip"},
+		{"job field edited", func(s *Snapshot) { s.Retired[0].Spec.User += "x" }, "does not round-trip"},
+		{"two pending entries swapped", func(s *Snapshot) { swap(s.Pending) }, "not in arrival order"},
+		{"two running entries swapped", func(s *Snapshot) { swap(s.Running) }, "not in start order"},
+		{"two running seqs swapped", func(s *Snapshot) { s.Running[0].Seq, s.Running[1].Seq = s.Running[1].Seq, s.Running[0].Seq }, "not in start order"},
+		{"two retired entries swapped", func(s *Snapshot) { swap(s.Retired) }, "does not round-trip"},
+		{"job listed twice", func(s *Snapshot) { s.Retired[0].ID = s.Pending[0].ID }, "appears twice"},
+		{"job wider than the machine", func(s *Snapshot) { s.Pending[0].Spec.Nodes = s.Config.Nodes + 1 }, "machine has"},
+	} {
+		snap := sess.Snapshot(1)
+		if _, err := RestoreSession(snap); err != nil {
+			t.Fatalf("untampered snapshot refused: %v", err)
+		}
+		c.tamper(snap)
+		if _, err := RestoreSession(snap); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: restore returned %v, want an error containing %q", c.name, err, c.want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -149,7 +150,11 @@ func (s *Store) Create(name string, cfg Config) error {
 	// The config is written atomically (tmp+rename, both fsynced): a
 	// crash mid-create leaves either no config — an empty directory the
 	// next open treats as garbage — or a complete one.
-	if err := writeFileAtomic(dir, configFile, data); err != nil {
+	err = writeFileAtomic(dir, configFile, func(w *bufio.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	if err != nil {
 		return err
 	}
 	h, err := openHandle(name, dir, s.opt)
@@ -186,15 +191,21 @@ func (s *Store) Names() []string {
 // Submit enqueues a batch submission on the named session and waits for
 // its commit (applied + fsynced) or failure.
 func (s *Store) Submit(ctx context.Context, name string, specs []JobSpec) ([]SubmitResult, error) {
+	res, err := s.submit(ctx, name, specs)
+	return res.results, err
+}
+
+// submit is Submit returning the whole outcome: the HTTP ack also
+// reports the clock the jobs were submitted at.
+func (s *Store) submit(ctx context.Context, name string, specs []JobSpec) (workResult, error) {
 	h, err := s.get(name)
 	if err != nil {
-		return nil, err
+		return workResult{}, err
 	}
 	if s.isDraining() {
-		return nil, ErrDraining
+		return workResult{}, ErrDraining
 	}
-	res, err := h.do(ctx, &work{ctx: ctx, op: opSubmit, specs: specs})
-	return res.results, err
+	return h.do(ctx, &work{ctx: ctx, op: opSubmit, specs: specs})
 }
 
 // Advance moves the named session's clock, waiting for the commit.
@@ -307,7 +318,11 @@ type work struct {
 
 type workResult struct {
 	results []SubmitResult
-	err     error
+	// clock is the session clock a submission was applied at. Only the
+	// apply itself knows it: once the commit releases the session lock, a
+	// concurrent advance may have moved the clock on.
+	clock int64
+	err   error
 }
 
 // handle owns one session: a bounded intake queue feeding a single
@@ -357,78 +372,87 @@ func openHandle(name, dir string, opt StoreOptions) (*handle, error) {
 		h.auditF = f
 		h.audit = telemetry.NewJSONL(f)
 	}
-	sess, wal, err := loadSession(name, dir, h.audit)
-	if err != nil {
+	if err := h.loadSession(); err != nil {
 		if h.auditF != nil {
 			cerr := h.auditF.Close()
 			_ = cerr // the load failure is the actionable error
 		}
 		return nil, err
 	}
-	h.sess, h.wal = sess, wal
 	go h.worker()
 	return h, nil
 }
 
-// loadSession rebuilds a session from its directory: config, then
+// loadSession rebuilds the session from its directory: config, then
 // snapshot (if any), then WAL replay of the suffix past the snapshot.
-// audit is the concrete recorder, not the Recorder interface, so a nil
-// pointer stays nil-comparable (a typed nil wrapped in the interface
-// would pass the nil checks and then be invoked).
-func loadSession(name, dir string, audit *telemetry.JSONL) (*Session, *WAL, error) {
-	data, err := os.ReadFile(filepath.Join(dir, configFile))
+//
+// A version-1 snapshot carries a fingerprint this code no longer
+// computes, so it cannot be self-checked: it is ignored and the whole
+// WAL replayed instead, which is always possible because the WAL is
+// never truncated. The first snapshot the session writes replaces it.
+func (h *handle) loadSession() error {
+	data, err := os.ReadFile(filepath.Join(h.dir, configFile))
 	if err != nil {
-		return nil, nil, fmt.Errorf("serve: session %s: reading config: %w", name, err)
+		return fmt.Errorf("serve: session %s: reading config: %w", h.name, err)
 	}
 	var cfg Config
 	if err := json.Unmarshal(data, &cfg); err != nil {
-		return nil, nil, fmt.Errorf("serve: session %s: config: %w", name, err)
+		return fmt.Errorf("serve: session %s: config: %w", h.name, err)
 	}
-	snap, err := readSnapshot(dir)
+	snap, err := readSnapshot(h.dir)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	wal, recs, err := OpenWAL(filepath.Join(dir, walFile))
+	if snap != nil && snap.Version == 1 {
+		h.opt.logf("session %s: ignoring version-1 snapshot at seq %d, replaying the whole wal", h.name, snap.WALSeq)
+		snap = nil
+	}
+	wal, recs, err := OpenWAL(filepath.Join(h.dir, walFile))
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
+	sess, replayed, err := rebuild(h.name, cfg, snap, recs, h.audit)
+	if err != nil {
+		cerr := wal.Close()
+		_ = cerr // the rebuild failure is the actionable error
+		return err
+	}
+	h.sess, h.wal = sess, wal
+	// The replayed suffix counts towards the next snapshot: a session
+	// that just reloaded should bound its replay again as soon as one
+	// that did not.
+	h.sinceSnap = replayed
+	return nil
+}
+
+// rebuild restores the snapshot (nil = start from an empty session) and
+// replays the WAL records past it; it also returns how many those were.
+// audit is the concrete recorder, not the Recorder interface, so a nil
+// pointer stays nil-comparable (a typed nil wrapped in the interface
+// would pass the nil checks and then be invoked).
+func rebuild(name string, cfg Config, snap *Snapshot, recs []Record, audit *telemetry.JSONL) (*Session, int, error) {
 	var sess *Session
-	var from uint64
-	if snap != nil {
-		sess, err = RestoreSession(snap)
-		if err != nil {
-			cerr := wal.Close()
-			_ = cerr // the restore failure is the actionable error
-			return nil, nil, err
-		}
-		from = snap.WALSeq
-		if from > wal.LastSeq() {
-			cerr := wal.Close()
-			_ = cerr // the gap is the actionable error
-			return nil, nil, fmt.Errorf("serve: session %s: snapshot is at seq %d but wal ends at %d", name, from, wal.LastSeq())
-		}
-	} else {
+	var err error
+	if snap == nil {
 		sess, err = NewSession(name, cfg)
-		if err != nil {
-			cerr := wal.Close()
-			_ = cerr // the construction failure is the actionable error
-			return nil, nil, err
-		}
+	} else if snap.WALSeq > uint64(len(recs)) {
+		err = fmt.Errorf("serve: session %s: snapshot is at seq %d but wal ends at %d", name, snap.WALSeq, len(recs))
+	} else {
+		sess, err = RestoreSession(snap)
+		recs = recs[snap.WALSeq:] // sequence numbers are consecutive from 1
+	}
+	if err != nil {
+		return nil, 0, err
 	}
 	if audit != nil {
 		sess.SetAudit(audit)
 	}
 	for _, rec := range recs {
-		if rec.Seq <= from {
-			continue
-		}
 		if err := sess.Apply(rec); err != nil {
-			cerr := wal.Close()
-			_ = cerr // the replay failure is the actionable error
-			return nil, nil, fmt.Errorf("serve: session %s: replaying wal: %w", name, err)
+			return nil, 0, fmt.Errorf("serve: session %s: replaying wal: %w", name, err)
 		}
 	}
-	return sess, wal, nil
+	return sess, len(recs), nil
 }
 
 // do enqueues a mutation and waits for its outcome.
@@ -637,7 +661,8 @@ func (h *handle) applyOne(w *work) (res workResult, rec *Record, poison error) {
 			}
 			return workResult{err: err}, nil, err
 		}
-		return workResult{results: rs}, &Record{Op: opSubmit, At: h.sess.Clock(), Jobs: w.specs}, nil
+		at := h.sess.Clock()
+		return workResult{results: rs, clock: at}, &Record{Op: opSubmit, At: at, Jobs: w.specs}, nil
 	case opAdvance:
 		if err := h.sess.Advance(w.at); err != nil {
 			if errors.Is(err, ErrRejected) {
@@ -659,17 +684,13 @@ func (h *handle) recoverLocked(cause error) {
 	if err := h.wal.Close(); err != nil {
 		h.opt.logf("session %s: closing wal before reload: %v", h.name, err)
 	}
-	sess, wal, err := loadSession(h.name, h.dir, h.audit)
-	if err != nil {
+	if err := h.loadSession(); err != nil {
 		// Disk state unreadable: the session is out of service until a
 		// restart (or operator repair); refusing loudly beats serving a
 		// state that diverged from what clients were acked.
 		h.broken = fmt.Errorf("serve: session %s unavailable after failed reload: %w", h.name, err)
 		h.opt.logf("%v", h.broken)
-		return
 	}
-	h.sess, h.wal = sess, wal
-	h.sinceSnap = 0
 }
 
 // snapshotLocked writes a snapshot at the current WAL position. Failure
@@ -683,12 +704,22 @@ func (h *handle) snapshotLocked() {
 			h.opt.logf("session %s: audit flush: %v", h.name, err)
 		}
 	}
-	snap := h.sess.Snapshot(h.wal.LastSeq())
-	if err := writeSnapshot(h.dir, snap); err != nil {
+	if err := h.writeSnapshot(); err != nil {
 		h.opt.logf("session %s: snapshot: %v", h.name, err)
-		return
 	}
-	h.sinceSnap = 0
+}
+
+// writeSnapshot atomically replaces the session's snapshot with one at
+// the current WAL position, streamed from the live session: no copy of
+// the state is built. Requires h.mu.
+func (h *handle) writeSnapshot() error {
+	err := writeFileAtomic(h.dir, snapshotFile, func(w *bufio.Writer) error {
+		return h.sess.writeSnapshot(w, h.wal.LastSeq())
+	})
+	if err == nil {
+		h.sinceSnap = 0
+	}
+	return err
 }
 
 // finalize runs at worker exit: final snapshot, flush and close the
@@ -698,12 +729,7 @@ func (h *handle) finalize() error {
 	defer h.mu.Unlock()
 	var firstErr error
 	if h.broken == nil && h.sinceSnap > 0 {
-		snap := h.sess.Snapshot(h.wal.LastSeq())
-		if err := writeSnapshot(h.dir, snap); err != nil {
-			firstErr = err
-		} else {
-			h.sinceSnap = 0
-		}
+		firstErr = h.writeSnapshot()
 	}
 	if h.audit != nil {
 		if err := h.audit.Flush(); err != nil && firstErr == nil {

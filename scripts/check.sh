@@ -35,9 +35,11 @@
 #                (trace.FuzzReadSWF), the availability-profile
 #                differential oracle (profile.FuzzProfileOps), the tree
 #                kernel's structural invariants under the same oracle
-#                (profile.FuzzProfileTree) and the fault-schedule
+#                (profile.FuzzProfileTree), the fault-schedule
 #                generator/simulator invariants
-#                (faults.FuzzFailureSchedule). A short deterministic
+#                (faults.FuzzFailureSchedule) and the daemon's snapshot
+#                decoder, restore and streaming writer
+#                (serve.FuzzReadSnapshot). A short deterministic
 #                budget — regressions on the seeded corpus and shallow
 #                mutations fail here; deep exploration is for manual
 #                `make fuzz` sessions
@@ -79,6 +81,7 @@ run fuzz-smoke go test -run='^$' -fuzz='^FuzzReadSWF$' -fuzztime=500x ./internal
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzProfileOps$' -fuzztime=500x ./internal/profile
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzProfileTree$' -fuzztime=500x ./internal/profile
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzFailureSchedule$' -fuzztime=500x ./internal/faults
+run fuzz-smoke go test -run='^$' -fuzz='^FuzzReadSnapshot$' -fuzztime=500x ./internal/serve
 
 step=bench-smoke
 echo "==> bench-smoke: go run ./benchmark -smoke"
