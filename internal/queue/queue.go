@@ -1,15 +1,23 @@
 // Package queue provides the indexed pending-queue structure behind the
 // order policies' O(log Q) scheduling passes (DESIGN.md §14).
 //
-// An Index mirrors one priority order of the waiting queue: slots are
-// queue positions in priority order, and a flat segment tree over the
-// slots carries three aggregates per node — alive count (order
+// An Index is the one store of an order policy's waiting queue: slots
+// are queue positions in priority order, and a flat segment tree over
+// the slots carries three aggregates per node — alive count (order
 // statistics), minimum job width (width-pruned scans) and maximum
 // estimate (the fast-conservative horizon). Push appends, Remove
 // tombstones, and a replanning order policy rebuilds the whole index
 // once per plan epoch; all queries are O(log Q) and allocation-free, so
 // a scheduling pass over a 100k-deep backlog touches the handful of
 // jobs that can actually start instead of every queued misfit.
+//
+// Upkeep is amortized O(1) where the traffic is. Push, and Remove of the
+// first job of the order, write their leaf and leave the ancestors stale;
+// the next query or other mutation repairs them once, level by level
+// over the appended and the popped range (sync), so a burst of k
+// arrivals or k head starts costs O(k + log Q) and no query ever reads a
+// stale ancestor. Compaction and Rebuild rewrite only the leaves that
+// were in use, never the whole capacity.
 //
 // An Index is owned by one simulation goroutine (like the order
 // policies themselves) and is deterministic: no map iteration, no
@@ -50,8 +58,19 @@ type Index struct {
 	// hiddenSlots lists the pass-locally hidden slots, in hide order.
 	hiddenSlots []int
 	// pos maps a queued job's ID to its slot (lookups only — never ranged).
-	pos   map[job.ID]int
-	stats *Stats
+	pos map[job.ID]int
+	// synced is the number of leading slots whose ancestors are up to
+	// date: Push appends leaves past it, sync catches the tree up.
+	synced int
+	// rebuilt is the number of leading slots written by the last Rebuild;
+	// the slots past it were pushed since (see Remove).
+	rebuilt int
+	// head is the first slot that is not a tombstone. Removing it is the
+	// common case of list scheduling, and like Push it only writes the
+	// leaf: [popLo, popHi) are the dead leaves before head whose ancestors
+	// the next sync still has to repair.
+	head, popLo, popHi int
+	stats              *Stats
 }
 
 // NewIndex returns an empty index.
@@ -80,17 +99,21 @@ func (ix *Index) pull(i int) {
 	}
 }
 
-// setLeaf writes slot's leaf from j (nil = dead) and bubbles the change up.
-func (ix *Index) setLeaf(slot int, j *job.Job) {
+// writeLeaf writes slot's leaf from j (nil = dead) and leaves its
+// ancestors as they are.
+func (ix *Index) writeLeaf(slot int, j *job.Job) {
 	i := ix.size + slot
 	if j == nil {
 		ix.cnt[i], ix.minW[i], ix.maxE[i] = 0, widthInf, estNone
 	} else {
 		ix.cnt[i], ix.minW[i], ix.maxE[i] = 1, j.Nodes, j.Estimate
 	}
-	for i >>= 1; i >= 1; i >>= 1 {
-		ix.pull(i)
-	}
+}
+
+// setLeaf writes slot's leaf from j (nil = dead) and bubbles the change up.
+func (ix *Index) setLeaf(slot int, j *job.Job) {
+	ix.writeLeaf(slot, j)
+	ix.pullRange(slot, slot)
 }
 
 // grow reallocates the tree for at least `need` leaves and rebuilds it.
@@ -102,83 +125,158 @@ func (ix *Index) grow(need int) {
 	for size < need {
 		size *= 2
 	}
-	if size == ix.size {
-		return
-	}
 	ix.size = size
 	ix.cnt = make([]int32, 2*size)
 	ix.minW = make([]int, 2*size)
 	ix.maxE = make([]int64, 2*size)
-	ix.rebuildTree()
+	for i := range ix.minW {
+		ix.minW[i], ix.maxE[i] = widthInf, estNone
+	}
+	ix.rebuildLeaves(len(ix.slots))
 	if ix.stats != nil {
 		ix.stats.Grows++
 	}
 }
 
-// rebuildTree recomputes every leaf from slots (respecting hidden slots)
-// and every internal node bottom-up. O(size).
-func (ix *Index) rebuildTree() {
-	for i := 0; i < ix.size; i++ {
-		li := ix.size + i
-		var j *job.Job
+// rebuildLeaves recomputes leaves [0, n) from slots (dead past the end,
+// respecting hidden slots) and their ancestors bottom-up. Leaves at and
+// past n must already be dead: O(n), independent of the capacity.
+func (ix *Index) rebuildLeaves(n int) {
+	ix.synced = len(ix.slots)
+	ix.head, ix.popLo, ix.popHi = 0, 0, 0
+	ix.skipDead()
+	if n == 0 {
+		return
+	}
+	for i := 0; i < n; i++ {
 		if i < len(ix.slots) {
-			j = ix.slots[i]
-		}
-		if j == nil {
-			ix.cnt[li], ix.minW[li], ix.maxE[li] = 0, widthInf, estNone
+			ix.writeLeaf(i, ix.slots[i])
 		} else {
-			ix.cnt[li], ix.minW[li], ix.maxE[li] = 1, j.Nodes, j.Estimate
+			ix.writeLeaf(i, nil)
 		}
 	}
 	for _, s := range ix.hiddenSlots {
-		li := ix.size + s
-		ix.cnt[li], ix.minW[li], ix.maxE[li] = 0, widthInf, estNone
+		ix.writeLeaf(s, nil)
 	}
-	for i := ix.size - 1; i >= 1; i-- {
-		ix.pull(i)
+	ix.pullRange(0, n-1)
+}
+
+// pullRange recomputes every ancestor of leaves [lo, hi], one level at a
+// time: O(hi-lo + log Q).
+func (ix *Index) pullRange(lo, hi int) {
+	l, r := (ix.size+lo)>>1, (ix.size+hi)>>1
+	for ; l < r; l, r = l>>1, r>>1 {
+		for i := l; i <= r; i++ {
+			ix.pull(i)
+		}
+	}
+	for ; l >= 1; l >>= 1 {
+		ix.pull(l)
+	}
+}
+
+// skipDead advances head past tombstones (amortized O(1) per removal).
+func (ix *Index) skipDead() {
+	for ix.head < len(ix.slots) && ix.slots[ix.head] == nil {
+		ix.head++
+	}
+}
+
+// sync repairs the ancestors of the leaves appended, and of the head
+// leaves removed, since the last repair. Every query and every other
+// mutation starts here, which is the invariant the deferred repair rests
+// on: nothing reads (or bubbles through) a stale ancestor.
+func (ix *Index) sync() {
+	if ix.synced < len(ix.slots) || ix.popLo < ix.popHi {
+		ix.repair()
+	}
+}
+
+// repair is sync's slow path (apart from it so that the check inlines
+// into every query): each stale range once, level by level.
+func (ix *Index) repair() {
+	if ix.synced < len(ix.slots) {
+		ix.pullRange(ix.synced, len(ix.slots)-1)
+		ix.synced = len(ix.slots)
+	}
+	if ix.popLo < ix.popHi {
+		ix.pullRange(ix.popLo, ix.popHi-1)
+		ix.popLo = ix.popHi
 	}
 }
 
 // Push appends j at the lowest-priority end (the live insertion point of
-// FCFS order and of a replanner's unplanned tail). O(log Q), amortizing
-// the occasional doubling rebuild.
-func (ix *Index) Push(j *job.Job) {
+// FCFS order and of a replanner's unplanned tail) and reports whether it
+// was queued: a job whose ID is already waiting is refused. Amortized
+// O(1) within a burst — the leaf is written now, its ancestors by the
+// next sync — plus the occasional doubling rebuild.
+func (ix *Index) Push(j *job.Job) bool {
 	slot := len(ix.slots)
-	ix.slots = append(ix.slots, j)
+	// The assignment Push makes anyway doubles as the duplicate check: an
+	// ID that was already queued leaves the map's length where it was.
+	n := len(ix.pos)
 	ix.pos[j.ID] = slot
+	if len(ix.pos) == n {
+		for s, q := range ix.slots {
+			if q != nil && q.ID == j.ID {
+				ix.pos[j.ID] = s
+				break
+			}
+		}
+		return false
+	}
+	ix.slots = append(ix.slots, j)
 	ix.alive++
 	if len(ix.slots) > ix.size {
 		ix.grow(len(ix.slots))
 	} else {
-		ix.setLeaf(slot, j)
+		ix.writeLeaf(slot, j)
 	}
 	if ix.stats != nil {
 		ix.stats.Pushes++
 	}
+	return true
 }
 
-// Remove takes a started job out of the index (tombstoning its slot) and
-// reports whether it was present. O(log Q) plus the amortized compaction.
-func (ix *Index) Remove(j *job.Job) bool {
+// Remove takes a started job out of the index (tombstoning its slot).
+// It reports whether the job was present and, if so, whether it sat in
+// the part the last Rebuild wrote rather than in the tail pushed since —
+// a replanner's plan versus its unplanned arrivals. O(log Q), amortized
+// O(1) for the head of the order, plus the amortized compaction.
+func (ix *Index) Remove(j *job.Job) (ok, rebuilt bool) {
 	slot, ok := ix.pos[j.ID]
 	if !ok || ix.slots[slot] != j {
-		return false
+		return false, false
 	}
-	if ix.cnt[ix.size+slot] == 0 {
+	switch {
+	case ix.cnt[ix.size+slot] == 0:
 		// Hidden slot (defensive: passes normally UnhideAll first): it is
 		// already invisible and already debited from alive.
 		ix.dropHidden(slot)
-	} else {
+	case slot == ix.head:
+		// Head pop: the leaf dies now, its ancestors at the next sync. The
+		// slots between two pops are tombstones, so the stale leaves stay
+		// one run, and k heads started at one instant cost O(k + log Q).
+		ix.writeLeaf(slot, nil)
+		ix.alive--
+		if ix.popLo == ix.popHi {
+			ix.popLo = slot
+		}
+		ix.popHi = slot + 1
+	default:
+		ix.sync()
 		ix.setLeaf(slot, nil)
 		ix.alive--
 	}
 	ix.slots[slot] = nil
+	ix.skipDead()
 	delete(ix.pos, j.ID)
 	if ix.stats != nil {
 		ix.stats.Removes++
 	}
+	rebuilt = slot < ix.rebuilt
 	ix.maybeCompact()
-	return true
+	return true, rebuilt
 }
 
 // dropHidden deletes slot from the hidden list (order preserved).
@@ -192,37 +290,40 @@ func (ix *Index) dropHidden(slot int) {
 	}
 }
 
-// maybeCompact rebuilds the slot array once the tombstones dominate —
-// amortized O(1) per removal. Never runs while a pass holds hidden slots
+// maybeCompact squeezes the tombstones out of the slot array once they
+// dominate — amortized O(1) per removal, and O(slots in use) per sweep
+// whatever the capacity. Never runs while a pass holds hidden slots
 // (compaction renumbers slots; hidden bookkeeping must stay valid).
 func (ix *Index) maybeCompact() {
-	dead := len(ix.slots) - ix.alive
+	used := len(ix.slots)
+	dead := used - ix.alive
 	if len(ix.hiddenSlots) != 0 || dead <= 64 || dead <= ix.alive {
 		return
 	}
-	n := 0
-	for _, j := range ix.slots {
+	n, rebuilt := 0, ix.rebuilt
+	for s, j := range ix.slots {
 		if j != nil {
 			ix.slots[n] = j
 			ix.pos[j.ID] = n
 			n++
+		} else if s < ix.rebuilt {
+			rebuilt-- // a tombstone below the boundary pulls it down
 		}
 	}
-	clearTail := ix.slots[n:]
-	for i := range clearTail {
-		clearTail[i] = nil
-	}
-	ix.slots = ix.slots[:n]
-	ix.rebuildTree()
+	clear(ix.slots[n:])
+	ix.slots, ix.rebuilt = ix.slots[:n], rebuilt
+	ix.rebuildLeaves(used)
 	if ix.stats != nil {
 		ix.stats.Compactions++
 	}
 }
 
 // Rebuild replaces the whole order with the concatenation of parts (a
-// replanner passes plan tail + unplanned arrivals). O(Q) — called once
-// per plan epoch, amortized against the epoch's O(Q log Q) plan sort.
+// replanner passes its fresh plan). O(Q) — called once per plan epoch,
+// amortized against the epoch's O(Q log Q) plan sort.
 func (ix *Index) Rebuild(parts ...[]*job.Job) {
+	used := len(ix.slots)
+	clear(ix.slots)
 	ix.slots = ix.slots[:0]
 	ix.hiddenSlots = ix.hiddenSlots[:0]
 	clear(ix.pos)
@@ -234,12 +335,11 @@ func (ix *Index) Rebuild(parts ...[]*job.Job) {
 			n++
 		}
 	}
-	ix.alive = n
+	ix.alive, ix.rebuilt = n, n
 	if n > ix.size {
 		ix.grow(n)
-		// grow already rebuilt the tree over the new slots.
-	} else if ix.size > 0 {
-		ix.rebuildTree()
+	} else {
+		ix.rebuildLeaves(max(used, n))
 	}
 	if ix.stats != nil {
 		ix.stats.Rebuilds++
@@ -256,11 +356,8 @@ func (ix *Index) Hide(j *job.Job) bool {
 	if !ok || ix.slots[slot] != j || ix.cnt[ix.size+slot] == 0 {
 		return false
 	}
-	i := ix.size + slot
-	ix.cnt[i], ix.minW[i], ix.maxE[i] = 0, widthInf, estNone
-	for i >>= 1; i >= 1; i >>= 1 {
-		ix.pull(i)
-	}
+	ix.sync()
+	ix.setLeaf(slot, nil)
 	ix.alive--
 	ix.hiddenSlots = append(ix.hiddenSlots, slot)
 	if ix.stats != nil {
@@ -271,6 +368,7 @@ func (ix *Index) Hide(j *job.Job) bool {
 
 // UnhideAll restores every hidden slot (end of a batched pass).
 func (ix *Index) UnhideAll() {
+	ix.sync()
 	for _, slot := range ix.hiddenSlots {
 		if j := ix.slots[slot]; j != nil {
 			ix.setLeaf(slot, j)
@@ -282,6 +380,7 @@ func (ix *Index) UnhideAll() {
 
 // nextAliveSlot returns the first visible slot > after, or -1.
 func (ix *Index) nextAliveSlot(after int) int {
+	ix.sync()
 	if ix.alive == 0 {
 		return -1
 	}
@@ -321,6 +420,7 @@ func (ix *Index) nextAliveSlot(after int) int {
 // maxNodes wide, or -1 — the width-pruned scan: runs of too-wide jobs are
 // skipped in O(log Q) total, not O(run length).
 func (ix *Index) nextFitSlot(after, maxNodes int) int {
+	ix.sync()
 	if ix.alive == 0 {
 		return -1
 	}
@@ -359,6 +459,7 @@ func (ix *Index) nextFitSlot(after, maxNodes int) int {
 // Rank returns how many visible jobs precede slot — the job's current
 // position (0-based) in the priority order. O(log Q).
 func (ix *Index) Rank(slot int) int {
+	ix.sync()
 	if ix.size == 0 {
 		return 0
 	}
@@ -384,6 +485,7 @@ func (ix *Index) Rank(slot int) int {
 
 // Select returns the k-th (0-based) visible job and its slot, or (nil, -1).
 func (ix *Index) Select(k int) (*job.Job, int) {
+	ix.sync()
 	if k < 0 || k >= ix.alive {
 		return nil, -1
 	}
@@ -410,6 +512,7 @@ func (ix *Index) First() (*job.Job, int) {
 // MinNodes returns the narrowest visible width (the O(1) "can anything at
 // all fit?" precheck); an empty index reports an unsatisfiably wide job.
 func (ix *Index) MinNodes() int {
+	ix.sync()
 	if ix.size == 0 || ix.alive == 0 {
 		return widthInf
 	}
@@ -420,6 +523,7 @@ func (ix *Index) MinNodes() int {
 // jobs (the fast-conservative walk horizon); k ≥ Len covers the whole
 // queue. Returns 0 when nothing is visible or k ≤ 0.
 func (ix *Index) MaxEstimateFirst(k int) int64 {
+	ix.sync()
 	if ix.alive == 0 || k <= 0 {
 		return 0
 	}

@@ -117,3 +117,48 @@ func BenchmarkEngineFCFS(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDeepQueueCells runs the five cells of the repository
+// benchmark's sim_backlog workload (benchmark/offline.go: 100k jobs all
+// submitted at t=0, widths cycling 1..8 with a full-machine job every
+// 199th, four estimate classes) one sub-benchmark per cell, so that a
+// parent/change pair can be compared per cell from `go test -c` binaries.
+func BenchmarkDeepQueueCells(b *testing.B) {
+	const n, nodes = 100_000, 256
+	jobs := make([]*job.Job, n)
+	for i := range jobs {
+		w := 1 + (i*7)%8
+		if i%199 == 198 {
+			w = nodes
+		}
+		jobs[i] = &job.Job{ID: job.ID(i), Nodes: w, Runtime: 60, Estimate: 60 + int64(i%4)*30}
+	}
+	for _, c := range []struct {
+		slug  string
+		order OrderName
+		start StartName
+		depth int
+	}{
+		{"FCFS-List", OrderFCFS, StartList, 0},
+		{"FCFS-EASY", OrderFCFS, StartEASY, 0},
+		{"PSRS-EASY", OrderPSRS, StartEASY, 0},
+		{"SMART-FFIA-Backfilling4", OrderSMARTFFIA, StartConservative, 4},
+		{"GareyGraham-List", OrderGG, StartList, 0},
+	} {
+		b.Run(c.slug, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				alg, err := New(c.order, c.start, Config{MachineNodes: nodes, MaxBackfillDepth: c.depth})
+				if err != nil {
+					b.Fatal(err)
+				}
+				run := job.CloneAll(jobs)
+				b.StartTimer()
+				if _, err := sim.Run(sim.Machine{Nodes: nodes}, run, alg, sim.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -2,10 +2,12 @@ package sched
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"jobsched/internal/job"
+	"jobsched/internal/objective"
 	"jobsched/internal/sim"
 )
 
@@ -260,4 +262,48 @@ func TestEASYBackfillNeverPostponesProjectedHeadStart(t *testing.T) {
 		t.Fatal("workload produced no backfills; the invariant was never exercised")
 	}
 	t.Logf("checked %d backfill decisions", wrapper.backfills)
+}
+
+// TestDuplicateIDIsAnError pins that a job whose ID is still waiting or
+// running is refused with an error naming the ID. Queues and the running
+// set are keyed by ID and IDs come from outside (the SWF scanner takes
+// them from the file); before the check a clash silently overwrote an
+// entry and the run never returned. The interrupt hook is a call budget,
+// so a regression fails here instead of hanging the suite.
+func TestDuplicateIDIsAnError(t *testing.T) {
+	mk := func(id int, submit int64, nodes int, rt int64) *job.Job {
+		return &job.Job{ID: job.ID(id), Submit: submit, Nodes: nodes, Runtime: rt, Estimate: rt}
+	}
+	workloads := map[string][]*job.Job{
+		// Both ID 1 jobs wait at t=0.
+		"waiting": {mk(1, 0, 4, 10), mk(1, 0, 4, 20), mk(2, 5, 8, 10)},
+		// The second ID 1 arrives and starts while the first still runs.
+		"running": {mk(1, 0, 4, 100), mk(1, 5, 4, 20), mk(2, 6, 8, 10)},
+	}
+	cfg := Config{MachineNodes: 8}
+	schedulers := func() []sim.Scheduler {
+		switching, err := NewSwitching(objective.PrimeTime, OrderSMARTFFIA, StartEASY, OrderGG, StartList, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		algs := []sim.Scheduler{switching}
+		for _, o := range GridOrders() {
+			alg, err := New(o, StartEASY, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			algs = append(algs, alg)
+		}
+		return algs
+	}
+	for name, jobs := range workloads {
+		for _, alg := range schedulers() {
+			polls := 0
+			_, err := sim.Run(sim.Machine{Nodes: 8}, job.CloneAll(jobs), alg,
+				sim.Options{Interrupt: func() bool { polls++; return polls > 10_000 }})
+			if err == nil || !strings.Contains(err.Error(), "job ID 1 ") {
+				t.Errorf("%s, %s: err = %v, want one naming job ID 1", name, alg.Name(), err)
+			}
+		}
+	}
 }

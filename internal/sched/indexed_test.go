@@ -3,58 +3,125 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"jobsched/internal/job"
 )
 
-// Every order policy maintains a queue.Index mirror of its slice order:
-// the batched passes read the index, the Pick loop reads the slice. These
-// tests pin the mirror op-for-op (the index enumerates exactly the slice
-// order after every Push/Remove, for all four order policies) and gate
-// the alloc-free width scan.
+// Every order policy stores its waiting queue once, in a queue.Index: the
+// batched passes read the index, the Pick loop reads Ordered, a slice
+// built from the index on demand. These tests pin both against a
+// test-only naive order op for op (same jobs, same sequence, after every
+// Push/Remove, for all five order policies) and gate the alloc-free
+// width scan.
 
-// indexedOrderers builds one instance of each order policy (both SMART
-// variants) — the differential subjects.
-func indexedOrderers(nodes int) []BatchOrderer {
-	cfg := Config{MachineNodes: nodes}.withDefaults()
-	return []BatchOrderer{
-		NewFCFSOrder(string(OrderFCFS)),
-		NewFCFSOrder("Garey&Graham"),
-		NewPSRSOrder(cfg),
-		NewSMARTOrder(FFIA, cfg),
-		NewSMARTOrder(NFIW, cfg),
+// naiveOrder is the reference: the queue as two plain slices (the plan's
+// tail, the arrivals since), linear delete, and — for a replanning policy
+// — the policy's own compute behind the paper's replan trigger. FCFS has
+// no compute: everything stays an arrival, in submission order.
+type naiveOrder struct {
+	plan, unplanned   []*job.Job
+	planSize, started int
+	ratio             float64
+	compute           func([]*job.Job) []*job.Job
+}
+
+func (n *naiveOrder) push(j *job.Job) { n.unplanned = append(n.unplanned, j) }
+
+func (n *naiveOrder) remove(j *job.Job) {
+	if i := slices.Index(n.plan, j); i >= 0 {
+		n.plan = slices.Delete(n.plan, i, i+1)
+		n.started++
+	} else if i := slices.Index(n.unplanned, j); i >= 0 {
+		n.unplanned = slices.Delete(n.unplanned, i, i+1)
 	}
 }
 
-// TestIndexedOrdererMatchesSlice drives every order policy through a
-// long random Push/Remove sequence and checks after each operation that
-// the index enumerates exactly the slice order: same jobs, same
-// sequence, same length, and order statistics (Rank, Select) consistent
-// with the enumeration.
+func (n *naiveOrder) ordered() []*job.Job {
+	all := append(slices.Clone(n.plan), n.unplanned...)
+	q := len(all)
+	if n.compute == nil || q == 0 || (len(n.plan) > 0 &&
+		float64(n.started) <= n.ratio*float64(n.planSize) &&
+		float64(len(n.unplanned)) <= (1-n.ratio)*float64(q)) {
+		return all
+	}
+	n.plan, n.unplanned = n.compute(all), nil
+	n.planSize, n.started = q, 0
+	return slices.Clone(n.plan)
+}
+
+// indexedOrderers builds one instance of each order policy (both SMART
+// variants) next to its naive reference — the differential pairs.
+func indexedOrderers(nodes int) []struct {
+	BatchOrderer
+	ref *naiveOrder
+} {
+	cfg := Config{MachineNodes: nodes}.withDefaults()
+	psrs, ffia, nfiw := NewPSRSOrder(cfg), NewSMARTOrder(FFIA, cfg), NewSMARTOrder(NFIW, cfg)
+	replanning := func(rp *replanner) *naiveOrder {
+		return &naiveOrder{ratio: rp.ratio, compute: rp.compute}
+	}
+	return []struct {
+		BatchOrderer
+		ref *naiveOrder
+	}{
+		{NewFCFSOrder(string(OrderFCFS)), &naiveOrder{}},
+		{NewFCFSOrder("Garey&Graham"), &naiveOrder{}},
+		{psrs, replanning(psrs.rp)},
+		{ffia, replanning(ffia.rp)},
+		{nfiw, replanning(nfiw.rp)},
+	}
+}
+
+// TestIndexedOrdererMatchesSlice drives every order policy and its naive
+// reference through the same Push/Remove sequences and checks after each
+// operation that the index enumerates exactly the reference order — same
+// jobs, same sequence, same length, order statistics (Rank, Select)
+// consistent with it — and that Ordered, the lazily built view, equals it
+// too. Ordered is skipped on every third check, so the view is sometimes
+// kept current across a Push (append) or a head removal (reslice) and
+// sometimes rebuilt after several mutations nobody watched.
+//
+// Two sequences: a long random one on a small queue with removals biased
+// toward the head (what list scheduling does), and one on a queue of more
+// than 10k jobs where nine removals in ten leave from the middle (what a
+// backfill or a Garey&Graham scan-fit does, and what the index's
+// tombstones, compaction and plan/arrival boundary have to survive).
 func TestIndexedOrdererMatchesSlice(t *testing.T) {
 	const nodes = 64
 	for _, o := range indexedOrderers(nodes) {
 		o := o
 		t.Run(o.Name(), func(t *testing.T) {
 			r := rand.New(rand.NewSource(41))
-			var pending []*job.Job
+			var pending, got []*job.Job
 			nextID := job.ID(0)
 			now := int64(0)
+			checks := 0
 			check := func(op string) {
 				t.Helper()
-				want := o.Ordered(now)
+				want := o.ref.ordered()
 				ix := o.OrderedIter(now)
 				if ix.Len() != len(want) || o.Len() != len(want) {
-					t.Fatalf("%s: index len %d, orderer len %d, slice len %d",
+					t.Fatalf("%s: index len %d, orderer len %d, reference len %d",
 						op, ix.Len(), o.Len(), len(want))
 				}
-				got := ix.AppendOrdered(nil)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s: position %d: index has job %d, slice has job %d",
-							op, i, got[i].ID, want[i].ID)
+				same := func(what string, have []*job.Job) {
+					t.Helper()
+					if len(have) != len(want) {
+						t.Fatalf("%s: %s has %d jobs, reference %d", op, what, len(have), len(want))
 					}
+					for i := range want {
+						if have[i] != want[i] {
+							t.Fatalf("%s: position %d: %s has job %d, reference job %d",
+								op, i, what, have[i].ID, want[i].ID)
+						}
+					}
+				}
+				got = ix.AppendOrdered(got[:0])
+				same("index", got)
+				if checks++; checks%3 != 0 {
+					same("Ordered", o.Ordered(now))
 				}
 				if len(want) > 0 {
 					k := r.Intn(len(want))
@@ -67,20 +134,33 @@ func TestIndexedOrdererMatchesSlice(t *testing.T) {
 					}
 				}
 			}
-			for step := 0; step < 1200; step++ {
+			push := func() *job.Job {
 				now++
+				j := &job.Job{
+					ID:       nextID,
+					Nodes:    1 + r.Intn(nodes),
+					Submit:   now,
+					Estimate: int64(1 + r.Intn(5000)),
+				}
+				j.Runtime = j.Estimate
+				nextID++
+				pending = append(pending, j)
+				o.Push(j, now)
+				o.ref.push(j)
+				return j
+			}
+			remove := func(k int) *job.Job {
+				now++
+				j := pending[k]
+				pending = slices.Delete(pending, k, k+1)
+				o.Remove(j, now)
+				o.ref.remove(j)
+				return j
+			}
+
+			for step := 0; step < 1200; step++ {
 				if len(pending) == 0 || r.Intn(10) < 6 {
-					j := &job.Job{
-						ID:       nextID,
-						Nodes:    1 + r.Intn(nodes),
-						Submit:   now,
-						Estimate: int64(1 + r.Intn(5000)),
-					}
-					j.Runtime = j.Estimate
-					nextID++
-					pending = append(pending, j)
-					o.Push(j, now)
-					check(fmt.Sprintf("step %d push %d", step, j.ID))
+					check(fmt.Sprintf("step %d push %d", step, push().ID))
 				} else {
 					// Bias removals toward the head: that is what the engine
 					// does (jobs start from the front of the order).
@@ -88,10 +168,40 @@ func TestIndexedOrdererMatchesSlice(t *testing.T) {
 					if r.Intn(2) == 0 {
 						k = r.Intn((len(pending) + 3) / 4)
 					}
-					j := pending[k]
-					pending = append(pending[:k], pending[k+1:]...)
-					o.Remove(j, now)
-					check(fmt.Sprintf("step %d remove %d", step, j.ID))
+					check(fmt.Sprintf("step %d remove %d", step, remove(k).ID))
+				}
+			}
+
+			// The deep queue. Filling it is a burst of arrivals with a query
+			// only now and then; draining it past half is what makes the
+			// index compact under a live plan/arrival boundary. Those two
+			// are checked every so often, the mixed traffic that follows
+			// after every operation.
+			removeDeep := func() *job.Job {
+				if r.Intn(10) == 0 {
+					// The head of the current order, wherever it was submitted.
+					return remove(slices.Index(pending, o.ref.ordered()[0]))
+				}
+				return remove(r.Intn(len(pending)))
+			}
+			for len(pending) < 10_500 {
+				if j := push(); len(pending)%512 == 0 {
+					check(fmt.Sprintf("fill push %d", j.ID))
+				}
+			}
+			for len(pending) > 4_000 {
+				if j := removeDeep(); len(pending)%64 == 0 {
+					check(fmt.Sprintf("drain remove %d", j.ID))
+				}
+				if r.Intn(8) == 0 {
+					push()
+				}
+			}
+			for step := 0; step < 600; step++ {
+				if r.Intn(10) < 3 {
+					check(fmt.Sprintf("deep step %d push %d", step, push().ID))
+				} else {
+					check(fmt.Sprintf("deep step %d remove %d", step, removeDeep().ID))
 				}
 			}
 		})

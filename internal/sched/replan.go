@@ -16,14 +16,14 @@ import (
 // once unplanned arrivals exceed 1-RecomputeRatio of the queue.
 type replanner struct {
 	ratio float64
-	// plan is the current priority order; its tail after planHead. Jobs
-	// almost always leave from the front (the plan head has top priority),
-	// so head removal is O(1) with the dead prefix compacted only when it
-	// dominates — the same deque discipline as FCFSOrder.
-	plan     []*job.Job
-	planHead int
-	// unplanned holds arrivals since the last computation, submission order.
-	unplanned []*job.Job
+	// ix is the one store of the waiting queue: the live tail of the
+	// current plan followed by the arrivals since, in submission order.
+	// It is rebuilt once per plan epoch, and its Remove says which of the
+	// two parts a job left; the replanner itself keeps only counts.
+	ix *queue.Index
+	// planned and unplanned count the waiting jobs of the two parts.
+	planned   int
+	unplanned int
 	// planSize is the plan length at computation time; startedFromPlan
 	// counts removals from the plan since.
 	planSize        int
@@ -32,14 +32,8 @@ type replanner struct {
 	compute func(jobs []*job.Job) []*job.Job
 	// recomputations counts plan recomputations (diagnostics/ablation).
 	recomputations int
-	// combined caches plan+unplanned between queue mutations: Ordered is
-	// called once per scheduling decision and must not reallocate a
-	// queue-sized slice each time under deep backlogs.
-	combined []*job.Job
-	dirty    bool
-	// ix mirrors plan tail + unplanned as an indexed queue, rebuilt once
-	// per plan epoch.
-	ix *queue.Index
+	// view is the Ordered slice the Pick loop asks for (see orderView).
+	view orderView
 }
 
 func newReplanner(ratio float64, compute func([]*job.Job) []*job.Job) *replanner {
@@ -50,86 +44,60 @@ func newReplanner(ratio float64, compute func([]*job.Job) []*job.Job) *replanner
 }
 
 func (r *replanner) push(j *job.Job) {
-	r.unplanned = append(r.unplanned, j)
-	r.dirty = true
-	r.ix.Push(j)
+	if r.ix.Push(j) {
+		r.unplanned++
+		r.view.pushed(j)
+	}
 }
 
 func (r *replanner) remove(j *job.Job) {
-	r.dirty = true
-	r.ix.Remove(j)
-	if r.planHead < len(r.plan) && r.plan[r.planHead] == j {
-		r.plan[r.planHead] = nil // release for GC; the slot is dead
-		r.planHead++
-		r.startedFromPlan++
-		if r.planHead == len(r.plan) {
-			r.plan, r.planHead = r.plan[:0], 0
-		} else if r.planHead > 64 && r.planHead > len(r.plan)/2 {
-			n := copy(r.plan, r.plan[r.planHead:])
-			clearTail := r.plan[n:]
-			for i := range clearTail {
-				clearTail[i] = nil
-			}
-			r.plan, r.planHead = r.plan[:n], 0
-		}
+	ok, fromPlan := r.ix.Remove(j)
+	if !ok {
 		return
 	}
-	for i := r.planHead; i < len(r.plan); i++ {
-		if r.plan[i] == j {
-			copy(r.plan[i:], r.plan[i+1:])
-			r.plan[len(r.plan)-1] = nil
-			r.plan = r.plan[:len(r.plan)-1]
-			r.startedFromPlan++
-			return
-		}
+	if fromPlan {
+		r.planned--
+		r.startedFromPlan++
+	} else {
+		r.unplanned--
 	}
-	for i, q := range r.unplanned {
-		if q == j {
-			r.unplanned = append(r.unplanned[:i], r.unplanned[i+1:]...)
-			return
-		}
-	}
+	r.view.removed(j)
 }
 
-// planLen returns the live plan-tail length.
-func (r *replanner) planLen() int { return len(r.plan) - r.planHead }
-
-func (r *replanner) len() int { return r.planLen() + len(r.unplanned) }
+func (r *replanner) len() int { return r.planned + r.unplanned }
 
 func (r *replanner) stale() bool {
 	n := r.len()
 	if n == 0 {
 		return false
 	}
-	if r.planLen() == 0 {
+	if r.planned == 0 {
 		return true
 	}
 	if float64(r.startedFromPlan) > r.ratio*float64(r.planSize) {
 		return true
 	}
-	return float64(len(r.unplanned)) > (1-r.ratio)*float64(n)
+	return float64(r.unplanned) > (1-r.ratio)*float64(n)
 }
 
-// ensureFresh replans if stale, starting a new plan epoch: plan order,
-// trigger counters and the queue index are all rebuilt.
+// ensureFresh replans if stale, starting a new plan epoch: the waiting
+// jobs are gathered from the index in their current order (plan tail,
+// then arrivals), and the index is rebuilt in the order compute returns.
 func (r *replanner) ensureFresh() {
 	if !r.stale() {
 		return
 	}
-	all := make([]*job.Job, 0, r.len())
-	all = append(all, r.plan[r.planHead:]...)
-	all = append(all, r.unplanned...)
-	r.plan = r.compute(all)
-	if len(r.plan) != len(all) {
+	n := r.len()
+	plan := r.compute(r.ix.AppendOrdered(make([]*job.Job, 0, n)))
+	if len(plan) != n {
 		panic("sched: replan changed the job set")
 	}
-	r.planHead = 0
-	r.unplanned = r.unplanned[:0]
-	r.planSize = len(r.plan)
+	r.planned, r.unplanned = n, 0
+	r.planSize = n
 	r.startedFromPlan = 0
 	r.recomputations++
-	r.dirty = true
-	r.ix.Rebuild(r.plan)
+	r.view.valid = false
+	r.ix.Rebuild(plan)
 }
 
 // ordered returns the current priority order, replanning if stale. The
@@ -137,16 +105,7 @@ func (r *replanner) ensureFresh() {
 // queue mutation; callers must not retain or modify it.
 func (r *replanner) ordered() []*job.Job {
 	r.ensureFresh()
-	if len(r.unplanned) == 0 {
-		return r.plan[r.planHead:]
-	}
-	if r.dirty {
-		r.combined = r.combined[:0]
-		r.combined = append(r.combined, r.plan[r.planHead:]...)
-		r.combined = append(r.combined, r.unplanned...)
-		r.dirty = false
-	}
-	return r.combined
+	return r.view.of(r.ix)
 }
 
 // index returns the indexed view of the current priority order,
@@ -178,19 +137,19 @@ func (r *replanner) batchWindow() int {
 		return 0
 	}
 	okAfter := func(i int) bool {
-		if r.planLen()-i <= 0 {
+		if r.planned-i <= 0 {
 			return false
 		}
 		if float64(r.startedFromPlan+i) > r.ratio*float64(r.planSize) {
 			return false
 		}
-		return float64(len(r.unplanned)) <= (1-r.ratio)*float64(n-i)
+		return float64(r.unplanned) <= (1-r.ratio)*float64(n-i)
 	}
 	// The last stale check a full drain performs is after n-1 removals
 	// (the n-th pick needs no order left behind it), and okAfter is only
 	// monotone while the plan tail is nonempty — cap the search there.
 	lo, hi := 0, n-1
-	if p := r.planLen() - 1; hi > p {
+	if p := r.planned - 1; hi > p {
 		hi = p
 	}
 	for lo < hi {

@@ -27,8 +27,6 @@ type Switching struct {
 	dayStart   Starter
 	nightStart Starter
 	machine    int
-	// queueLen tracks membership centrally (both orderers agree).
-	queueLen int
 }
 
 var _ sim.Scheduler = (*Switching)(nil)
@@ -75,14 +73,12 @@ func (s *Switching) Name() string {
 func (s *Switching) Submit(j *job.Job, now int64) {
 	s.dayOrder.Push(j, now)
 	s.nightOrder.Push(j, now)
-	s.queueLen++
 }
 
 // JobStarted implements sim.Scheduler.
 func (s *Switching) JobStarted(j *job.Job, now int64) {
 	s.dayOrder.Remove(j, now)
 	s.nightOrder.Remove(j, now)
-	s.queueLen--
 }
 
 // JobFinished implements sim.Scheduler.
@@ -90,7 +86,7 @@ func (s *Switching) JobFinished(j *job.Job, now int64) {}
 
 // Startable implements sim.Scheduler: the active regime decides.
 func (s *Switching) Startable(now int64, free int, running []sim.Running) []*job.Job {
-	if s.queueLen == 0 || free <= 0 {
+	if s.QueueLen() == 0 || free <= 0 {
 		return nil
 	}
 	var (
@@ -109,8 +105,9 @@ func (s *Switching) Startable(now int64, free int, running []sim.Running) []*job
 	return []*job.Job{j}
 }
 
-// QueueLen implements sim.Scheduler.
-func (s *Switching) QueueLen() int { return s.queueLen }
+// QueueLen implements sim.Scheduler. Both regimes' orders hold the same
+// jobs, so either one answers.
+func (s *Switching) QueueLen() int { return s.dayOrder.Len() }
 
 // SetInterrupt implements Interruptible: whichever regime is active, its
 // start policy's walk loops poll the hook.

@@ -361,7 +361,9 @@ func (s *Session) Submit(specs []JobSpec) ([]SubmitResult, error) {
 				heap.Push(&s.deadlines, deadlineEvent{at: sp.Deadline, id: id})
 			}
 			s.agg.Submitted++
-			s.step.Submit(st.j, s.clock)
+			if err := s.step.Submit(st.j, s.clock); err != nil {
+				return nil, err
+			}
 			if s.audit != nil {
 				s.audit.Record(telemetry.Event{Type: telemetry.EventArrival, At: s.clock,
 					Job: int64(id), Nodes: sp.Nodes, Head: telemetry.None})

@@ -320,7 +320,9 @@ func RestoreSession(snap *Snapshot) (*Session, error) {
 		if st.spec.Deadline > 0 {
 			s.deadlines = append(s.deadlines, deadlineEvent{at: st.spec.Deadline, id: st.id})
 		}
-		s.step.Submit(st.j, st.submit)
+		if err := s.step.Submit(st.j, st.submit); err != nil {
+			return nil, fmt.Errorf("serve: restore %s: %w", snap.Name, err)
+		}
 	}
 	heap.Init(&s.deadlines)
 

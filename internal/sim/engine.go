@@ -254,9 +254,16 @@ func (st *Stepper) Complete(now int64) []RunEntry {
 	return st.out
 }
 
-// Submit hands a waiting job to the scheduler.
-func (st *Stepper) Submit(j *job.Job, now int64) {
+// Submit hands a waiting job to the scheduler. A scheduler refuses a job
+// whose ID is already waiting (its queue does not grow): queues are keyed
+// by ID, and IDs come from outside — a trace file, a caller's slice.
+func (st *Stepper) Submit(j *job.Job, now int64) error {
+	queued := st.s.QueueLen()
 	st.timed(func() { st.s.Submit(j, now) })
+	if st.s.QueueLen() != queued+1 {
+		return fmt.Errorf("sim: job ID %d submitted at %d is already waiting: IDs must be unique among unfinished jobs", j.ID, now)
+	}
+	return nil
 }
 
 // RunPasses lets the scheduler start jobs at now until it declines and
@@ -290,7 +297,13 @@ func (st *Stepper) RunPasses(now int64) ([]RunEntry, error) {
 			st.free -= j.Nodes
 			e := RunEntry{Job: j, Start: now, End: job.AddSat(now, j.EffectiveRuntime()), Seq: st.startSeq}
 			st.startSeq++
+			// The assignment doubles as the duplicate check: an ID that is
+			// already running leaves the map's length where it was.
+			executing := len(st.running)
 			st.running[j.ID] = e
+			if len(st.running) == executing {
+				return nil, fmt.Errorf("sim: job ID %d started at %d is already running: IDs must be unique among unfinished jobs", j.ID, now)
+			}
 			heap.Push(&st.due, completion{at: e.End, seq: e.Seq, job: j})
 			st.out = append(st.out, e)
 			if st.rec != nil {
@@ -615,7 +628,9 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 						Job: int64(j.ID), Nodes: j.Nodes, Head: telemetry.None,
 						Resubmit: true, Attempt: n})
 				}
-				st.Submit(j, now)
+				if err := st.Submit(j, now); err != nil {
+					return nil, err
+				}
 			}
 		}
 		// Deliver backoff-delayed resubmissions due at `now` (after the
@@ -630,7 +645,9 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 					Job: int64(c.job.ID), Nodes: c.job.Nodes, Head: telemetry.None,
 					Resubmit: true, Attempt: attempts[c.job.ID]})
 			}
-			st.Submit(c.job, now)
+			if err := st.Submit(c.job, now); err != nil {
+				return nil, err
+			}
 		}
 		// Deliver all arrivals at `now`, sorted by ID within the instant:
 		// the source only guarantees submit order, and the sort makes a
@@ -653,7 +670,9 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 				rec.Record(telemetry.Event{Type: telemetry.EventArrival, At: now,
 					Job: int64(j.ID), Nodes: j.Nodes, Head: telemetry.None})
 			}
-			st.Submit(j, now)
+			if err := st.Submit(j, now); err != nil {
+				return nil, err
+			}
 		}
 		if q := s.QueueLen(); q > res.MaxQueue {
 			res.MaxQueue = q

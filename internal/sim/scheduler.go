@@ -26,7 +26,10 @@ type Running struct {
 type Scheduler interface {
 	// Name identifies the algorithm (used in tables).
 	Name() string
-	// Submit notifies the scheduler of a newly submitted job.
+	// Submit notifies the scheduler of a newly submitted job. Queues are
+	// keyed by job ID: a scheduler refuses a job whose ID is already
+	// waiting by leaving QueueLen as it was, which the engine reports as
+	// an error.
 	Submit(j *job.Job, now int64)
 	// JobStarted notifies that a job (previously returned by Startable)
 	// began execution.
@@ -41,6 +44,7 @@ type Scheduler interface {
 	// owned by the engine and rewritten on the next scheduling round;
 	// implementations must copy it if they need it past the call.
 	Startable(now int64, free int, running []Running) []*job.Job
-	// QueueLen returns the number of waiting jobs (diagnostics).
+	// QueueLen returns the number of waiting jobs; every accepted Submit
+	// raises it by one.
 	QueueLen() int
 }

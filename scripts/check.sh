@@ -37,9 +37,11 @@
 #                kernel's structural invariants under the same oracle
 #                (profile.FuzzProfileTree), the fault-schedule
 #                generator/simulator invariants
-#                (faults.FuzzFailureSchedule) and the daemon's snapshot
+#                (faults.FuzzFailureSchedule), the daemon's snapshot
 #                decoder, restore and streaming writer
-#                (serve.FuzzReadSnapshot). A short deterministic
+#                (serve.FuzzReadSnapshot) and the queue index's
+#                mutations and queries against its naive model
+#                (queue.FuzzIndexOps). A short deterministic
 #                budget — regressions on the seeded corpus and shallow
 #                mutations fail here; deep exploration is for manual
 #                `make fuzz` sessions
@@ -82,6 +84,7 @@ run fuzz-smoke go test -run='^$' -fuzz='^FuzzProfileOps$' -fuzztime=500x ./inter
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzProfileTree$' -fuzztime=500x ./internal/profile
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzFailureSchedule$' -fuzztime=500x ./internal/faults
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzReadSnapshot$' -fuzztime=500x ./internal/serve
+run fuzz-smoke go test -run='^$' -fuzz='^FuzzIndexOps$' -fuzztime=500x ./internal/queue
 
 step=bench-smoke
 echo "==> bench-smoke: go run ./benchmark -smoke"
