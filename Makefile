@@ -1,9 +1,10 @@
 GO ?= go
 
-.PHONY: check build test vet lint fuzz-smoke race bench-smoke stream-smoke serve-smoke
+.PHONY: check build test fmt-check vet lint fuzz-smoke race bench-smoke examples-smoke stream-smoke serve-smoke
 
-# Tier-1 gate: vet + lint + lint-budget + build + race-enabled tests +
-# fuzz smoke + bench smoke (see scripts/check.sh for the step list).
+# Tier-1 gate: gofmt + vet + lint + lint-budget + build + race-enabled
+# tests + fuzz smoke + bench smoke + examples smoke (see scripts/check.sh
+# for the step list).
 check:
 	./scripts/check.sh
 
@@ -12,6 +13,10 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Fails, listing the files, if any Go file is not in gofmt's format.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -46,6 +51,11 @@ race:
 # compares two of its -out reports (see benchmark/README.md).
 bench-smoke:
 	$(GO) run ./benchmark -smoke
+
+# The hand-composed example programs (start-policy wrappers, Switching,
+# quickstart) diffed against the goldens in results/examples/.
+examples-smoke:
+	./scripts/examples-smoke.sh
 
 # Million-job streaming run under a GOMEMLIMIT ceiling + 2-shard merge
 # cross-check against single-process output (see DESIGN.md §12).

@@ -11,10 +11,10 @@ import (
 
 	"jobsched/internal/job"
 	"jobsched/internal/objective"
+	"jobsched/internal/queue"
 	"jobsched/internal/sched"
 	"jobsched/internal/sim"
 	"jobsched/internal/stats"
-	"jobsched/internal/telemetry"
 	"jobsched/internal/trace"
 )
 
@@ -136,66 +136,67 @@ func (sc *Scenario) Criteria(s *sim.Schedule) (drugResponse, unavailability floa
 // while leaving fewer than the session's nodes free at session start
 // (given the estimated completions of the running jobs). reserve scales
 // how much of the session requirement is protected: 0 = ignore the
-// course entirely, 1 = protect it fully.
+// course entirely, 1 = protect it fully. The wrapper is only the rule
+// (sched.Admitter); the inner policy decides among the admissible jobs
+// through sched.Filter's pass loop.
 type reservingStarter struct {
-	inner    sched.Starter
+	sched.Filter
 	sessions []Session
 	reserve  float64
+	// State of the current start decision (BeginDecision → Admits): the
+	// next session, and how many nodes are left at its start once the
+	// running jobs projected to still hold theirs are counted.
+	now      int64
+	sess     *Session
+	headroom int
+}
+
+var _ sched.Admitter = (*reservingStarter)(nil)
+
+// WithReserve returns base with its start policy wrapped by the
+// course-reservation rule at the given strength.
+func WithReserve(base *sched.Composite, sessions []Session, reserve float64) *sched.Composite {
+	return sched.WrapStarter(base, func(inner sched.Starter) sched.Starter {
+		return &reservingStarter{Filter: sched.NewFilter(inner), sessions: sessions, reserve: reserve}
+	})
 }
 
 func (s *reservingStarter) Name() string {
-	return fmt.Sprintf("%s+reserve(%.2f)", s.inner.Name(), s.reserve)
+	return fmt.Sprintf("%s+reserve(%.2f)", s.Inner().Name(), s.reserve)
 }
 
-// SetInterrupt implements sched.Interruptible by forwarding to the inner
-// policy, whose walk loops do the polling.
-func (s *reservingStarter) SetInterrupt(f func() bool) {
-	if ii, ok := s.inner.(sched.Interruptible); ok {
-		ii.SetInterrupt(f)
-	}
+// PickMany implements sched.Starter.
+func (s *reservingStarter) PickMany(ix *queue.Index, now int64, free int, running []sim.Running, m, limit int) []*job.Job {
+	return s.PickAdmitted(s, ix, now, free, running, m, limit)
 }
 
-// LastStartDecision implements sim.DecisionExplainer by delegating to the
-// inner policy (the wrapper only pre-filters the queue).
-func (s *reservingStarter) LastStartDecision(j *job.Job) (telemetry.Decision, bool) {
-	if d, ok := s.inner.(sim.DecisionExplainer); ok {
-		return d.LastStartDecision(j)
-	}
-	return telemetry.Decision{}, false
-}
-
-func (s *reservingStarter) Pick(ordered []*job.Job, now int64, free int, running []sim.Running, m int) *job.Job {
-	// Filter the queue down to jobs admissible under the reservation rule
-	// and delegate the actual policy to the inner starter.
-	admissible := make([]*job.Job, 0, len(ordered))
-	for _, jj := range ordered {
-		if s.admits(jj, now, free, running, m) {
-			admissible = append(admissible, jj)
-		}
-	}
-	if len(admissible) == 0 {
-		return nil
-	}
-	return s.inner.Pick(admissible, now, free, running, m)
-}
-
-func (s *reservingStarter) admits(jj *job.Job, now int64, free int, running []sim.Running, m int) bool {
+// BeginDecision implements sched.Admitter.
+func (s *reservingStarter) BeginDecision(now int64, free int, running []sim.Running, m int) bool {
+	s.now, s.sess = now, nil
 	if s.reserve == 0 {
 		return true
 	}
-	sess := s.nextSession(now)
-	if sess == nil || now+jj.Estimate <= sess.At {
-		return true // finishes (by estimate) before the session
+	s.sess = s.nextSession(now)
+	if s.sess == nil {
+		return true
 	}
-	// Nodes projected busy at session start if jj starts now.
-	busy := jj.Nodes
+	// Nodes projected busy at session start, before the candidate's own.
+	busy := 0
 	for _, r := range running {
-		if r.EstEnd > sess.At {
+		if r.EstEnd > s.sess.At {
 			busy += r.Job.Nodes
 		}
 	}
-	need := int(float64(sess.Nodes) * s.reserve)
-	return m-busy >= need
+	s.headroom = m - busy - int(float64(s.sess.Nodes)*s.reserve)
+	return true
+}
+
+// Admits implements sched.Admitter.
+func (s *reservingStarter) Admits(jj *job.Job) bool {
+	if s.sess == nil || job.AddSat(s.now, jj.Estimate) <= s.sess.At {
+		return true // no session ahead, or finishes (by estimate) before it
+	}
+	return jj.Nodes <= s.headroom
 }
 
 func (s *reservingStarter) nextSession(now int64) *Session {
@@ -238,7 +239,11 @@ func (sc *Scenario) Sweep(reserves []float64, exact bool) ([]SweepResult, error)
 	var out []SweepResult
 	for _, b := range bases {
 		for _, rv := range reserves {
-			wrapped := buildReserving(sc.Sessions, rv, sc.Machine.Nodes, b.order, b.start)
+			alg, err := sched.New(b.order, b.start, sched.Config{MachineNodes: sc.Machine.Nodes})
+			if err != nil {
+				return nil, fmt.Errorf("policy: %s: %w", b.name, err)
+			}
+			wrapped := WithReserve(alg, sc.Sessions, rv)
 			res, err := sim.Run(sc.Machine, job.CloneAll(jobs), wrapped, sim.Options{Validate: true})
 			if err != nil {
 				return nil, fmt.Errorf("policy: %s reserve %.2f: %w", b.name, rv, err)
@@ -255,34 +260,6 @@ func (sc *Scenario) Sweep(reserves []float64, exact bool) ([]SweepResult, error)
 		}
 	}
 	return out, nil
-}
-
-// buildReserving composes an algorithm with the reservation-aware
-// starter wrapped around its own start policy.
-func buildReserving(sessions []Session, reserve float64, m int, o sched.OrderName, s sched.StartName) sim.Scheduler {
-	var inner sched.Starter
-	switch {
-	case o == sched.OrderGG:
-		inner = sched.NewGareyGrahamStarter()
-	case s == sched.StartEASY:
-		inner = sched.NewEASYStarter()
-	case s == sched.StartConservative:
-		inner = sched.NewConservativeStarter(0)
-	default:
-		inner = sched.NewListStarter()
-	}
-	var order sched.Orderer
-	switch o {
-	case sched.OrderSMARTFFIA:
-		order = sched.NewSMARTOrder(sched.FFIA, sched.Config{MachineNodes: m})
-	case sched.OrderGG:
-		order = sched.NewFCFSOrder(string(sched.OrderGG))
-	default:
-		order = sched.NewFCFSOrder(string(sched.OrderFCFS))
-	}
-	return sched.Compose(order, &reservingStarter{
-		inner: inner, sessions: sessions, reserve: reserve,
-	}, m)
 }
 
 // Figure1 runs the sweep and applies the Section 2.2 method: select the

@@ -1,6 +1,10 @@
 package policy
 
 import (
+	"fmt"
+	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"jobsched/internal/job"
@@ -164,14 +168,58 @@ func TestFigure2OfflineWeaklyDominates(t *testing.T) {
 // cancellation hook reaches the wrapped start policy's walk loop: the
 // wrapper itself never polls, so a hook it swallowed would never be seen.
 func TestReservingStarterForwardsInterrupt(t *testing.T) {
-	s := buildReserving(nil, 0.5, 8, sched.OrderFCFS, sched.StartConservative)
+	base, err := sched.New(sched.OrderFCFS, sched.StartConservative, sched.Config{MachineNodes: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := WithReserve(base, nil, 0.5)
 	polls := 0
-	s.(sched.Interruptible).SetInterrupt(func() bool { polls++; return false })
+	s.SetInterrupt(func() bool { polls++; return false })
 	s.Submit(&job.Job{ID: 1, Nodes: 1, Estimate: 10, Runtime: 10}, 0)
 	if picked := s.Startable(0, 8, nil); len(picked) != 1 {
 		t.Fatalf("started %d jobs, want 1", len(picked))
 	}
 	if polls == 0 {
 		t.Error("the interrupt hook was never polled: the wrapper dropped it")
+	}
+}
+
+// TestSweepMatchesGolden pins Sweep's criteria for its four base
+// algorithms, on-line and off-line, at reserve 0, 0.5 and 1, to the
+// values the slice-protocol wrapper produced (captured at d741a41, before
+// the wrapper moved onto sched.Filter and Sweep onto sched.New).
+func TestSweepMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/sweep_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := ChemistryScenario(3, 5)
+	var got strings.Builder
+	for _, exact := range []bool{false, true} {
+		res, err := sc.Sweep([]float64{0, 0.5, 1}, exact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res {
+			fmt.Fprintf(&got, "%v %s %.2f %.6f %.6f\n", exact, r.Algorithm, r.Reserve, r.Point.Criteria[0], r.Point.Criteria[1])
+		}
+	}
+	if got.String() != string(want) {
+		t.Errorf("Sweep moved:\n%s\nwant:\n%s", got.String(), want)
+	}
+}
+
+// TestReserveRefusesHugeEstimate: an estimate near MaxInt64 used to wrap
+// `now+estimate <= session` negative, so the job counted as finishing
+// before the course and was admitted straight across it.
+func TestReserveRefusesHugeEstimate(t *testing.T) {
+	base, err := sched.New(sched.OrderFCFS, sched.StartList, sched.Config{MachineNodes: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := WithReserve(base, []Session{{At: 1000, Nodes: 8}}, 1)
+	s.Submit(&job.Job{ID: 1, Nodes: 4, Estimate: math.MaxInt64 - 5, Runtime: 10}, 100)
+	if picked := s.Startable(100, 8, nil); len(picked) != 0 {
+		t.Fatalf("started %v across a fully protected session", picked)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"jobsched/internal/job"
 	"jobsched/internal/profile"
+	"jobsched/internal/queue"
 	"jobsched/internal/sim"
 	"jobsched/internal/telemetry"
 )
@@ -66,22 +67,25 @@ func (c *Calendar) Entries() []AdvanceReservation { return c.entries }
 // policy: a job is admissible only if running it from now (for its full
 // estimate) cannot intrude on any reserved interval, given the estimated
 // completions of the running jobs. The inner policy chooses among the
-// admissible jobs.
+// admissible jobs (see Filter, whose Admitter this is).
 type ReservedStarter struct {
-	inner Starter
-	cal   *Calendar
-	// scratch is the reusable running+calendar profile (rebuilt per Pick;
-	// Reset recycles the step storage). Owned by one simulation goroutine.
-	// factory selects its backend (default: the O(log S) tree kernel).
+	Filter
+	cal *Calendar
+	// scratch is the reusable running+calendar profile (rebuilt per start
+	// decision; Reset recycles the step storage), always the default
+	// kernel. Owned by one simulation goroutine.
 	scratch profile.Kernel
-	factory ProfileFactory
 	// stats counts the scratch profile's kernel ops (telemetry; may be nil).
 	stats *profile.Stats
+	// now is the instant of the current decision (BeginDecision → Admits).
+	now int64
 }
+
+var _ Admitter = (*ReservedStarter)(nil)
 
 // NewReservedStarter wraps a start policy with the calendar.
 func NewReservedStarter(inner Starter, cal *Calendar) *ReservedStarter {
-	return &ReservedStarter{inner: inner, cal: cal}
+	return &ReservedStarter{Filter: NewFilter(inner), cal: cal}
 }
 
 // Name implements Starter.
@@ -92,53 +96,31 @@ func (s *ReservedStarter) Name() string {
 // Instrument implements Instrumented: the hooks reach the inner policy,
 // and the wrapper's own scratch profile joins the op counting.
 func (s *ReservedStarter) Instrument(h telemetry.Hooks) {
-	if in, ok := s.inner.(Instrumented); ok {
-		in.Instrument(h)
-	}
+	s.Filter.Instrument(h)
 	s.stats = h.ProfileStats
 	if s.scratch != nil {
 		s.scratch.SetStats(s.stats)
 	}
 }
 
-// SetProfileFactory implements ProfileBacked for the wrapper's own
-// scratch profile and forwards the swap to the inner policy.
-func (s *ReservedStarter) SetProfileFactory(f ProfileFactory) {
-	s.factory, s.scratch = f, nil
-	if pb, ok := s.inner.(ProfileBacked); ok {
-		pb.SetProfileFactory(f)
-	}
-}
-
-// SetInterrupt implements Interruptible by forwarding to the inner
-// policy, whose walk loops do the polling.
-func (s *ReservedStarter) SetInterrupt(f func() bool) { forwardInterrupt(s.inner, f) }
-
-// LastStartDecision implements sim.DecisionExplainer by delegating to the
-// inner policy (the wrapper only pre-filters the queue; the inner policy
-// makes — and classifies — the start decision).
-func (s *ReservedStarter) LastStartDecision(j *job.Job) (telemetry.Decision, bool) {
-	if d, ok := s.inner.(sim.DecisionExplainer); ok {
-		return d.LastStartDecision(j)
-	}
-	return telemetry.Decision{}, false
-}
-
-// Pick implements Starter. The wrapper prunes exactly the jobs whose
+// PickMany implements Starter. The wrapper hides exactly the jobs whose
 // start *now* would intrude on a reserved window (given the estimated
-// completions of the running jobs) and delegates everything else to the
+// completions of the running jobs) and leaves everything else to the
 // inner policy unchanged — with an empty calendar it is fully
 // transparent, so strict-list semantics survive the wrapping.
-func (s *ReservedStarter) Pick(ordered []*job.Job, now int64, free int, running []sim.Running, m int) *job.Job {
-	if len(ordered) == 0 || free <= 0 {
-		return nil
-	}
+func (s *ReservedStarter) PickMany(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
+	return s.PickAdmitted(s, ix, now, free, running, machineNodes, limit)
+}
+
+// BeginDecision implements Admitter: it rebuilds the availability profile
+// the admission test reads — running jobs by their estimates plus all
+// future reservation windows.
+func (s *ReservedStarter) BeginDecision(now int64, free int, running []sim.Running, m int) bool {
+	s.now = now
 	if len(s.cal.entries) == 0 {
-		return s.inner.Pick(ordered, now, free, running, m)
+		return true
 	}
-	// Availability profile: running jobs by their estimates plus all
-	// future reservation windows.
-	s.scratch = ensureScratch(s.scratch, s.factory, s.stats, m, now)
+	s.scratch = ensureScratch(s.scratch, nil, s.stats, m, now)
 	p := s.scratch
 	for _, r := range running {
 		end := r.EstEnd
@@ -147,7 +129,6 @@ func (s *ReservedStarter) Pick(ordered []*job.Job, now int64, free int, running 
 		}
 		p.Reserve(r.Job.Nodes, now, end)
 	}
-	feasible := true
 	for _, e := range s.cal.entries {
 		if e.End <= now {
 			continue
@@ -160,37 +141,20 @@ func (s *ReservedStarter) Pick(ordered []*job.Job, now int64, free int, running 
 			// Running jobs already intrude (their estimates overlap a
 			// reservation admitted before it was known — cannot happen
 			// with construction-time calendars, but stay safe).
-			feasible = false
-			break
+			return false
 		}
 		p.Reserve(e.Nodes, start, e.End)
 	}
-	if !feasible {
-		return nil
-	}
-	admissible := ordered[:0:0]
-	for _, j := range ordered {
-		if s.violatesCalendar(p, j, now) {
-			continue
-		}
-		admissible = append(admissible, j)
-	}
-	if len(admissible) == 0 {
-		return nil
-	}
-	return s.inner.Pick(admissible, now, free, running, m)
+	return true
 }
 
-// violatesCalendar reports whether starting j now would intrude on a
-// reserved window: for every calendar entry overlapping [now, now+est),
+// Admits implements Admitter: starting j now must not intrude on a
+// reserved window. For every calendar entry overlapping [now, now+est),
 // the profile (running + calendar) must keep j.Nodes spare capacity
-// throughout the overlap. Jobs that merely do not fit the free nodes are
-// NOT filtered — that decision belongs to the inner policy.
-func (s *ReservedStarter) violatesCalendar(p profile.Kernel, j *job.Job, now int64) bool {
-	jobEnd := now + j.Estimate
-	if jobEnd < now { // overflow
-		jobEnd = profile.Infinity
-	}
+// throughout the overlap.
+func (s *ReservedStarter) Admits(j *job.Job) bool {
+	now := s.now
+	jobEnd := job.AddSat(now, j.Estimate)
 	for _, e := range s.cal.entries {
 		if e.End <= now || e.Start >= jobEnd {
 			continue
@@ -206,9 +170,9 @@ func (s *ReservedStarter) violatesCalendar(p profile.Kernel, j *job.Job, now int
 		if hi <= lo {
 			continue
 		}
-		if p.MinFree(lo, hi) < j.Nodes {
-			return true
+		if s.scratch.MinFree(lo, hi) < j.Nodes {
+			return false
 		}
 	}
-	return false
+	return true
 }

@@ -68,11 +68,11 @@ func TestReservedStarterBlocksIntrudingJob(t *testing.T) {
 	}
 	s := NewReservedStarter(NewListStarter(), cal)
 	long := j(0, 1, 150)
-	if got := s.Pick([]*job.Job{long}, 0, 8, nil, 8); got != nil {
+	if got := pickNext(s, []*job.Job{long}, 0, 8, nil, 8); got != nil {
 		t.Errorf("intruding job admitted: %v", got)
 	}
 	short := j(1, 1, 100)
-	if got := s.Pick([]*job.Job{short}, 0, 8, nil, 8); got != short {
+	if got := pickNext(s, []*job.Job{short}, 0, 8, nil, 8); got != short {
 		t.Errorf("fitting job refused")
 	}
 }
@@ -88,11 +88,11 @@ func TestReservedStarterPartialReservationAdmitsNarrowJobs(t *testing.T) {
 	}
 	s := NewReservedStarter(NewListStarter(), cal)
 	narrow := j(0, 2, 500)
-	if got := s.Pick([]*job.Job{narrow}, 0, 8, nil, 8); got != narrow {
+	if got := pickNext(s, []*job.Job{narrow}, 0, 8, nil, 8); got != narrow {
 		t.Error("narrow job refused")
 	}
 	wide := j(1, 3, 500)
-	if got := s.Pick([]*job.Job{wide}, 0, 8, nil, 8); got != nil {
+	if got := pickNext(s, []*job.Job{wide}, 0, 8, nil, 8); got != nil {
 		t.Errorf("wide intruding job admitted: %v", got)
 	}
 }
@@ -200,7 +200,7 @@ func TestReservedStarterKeepsHeadBlocking(t *testing.T) {
 	s := NewReservedStarter(NewListStarter(), cal)
 	head := j(0, 8, 10) // does not fit 4 free nodes
 	small := j(1, 1, 10)
-	if got := s.Pick([]*job.Job{head, small}, 0, 4, nil, 8); got != nil {
+	if got := pickNext(s, []*job.Job{head, small}, 0, 4, nil, 8); got != nil {
 		t.Fatalf("list head blocking broken: picked %v", got)
 	}
 }

@@ -68,7 +68,7 @@ func BenchmarkEASYPick(b *testing.B) {
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = s.Pick(q, 100, 6, running, 256)
+				_ = pickNext(s, q, 100, 6, running, 256)
 			}
 		})
 	}
@@ -89,7 +89,7 @@ func BenchmarkConservativePick(b *testing.B) {
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = s.Pick(q, 100, 6, running, 256)
+				_ = pickNext(s, q, 100, 6, running, 256)
 			}
 		})
 	}

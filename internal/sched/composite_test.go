@@ -2,12 +2,14 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"jobsched/internal/job"
 	"jobsched/internal/objective"
+	"jobsched/internal/queue"
 	"jobsched/internal/sim"
 )
 
@@ -212,37 +214,67 @@ func TestGareyGrahamBeatsBlockedFCFSOnCraftedCase(t *testing.T) {
 	}
 }
 
-// shadowAssertingStarter wraps EASY and verifies its defining invariant
-// at every decision: a backfill must not push out the head's shadow time
-// as projected from the estimates at decision time ("EASY backfill will
-// not postpone the projected execution of the next job in the list").
-type shadowAssertingStarter struct {
-	inner      *EASYStarter
-	t          *testing.T
-	backfills  int
-	violations int
+// observedStarter runs a production start policy one decision at a time
+// and shows each decision to observe together with the queue and state
+// it was made in — the hook the per-decision invariant tests hang their
+// assertions on. Like a filtering wrapper, it hides what the pass has
+// already picked, limits each inner call to one job and extends the
+// running set itself; unlike one, it admits everything.
+type observedStarter struct {
+	inner   Starter
+	observe func(ordered []*job.Job, picked *job.Job, now int64, free int, running []sim.Running, m int)
 }
 
-func (s *shadowAssertingStarter) Name() string { return s.inner.Name() }
+func (s *observedStarter) Name() string { return s.inner.Name() }
 
-func (s *shadowAssertingStarter) Pick(ordered []*job.Job, now int64, free int, running []sim.Running, m int) *job.Job {
-	picked := s.inner.Pick(ordered, now, free, running, m)
-	if picked == nil || len(ordered) == 0 || picked == ordered[0] {
-		return picked
+func (s *observedStarter) PickMany(ix *queue.Index, now int64, free int, running []sim.Running, m, limit int) []*job.Job {
+	var picked []*job.Job
+	running = slices.Clone(running)
+	for len(picked) < limit && free > 0 {
+		for _, p := range picked {
+			ix.Hide(p)
+		}
+		ordered := ix.AppendOrdered(nil)
+		var next *job.Job
+		if got := s.inner.PickMany(ix, now, free, running, m, 1); len(got) > 0 {
+			next = got[0]
+		}
+		ix.UnhideAll()
+		if next == nil {
+			break
+		}
+		s.observe(ordered, next, now, free, running, m)
+		picked = append(picked, next)
+		free -= next.Nodes
+		running = append(running, sim.Running{Job: next, Start: now, EstEnd: now + next.Estimate})
+	}
+	return picked
+}
+
+// shadowAsserter verifies EASY's defining invariant at every decision: a
+// backfill must not push out the head's shadow time as projected from
+// the estimates at decision time ("EASY backfill will not postpone the
+// projected execution of the next job in the list").
+type shadowAsserter struct {
+	t         *testing.T
+	backfills int
+}
+
+func (s *shadowAsserter) observe(ordered []*job.Job, picked *job.Job, now int64, free int, running []sim.Running, m int) {
+	if picked == ordered[0] {
+		return
 	}
 	// A backfill happened: compare the head's shadow before and after.
 	head := ordered[0]
-	before, _ := shadowTime(head, now, free, running)
+	before, _ := shadowTime(head, now, free, slices.Clone(running))
 	after, _ := shadowTime(head, now, free-picked.Nodes,
-		append(append([]sim.Running(nil), running...),
+		append(slices.Clone(running),
 			sim.Running{Job: picked, Start: now, EstEnd: now + picked.Estimate}))
 	s.backfills++
 	if after > before {
-		s.violations++
 		s.t.Errorf("backfill of %v at t=%d pushed the head shadow %d → %d",
 			picked, now, before, after)
 	}
-	return picked
 }
 
 // TestEASYBackfillNeverPostponesProjectedHeadStart runs FCFS order with
@@ -252,8 +284,8 @@ func TestEASYBackfillNeverPostponesProjectedHeadStart(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	const nodes = 8
 	jobs := randomJobs(r, 400, nodes)
-	wrapper := &shadowAssertingStarter{inner: NewEASYStarter(), t: t}
-	alg := Compose(NewFCFSOrder("FCFS"), wrapper, nodes)
+	wrapper := &shadowAsserter{t: t}
+	alg := Compose(NewFCFSOrder("FCFS"), &observedStarter{inner: NewEASYStarter(), observe: wrapper.observe}, nodes)
 	if _, err := sim.RunChecked(sim.Machine{Nodes: nodes}, job.CloneAll(jobs), alg,
 		sim.Options{Validate: true}); err != nil {
 		t.Fatal(err)

@@ -99,7 +99,7 @@ func quickCheckPicks(s *ConservativeStarter, samples int) error {
 			}
 			q[i] = &job.Job{ID: job.ID(i), Nodes: 1 + r.Intn(nodes), Estimate: est, Runtime: est}
 		}
-		got := s.Pick(q, now, free, running, nodes)
+		got := pickNext(s, q, now, free, running, nodes)
 		want := naiveConservativePick(q, now, free, running, nodes)
 		return got == want
 	}
@@ -144,15 +144,4 @@ func TestConservativeFastEndToEnd(t *testing.T) {
 				seed, fast, rel*100, exact)
 		}
 	}
-}
-
-// pickFunc adapts a function to the Starter interface.
-type pickFunc struct {
-	fn   func([]*job.Job, int64, int, []sim.Running, int) *job.Job
-	name string
-}
-
-func (p *pickFunc) Name() string { return p.name }
-func (p *pickFunc) Pick(ordered []*job.Job, now int64, free int, running []sim.Running, m int) *job.Job {
-	return p.fn(ordered, now, free, running, m)
 }

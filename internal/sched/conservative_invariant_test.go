@@ -34,24 +34,20 @@ func reservations(ordered []*job.Job, now int64, running []sim.Running, m int) m
 	return out
 }
 
-// conservativeAssertingStarter wraps the conservative starter and checks
-// its defining invariant at every decision: starting the picked job must
-// not delay the projected start of any job ahead of it in the priority
-// order ("conservative backfill will not increase the projected
+// conservativeAsserter checks the conservative starter's defining
+// invariant at every decision (see observedStarter): starting the picked
+// job must not delay the projected start of any job ahead of it in the
+// priority order ("conservative backfill will not increase the projected
 // completion time of a job submitted before the job used for
 // backfilling").
-type conservativeAssertingStarter struct {
-	inner     *ConservativeStarter
+type conservativeAsserter struct {
 	t         *testing.T
 	backfills int
 }
 
-func (s *conservativeAssertingStarter) Name() string { return s.inner.Name() }
-
-func (s *conservativeAssertingStarter) Pick(ordered []*job.Job, now int64, free int, running []sim.Running, m int) *job.Job {
-	picked := s.inner.Pick(ordered, now, free, running, m)
-	if picked == nil || len(ordered) == 0 || picked == ordered[0] {
-		return picked
+func (s *conservativeAsserter) observe(ordered []*job.Job, picked *job.Job, now int64, free int, running []sim.Running, m int) {
+	if picked == ordered[0] {
+		return
 	}
 	// Projected starts of the jobs ahead of the picked one, before and
 	// after the pick (picked treated as running afterwards).
@@ -73,15 +69,19 @@ func (s *conservativeAssertingStarter) Pick(ordered []*job.Job, now int64, free 
 				picked, now, jj, before[jj.ID], after[jj.ID])
 		}
 	}
-	return picked
+}
+
+// asserting wraps the exact conservative starter with the checker.
+func (s *conservativeAsserter) asserting() Starter {
+	return &observedStarter{inner: NewConservativeStarter(0), observe: s.observe}
 }
 
 func TestConservativeBackfillNeverDelaysEarlierJobs(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	const nodes = 8
 	jobs := randomJobs(r, 400, nodes)
-	wrapper := &conservativeAssertingStarter{inner: NewConservativeStarter(0), t: t}
-	alg := Compose(NewFCFSOrder("FCFS"), wrapper, nodes)
+	wrapper := &conservativeAsserter{t: t}
+	alg := Compose(NewFCFSOrder("FCFS"), wrapper.asserting(), nodes)
 	if _, err := sim.RunChecked(sim.Machine{Nodes: nodes}, job.CloneAll(jobs), alg,
 		sim.Options{Validate: true}); err != nil {
 		t.Fatal(err)
@@ -99,8 +99,8 @@ func TestConservativeBackfillInvariantUnderSMARTOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(32))
 	const nodes = 8
 	jobs := randomJobs(r, 300, nodes)
-	wrapper := &conservativeAssertingStarter{inner: NewConservativeStarter(0), t: t}
-	alg := Compose(NewSMARTOrder(FFIA, Config{MachineNodes: nodes}.withDefaults()), wrapper, nodes)
+	wrapper := &conservativeAsserter{t: t}
+	alg := Compose(NewSMARTOrder(FFIA, Config{MachineNodes: nodes}.withDefaults()), wrapper.asserting(), nodes)
 	if _, err := sim.RunChecked(sim.Machine{Nodes: nodes}, job.CloneAll(jobs), alg,
 		sim.Options{Validate: true}); err != nil {
 		t.Fatal(err)

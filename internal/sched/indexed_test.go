@@ -9,9 +9,8 @@ import (
 	"jobsched/internal/job"
 )
 
-// Every order policy stores its waiting queue once, in a queue.Index: the
-// batched passes read the index, the Pick loop reads Ordered, a slice
-// built from the index on demand. These tests pin both against a
+// Every order policy stores its waiting queue once, in a queue.Index,
+// and every pass reads it there. These tests pin the index against a
 // test-only naive order op for op (same jobs, same sequence, after every
 // Push/Remove, for all five order policies) and gate the alloc-free
 // width scan.
@@ -54,7 +53,7 @@ func (n *naiveOrder) ordered() []*job.Job {
 // indexedOrderers builds one instance of each order policy (both SMART
 // variants) next to its naive reference — the differential pairs.
 func indexedOrderers(nodes int) []struct {
-	BatchOrderer
+	Orderer
 	ref *naiveOrder
 } {
 	cfg := Config{MachineNodes: nodes}.withDefaults()
@@ -63,7 +62,7 @@ func indexedOrderers(nodes int) []struct {
 		return &naiveOrder{ratio: rp.ratio, compute: rp.compute}
 	}
 	return []struct {
-		BatchOrderer
+		Orderer
 		ref *naiveOrder
 	}{
 		{NewFCFSOrder(string(OrderFCFS)), &naiveOrder{}},
@@ -78,10 +77,7 @@ func indexedOrderers(nodes int) []struct {
 // reference through the same Push/Remove sequences and checks after each
 // operation that the index enumerates exactly the reference order — same
 // jobs, same sequence, same length, order statistics (Rank, Select)
-// consistent with it — and that Ordered, the lazily built view, equals it
-// too. Ordered is skipped on every third check, so the view is sometimes
-// kept current across a Push (append) or a head removal (reslice) and
-// sometimes rebuilt after several mutations nobody watched.
+// consistent with it.
 //
 // Two sequences: a long random one on a small queue with removals biased
 // toward the head (what list scheduling does), and one on a queue of more
@@ -97,7 +93,6 @@ func TestIndexedOrdererMatchesSlice(t *testing.T) {
 			var pending, got []*job.Job
 			nextID := job.ID(0)
 			now := int64(0)
-			checks := 0
 			check := func(op string) {
 				t.Helper()
 				want := o.ref.ordered()
@@ -106,22 +101,12 @@ func TestIndexedOrdererMatchesSlice(t *testing.T) {
 					t.Fatalf("%s: index len %d, orderer len %d, reference len %d",
 						op, ix.Len(), o.Len(), len(want))
 				}
-				same := func(what string, have []*job.Job) {
-					t.Helper()
-					if len(have) != len(want) {
-						t.Fatalf("%s: %s has %d jobs, reference %d", op, what, len(have), len(want))
-					}
-					for i := range want {
-						if have[i] != want[i] {
-							t.Fatalf("%s: position %d: %s has job %d, reference job %d",
-								op, i, what, have[i].ID, want[i].ID)
-						}
-					}
-				}
 				got = ix.AppendOrdered(got[:0])
-				same("index", got)
-				if checks++; checks%3 != 0 {
-					same("Ordered", o.Ordered(now))
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s: position %d: index has job %d, reference job %d",
+							op, i, got[i].ID, want[i].ID)
+					}
 				}
 				if len(want) > 0 {
 					k := r.Intn(len(want))

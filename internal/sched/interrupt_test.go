@@ -45,7 +45,7 @@ func TestBatchedPassPollsInterrupt(t *testing.T) {
 	queue, running := deepBacklog(n)
 
 	// A reservation far beyond every estimate: the calendar is live (the
-	// wrapper filters the queue on every Pick) but admits all jobs.
+	// wrapper asks its rule about every job, every decision) but admits all jobs.
 	cal, err := NewCalendar(100, []AdvanceReservation{{Name: "far", Nodes: 1, Start: 1 << 40, End: 1<<40 + 10}})
 	if err != nil {
 		t.Fatal(err)

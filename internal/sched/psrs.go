@@ -44,13 +44,10 @@ func (o *PSRSOrder) Push(j *job.Job, now int64) { o.rp.push(j) }
 // Remove implements Orderer.
 func (o *PSRSOrder) Remove(j *job.Job, now int64) { o.rp.remove(j) }
 
-// Ordered implements Orderer.
-func (o *PSRSOrder) Ordered(now int64) []*job.Job { return o.rp.ordered() }
-
-// OrderedIter implements BatchOrderer.
+// OrderedIter implements Orderer.
 func (o *PSRSOrder) OrderedIter(now int64) *queue.Index { return o.rp.index() }
 
-// BatchWindow implements BatchOrderer: PSRS order is removal-stable
+// BatchWindow implements Orderer: PSRS order is removal-stable
 // within a plan epoch (see replanner.batchWindow).
 func (o *PSRSOrder) BatchWindow() int { return o.rp.batchWindow() }
 

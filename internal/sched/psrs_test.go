@@ -170,14 +170,14 @@ func TestPSRSOrderLifecycle(t *testing.T) {
 	if o.Len() != 2 {
 		t.Fatalf("Len = %d", o.Len())
 	}
-	if got := o.Ordered(0); len(got) != 2 {
+	if got := orderedOf(o, 0); len(got) != 2 {
 		t.Fatalf("Ordered = %v", ids(got))
 	}
 	o.Remove(b, 0)
 	if o.Len() != 1 {
 		t.Fatalf("Len = %d after remove", o.Len())
 	}
-	if got := o.Ordered(0); len(got) != 1 || got[0] != a {
+	if got := orderedOf(o, 0); len(got) != 1 || got[0] != a {
 		t.Fatalf("Ordered = %v, want [a]", ids(got))
 	}
 }

@@ -32,8 +32,6 @@ type replanner struct {
 	compute func(jobs []*job.Job) []*job.Job
 	// recomputations counts plan recomputations (diagnostics/ablation).
 	recomputations int
-	// view is the Ordered slice the Pick loop asks for (see orderView).
-	view orderView
 }
 
 func newReplanner(ratio float64, compute func([]*job.Job) []*job.Job) *replanner {
@@ -46,7 +44,6 @@ func newReplanner(ratio float64, compute func([]*job.Job) []*job.Job) *replanner
 func (r *replanner) push(j *job.Job) {
 	if r.ix.Push(j) {
 		r.unplanned++
-		r.view.pushed(j)
 	}
 }
 
@@ -61,7 +58,6 @@ func (r *replanner) remove(j *job.Job) {
 	} else {
 		r.unplanned--
 	}
-	r.view.removed(j)
 }
 
 func (r *replanner) len() int { return r.planned + r.unplanned }
@@ -96,20 +92,11 @@ func (r *replanner) ensureFresh() {
 	r.planSize = n
 	r.startedFromPlan = 0
 	r.recomputations++
-	r.view.valid = false
 	r.ix.Rebuild(plan)
 }
 
-// ordered returns the current priority order, replanning if stale. The
-// returned slice is owned by the replanner and valid until the next
-// queue mutation; callers must not retain or modify it.
-func (r *replanner) ordered() []*job.Job {
-	r.ensureFresh()
-	return r.view.of(r.ix)
-}
-
-// index returns the indexed view of the current priority order,
-// replanning if stale — the O(log Q) counterpart of ordered.
+// index returns the current priority order, replanning first if stale.
+// The index is owned by the replanner.
 func (r *replanner) index() *queue.Index {
 	r.ensureFresh()
 	return r.ix
@@ -123,7 +110,7 @@ func (r *replanner) index() *queue.Index {
 // order), so the only instability is the replan itself — bounding the
 // batch to this window makes PickMany over the epoch snapshot exactly
 // equal to the pick-one protocol, with the engine's next Startable call
-// re-entering ordered()/index() at the same queue state the sequential
+// re-entering index() at the same queue state the sequential
 // run would have re-checked.
 //
 // The worst case over which picks actually happen is all-from-plan: it

@@ -18,12 +18,12 @@ func TestReplannerComputesOnFirstUse(t *testing.T) {
 	n := 0
 	r := newReplanner(2.0/3.0, identityCompute(&n))
 	r.push(j(0, 1, 10))
-	r.ordered()
+	r.index()
 	if n != 1 {
 		t.Fatalf("computed %d times, want 1", n)
 	}
 	// A second call without changes must reuse the plan.
-	r.ordered()
+	r.index()
 	if n != 1 {
 		t.Fatalf("computed %d times after idempotent call, want 1", n)
 	}
@@ -35,14 +35,14 @@ func TestReplannerAppendsArrivalsWithoutRecompute(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		r.push(j(i, 1, 10))
 	}
-	r.ordered() // plan over 6 jobs
+	r.index() // plan over 6 jobs
 	if n != 1 {
 		t.Fatalf("computed %d, want 1", n)
 	}
 	// One new arrival: 1/7 < 1/3 of the queue → appended, no recompute.
 	extra := j(6, 1, 10)
 	r.push(extra)
-	got := r.ordered()
+	got := r.index().AppendOrdered(nil)
 	if n != 1 {
 		t.Fatalf("recomputed too eagerly (%d)", n)
 	}
@@ -59,13 +59,13 @@ func TestReplannerRecomputesAfterConsumingPlan(t *testing.T) {
 		jobs[i] = j(i, 1, 10)
 		r.push(jobs[i])
 	}
-	r.ordered()
+	r.index()
 	// Start (remove) 5 of 6 planned jobs: 5/6 > 2/3 → next ordered()
 	// must recompute.
 	for i := 0; i < 5; i++ {
 		r.remove(jobs[i])
 	}
-	r.ordered()
+	r.index()
 	if n != 2 {
 		t.Fatalf("computed %d times, want 2", n)
 	}
@@ -75,12 +75,12 @@ func TestReplannerRecomputesOnArrivalFlood(t *testing.T) {
 	n := 0
 	r := newReplanner(2.0/3.0, identityCompute(&n))
 	r.push(j(0, 1, 10))
-	r.ordered()
+	r.index()
 	// Many unplanned arrivals: > 1/3 of the queue → recompute.
 	for i := 1; i < 10; i++ {
 		r.push(j(i, 1, 10))
 	}
-	r.ordered()
+	r.index()
 	if n != 2 {
 		t.Fatalf("computed %d times, want 2", n)
 	}
@@ -91,14 +91,14 @@ func TestReplannerRemoveUnplannedJob(t *testing.T) {
 	r := newReplanner(2.0/3.0, identityCompute(&n))
 	a := j(0, 1, 10)
 	r.push(a)
-	r.ordered()
+	r.index()
 	b := j(1, 1, 10)
 	r.push(b) // unplanned
 	r.remove(b)
 	if r.len() != 1 {
 		t.Fatalf("len = %d, want 1", r.len())
 	}
-	got := r.ordered()
+	got := r.index().AppendOrdered(nil)
 	if len(got) != 1 || got[0] != a {
 		t.Fatalf("ordered = %v", ids(got))
 	}
@@ -107,7 +107,7 @@ func TestReplannerRemoveUnplannedJob(t *testing.T) {
 func TestReplannerEmpty(t *testing.T) {
 	n := 0
 	r := newReplanner(2.0/3.0, identityCompute(&n))
-	if got := r.ordered(); len(got) != 0 {
+	if got := r.index().AppendOrdered(nil); len(got) != 0 {
 		t.Fatalf("ordered on empty = %v", got)
 	}
 	if n != 0 {
@@ -138,7 +138,7 @@ func TestReplannerPanicsOnJobSetChange(t *testing.T) {
 			t.Fatal("no panic when compute changed the job set")
 		}
 	}()
-	r.ordered()
+	r.index()
 }
 
 func TestFCFSOrder(t *testing.T) {
@@ -147,12 +147,12 @@ func TestFCFSOrder(t *testing.T) {
 	o.Push(a, 0)
 	o.Push(b, 1)
 	o.Push(c, 2)
-	got := o.Ordered(2)
+	got := orderedOf(o, 2)
 	if got[0] != a || got[1] != b || got[2] != c {
 		t.Fatalf("order = %v", ids(got))
 	}
 	o.Remove(b, 3)
-	got = o.Ordered(3)
+	got = orderedOf(o, 3)
 	if len(got) != 2 || got[0] != a || got[1] != c {
 		t.Fatalf("order after remove = %v", ids(got))
 	}

@@ -6,7 +6,18 @@
 // backfilling}. The order policy maintains the waiting queue in start
 // priority order (SMART and PSRS are off-line algorithms adapted on-line:
 // they only *reorder* the queue and are recomputed lazily); the start
-// policy decides which waiting job, if any, starts at the current instant.
+// policy decides which waiting jobs start at the current instant.
+//
+// There is one pass protocol. The order policy keeps the queue in a
+// queue.Index; the start policy's PickMany computes a whole pass against
+// it and returns the jobs to start, in start order. A wrapper that
+// restricts which jobs may start (ReservedStarter, the course windows of
+// internal/policy) hides the inadmissible jobs in the index for the
+// duration of one inner decision (Filter) — the index respects hidden
+// entries in every query, so the inner policy decides over exactly the
+// admissible queue. The paper's literal pick-one-until-nil loop over an
+// ordered slice exists only in the tests, as the reference every
+// production pass is compared against (DESIGN.md §11).
 package sched
 
 import (
@@ -20,7 +31,13 @@ import (
 	"jobsched/internal/telemetry"
 )
 
-// Orderer maintains the waiting queue in start-priority order.
+// Orderer maintains the waiting queue in start-priority order. The queue
+// is stored once, in a queue.Index owned by the order policy; start
+// policies read it through OrderedIter. Removals never reorder the
+// remaining jobs of an indexed order; the only instability is a replan
+// that rebuilds it (SMART, PSRS), and BatchWindow bounds a pass so that
+// it ends exactly where the paper's pick-one loop would have re-checked
+// the replan trigger.
 type Orderer interface {
 	// Name identifies the order policy.
 	Name() string
@@ -28,40 +45,12 @@ type Orderer interface {
 	Push(j *job.Job, now int64)
 	// Remove takes a started job out of the queue.
 	Remove(j *job.Job, now int64)
-	// Ordered returns the waiting jobs in priority order. The slice is
-	// owned by the caller of a single Startable round and must not be
-	// retained.
-	Ordered(now int64) []*job.Job
 	// Len returns the number of waiting jobs.
 	Len() int
-}
-
-// Starter decides which job to start next, given the priority order.
-// It returns at most one job per call; the engine calls again with updated
-// state until nil is returned, which keeps reservation-based policies
-// trivially consistent.
-type Starter interface {
-	// Name identifies the start policy.
-	Name() string
-	// Pick returns the next job to start now, or nil. machineNodes is the
-	// total machine size; free the currently unassigned nodes; running the
-	// executing jobs with their *estimated* completions.
-	Pick(ordered []*job.Job, now int64, free int, running []sim.Running, machineNodes int) *job.Job
-}
-
-// BatchOrderer is implemented by order policies that maintain their
-// priority order as a queue.Index and can say how far that order is
-// stable under removal. Removals never reorder the remaining jobs of an
-// indexed order; the only instability is a replan that rebuilds it
-// (SMART, PSRS), and BatchWindow bounds a batch so that it ends exactly
-// where the paper's pick-one loop would have re-checked the replan
-// trigger.
-type BatchOrderer interface {
-	Orderer
-	// OrderedIter returns the indexed view of the current priority order
-	// (replanning first, exactly where Ordered would). The index is owned
-	// by the order policy; callers must restore any pass-local hiding
-	// before returning control.
+	// OrderedIter returns the indexed view of the current priority order,
+	// replanning first if the order policy's trigger has fired. The index
+	// is owned by the order policy; callers must restore any pass-local
+	// hiding before returning control.
 	OrderedIter(now int64) *queue.Index
 	// BatchWindow returns how many consecutive picks of the current order
 	// are provably replan-free (≥ 1 when the queue is nonempty). Call
@@ -74,26 +63,33 @@ type BatchOrderer interface {
 // UnlimitedWindow is the BatchWindow of a removal-stable order.
 const UnlimitedWindow = math.MaxInt
 
-// BatchStarter is implemented by start policies that can compute a whole
-// scheduling pass at once against a BatchOrderer's index: PickMany
-// returns, in start order, exactly the jobs the Pick-until-nil loop would
-// have started at `now` — same jobs, same order, same decisions — while
-// sharing the expensive per-pass state (the reservation profile rebuild)
-// across the batch and pruning the walk by width in O(log Q).
-type BatchStarter interface {
-	Starter
-	// PickMany returns the jobs startable now, in the order Pick would
-	// have returned them, at most limit of them (the order's batch
-	// window). Implementations must leave the index exactly as found
-	// (hidden entries restored). The returned slice is only valid until
-	// the next Pick/PickMany call.
+// Starter decides which waiting jobs start at the current instant. It
+// computes a whole scheduling pass at once against the order policy's
+// index: PickMany returns, in start order, exactly the jobs the paper's
+// loop — pick one job, start it, decide again until nothing starts —
+// would have started at `now`, while sharing the expensive per-pass state
+// (the reservation profile rebuild) across the pass and pruning the walk
+// by width in O(log Q). The literal loop survives as the test-only
+// reference every PickMany is compared against.
+type Starter interface {
+	// Name identifies the start policy.
+	Name() string
+	// PickMany returns the jobs startable now, in start order, at most
+	// limit of them (the order's batch window). machineNodes is the total
+	// machine size; free the currently unassigned nodes; running the
+	// executing jobs with their *estimated* completions. A pass is
+	// complete: a result shorter than limit means nothing else can start
+	// until the state changes. An implementation that hides jobs in the
+	// index must UnhideAll before it returns. The returned slice is only
+	// valid until the next PickMany call.
 	PickMany(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job
 }
 
 // ProfileFactory constructs a scratch availability profile. The default
 // (nil) builds the O(log S) tree kernel; tests and benches inject
 // profile.New (the array kernel) or profile.NewReference (the
-// brute-force oracle) to pin backend-independence of whole schedules.
+// brute-force oracle) through Config.ProfileFactory to pin
+// backend-independence of whole schedules.
 type ProfileFactory func(nodes int, from int64) profile.Kernel
 
 // makeScratch applies the factory default.
@@ -104,13 +100,6 @@ func makeScratch(f ProfileFactory, nodes int, from int64) profile.Kernel {
 	return f(nodes, from)
 }
 
-// ProfileBacked is implemented by start policies that hold scratch
-// availability profiles and accept a backend swap. Swapping drops the
-// current scratch state (it is rebuilt per pass anyway).
-type ProfileBacked interface {
-	SetProfileFactory(f ProfileFactory)
-}
-
 // Composite combines an Orderer and a Starter into a sim.Scheduler.
 type Composite struct {
 	order   Orderer
@@ -119,23 +108,17 @@ type Composite struct {
 	// decider is the start policy's sim.DecisionExplainer view, resolved
 	// once at composition (nil when the policy cannot classify starts).
 	decider sim.DecisionExplainer
-	// batchOrder/batchStart are the batched-pass views, set together when
-	// the order policy is a BatchOrderer and the start policy a
-	// BatchStarter. Otherwise (a wrapper that hands its inner policy a
-	// filtered queue) both are nil and passes run the Pick loop.
-	batchOrder BatchOrderer
-	batchStart BatchStarter
 	// interrupt is the cooperative cancellation hook (Interruptible),
-	// polled between and inside batched passes; nil = never interrupt.
+	// polled between and inside passes; nil = never interrupt.
 	interrupt func() bool
 	// passDone is the predicted post-start state of the last fruitful
-	// batched pass: when the engine's follow-up Startable call matches it
+	// pass: when the engine's follow-up Startable call matches it
 	// exactly, the pass was complete and the confirmation walk is skipped
 	// (see Startable).
 	passDone passMemo
 }
 
-// passMemo is the state signature a completed batched pass predicts for
+// passMemo is the state signature a completed pass predicts for
 // the engine's confirmation call.
 type passMemo struct {
 	valid      bool
@@ -156,21 +139,7 @@ func Compose(order Orderer, start Starter, machineNodes int) *Composite {
 	}
 	c := &Composite{order: order, start: start, machine: machineNodes}
 	c.decider, _ = start.(sim.DecisionExplainer)
-	if bo, ok := order.(BatchOrderer); ok {
-		if bs, ok := start.(BatchStarter); ok {
-			c.batchOrder, c.batchStart = bo, bs
-		}
-	}
 	return c
-}
-
-// SetProfileFactory swaps the start policy's scratch-profile backend
-// (no-op for policies without one). sched.New calls it with
-// Config.ProfileFactory; hand-composed schedulers may call it directly.
-func (c *Composite) SetProfileFactory(f ProfileFactory) {
-	if pb, ok := c.start.(ProfileBacked); ok {
-		pb.SetProfileFactory(f)
-	}
 }
 
 // Name returns "<order>/<starter>", e.g. "FCFS/EASY-Backfilling".
@@ -188,36 +157,20 @@ func (c *Composite) JobStarted(j *job.Job, now int64) { c.order.Remove(j, now) }
 // not react to completions (reservation state is rebuilt by the starters).
 func (c *Composite) JobFinished(j *job.Job, now int64) {}
 
-// Startable implements sim.Scheduler. There are two pass protocols, and
-// the composition — not a switch — decides which one runs.
-//
-// A BatchStarter over a BatchOrderer computes the whole pass in one call
-// against the order's queue.Index, truncated to the order's replan-free
-// window; the engine's follow-up call (after starting the batch) finds
-// nothing new and terminates the pass.
-//
-// Any other start policy gets the paper's literal protocol: Pick one job
-// from the ordered slice, be called again until nil. That is the only
-// protocol a wrapper which filters the queue before delegating can speak
-// (ReservedStarter, policy windows), and it is the reference the batched
-// passes are tested against.
+// Startable implements sim.Scheduler: the start policy computes the
+// whole pass in one call against the order policy's queue.Index,
+// truncated to the order's replan-free window; the engine's follow-up
+// call (after starting the batch) finds nothing new and terminates the
+// pass.
 func (c *Composite) Startable(now int64, free int, running []sim.Running) []*job.Job {
 	if c.order.Len() == 0 || free <= 0 {
 		return nil
 	}
-	if c.batchStart == nil {
-		j := c.start.Pick(c.order.Ordered(now), now, free, running, c.machine)
-		if j == nil {
-			return nil
-		}
-		return []*job.Job{j}
-	}
-
-	ix := c.batchOrder.OrderedIter(now)
-	// A batched pass is complete: PickMany returns every job startable
-	// at `now` (the property the batch equivalence tests pin), so the
-	// engine's follow-up Startable call — its loop-termination check —
-	// would walk the whole queue only to find nothing. If the state is
+	ix := c.order.OrderedIter(now)
+	// A pass is complete: PickMany returns every job startable at `now`
+	// (the property the equivalence tests pin), so the engine's follow-up
+	// Startable call — its loop-termination check — would walk the whole
+	// queue only to find nothing. If the state is
 	// exactly the one the last fruitful pass predicted (same instant,
 	// picked jobs moved from queue to running, their nodes debited),
 	// answer it without the walk. Any other intervening change (a
@@ -234,8 +187,8 @@ func (c *Composite) Startable(now int64, free int, running []sim.Running) []*job
 			return nil
 		}
 	}
-	limit := c.batchOrder.BatchWindow()
-	picked := c.batchStart.PickMany(ix, now, free, running, c.machine, limit)
+	limit := c.order.BatchWindow()
+	picked := c.start.PickMany(ix, now, free, running, c.machine, limit)
 	// An interrupted pass may have been abandoned mid-walk: its picks
 	// are a prefix of the full pass, so the completion memo must not
 	// claim the follow-up call needs no walk.
@@ -403,13 +356,13 @@ func New(order OrderName, start StartName, cfg Config) (*Composite, error) {
 	case StartList:
 		st = NewListStarter()
 	case StartConservative:
-		if cfg.FastConservative {
-			st = NewFastConservativeStarter(cfg.MaxBackfillDepth)
-		} else {
-			st = NewConservativeStarter(cfg.MaxBackfillDepth)
-		}
+		cs := NewConservativeStarter(cfg.MaxBackfillDepth)
+		cs.fast, cs.factory = cfg.FastConservative, cfg.ProfileFactory
+		st = cs
 	case StartEASY:
-		st = NewEASYStarter()
+		es := NewEASYStarter()
+		es.factory = cfg.ProfileFactory
+		st = es
 	default:
 		return nil, fmt.Errorf("sched: unknown start policy %q", start)
 	}
@@ -422,9 +375,6 @@ func New(order OrderName, start StartName, cfg Config) (*Composite, error) {
 	c.Instrument(cfg.Hooks)
 	if len(cfg.Announced) > 0 {
 		c.Announce(cfg.Announced)
-	}
-	if cfg.ProfileFactory != nil {
-		c.SetProfileFactory(cfg.ProfileFactory)
 	}
 	return c, nil
 }

@@ -70,13 +70,10 @@ func (o *SMARTOrder) Push(j *job.Job, now int64) { o.rp.push(j) }
 // Remove implements Orderer.
 func (o *SMARTOrder) Remove(j *job.Job, now int64) { o.rp.remove(j) }
 
-// Ordered implements Orderer.
-func (o *SMARTOrder) Ordered(now int64) []*job.Job { return o.rp.ordered() }
-
-// OrderedIter implements BatchOrderer.
+// OrderedIter implements Orderer.
 func (o *SMARTOrder) OrderedIter(now int64) *queue.Index { return o.rp.index() }
 
-// BatchWindow implements BatchOrderer: SMART order is removal-stable
+// BatchWindow implements Orderer: SMART order is removal-stable
 // within a plan epoch (see replanner.batchWindow).
 func (o *SMARTOrder) BatchWindow() int { return o.rp.batchWindow() }
 

@@ -131,7 +131,7 @@ func TestSMARTOrderLifecycle(t *testing.T) {
 	if o.Len() != 2 {
 		t.Fatalf("Len = %d", o.Len())
 	}
-	got := o.Ordered(0)
+	got := orderedOf(o, 0)
 	if len(got) != 2 {
 		t.Fatalf("Ordered = %v", ids(got))
 	}
@@ -140,7 +140,7 @@ func TestSMARTOrderLifecycle(t *testing.T) {
 	if o.Len() != 2 {
 		t.Fatalf("Len after remove/push = %d", o.Len())
 	}
-	got = o.Ordered(1)
+	got = orderedOf(o, 1)
 	seen := map[job.ID]bool{}
 	for _, g := range got {
 		seen[g.ID] = true

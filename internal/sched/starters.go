@@ -5,6 +5,7 @@ import (
 
 	"jobsched/internal/job"
 	"jobsched/internal/profile"
+	"jobsched/internal/queue"
 	"jobsched/internal/sim"
 	"jobsched/internal/telemetry"
 )
@@ -67,10 +68,10 @@ func drainsPending(announced []sim.Failure, now int64) bool {
 
 // decided stashes the classifications of the current pass's successful
 // picks so the engine (through Composite's sim.DecisionExplainer) can
-// merge each one into its job's start event. A batched pass starts many
-// jobs before the engine asks for any decision, so the stash holds the
-// whole pass; every Pick/PickMany entry point resets it. Like the
-// starters themselves, it is owned by one simulation goroutine.
+// merge each one into its job's start event. A pass starts many jobs
+// before the engine asks for any decision, so the stash holds the whole
+// pass; every PickMany resets it on entry. Like the starters themselves,
+// it is owned by one simulation goroutine.
 type decided struct {
 	jobs []*job.Job
 	decs []telemetry.Decision
@@ -130,16 +131,27 @@ func (*ListStarter) Name() string { return string(StartList) }
 // SetInterrupt implements Interruptible.
 func (s *ListStarter) SetInterrupt(f func() bool) { s.interrupt = f }
 
-// Pick implements Starter.
-func (s *ListStarter) Pick(ordered []*job.Job, now int64, free int, running []sim.Running, machineNodes int) *job.Job {
+// PickMany implements Starter: the startable prefix of the queue. The
+// head is never skipped, so the pick-one loop starts consecutive heads
+// until one does not fit — exactly this prefix.
+func (s *ListStarter) PickMany(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
 	s.reset()
-	if len(ordered) == 0 || ordered[0].Nodes > free {
-		return nil
+	s.picked = s.picked[:0]
+	it := ix.Iter()
+	for j := it.Next(); j != nil; j = it.Next() {
+		if j.Nodes > free || stopAt(s.interrupt, len(s.picked)) {
+			break
+		}
+		if len(s.picked) >= limit {
+			break
+		}
+		s.stash(j, telemetry.Decision{
+			Starter: s.Name(), Reason: telemetry.ReasonHeadOfQueue, Head: telemetry.None,
+		})
+		s.picked = append(s.picked, j)
+		free -= j.Nodes
 	}
-	s.stash(ordered[0], telemetry.Decision{
-		Starter: s.Name(), Reason: telemetry.ReasonHeadOfQueue, Head: telemetry.None,
-	})
-	return ordered[0]
+	return s.picked
 }
 
 // GareyGrahamStarter implements the classical list scheduling of Garey
@@ -162,23 +174,46 @@ func (*GareyGrahamStarter) Name() string { return string(StartList) }
 // SetInterrupt implements Interruptible.
 func (s *GareyGrahamStarter) SetInterrupt(f func() bool) { s.interrupt = f }
 
-// Pick implements Starter.
-func (s *GareyGrahamStarter) Pick(ordered []*job.Job, now int64, free int, running []sim.Running, machineNodes int) *job.Job {
+// PickMany implements Starter with a single width-pruned forward scan.
+// The pick-one loop rescans the remaining queue after every start, but
+// free nodes only shrink during a pass, so a job that did not fit earlier
+// can never fit later: the rescans would re-skip exactly the jobs this
+// scan already skipped. Those skipped (too-wide) jobs are never touched:
+// the cursor jumps over each run of misfits in O(log Q). Depth — the
+// pick's index in the remaining queue, equal to the skips so far — is
+// reconstructed as rank minus prior picks, and Head (the first job that
+// failed to fit) is the job ranked exactly at the pick count when the
+// first gap appears: until then every lower-ranked job was picked.
+func (s *GareyGrahamStarter) PickMany(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
 	s.reset()
-	for i, j := range ordered {
-		if j.Nodes <= free {
-			d := telemetry.Decision{
-				Starter: s.Name(), Reason: telemetry.ReasonScanFit,
-				Depth: i, Head: telemetry.None,
-			}
-			if i > 0 {
-				d.Head = int64(ordered[0].ID)
-			}
-			s.stash(j, d)
-			return j
+	s.picked = s.picked[:0]
+	headID := telemetry.None
+	headSet := false
+	it := ix.Iter()
+	for free > 0 && len(s.picked) < limit && !stopNow(s.interrupt) {
+		j := it.NextFit(free)
+		if j == nil {
+			break
 		}
+		depth := ix.Rank(it.Slot()) - len(s.picked)
+		d := telemetry.Decision{
+			Starter: s.Name(), Reason: telemetry.ReasonScanFit,
+			Depth: depth, Head: telemetry.None,
+		}
+		if depth > 0 {
+			if !headSet {
+				if h, _ := ix.Select(len(s.picked)); h != nil {
+					headID = int64(h.ID)
+				}
+				headSet = true
+			}
+			d.Head = headID
+		}
+		s.stash(j, d)
+		s.picked = append(s.picked, j)
+		free -= j.Nodes
 	}
-	return nil
+	return s.picked
 }
 
 // EASYStarter implements Lifka's aggressive backfilling [10] as described
@@ -191,7 +226,7 @@ func (s *GareyGrahamStarter) Pick(ordered []*job.Job, now int64, free int, runni
 // may even delay the head when a running job finishes early.
 type EASYStarter struct {
 	decided
-	// ends is the reusable shadow-time sort buffer (Pick is called once
+	// ends is the reusable shadow-time sort buffer (pickOneIx runs once
 	// per scheduling decision; allocating a running-list copy each time
 	// is measurable under deep backlogs). Not safe for concurrent use.
 	ends []sim.Running
@@ -200,7 +235,7 @@ type EASYStarter struct {
 	rec   telemetry.Recorder
 	stats *profile.Stats
 	// announced holds the maintenance windows (FailureAware); when any
-	// window is still pending, Pick switches from the sorted-completions
+	// window is still pending, PickMany switches from the sorted-completions
 	// shadow computation to a profile-based one that carves the drains
 	// out of future capacity.
 	announced []sim.Failure
@@ -236,33 +271,80 @@ func (s *EASYStarter) Instrument(h telemetry.Hooks) {
 // Announce implements FailureAware.
 func (s *EASYStarter) Announce(windows []sim.Failure) { s.announced = windows }
 
-// SetProfileFactory implements ProfileBacked.
-func (s *EASYStarter) SetProfileFactory(f ProfileFactory) { s.factory, s.scratch = f, nil }
-
-// Pick implements Starter.
-func (s *EASYStarter) Pick(ordered []*job.Job, now int64, free int, running []sim.Running, machineNodes int) *job.Job {
+// PickMany implements Starter as the literal pick-one EASY loop with
+// picked jobs hidden pass-locally — except that the drain-aware path
+// builds its availability profile once per pass and extends it
+// incrementally with each started job, instead of rebuilding it per
+// start. The incremental Reserve equals the rebuild: a started job passed
+// the profile fit check, so within its reservation window the drains'
+// zero-clamp was not active and plain subtraction commutes with the
+// clamped drain subtraction.
+func (s *EASYStarter) PickMany(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
 	s.reset()
-	if len(ordered) == 0 {
+	s.picked = s.picked[:0]
+	if ix.Len() == 0 {
 		return nil
 	}
 	if drainsPending(s.announced, now) {
 		s.buildDrainProfile(now, running, machineNodes)
-		return s.drainPickOne(ordered, now, free)
+		p := s.scratch
+		p.BeginPass(now)
+		for ix.Len() > 0 && free > 0 && !stopNow(s.interrupt) {
+			if len(s.picked) >= limit {
+				break
+			}
+			j := s.drainPickOneIx(ix, now, free)
+			if j == nil {
+				break
+			}
+			s.picked = append(s.picked, j)
+			free -= j.Nodes
+			end := job.AddSat(now, j.Estimate)
+			if end <= now {
+				end = now + 1
+			}
+			p.Reserve(j.Nodes, now, end)
+			ix.Hide(j)
+		}
+		p.CommitPass()
+		ix.UnhideAll()
+		return s.picked
 	}
-	return s.pickOne(ordered, now, free, running)
+	runLocal := append(s.runBuf[:0], running...)
+	for ix.Len() > 0 && free > 0 && !stopNow(s.interrupt) {
+		if len(s.picked) >= limit {
+			break
+		}
+		j := s.pickOneIx(ix, now, free, runLocal)
+		if j == nil {
+			break
+		}
+		s.picked = append(s.picked, j)
+		free -= j.Nodes
+		runLocal = append(runLocal, sim.Running{Job: j, Start: now, EstEnd: job.AddSat(now, j.Estimate)})
+		ix.Hide(j)
+	}
+	s.runBuf = runLocal[:0]
+	ix.UnhideAll()
+	return s.picked
 }
 
-// pickOne is the fault-free EASY decision against an explicit running
-// list (Pick's body).
-func (s *EASYStarter) pickOne(ordered []*job.Job, now int64, free int, running []sim.Running) *job.Job {
-	head := ordered[0]
+// pickOneIx is the fault-free EASY decision against an explicit running
+// list: the backfill scan visits only candidates that fit the free nodes
+// (width-pruned), never the runs of too-wide jobs between them. Depth =
+// the candidate's rank in the remaining (visible) order.
+func (s *EASYStarter) pickOneIx(ix *queue.Index, now int64, free int, running []sim.Running) *job.Job {
+	head, headSlot := ix.First()
+	if head == nil {
+		return nil
+	}
 	if head.Nodes <= free {
 		s.stash(head, telemetry.Decision{
 			Starter: s.Name(), Reason: telemetry.ReasonHeadOfQueue, Head: telemetry.None,
 		})
 		return head
 	}
-	if len(ordered) == 1 {
+	if ix.Len() == 1 {
 		return nil
 	}
 	s.ends = append(s.ends[:0], running...)
@@ -272,24 +354,22 @@ func (s *EASYStarter) pickOne(ordered []*job.Job, now int64, free int, running [
 			Job: telemetry.None, Starter: s.Name(), Head: int64(head.ID),
 			Shadow: shadow, Spare: spare})
 	}
-	for i, j := range ordered[1:] {
-		if stopAt(s.interrupt, i) {
+	it := ix.IterAfter(headSlot)
+	for j, k := it.NextFit(free), 0; j != nil; j, k = it.NextFit(free), k+1 {
+		if stopAt(s.interrupt, k) {
 			return nil
 		}
-		if j.Nodes > free {
-			continue
-		}
-		if now+j.Estimate <= shadow {
+		if job.AddSat(now, j.Estimate) <= shadow {
 			s.stash(j, telemetry.Decision{
 				Starter: s.Name(), Reason: telemetry.ReasonBackfillBeforeShadow,
-				Depth: i + 1, Head: int64(head.ID), Shadow: shadow, Spare: spare,
+				Depth: ix.Rank(it.Slot()), Head: int64(head.ID), Shadow: shadow, Spare: spare,
 			})
 			return j
 		}
 		if j.Nodes <= spare {
 			s.stash(j, telemetry.Decision{
 				Starter: s.Name(), Reason: telemetry.ReasonBackfillSpareNodes,
-				Depth: i + 1, Head: int64(head.ID), Shadow: shadow, Spare: spare,
+				Depth: ix.Rank(it.Slot()), Head: int64(head.ID), Shadow: shadow, Spare: spare,
 			})
 			return j
 		}
@@ -315,28 +395,32 @@ func (s *EASYStarter) buildDrainProfile(now int64, running []sim.Running, machin
 	reserveDrains(p, s.announced, now, profile.Infinity)
 }
 
-// drainPickOne is EASY's failure-aware decision, used while announced
+// drainPickOneIx is EASY's failure-aware decision, used while announced
 // maintenance windows are pending: future capacity is modeled by the
 // drain-aware scratch profile, the shadow time is the profile's earliest
 // fit for the head (which therefore lands *after* any drain the head
 // cannot straddle), and a job only starts now if the profile admits its
 // whole estimated run from now — so nobody is started straight into a
-// known drain.
-func (s *EASYStarter) drainPickOne(ordered []*job.Job, now int64, free int) *job.Job {
+// known drain. The width index only prunes the physical half of the fit
+// check; each surviving candidate still pays its profile query.
+func (s *EASYStarter) drainPickOneIx(ix *queue.Index, now int64, free int) *job.Job {
 	p := s.scratch
 	// fit: physically startable now (free nodes respect active outages)
 	// and the profile admits the whole estimated run starting now.
 	fit := func(j *job.Job) bool {
 		return j.Nodes <= free && p.EarliestFit(j.Nodes, j.Estimate, now) == now
 	}
-	head := ordered[0]
+	head, headSlot := ix.First()
+	if head == nil {
+		return nil
+	}
 	if fit(head) {
 		s.stash(head, telemetry.Decision{
 			Starter: s.Name(), Reason: telemetry.ReasonHeadOfQueue, Head: telemetry.None,
 		})
 		return head
 	}
-	if len(ordered) == 1 {
+	if ix.Len() == 1 {
 		return nil
 	}
 	shadow := p.EarliestFit(head.Nodes, head.Estimate, now)
@@ -351,24 +435,25 @@ func (s *EASYStarter) drainPickOne(ordered []*job.Job, now int64, free int) *job
 			Job: telemetry.None, Starter: s.Name(), Head: int64(head.ID),
 			Shadow: shadow, Spare: spare})
 	}
-	for i, j := range ordered[1:] {
-		if stopAt(s.interrupt, i) {
+	it := ix.IterAfter(headSlot)
+	for j, k := it.NextFit(free), 0; j != nil; j, k = it.NextFit(free), k+1 {
+		if stopAt(s.interrupt, k) {
 			return nil
 		}
-		if !fit(j) {
+		if p.EarliestFit(j.Nodes, j.Estimate, now) != now {
 			continue
 		}
 		if job.AddSat(now, j.Estimate) <= shadow {
 			s.stash(j, telemetry.Decision{
 				Starter: s.Name(), Reason: telemetry.ReasonBackfillBeforeShadow,
-				Depth: i + 1, Head: int64(head.ID), Shadow: shadow, Spare: spare,
+				Depth: ix.Rank(it.Slot()), Head: int64(head.ID), Shadow: shadow, Spare: spare,
 			})
 			return j
 		}
 		if j.Nodes <= spare {
 			s.stash(j, telemetry.Decision{
 				Starter: s.Name(), Reason: telemetry.ReasonBackfillSpareNodes,
-				Depth: i + 1, Head: int64(head.ID), Shadow: shadow, Spare: spare,
+				Depth: ix.Rank(it.Slot()), Head: int64(head.ID), Shadow: shadow, Spare: spare,
 			})
 			return j
 		}
@@ -431,9 +516,9 @@ type ConservativeStarter struct {
 	// it turns the O(queue²) pass into a near-linear one and makes
 	// paper-scale saturated runs tractable.
 	fast bool
-	// scratch is the reusable reservation profile. Pick rebuilds the full
-	// reservation state on every pass (compression); recycling the step
-	// storage via Reset removes the per-pass allocation storm. A Starter
+	// scratch is the reusable reservation profile. A pass rebuilds the full
+	// reservation state (compression); recycling the step storage via
+	// Reset removes the per-pass allocation storm. A Starter
 	// is owned by one simulation goroutine, so this is not a race.
 	// factory selects the backend (default: the O(log S) tree kernel).
 	scratch profile.Kernel
@@ -481,37 +566,55 @@ func (s *ConservativeStarter) Instrument(h telemetry.Hooks) {
 	}
 }
 
-// SetProfileFactory implements ProfileBacked.
-func (s *ConservativeStarter) SetProfileFactory(f ProfileFactory) { s.factory, s.scratch = f, nil }
-
-// Pick implements Starter — the full sequential decision: build the
-// reservation profile from scratch, walk the queue, start the first job
-// whose reservation is due now.
-func (s *ConservativeStarter) Pick(ordered []*job.Job, now int64, free int, running []sim.Running, machineNodes int) *job.Job {
+// PickMany implements Starter. Exact mode runs the whole pass as one
+// continued profile walk (exactPass); fast mode restarts the decision
+// per start, because its skip horizon depends on the maximum estimate
+// over the *remaining* queue and so legitimately moves as jobs leave it.
+func (s *ConservativeStarter) PickMany(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
 	s.reset()
-	if len(ordered) == 0 || free <= 0 {
-		return nil
+	s.picked = s.picked[:0]
+	if !s.fast {
+		return s.exactPass(ix, now, free, running, machineNodes, limit)
 	}
-	// Fast path: nothing in the queue fits the free nodes, so no
-	// reservation can be "now".
-	fits := false
-	for i, j := range ordered {
-		if stopAt(s.interrupt, i) {
-			return nil
-		}
-		if j.Nodes <= free {
-			fits = true
+	runLocal := append(s.runBuf[:0], running...)
+	for ix.Len() > 0 && free > 0 && !stopNow(s.interrupt) {
+		if len(s.picked) >= limit {
 			break
 		}
+		j := s.pickOneIx(ix, now, free, runLocal, machineNodes)
+		if j == nil {
+			break
+		}
+		s.picked = append(s.picked, j)
+		free -= j.Nodes
+		runLocal = append(runLocal, sim.Running{Job: j, Start: now, EstEnd: job.AddSat(now, j.Estimate)})
+		ix.Hide(j)
 	}
-	if !fits {
+	s.runBuf = runLocal[:0]
+	ix.UnhideAll()
+	return s.picked
+}
+
+// pickOneIx is one full conservative decision: build the reservation
+// profile from scratch, walk the queue, start the first job whose
+// reservation is due now. The index makes two steps cheap: the "nothing
+// in the queue fits" precheck — the dominant cost of saturated
+// deep-backlog passes — is one O(1) subtree-minimum lookup, and fast
+// mode's walk horizon (max estimate over the walked prefix) is an
+// O(log Q) range query. The reservation walk itself still visits the
+// first depth jobs: every unstarted job holds a reservation that
+// constrains later placements, wide or not.
+func (s *ConservativeStarter) pickOneIx(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes int) *job.Job {
+	if ix.Len() == 0 || free <= 0 {
 		return nil
 	}
-	depth := len(ordered)
+	if ix.MinNodes() > free {
+		return nil
+	}
+	depth := ix.Len()
 	if s.maxDepth > 0 && depth > s.maxDepth {
 		depth = s.maxDepth
 	}
-
 	// Horizon acceleration (fast mode): only reservations intersecting
 	// [now, now + max queue estimate) can influence a start-now decision,
 	// so far-future reservations are skipped and ends clipped. The
@@ -520,15 +623,9 @@ func (s *ConservativeStarter) Pick(ordered []*job.Job, now int64, free int, runn
 	// approximation of fast mode.
 	horizon := profile.Infinity
 	if s.fast {
-		var maxEst int64
-		for _, j := range ordered[:depth] {
-			if j.Estimate > maxEst {
-				maxEst = j.Estimate
-			}
-		}
 		// Saturating add: a huge estimate near Infinity degrades to the
 		// exact (unaccelerated) walk instead of wrapping negative.
-		horizon = job.AddSat(now, maxEst)
+		horizon = job.AddSat(now, ix.MaxEstimateFirst(depth))
 	}
 
 	s.scratch = ensureScratch(s.scratch, s.factory, s.stats, machineNodes, now)
@@ -550,9 +647,14 @@ func (s *ConservativeStarter) Pick(ordered []*job.Job, now int64, free int, runn
 	// already holds (those jobs will be aborted by the engine; the profile
 	// must simply not promise that capacity to anyone else).
 	reserveDrains(p, s.announced, now, horizon)
-	for i, j := range ordered[:depth] {
+	it := ix.Iter()
+	var first *job.Job
+	for j, i := it.Next(), 0; j != nil && i < depth; j, i = it.Next(), i+1 {
 		if stopAt(s.interrupt, i) {
 			return nil
+		}
+		if i == 0 {
+			first = j
 		}
 		t := p.EarliestFit(j.Nodes, j.Estimate, now)
 		if t == now {
@@ -565,7 +667,7 @@ func (s *ConservativeStarter) Pick(ordered []*job.Job, now int64, free int, runn
 					Depth: i, Head: telemetry.None,
 				}
 				if i > 0 {
-					d.Head = int64(ordered[0].ID)
+					d.Head = int64(first.ID)
 				}
 				s.stash(j, d)
 				return j
@@ -573,7 +675,7 @@ func (s *ConservativeStarter) Pick(ordered []*job.Job, now int64, free int, runn
 			// Cannot physically start: reserve at now so later queue jobs
 			// still respect this job's priority claim.
 		}
-		if i == 0 && s.rec != nil && len(ordered) > 1 {
+		if i == 0 && s.rec != nil && ix.Len() > 1 {
 			// The head did not start now: everything deeper in this walk
 			// is a backfill attempt against the head's reservation.
 			s.rec.Record(telemetry.Event{Type: telemetry.EventBackfill, At: now,
@@ -591,4 +693,106 @@ func (s *ConservativeStarter) Pick(ordered []*job.Job, now int64, free int, runn
 		}
 	}
 	return nil
+}
+
+// exactPass computes an exact conservative pass with ONE profile build
+// and ONE cursor walk, where the sequential protocol rebuilds and rewalks
+// after every start. Equivalence: when a job starts, the next sequential
+// rebuild differs from the current profile only by that job's running
+// reservation, which is added here immediately; re-walked unstarted jobs
+// keep their placements because (a) the started job's fit check passed
+// *on top of* their reservations, so each old window stays feasible, and
+// (b) capacity only shrank, so no earlier fit can open. The depth budget
+// counts unstarted jobs only — each sequential walk indexes maxDepth jobs
+// of its remaining (started-jobs-removed) queue.
+func (s *ConservativeStarter) exactPass(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
+	if ix.Len() == 0 || free <= 0 {
+		return s.picked
+	}
+	// Same fast path as the sequential walk: nothing fits, nothing to do
+	// (and no backfill event — the sequential pass never walks either).
+	if ix.MinNodes() > free {
+		return s.picked
+	}
+
+	s.scratch = ensureScratch(s.scratch, s.factory, s.stats, machineNodes, now)
+	p := s.scratch
+	for _, r := range running {
+		end := r.EstEnd
+		if end <= now {
+			end = now + 1
+		}
+		p.Reserve(r.Job.Nodes, now, end)
+	}
+	reserveDrains(p, s.announced, now, profile.Infinity)
+
+	p.BeginPass(now)
+	walked := 0 // unstarted jobs examined: the remaining-queue index
+	headID := telemetry.None
+	it := ix.Iter()
+	for j, pos := it.Next(), 0; j != nil; j, pos = it.Next(), pos+1 {
+		if free <= 0 {
+			break // the sequential protocol stops passing at zero free
+		}
+		if s.maxDepth > 0 && walked >= s.maxDepth {
+			break
+		}
+		if len(s.picked) >= limit {
+			break
+		}
+		if stopAt(s.interrupt, pos) {
+			break // interrupted: partial pass, run is being discarded
+		}
+		t := p.EarliestFit(j.Nodes, j.Estimate, now)
+		if t == now && j.Nodes <= free {
+			d := telemetry.Decision{
+				Starter: s.Name(), Reason: telemetry.ReasonReservationDueNow,
+				Depth: walked, Head: telemetry.None,
+			}
+			if walked > 0 {
+				d.Head = headID
+			}
+			s.stash(j, d)
+			s.picked = append(s.picked, j)
+			free -= j.Nodes
+			// The reservation the next sequential rebuild would hold for
+			// this now-running job. Its fit check passed on the drained
+			// profile, so the plain Reserve commutes with the drains'
+			// zero-clamp inside the window.
+			end := job.AddSat(now, j.Estimate)
+			if end <= now {
+				end = now + 1
+			}
+			p.Reserve(j.Nodes, now, end)
+			// Early stop: a start-now fit needs Nodes <= free, so if no
+			// job past the cursor is narrow enough for the shrunken free,
+			// no further pick is possible and the remaining reservations
+			// cannot influence any decision this pass — mirroring the
+			// sequential protocol, whose next pass exits on its width
+			// precheck without touching the profile.
+			if probe := it; probe.NextFit(free) == nil {
+				break
+			}
+			continue
+		}
+		if walked == 0 {
+			// First unstarted job: the remaining head for the rest of the
+			// pass (capacity only shrinks, so it cannot start later).
+			headID = int64(j.ID)
+			if s.rec != nil && ix.Len()-len(s.picked) > 1 {
+				s.rec.Record(telemetry.Event{Type: telemetry.EventBackfill, At: now,
+					Job: telemetry.None, Starter: s.Name(), Head: int64(j.ID)})
+			}
+		}
+		walked++
+		if t >= profile.Infinity {
+			continue // never placeable: holds no reservation
+		}
+		end := job.AddSat(t, j.Estimate)
+		if end > t {
+			p.Reserve(j.Nodes, t, end)
+		}
+	}
+	p.CommitPass()
+	return s.picked
 }

@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"math"
 	"testing"
 
 	"jobsched/internal/job"
+	"jobsched/internal/queue"
 	"jobsched/internal/sim"
 )
 
@@ -16,19 +18,40 @@ func run(id int, nodes int, start, est int64) sim.Running {
 	return sim.Running{Job: jj, Start: start, EstEnd: start + est}
 }
 
+// pickNext asks a production start policy for its next start decision
+// over the queue q (in priority order): one PickMany call, limited to
+// one job, against an index built from the slice. Nil = nothing starts.
+func pickNext(s Starter, q []*job.Job, now int64, free int, running []sim.Running, machineNodes int) *job.Job {
+	ix := queue.NewIndex()
+	for _, jj := range q {
+		ix.Push(jj)
+	}
+	picked := s.PickMany(ix, now, free, running, machineNodes, 1)
+	if len(picked) == 0 {
+		return nil
+	}
+	return picked[0]
+}
+
+// orderedOf copies an order policy's current priority order out of its
+// index (replanning first, like any pass would).
+func orderedOf(o Orderer, now int64) []*job.Job {
+	return o.OrderedIter(now).AppendOrdered(nil)
+}
+
 func TestListStarterHeadOnly(t *testing.T) {
 	s := NewListStarter()
 	q := []*job.Job{j(0, 4, 10), j(1, 1, 10)}
 	// Head fits: returned.
-	if got := s.Pick(q, 0, 4, nil, 4); got != q[0] {
+	if got := pickNext(s, q, 0, 4, nil, 4); got != q[0] {
 		t.Errorf("head fits but not picked")
 	}
 	// Head does not fit: nothing starts even though job 1 would fit —
 	// strict list semantics never skip the head.
-	if got := s.Pick(q, 0, 2, nil, 4); got != nil {
+	if got := pickNext(s, q, 0, 2, nil, 4); got != nil {
 		t.Errorf("list starter skipped the head: %v", got)
 	}
-	if got := s.Pick(nil, 0, 4, nil, 4); got != nil {
+	if got := pickNext(s, nil, 0, 4, nil, 4); got != nil {
 		t.Errorf("empty queue returned %v", got)
 	}
 }
@@ -37,11 +60,11 @@ func TestGareyGrahamSkipsBlockedHead(t *testing.T) {
 	s := NewGareyGrahamStarter()
 	q := []*job.Job{j(0, 4, 10), j(1, 1, 10), j(2, 2, 10)}
 	// Head too wide for 2 free nodes; G&G starts the first fitting job.
-	if got := s.Pick(q, 0, 2, nil, 4); got != q[1] {
+	if got := pickNext(s, q, 0, 2, nil, 4); got != q[1] {
 		t.Errorf("G&G picked %v, want job 1", got)
 	}
 	// Nothing fits.
-	if got := s.Pick(q, 0, 0, nil, 4); got != nil {
+	if got := pickNext(s, q, 0, 0, nil, 4); got != nil {
 		t.Errorf("G&G picked %v with 0 free", got)
 	}
 }
@@ -49,7 +72,7 @@ func TestGareyGrahamSkipsBlockedHead(t *testing.T) {
 func TestEASYStartsHeadWhenItFits(t *testing.T) {
 	s := NewEASYStarter()
 	q := []*job.Job{j(0, 2, 10)}
-	if got := s.Pick(q, 0, 2, nil, 4); got != q[0] {
+	if got := pickNext(s, q, 0, 2, nil, 4); got != q[0] {
 		t.Error("EASY did not start a fitting head")
 	}
 }
@@ -62,7 +85,7 @@ func TestEASYBackfillBeforeShadow(t *testing.T) {
 	head := j(0, 4, 10)
 	fits := j(1, 2, 8) // now(2)+8 = 10 <= shadow 10
 	q := []*job.Job{head, fits}
-	if got := s.Pick(q, 2, 2, running, 4); got != fits {
+	if got := pickNext(s, q, 2, 2, running, 4); got != fits {
 		t.Errorf("EASY refused a shadow-safe backfill, got %v", got)
 	}
 }
@@ -75,8 +98,47 @@ func TestEASYRefusesShadowViolation(t *testing.T) {
 	head := j(0, 4, 10) // shadow 10, spare (2+2)-4 = 0
 	tooLong := j(1, 2, 9)
 	q := []*job.Job{head, tooLong}
-	if got := s.Pick(q, 2, 2, running, 4); got != nil {
+	if got := pickNext(s, q, 2, 2, running, 4); got != nil {
 		t.Errorf("EASY backfilled a job delaying the head: %v", got)
+	}
+}
+
+// TestEASYHugeEstimateDoesNotJumpTheHead: an estimate near MaxInt64 (the
+// daemon's JobSpec.Estimate has no upper bound) used to wrap the shadow
+// test `now+estimate <= shadow` negative, so the job backfilled ahead of
+// a head it delays forever. Machine 10: 8 nodes busy until t=1000, head
+// wants all 10 → shadow 1000, spare 0; only the overflow could admit the
+// 2-node candidate.
+func TestEASYHugeEstimateDoesNotJumpTheHead(t *testing.T) {
+	running := []sim.Running{run(100, 8, 0, 1000)}
+	head := j(0, 10, 50)
+	huge := j(1, 2, math.MaxInt64-5)
+	q := []*job.Job{head, huge}
+	if got := pickNext(NewEASYStarter(), q, 100, 2, running, 10); got != nil {
+		t.Errorf("EASY backfilled %v past the head's shadow", got)
+	}
+	// Same state under an announced drain (the profile-based variant).
+	s := NewEASYStarter()
+	s.Announce([]sim.Failure{{At: 5000, Nodes: 1, Duration: 10}})
+	if got := pickNext(s, q, 100, 2, running, 10); got != nil {
+		t.Errorf("drain-aware EASY backfilled %v past the head's shadow", got)
+	}
+	// And through the engine: the candidate must start after the head.
+	jobs := []*job.Job{
+		{ID: 0, Submit: 0, Nodes: 8, Estimate: 1000, Runtime: 1000},
+		{ID: 1, Submit: 50, Nodes: 10, Estimate: 50, Runtime: 50},
+		{ID: 2, Submit: 100, Nodes: 2, Estimate: math.MaxInt64 - 5, Runtime: 10},
+	}
+	alg, err := New(OrderFCFS, StartEASY, Config{MachineNodes: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.RunChecked(sim.Machine{Nodes: 10}, jobs, alg, sim.Options{Validate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hs, cs := res.Schedule.ByJobID(1).Start, res.Schedule.ByJobID(2).Start; cs < hs {
+		t.Errorf("huge-estimate job started at %d, before the head at %d", cs, hs)
 	}
 }
 
@@ -88,7 +150,7 @@ func TestEASYSpareNodeBackfill(t *testing.T) {
 	head := j(0, 4, 10)
 	longThin := j(1, 1, 100000)
 	q := []*job.Job{head, longThin}
-	if got := s.Pick(q, 2, 2, running, 5); got != longThin {
+	if got := pickNext(s, q, 2, 2, running, 5); got != longThin {
 		t.Errorf("EASY refused a spare-node backfill, got %v", got)
 	}
 }
@@ -102,7 +164,7 @@ func TestEASYSkipsOversizedCandidates(t *testing.T) {
 	wide := j(1, 3, 1)
 	short := j(2, 1, 1)
 	q := []*job.Job{head, wide, short}
-	if got := s.Pick(q, 0, 2, running, 5); got != short {
+	if got := pickNext(s, q, 0, 2, running, 5); got != short {
 		t.Errorf("EASY picked %v, want the fitting short job", got)
 	}
 }
@@ -111,7 +173,7 @@ func TestEASYSingleWaitingJobNoBackfill(t *testing.T) {
 	s := NewEASYStarter()
 	running := []sim.Running{run(100, 3, 0, 10)}
 	q := []*job.Job{j(0, 4, 10)}
-	if got := s.Pick(q, 0, 2, running, 5); got != nil {
+	if got := pickNext(s, q, 0, 2, running, 5); got != nil {
 		t.Errorf("picked %v with only a blocked head", got)
 	}
 }
@@ -119,7 +181,7 @@ func TestEASYSingleWaitingJobNoBackfill(t *testing.T) {
 func TestConservativeStartsHead(t *testing.T) {
 	s := NewConservativeStarter(0)
 	q := []*job.Job{j(0, 2, 10)}
-	if got := s.Pick(q, 0, 4, nil, 4); got != q[0] {
+	if got := pickNext(s, q, 0, 4, nil, 4); got != q[0] {
 		t.Error("conservative did not start a fitting head")
 	}
 }
@@ -130,7 +192,7 @@ func TestConservativeBackfillsIntoHole(t *testing.T) {
 	s := NewConservativeStarter(0)
 	running := []sim.Running{run(100, 2, 0, 10)}
 	q := []*job.Job{j(0, 4, 100), j(1, 2, 8)}
-	if got := s.Pick(q, 2, 2, running, 4); got != q[1] {
+	if got := pickNext(s, q, 2, 2, running, 4); got != q[1] {
 		t.Errorf("conservative refused a hole-filling backfill, got %v", got)
 	}
 }
@@ -146,13 +208,13 @@ func TestConservativeRespectsEveryReservation(t *testing.T) {
 	third := j(2, 2, 8)
 	q := []*job.Job{head, second, third}
 	// First pick: the second job (hole is its reservation).
-	if got := s.Pick(q, 2, 2, running, 4); got != second {
+	if got := pickNext(s, q, 2, 2, running, 4); got != second {
 		t.Fatalf("first pick = %v, want job 1", got)
 	}
 	// Simulate job 1 started: it becomes running, hole capacity gone.
 	running2 := append(running, run(1, 2, 2, 8))
 	q2 := []*job.Job{head, third}
-	if got := s.Pick(q2, 2, 0, running2, 4); got != nil {
+	if got := pickNext(s, q2, 2, 0, running2, 4); got != nil {
 		t.Errorf("conservative started %v with zero free nodes", got)
 	}
 }
@@ -166,7 +228,7 @@ func TestConservativeBlockedByEarlierReservation(t *testing.T) {
 	head := j(0, 2, 5)
 	thin := j(1, 1, 4)
 	q := []*job.Job{head, thin}
-	if got := s.Pick(q, 2, 1, running, 4); got != thin {
+	if got := pickNext(s, q, 2, 1, running, 4); got != thin {
 		t.Fatalf("pick = %v, want the thin job", got)
 	}
 	// A 1-node job running 20 s would overlap [10,15) where free =
@@ -174,7 +236,7 @@ func TestConservativeBlockedByEarlierReservation(t *testing.T) {
 	// 10 → free at [10,15) = 4-2 = 2 ≥ 1, so even the long job fits.
 	long := j(2, 1, 20)
 	q = []*job.Job{head, long}
-	if got := s.Pick(q, 2, 1, running, 4); got != long {
+	if got := pickNext(s, q, 2, 1, running, 4); got != long {
 		t.Errorf("pick = %v, want the long thin job (no reservation conflict)", got)
 	}
 }
@@ -188,7 +250,7 @@ func TestConservativeRefusesReservationConflict(t *testing.T) {
 	head := j(0, 4, 5)
 	long := j(1, 1, 20)
 	q := []*job.Job{head, long}
-	if got := s.Pick(q, 2, 1, running, 4); got != nil {
+	if got := pickNext(s, q, 2, 1, running, 4); got != nil {
 		t.Errorf("conservative violated the head reservation with %v", got)
 	}
 }
@@ -215,7 +277,7 @@ func TestConservativeOutageRecheckKeepsPriorityClaim(t *testing.T) {
 			q := []*job.Job{head, behind}
 
 			s := mk.s()
-			if got := s.Pick(q, 0, 2, nil, 4); got != nil {
+			if got := pickNext(s, q, 0, 2, nil, 4); got != nil {
 				t.Fatalf("started %v during the outage, want nil (head 4n > 2 free, "+
 					"behind blocked by the head's claim)", got)
 			}
@@ -223,7 +285,7 @@ func TestConservativeOutageRecheckKeepsPriorityClaim(t *testing.T) {
 			// Sanity: without the head's claim the 2-node job starts at once
 			// on the same outage state.
 			s2 := mk.s()
-			if got := s2.Pick([]*job.Job{behind}, 0, 2, nil, 4); got != behind {
+			if got := pickNext(s2, []*job.Job{behind}, 0, 2, nil, 4); got != behind {
 				t.Fatalf("pick = %v, want the 2-node job (fits the 2 free nodes)", got)
 			}
 		})
@@ -269,22 +331,22 @@ func TestConservativeDepthBound(t *testing.T) {
 	s := NewConservativeStarter(1)
 	running := []sim.Running{run(100, 2, 0, 10)}
 	q := []*job.Job{j(0, 4, 100), j(1, 2, 8)}
-	if got := s.Pick(q, 2, 2, running, 4); got != nil {
+	if got := pickNext(s, q, 2, 2, running, 4); got != nil {
 		t.Errorf("depth-bounded conservative returned %v", got)
 	}
 }
 
 func TestConservativeEmptyAndNoFit(t *testing.T) {
 	s := NewConservativeStarter(0)
-	if got := s.Pick(nil, 0, 4, nil, 4); got != nil {
+	if got := pickNext(s, nil, 0, 4, nil, 4); got != nil {
 		t.Error("empty queue")
 	}
 	q := []*job.Job{j(0, 4, 10)}
-	if got := s.Pick(q, 0, 0, nil, 4); got != nil {
+	if got := pickNext(s, q, 0, 0, nil, 4); got != nil {
 		t.Error("zero free nodes")
 	}
 	// Fast path: nothing fits the free count.
-	if got := s.Pick(q, 0, 3, nil, 4); got != nil {
+	if got := pickNext(s, q, 0, 3, nil, 4); got != nil {
 		t.Error("nothing fits but something was picked")
 	}
 }

@@ -16,17 +16,16 @@ import (
 // response-time objective (Example 5 rule 5), the other the off-hours
 // load objective (rule 6).
 //
-// Both regimes' order policies observe every queue event so that a
-// regime change never loses state; at each scheduling decision the
-// active regime's order and start policy decide. The regime is chosen by
-// a Window (prime time → day regime).
+// Each regime is a complete Composite. Both observe every queue event so
+// that a regime change never loses state; at each scheduling decision the
+// active regime's Startable decides. The regime is chosen by a Window
+// (prime time → day regime).
 type Switching struct {
 	window     objective.Window
-	dayOrder   Orderer
-	nightOrder Orderer
-	dayStart   Starter
-	nightStart Starter
-	machine    int
+	day, night *Composite
+	// active is the regime that answered the last Startable call — the one
+	// whose start policy classified the jobs the engine is about to start.
+	active *Composite
 }
 
 var _ sim.Scheduler = (*Switching)(nil)
@@ -53,32 +52,24 @@ func NewSwitching(window objective.Window, dayOrder OrderName, dayStart StartNam
 	if err != nil {
 		return nil, err
 	}
-	return &Switching{
-		window:     window,
-		dayOrder:   day.order,
-		nightOrder: night.order,
-		dayStart:   day.start,
-		nightStart: night.start,
-		machine:    cfg.MachineNodes,
-	}, nil
+	return &Switching{window: window, day: day, night: night, active: day}, nil
 }
 
 // Name implements sim.Scheduler.
 func (s *Switching) Name() string {
-	return fmt.Sprintf("Switching(%s/%s ; %s/%s)",
-		s.dayOrder.Name(), s.dayStart.Name(), s.nightOrder.Name(), s.nightStart.Name())
+	return fmt.Sprintf("Switching(%s ; %s)", s.day.Name(), s.night.Name())
 }
 
 // Submit implements sim.Scheduler.
 func (s *Switching) Submit(j *job.Job, now int64) {
-	s.dayOrder.Push(j, now)
-	s.nightOrder.Push(j, now)
+	s.day.Submit(j, now)
+	s.night.Submit(j, now)
 }
 
 // JobStarted implements sim.Scheduler.
 func (s *Switching) JobStarted(j *job.Job, now int64) {
-	s.dayOrder.Remove(j, now)
-	s.nightOrder.Remove(j, now)
+	s.day.JobStarted(j, now)
+	s.night.JobStarted(j, now)
 }
 
 // JobFinished implements sim.Scheduler.
@@ -86,49 +77,26 @@ func (s *Switching) JobFinished(j *job.Job, now int64) {}
 
 // Startable implements sim.Scheduler: the active regime decides.
 func (s *Switching) Startable(now int64, free int, running []sim.Running) []*job.Job {
-	if s.QueueLen() == 0 || free <= 0 {
-		return nil
-	}
-	var (
-		ord Orderer
-		st  Starter
-	)
+	s.active = s.night
 	if s.window.Contains(now) {
-		ord, st = s.dayOrder, s.dayStart
-	} else {
-		ord, st = s.nightOrder, s.nightStart
+		s.active = s.day
 	}
-	j := st.Pick(ord.Ordered(now), now, free, running, s.machine)
-	if j == nil {
-		return nil
-	}
-	return []*job.Job{j}
+	return s.active.Startable(now, free, running)
 }
 
 // QueueLen implements sim.Scheduler. Both regimes' orders hold the same
 // jobs, so either one answers.
-func (s *Switching) QueueLen() int { return s.dayOrder.Len() }
+func (s *Switching) QueueLen() int { return s.day.QueueLen() }
 
 // SetInterrupt implements Interruptible: whichever regime is active, its
-// start policy's walk loops poll the hook.
+// pass polls the hook.
 func (s *Switching) SetInterrupt(f func() bool) {
-	forwardInterrupt(s.dayStart, f)
-	forwardInterrupt(s.nightStart, f)
+	s.day.SetInterrupt(f)
+	s.night.SetInterrupt(f)
 }
 
-// LastStartDecision implements sim.DecisionExplainer: the regime whose
-// start policy picked the job answers (starters match on the exact job
-// pointer of their most recent pick, so only one regime responds).
+// LastStartDecision implements sim.DecisionExplainer: the regime that
+// computed the last pass answers.
 func (s *Switching) LastStartDecision(j *job.Job) (telemetry.Decision, bool) {
-	if d, ok := s.dayStart.(sim.DecisionExplainer); ok {
-		if dec, found := d.LastStartDecision(j); found {
-			return dec, true
-		}
-	}
-	if d, ok := s.nightStart.(sim.DecisionExplainer); ok {
-		if dec, found := d.LastStartDecision(j); found {
-			return dec, true
-		}
-	}
-	return telemetry.Decision{}, false
+	return s.active.LastStartDecision(j)
 }

@@ -59,8 +59,8 @@ type Counters struct {
 
 	// Queue counts indexed waiting-queue operations (pushes, removals,
 	// width-pruned scan steps, order-statistic lookups); attach it via
-	// Hooks(). Only pushes and removals move when a wrapped start policy
-	// runs the Pick loop.
+	// Hooks(). A filtering wrapper's passes add hides: one per inadmissible
+	// or already-picked job and start decision.
 	Queue queue.Stats
 
 	// QueueDepth and FreeNodes sample the waiting-queue depth and the
@@ -246,4 +246,3 @@ func sortedReasonKeys(m map[Reason]int64) []Reason {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-

@@ -3,6 +3,8 @@
 # Run via `make check` or directly: ./scripts/check.sh
 #
 # Steps (fail-fast; the failing step is named on exit):
+#   gofmt        gofmt -l . must print nothing — every Go file in the
+#                tree, fixtures included, is in canonical format
 #   vet          go vet ./... — the default analyzer suite
 #   vet-focus    go vet -copylocks -loopclosure -atomic ./... — the three
 #                analyzers whose findings have historically been
@@ -49,6 +51,10 @@
 #                at tiny sizes: all six workloads run end to end, and the
 #                schedules they produce must match the committed
 #                benchmark/expect.json (see benchmark/README.md)
+#   examples-smoke scripts/examples-smoke.sh — the hand-composed example
+#                programs (chemistry, combined, metacomputing: the
+#                start-policy wrappers and Switching; plus quickstart)
+#                diffed against results/examples/*.txt
 #   stream-smoke scripts/stream-smoke.sh — a ~1M-job synthetic trace
 #                simulated end-to-end under a GOMEMLIMIT heap ceiling
 #                (the bounded-memory streaming path), plus a 2-shard
@@ -71,6 +77,7 @@ run() {
 	"$@"
 }
 
+run gofmt sh -c 'out=$(gofmt -l .); [ -z "$out" ] || { echo "not gofmt-clean:"; echo "$out"; exit 1; } >&2'
 run vet go vet ./...
 run vet-focus go vet -copylocks -loopclosure -atomic ./...
 run lint go run ./cmd/jobschedlint ./...
@@ -90,6 +97,7 @@ step=bench-smoke
 echo "==> bench-smoke: go run ./benchmark -smoke"
 go run ./benchmark -smoke >/dev/null
 
+run examples-smoke ./scripts/examples-smoke.sh
 run stream-smoke ./scripts/stream-smoke.sh
 run serve-smoke ./scripts/serve-smoke.sh
 
