@@ -62,8 +62,8 @@ examples-smoke:
 stream-smoke:
 	./scripts/stream-smoke.sh
 
-# Boot the jobschedd daemon, drive 10k submissions through schedload,
-# SIGTERM drain, restart, assert a byte-identical recovered fingerprint
-# (see DESIGN.md §15).
+# Boot the jobschedd daemon, drive 10k submissions through schedload
+# into an FCFS and a SMART session, SIGTERM drain, restart, assert
+# byte-identical recovered fingerprints (see DESIGN.md §15).
 serve-smoke:
 	./scripts/serve-smoke.sh

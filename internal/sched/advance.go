@@ -49,8 +49,8 @@ func NewCalendar(machineNodes int, entries []AdvanceReservation) (*Calendar, err
 		c.entries = append(c.entries, e)
 	}
 	sort.Slice(c.entries, func(i, j int) bool { return c.entries[i].Start < c.entries[j].Start })
-	// Overcommit check via a throwaway profile.
-	p := profile.New(machineNodes, 0)
+	// Overcommit check via a throwaway profile (the default kernel).
+	p := profile.NewTree(machineNodes, 0)
 	for _, e := range c.entries {
 		if p.MinFree(e.Start, e.End) < e.Nodes {
 			return nil, fmt.Errorf("sched: reservations overcommit the machine during %q", e.Name)

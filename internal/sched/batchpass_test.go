@@ -77,9 +77,9 @@ func orderIndexes(s sim.Scheduler) []*queue.Index {
 		case *FCFSOrder:
 			return o.ix
 		case *PSRSOrder:
-			return o.rp.ix
+			return o.ix
 		case *SMARTOrder:
-			return o.rp.ix
+			return o.ix
 		}
 		panic(fmt.Sprintf("sched: no index known for order policy %T", o))
 	}

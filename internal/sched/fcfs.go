@@ -43,6 +43,9 @@ func (o *FCFSOrder) Len() int { return o.ix.Len() }
 // OrderedIter implements Orderer.
 func (o *FCFSOrder) OrderedIter(now int64) *queue.Index { return o.ix }
 
+// Walk implements Orderer.
+func (o *FCFSOrder) Walk() queue.Cursor { return o.ix.Iter() }
+
 // BatchWindow implements Orderer: taking any job out never changes the
 // relative order of the rest, so a pass is never cut short.
 func (o *FCFSOrder) BatchWindow() int { return UnlimitedWindow }

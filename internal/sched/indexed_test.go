@@ -67,9 +67,9 @@ func indexedOrderers(nodes int) []struct {
 	}{
 		{NewFCFSOrder(string(OrderFCFS)), &naiveOrder{}},
 		{NewFCFSOrder("Garey&Graham"), &naiveOrder{}},
-		{psrs, replanning(psrs.rp)},
-		{ffia, replanning(ffia.rp)},
-		{nfiw, replanning(nfiw.rp)},
+		{psrs, replanning(psrs.replanner)},
+		{ffia, replanning(ffia.replanner)},
+		{nfiw, replanning(nfiw.replanner)},
 	}
 }
 

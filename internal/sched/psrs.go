@@ -5,8 +5,6 @@ import (
 	"slices"
 
 	"jobsched/internal/job"
-	"jobsched/internal/queue"
-	"jobsched/internal/telemetry"
 )
 
 // PSRSOrder adapts the PSRS algorithm (Schwiegelshohn [13]) to the
@@ -24,41 +22,19 @@ import (
 type PSRSOrder struct {
 	weight  job.WeightFunc
 	machine int
-	rp      *replanner
+	*replanner
 }
 
 // NewPSRSOrder builds the PSRS order policy from the configuration.
 func NewPSRSOrder(cfg Config) *PSRSOrder {
 	cfg = cfg.withDefaults()
 	o := &PSRSOrder{weight: cfg.Weight, machine: cfg.MachineNodes}
-	o.rp = newReplanner(cfg.RecomputeRatio, o.computePlan)
+	o.replanner = newReplanner(cfg.RecomputeRatio, o.computePlan)
 	return o
 }
 
 // Name implements Orderer.
 func (o *PSRSOrder) Name() string { return string(OrderPSRS) }
-
-// Push implements Orderer.
-func (o *PSRSOrder) Push(j *job.Job, now int64) { o.rp.push(j) }
-
-// Remove implements Orderer.
-func (o *PSRSOrder) Remove(j *job.Job, now int64) { o.rp.remove(j) }
-
-// OrderedIter implements Orderer.
-func (o *PSRSOrder) OrderedIter(now int64) *queue.Index { return o.rp.index() }
-
-// BatchWindow implements Orderer: PSRS order is removal-stable
-// within a plan epoch (see replanner.batchWindow).
-func (o *PSRSOrder) BatchWindow() int { return o.rp.batchWindow() }
-
-// Instrument implements Instrumented: attaches the queue-index counter.
-func (o *PSRSOrder) Instrument(h telemetry.Hooks) { o.rp.ix.SetStats(h.QueueStats) }
-
-// Len implements Orderer.
-func (o *PSRSOrder) Len() int { return o.rp.len() }
-
-// Recomputations returns how often the plan was recomputed (diagnostics).
-func (o *PSRSOrder) Recomputations() int { return o.rp.recomputations }
 
 // modifiedSmith returns weight / (nodes × estimate).
 func (o *PSRSOrder) modifiedSmith(j *job.Job) float64 {

@@ -1,9 +1,30 @@
 package sched
 
 import (
+	"fmt"
+
 	"jobsched/internal/job"
 	"jobsched/internal/queue"
+	"jobsched/internal/telemetry"
 )
+
+// Planner is the state of a plan order (PSRS, SMART) that the waiting
+// jobs and their order do not show: which of them belong to the current
+// plan, and how long that plan was. A replanner keeps planned +
+// startedFromPlan == planSize through every push, removal and replan, so
+// the plan length, the plan jobs and the order are the whole of it. FCFS
+// and Garey&Graham keep no plan and implement nothing.
+type Planner interface {
+	// Recomputations counts the plan epochs so far.
+	Recomputations() int
+	// PlanSize returns the current plan's length when it was computed.
+	// The waiting jobs still in it are the first ones of the order.
+	PlanSize() int
+	// RestorePlan makes plan, in order, the live part of a plan of size
+	// jobs on an empty queue; the arrivals since are Pushed after it, in
+	// submission order.
+	RestorePlan(size int, plan []*job.Job) error
+}
 
 // replanner is the shared on-line adaptation machinery of SMART and PSRS
 // (paper Section 5.4): the off-line algorithm only computes an *order* of
@@ -14,6 +35,9 @@ import (
 // jobs in this queue exceeds a certain value" — interpreted as: replan
 // once the started fraction of the last plan exceeds RecomputeRatio, or
 // once unplanned arrivals exceed 1-RecomputeRatio of the queue.
+//
+// SMARTOrder and PSRSOrder embed it: everything of Orderer but Name, and
+// all of Planner, is defined here once.
 type replanner struct {
 	ratio float64
 	// ix is the one store of the waiting queue: the live tail of the
@@ -41,13 +65,15 @@ func newReplanner(ratio float64, compute func([]*job.Job) []*job.Job) *replanner
 	return &replanner{ratio: ratio, compute: compute, ix: queue.NewIndex()}
 }
 
-func (r *replanner) push(j *job.Job) {
+// Push implements Orderer.
+func (r *replanner) Push(j *job.Job, now int64) {
 	if r.ix.Push(j) {
 		r.unplanned++
 	}
 }
 
-func (r *replanner) remove(j *job.Job) {
+// Remove implements Orderer.
+func (r *replanner) Remove(j *job.Job, now int64) {
 	ok, fromPlan := r.ix.Remove(j)
 	if !ok {
 		return
@@ -60,10 +86,23 @@ func (r *replanner) remove(j *job.Job) {
 	}
 }
 
-func (r *replanner) len() int { return r.planned + r.unplanned }
+// Len implements Orderer.
+func (r *replanner) Len() int { return r.planned + r.unplanned }
+
+// Walk implements Orderer.
+func (r *replanner) Walk() queue.Cursor { return r.ix.Iter() }
+
+// Instrument implements Instrumented: attaches the queue-index counter.
+func (r *replanner) Instrument(h telemetry.Hooks) { r.ix.SetStats(h.QueueStats) }
+
+// Recomputations implements Planner.
+func (r *replanner) Recomputations() int { return r.recomputations }
+
+// PlanSize implements Planner.
+func (r *replanner) PlanSize() int { return r.planSize }
 
 func (r *replanner) stale() bool {
-	n := r.len()
+	n := r.Len()
 	if n == 0 {
 		return false
 	}
@@ -83,7 +122,7 @@ func (r *replanner) ensureFresh() {
 	if !r.stale() {
 		return
 	}
-	n := r.len()
+	n := r.Len()
 	plan := r.compute(r.ix.AppendOrdered(make([]*job.Job, 0, n)))
 	if len(plan) != n {
 		panic("sched: replan changed the job set")
@@ -95,31 +134,45 @@ func (r *replanner) ensureFresh() {
 	r.ix.Rebuild(plan)
 }
 
-// index returns the current priority order, replanning first if stale.
-// The index is owned by the replanner.
-func (r *replanner) index() *queue.Index {
+// RestorePlan implements Planner.
+func (r *replanner) RestorePlan(size int, plan []*job.Job) error {
+	if r.Len() != 0 {
+		return fmt.Errorf("sched: plan restored over a nonempty queue")
+	}
+	if size < len(plan) {
+		return fmt.Errorf("sched: %d waiting jobs restored into a plan of %d", len(plan), size)
+	}
+	r.ix.Rebuild(plan)
+	r.planned, r.unplanned = len(plan), 0
+	r.planSize, r.startedFromPlan = size, size-len(plan)
+	return nil
+}
+
+// OrderedIter implements Orderer: the current priority order, replanning
+// first if stale. The index is owned by the replanner.
+func (r *replanner) OrderedIter(now int64) *queue.Index {
 	r.ensureFresh()
 	return r.ix
 }
 
-// batchWindow returns how many consecutive picks of the current order are
-// provably replan-free: the sequential protocol re-checks staleness
-// before every pick, so a batch of w picks is exact iff no removal prefix
-// of length i < w triggers stale(). Removals within an epoch never
-// reorder the remaining jobs (plan and unplanned both keep relative
-// order), so the only instability is the replan itself — bounding the
-// batch to this window makes PickMany over the epoch snapshot exactly
-// equal to the pick-one protocol, with the engine's next Startable call
-// re-entering index() at the same queue state the sequential
-// run would have re-checked.
+// BatchWindow implements Orderer: how many consecutive picks of the
+// current order are provably replan-free. The sequential protocol
+// re-checks staleness before every pick, so a batch of w picks is exact
+// iff no removal prefix of length i < w triggers stale(). Removals within
+// an epoch never reorder the remaining jobs (plan and unplanned both
+// keep relative order), so the only instability is the replan itself —
+// bounding the batch to this window makes PickMany over the epoch
+// snapshot exactly equal to the pick-one protocol, with the engine's next
+// Startable call re-entering OrderedIter at the same queue state the
+// sequential run would have re-checked.
 //
 // The worst case over which picks actually happen is all-from-plan: it
 // maximally advances startedFromPlan and planLen decay together, and the
 // unplanned trigger's denominator shrinks identically for any removal.
 // okAfter is monotone nonincreasing in i, so a binary search against the
 // exact float comparisons of stale() finds the window in O(log Q).
-func (r *replanner) batchWindow() int {
-	n := r.len()
+func (r *replanner) BatchWindow() int {
+	n := r.Len()
 	if n == 0 {
 		return 0
 	}

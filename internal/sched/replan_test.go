@@ -17,13 +17,13 @@ func identityCompute(count *int) func([]*job.Job) []*job.Job {
 func TestReplannerComputesOnFirstUse(t *testing.T) {
 	n := 0
 	r := newReplanner(2.0/3.0, identityCompute(&n))
-	r.push(j(0, 1, 10))
-	r.index()
+	r.Push(j(0, 1, 10), 0)
+	r.OrderedIter(0)
 	if n != 1 {
 		t.Fatalf("computed %d times, want 1", n)
 	}
 	// A second call without changes must reuse the plan.
-	r.index()
+	r.OrderedIter(0)
 	if n != 1 {
 		t.Fatalf("computed %d times after idempotent call, want 1", n)
 	}
@@ -33,16 +33,16 @@ func TestReplannerAppendsArrivalsWithoutRecompute(t *testing.T) {
 	n := 0
 	r := newReplanner(2.0/3.0, identityCompute(&n))
 	for i := 0; i < 6; i++ {
-		r.push(j(i, 1, 10))
+		r.Push(j(i, 1, 10), 0)
 	}
-	r.index() // plan over 6 jobs
+	r.OrderedIter(0) // plan over 6 jobs
 	if n != 1 {
 		t.Fatalf("computed %d, want 1", n)
 	}
 	// One new arrival: 1/7 < 1/3 of the queue → appended, no recompute.
 	extra := j(6, 1, 10)
-	r.push(extra)
-	got := r.index().AppendOrdered(nil)
+	r.Push(extra, 0)
+	got := r.OrderedIter(0).AppendOrdered(nil)
 	if n != 1 {
 		t.Fatalf("recomputed too eagerly (%d)", n)
 	}
@@ -57,15 +57,15 @@ func TestReplannerRecomputesAfterConsumingPlan(t *testing.T) {
 	jobs := make([]*job.Job, 6)
 	for i := range jobs {
 		jobs[i] = j(i, 1, 10)
-		r.push(jobs[i])
+		r.Push(jobs[i], 0)
 	}
-	r.index()
+	r.OrderedIter(0)
 	// Start (remove) 5 of 6 planned jobs: 5/6 > 2/3 → next ordered()
 	// must recompute.
 	for i := 0; i < 5; i++ {
-		r.remove(jobs[i])
+		r.Remove(jobs[i], 0)
 	}
-	r.index()
+	r.OrderedIter(0)
 	if n != 2 {
 		t.Fatalf("computed %d times, want 2", n)
 	}
@@ -74,13 +74,13 @@ func TestReplannerRecomputesAfterConsumingPlan(t *testing.T) {
 func TestReplannerRecomputesOnArrivalFlood(t *testing.T) {
 	n := 0
 	r := newReplanner(2.0/3.0, identityCompute(&n))
-	r.push(j(0, 1, 10))
-	r.index()
+	r.Push(j(0, 1, 10), 0)
+	r.OrderedIter(0)
 	// Many unplanned arrivals: > 1/3 of the queue → recompute.
 	for i := 1; i < 10; i++ {
-		r.push(j(i, 1, 10))
+		r.Push(j(i, 1, 10), 0)
 	}
-	r.index()
+	r.OrderedIter(0)
 	if n != 2 {
 		t.Fatalf("computed %d times, want 2", n)
 	}
@@ -90,15 +90,15 @@ func TestReplannerRemoveUnplannedJob(t *testing.T) {
 	n := 0
 	r := newReplanner(2.0/3.0, identityCompute(&n))
 	a := j(0, 1, 10)
-	r.push(a)
-	r.index()
+	r.Push(a, 0)
+	r.OrderedIter(0)
 	b := j(1, 1, 10)
-	r.push(b) // unplanned
-	r.remove(b)
-	if r.len() != 1 {
-		t.Fatalf("len = %d, want 1", r.len())
+	r.Push(b, 0) // unplanned
+	r.Remove(b, 0)
+	if r.Len() != 1 {
+		t.Fatalf("len = %d, want 1", r.Len())
 	}
-	got := r.index().AppendOrdered(nil)
+	got := r.OrderedIter(0).AppendOrdered(nil)
 	if len(got) != 1 || got[0] != a {
 		t.Fatalf("ordered = %v", ids(got))
 	}
@@ -107,7 +107,7 @@ func TestReplannerRemoveUnplannedJob(t *testing.T) {
 func TestReplannerEmpty(t *testing.T) {
 	n := 0
 	r := newReplanner(2.0/3.0, identityCompute(&n))
-	if got := r.index().AppendOrdered(nil); len(got) != 0 {
+	if got := r.OrderedIter(0).AppendOrdered(nil); len(got) != 0 {
 		t.Fatalf("ordered on empty = %v", got)
 	}
 	if n != 0 {
@@ -132,13 +132,13 @@ func TestReplannerPanicsOnJobSetChange(t *testing.T) {
 	r := newReplanner(0.5, func(jobs []*job.Job) []*job.Job {
 		return jobs[:0] // broken compute drops jobs
 	})
-	r.push(j(0, 1, 10))
+	r.Push(j(0, 1, 10), 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic when compute changed the job set")
 		}
 	}()
-	r.index()
+	r.OrderedIter(0)
 }
 
 func TestFCFSOrder(t *testing.T) {

@@ -52,6 +52,10 @@ type Orderer interface {
 	// is owned by the order policy; callers must restore any pass-local
 	// hiding before returning control.
 	OrderedIter(now int64) *queue.Index
+	// Walk returns a cursor over the order as it stands, without the
+	// replan check: what a snapshot records, never what a pass decides
+	// over.
+	Walk() queue.Cursor
 	// BatchWindow returns how many consecutive picks of the current order
 	// are provably replan-free (≥ 1 when the queue is nonempty). Call
 	// after OrderedIter — i.e. against a fresh plan. An order that no
@@ -86,10 +90,10 @@ type Starter interface {
 }
 
 // ProfileFactory constructs a scratch availability profile. The default
-// (nil) builds the O(log S) tree kernel; tests and benches inject
-// profile.New (the array kernel) or profile.NewReference (the
-// brute-force oracle) through Config.ProfileFactory to pin
-// backend-independence of whole schedules.
+// (nil) builds the O(log S) tree kernel, the only kernel production code
+// builds; tests and benches inject profile.New (the array kernel) or
+// profile.NewReference (the brute-force oracle) through
+// Config.ProfileFactory to pin backend-independence of whole schedules.
 type ProfileFactory func(nodes int, from int64) profile.Kernel
 
 // makeScratch applies the factory default.
@@ -210,6 +214,42 @@ func (c *Composite) memoAfter(now int64, free, queueLen, runningLen int, picked 
 
 // QueueLen implements sim.Scheduler.
 func (c *Composite) QueueLen() int { return c.order.Len() }
+
+// Waiting returns a cursor over the waiting jobs in the current order
+// without replanning (Orderer.Walk). It is invalidated by the next
+// submission, start or pass.
+func (c *Composite) Waiting() queue.Cursor { return c.order.Walk() }
+
+// Recomputations reports the order policy's plan epochs so far
+// (Planner), 0 for an order without a plan (FCFS, Garey&Graham).
+func (c *Composite) Recomputations() int {
+	if p, ok := c.order.(Planner); ok {
+		return p.Recomputations()
+	}
+	return 0
+}
+
+// PlanSize reports the order policy's plan length when computed
+// (Planner), 0 for an order without a plan.
+func (c *Composite) PlanSize() int {
+	if p, ok := c.order.(Planner); ok {
+		return p.PlanSize()
+	}
+	return 0
+}
+
+// RestorePlan restores a plan epoch into an empty composite
+// (Planner.RestorePlan); an order without a plan accepts only the empty
+// one.
+func (c *Composite) RestorePlan(size int, plan []*job.Job) error {
+	if p, ok := c.order.(Planner); ok {
+		return p.RestorePlan(size, plan)
+	}
+	if size != 0 || len(plan) != 0 {
+		return fmt.Errorf("sched: order %s keeps no plan", c.order.Name())
+	}
+	return nil
+}
 
 // LastStartDecision implements sim.DecisionExplainer by delegating to the
 // start policy.

@@ -7,8 +7,6 @@ import (
 	"slices"
 
 	"jobsched/internal/job"
-	"jobsched/internal/queue"
-	"jobsched/internal/telemetry"
 )
 
 // SMARTVariant selects the shelf-packing rule of SMART's step 2
@@ -42,7 +40,7 @@ type SMARTOrder struct {
 	gamma   float64
 	weight  job.WeightFunc
 	machine int
-	rp      *replanner
+	*replanner
 }
 
 // NewSMARTOrder builds the SMART order policy from the configuration.
@@ -57,34 +55,12 @@ func NewSMARTOrder(v SMARTVariant, cfg Config) *SMARTOrder {
 		weight:  cfg.Weight,
 		machine: cfg.MachineNodes,
 	}
-	o.rp = newReplanner(cfg.RecomputeRatio, o.computePlan)
+	o.replanner = newReplanner(cfg.RecomputeRatio, o.computePlan)
 	return o
 }
 
 // Name implements Orderer.
 func (o *SMARTOrder) Name() string { return o.variant.String() }
-
-// Push implements Orderer.
-func (o *SMARTOrder) Push(j *job.Job, now int64) { o.rp.push(j) }
-
-// Remove implements Orderer.
-func (o *SMARTOrder) Remove(j *job.Job, now int64) { o.rp.remove(j) }
-
-// OrderedIter implements Orderer.
-func (o *SMARTOrder) OrderedIter(now int64) *queue.Index { return o.rp.index() }
-
-// BatchWindow implements Orderer: SMART order is removal-stable
-// within a plan epoch (see replanner.batchWindow).
-func (o *SMARTOrder) BatchWindow() int { return o.rp.batchWindow() }
-
-// Instrument implements Instrumented: attaches the queue-index counter.
-func (o *SMARTOrder) Instrument(h telemetry.Hooks) { o.rp.ix.SetStats(h.QueueStats) }
-
-// Len implements Orderer.
-func (o *SMARTOrder) Len() int { return o.rp.len() }
-
-// Recomputations returns how often the plan was recomputed (diagnostics).
-func (o *SMARTOrder) Recomputations() int { return o.rp.recomputations }
 
 // shelf is one subschedule: all jobs on a shelf start concurrently.
 type shelf struct {

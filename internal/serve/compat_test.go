@@ -6,17 +6,18 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"jobsched/internal/eval"
 )
 
-// Two pinned data directories, each a session directory (config,
+// Three pinned data directories; never regenerate any of them from
+// current code. The first two are each a session directory (config,
 // snapshot at WAL seq 6, nine-record WAL) plus the fingerprint the
 // session ended at, both produced by applying compatOps below and
-// snapshotting after the sixth record. Never regenerate either from
-// current code.
+// snapshotting after the sixth record.
 //
 // testdata/compat-v1 was written by the code at commit 329e23d, the last
 // one whose Session owned its own completion heap and pass loop. Its
@@ -27,9 +28,17 @@ import (
 // testdata/compat-v2 was written through OpenStore (SnapshotEvery 6) by
 // the code of the change that introduced snapshot version 2 and the
 // serve-session-v2 fingerprint. It pins both byte for byte.
+//
+// testdata/compat-v2-plan was written through OpenStore (SnapshotEvery 6)
+// by the code at commit 796b3c0, the last one whose snapshots stored
+// pending jobs in id order only: a SMART-FFIA/EASY session created with
+// the allow_unstable opt-in that code required, snapshotted at WAL seq 6
+// while plan jobs waited, ten records in all. It pins the upgrade path of
+// a plan-order data directory.
 const (
-	compatV1Dir = "testdata/compat-v1"
-	compatV2Dir = "testdata/compat-v2"
+	compatV1Dir   = "testdata/compat-v1"
+	compatV2Dir   = "testdata/compat-v2"
+	compatPlanDir = "testdata/compat-v2-plan"
 )
 
 var compatConfig = Config{Nodes: 16, MaxPending: 3, DoneHistory: 6}
@@ -272,5 +281,66 @@ func TestCompatRestoreRefusals(t *testing.T) {
 	snap.Running[0].End++
 	if _, err := RestoreSession(snap); err == nil || !strings.Contains(err.Error(), "does not round-trip") {
 		t.Fatalf("edited completion time: %v", err)
+	}
+}
+
+// TestCompatPlanDataDirUpgrades: a plan-order data directory written
+// before snapshots carried plan ranks still opens. Its config's retired
+// allow_unstable field is ignored; its snapshot, which has neither ranks
+// nor a plan length, passes the restore self-check as a session that has
+// not planned yet — content-equivalent to the one that wrote it, not
+// identical — and the suffix replays. Once: the next snapshot carries
+// the plan, and from it recovery is exact.
+func TestCompatPlanDataDirUpgrades(t *testing.T) {
+	snap, err := readSnapshot(filepath.Join(compatPlanDir, "sessions", "pin"))
+	if err != nil || snap == nil {
+		t.Fatalf("pinned snapshot unreadable: %v", err)
+	}
+	sess, err := RestoreSession(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, sj := range snap.Pending {
+		ids = append(ids, fmt.Sprintf("%d#0", sj.ID))
+	}
+	if got := pendingWalk(sess); sess.sch.PlanSize() != 0 || !slices.Equal(got, ids) || len(ids) == 0 {
+		t.Fatalf("old snapshot restored to plan %d, pending %v; want no plan and %v", sess.sch.PlanSize(), got, ids)
+	}
+
+	dir := copyCompatDir(t, compatPlanDir)
+	store, err := OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := store.Info("pin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.WALSeq != 10 || info.Config.Order != "SMART-FFIA" {
+		t.Fatalf("recovered %+v", info)
+	}
+	if err := store.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	sessDir := filepath.Join(dir, "sessions", "pin")
+	data, err := os.ReadFile(filepath.Join(sessDir, snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next, err := decodeSnapshot(data); err != nil || next.PlanSize == 0 || len(next.Pending) == 0 ||
+		next.Pending[0].Rank == 0 || next.Fingerprint != info.Fingerprint || bytes.Contains(data, []byte("allow_unstable")) {
+		t.Fatalf("snapshot after drain carries no plan, or not the drained state (%v):\n%s", err, data)
+	}
+
+	store, err = OpenStore(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := store.Info("pin"); err != nil || again.Fingerprint != info.Fingerprint {
+		t.Fatalf("reopened from the plan snapshot: %+v, %v; want fingerprint %s", again, err, info.Fingerprint)
+	}
+	if err := store.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }

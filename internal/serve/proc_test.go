@@ -110,7 +110,9 @@ func (d *daemon) fingerprint(session string) (string, error) {
 
 // TestDaemonKillMinus9Recovery is the tentpole acceptance test: kill -9
 // the daemon — first at a quiescent point, then mid-traffic — and
-// verify the restart replays to the exact acknowledged state.
+// verify the restart replays to the exact acknowledged state, for an
+// FCFS session and for a SMART session restored from a snapshot taken
+// in the middle of a plan.
 func TestDaemonKillMinus9Recovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses and builds the daemon")
@@ -118,26 +120,42 @@ func TestDaemonKillMinus9Recovery(t *testing.T) {
 	bin := buildDaemon(t)
 	dataDir := filepath.Join(t.TempDir(), "data")
 
-	// Phase 1: quiescent kill. Submit, capture the fingerprint, kill -9,
-	// restart: the fingerprint must be identical.
+	// Phase 1: quiescent kill. Submit, capture the fingerprints, kill -9,
+	// restart: the fingerprints must be identical. The SMART session's
+	// jobs are wide enough to queue, so its snapshot (at the 16th of 22
+	// records) holds a plan with jobs still waiting in it.
 	d := startDaemon(t, bin, dataDir, "-snapshot-every", "16")
-	if resp, body, err := d.post("/v1/sessions", map[string]any{"name": "m", "config": map[string]any{"nodes": 64}}); err != nil || resp.StatusCode != 201 {
-		t.Fatalf("create: %v %s", err, body)
+	sessions := map[string]map[string]any{
+		"m": {"nodes": 64},
+		"p": {"nodes": 64, "order": "SMART-FFIA", "start": "EASY-Backfilling"},
 	}
-	for i := 0; i < 10; i++ {
-		resp, body, err := d.post("/v1/sessions/m/jobs", map[string]any{"jobs": []map[string]any{
-			{"nodes": 1 + i%8, "estimate": 100 + 10*i},
-		}})
-		if err != nil || resp.StatusCode != 200 {
-			t.Fatalf("submit %d: %v %s", i, err, body)
+	before := map[string]string{}
+	for name, cfg := range sessions {
+		if resp, body, err := d.post("/v1/sessions", map[string]any{"name": name, "config": cfg}); err != nil || resp.StatusCode != 201 {
+			t.Fatalf("create %s: %v %s", name, err, body)
 		}
-	}
-	if resp, body, err := d.post("/v1/sessions/m/advance", map[string]int64{"to": 250}); err != nil || resp.StatusCode != 200 {
-		t.Fatalf("advance: %v %s", err, body)
-	}
-	before, err := d.fingerprint("m")
-	if err != nil {
-		t.Fatal(err)
+		width := func(i int) int { return 1 + i%8 }
+		if name == "p" {
+			width = func(i int) int { return 16 + 13*i%48 }
+		}
+		for i := 0; i < 20; i++ {
+			resp, body, err := d.post("/v1/sessions/"+name+"/jobs", map[string]any{"jobs": []map[string]any{
+				{"nodes": width(i), "estimate": 100 + 10*i},
+			}})
+			if err != nil || resp.StatusCode != 200 {
+				t.Fatalf("submit %s %d: %v %s", name, i, err, body)
+			}
+			if i == 9 || i == 19 {
+				if resp, body, err := d.post("/v1/sessions/"+name+"/advance", map[string]int64{"to": int64(25 * (i + 1))}); err != nil || resp.StatusCode != 200 {
+					t.Fatalf("advance %s: %v %s", name, err, body)
+				}
+			}
+		}
+		fp, err := d.fingerprint(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[name] = fp
 	}
 	if err := d.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
@@ -146,19 +164,25 @@ func TestDaemonKillMinus9Recovery(t *testing.T) {
 	_ = werr // kill -9 makes a non-zero exit; that is the point
 
 	d = startDaemon(t, bin, dataDir)
-	after, err := d.fingerprint("m")
-	if err != nil {
-		t.Fatalf("recovery failed: %v\nlogs:\n%s", err, d.logs)
-	}
-	if after != before {
-		t.Fatalf("state after kill -9: %s, want %s", after, before)
+	for name := range sessions {
+		after, err := d.fingerprint(name)
+		if err != nil {
+			t.Fatalf("recovery of %s failed: %v\nlogs:\n%s", name, err, d.logs)
+		}
+		if after != before[name] {
+			t.Fatalf("%s after kill -9: %s, want %s", name, after, before[name])
+		}
 	}
 
 	// Phase 2: kill mid-traffic. Concurrent submitters record which
 	// submissions were acknowledged; every acked ID must survive.
+	type ack struct {
+		session string
+		id      int64
+	}
 	var (
 		mu    sync.Mutex
-		acked []int64
+		acked []ack
 	)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -166,14 +190,15 @@ func TestDaemonKillMinus9Recovery(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			session := []string{"m", "p"}[w%2]
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				resp, body, err := d.post("/v1/sessions/m/jobs", map[string]any{"jobs": []map[string]any{
-					{"nodes": 1, "estimate": 60, "name": fmt.Sprintf("w%d-%d", w, i)},
+				resp, body, err := d.post("/v1/sessions/"+session+"/jobs", map[string]any{"jobs": []map[string]any{
+					{"nodes": 1 + 7*w, "estimate": 60, "name": fmt.Sprintf("w%d-%d", w, i)},
 				}})
 				if err != nil {
 					return // connection died at the kill: unacked, fine
@@ -188,7 +213,7 @@ func TestDaemonKillMinus9Recovery(t *testing.T) {
 				}
 				if jerr := json.Unmarshal(body, &sr); jerr == nil && len(sr.Results) == 1 {
 					mu.Lock()
-					acked = append(acked, sr.Results[0].ID)
+					acked = append(acked, ack{session, sr.Results[0].ID})
 					mu.Unlock()
 				}
 			}
@@ -204,18 +229,22 @@ func TestDaemonKillMinus9Recovery(t *testing.T) {
 	_ = werr // kill -9 exit is expected
 
 	d = startDaemon(t, bin, dataDir)
-	fp1, err := d.fingerprint("m")
-	if err != nil {
-		t.Fatalf("recovery after mid-traffic kill: %v\nlogs:\n%s", err, d.logs)
+	fp1 := map[string]string{}
+	for name := range sessions {
+		fp, err := d.fingerprint(name)
+		if err != nil {
+			t.Fatalf("recovery of %s after mid-traffic kill: %v\nlogs:\n%s", name, err, d.logs)
+		}
+		fp1[name] = fp
 	}
 	mu.Lock()
-	ackedIDs := append([]int64(nil), acked...)
+	ackedIDs := append([]ack(nil), acked...)
 	mu.Unlock()
 	if len(ackedIDs) == 0 {
 		t.Fatal("no submissions were acked before the kill; the test raced to nothing")
 	}
-	for _, id := range ackedIDs {
-		resp, err := http.Get(d.base + fmt.Sprintf("/v1/sessions/m/jobs/%d", id))
+	for _, a := range ackedIDs {
+		resp, err := http.Get(d.base + fmt.Sprintf("/v1/sessions/%s/jobs/%d", a.session, a.id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +252,7 @@ func TestDaemonKillMinus9Recovery(t *testing.T) {
 		cerr := resp.Body.Close()
 		_ = cerr // status code is all this check needs
 		if code != 200 {
-			t.Fatalf("acked job %d lost by kill -9 (status %d)", id, code)
+			t.Fatalf("acked job %s/%d lost by kill -9 (status %d)", a.session, a.id, code)
 		}
 	}
 
@@ -235,12 +264,14 @@ func TestDaemonKillMinus9Recovery(t *testing.T) {
 	werr = d.cmd.Wait()
 	_ = werr // kill -9 exit is expected
 	d = startDaemon(t, bin, dataDir)
-	fp2, err := d.fingerprint("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp1 != fp2 {
-		t.Fatalf("two recoveries of the same log disagree: %s vs %s", fp1, fp2)
+	for name := range sessions {
+		fp2, err := d.fingerprint(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp1[name] != fp2 {
+			t.Fatalf("two recoveries of %s's log disagree: %s vs %s", name, fp1[name], fp2)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,81 +40,96 @@ func randomSpecs(r *rand.Rand, nodes int) []JobSpec {
 // random operation sequence applied through the durable store, with the
 // store torn down and reopened at random points (and a snapshot cadence
 // small enough that replay exercises snapshot+suffix), must track a
-// plain in-memory session applying the same sequence — fingerprints
-// equal at every reopen and at the end.
+// plain in-memory session applying the same sequence — fingerprints and
+// pending orders equal at every reopen and at the end, in every cell of
+// the grid.
 func TestRecoveryPropertyRandomOps(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		dir := t.TempDir()
-		const nodes = 32
-		opt := StoreOptions{SnapshotEvery: 5, IntakeDepth: 8, BatchMax: 4}
+	const nodes = 32
+	for ci, cfg := range gridConfigs(nodes) {
+		cfg.MaxPending = 50
+		name := cfg.Order + "/" + cfg.Start
+		for seed := int64(3 * ci); seed < int64(3*ci+3); seed++ {
+			r := rand.New(rand.NewSource(seed))
+			dir := t.TempDir()
+			opt := StoreOptions{SnapshotEvery: 5, IntakeDepth: 8, BatchMax: 4}
 
-		ref, err := NewSession("prop", Config{Nodes: nodes, MaxPending: 50})
-		if err != nil {
-			t.Fatal(err)
-		}
-		store, err := OpenStore(dir, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Create("prop", Config{Nodes: nodes, MaxPending: 50}); err != nil {
-			t.Fatal(err)
-		}
+			ref, err := NewSession("prop", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, err := OpenStore(dir, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Create("prop", cfg); err != nil {
+				t.Fatal(err)
+			}
 
-		ctx := context.Background()
-		clock := int64(0)
-		for op := 0; op < 120; op++ {
-			switch r.Intn(4) {
-			case 0, 1:
-				specs := randomSpecs(r, nodes)
-				if _, err := store.Submit(ctx, "prop", specs); err != nil {
-					t.Fatalf("seed %d op %d submit: %v", seed, op, err)
-				}
-				if _, err := ref.Submit(specs); err != nil {
-					t.Fatalf("seed %d op %d ref submit: %v", seed, op, err)
-				}
-			case 2:
-				clock += int64(r.Intn(200))
-				if err := store.Advance(ctx, "prop", clock); err != nil {
-					t.Fatalf("seed %d op %d advance: %v", seed, op, err)
-				}
-				if err := ref.Advance(clock); err != nil {
-					t.Fatalf("seed %d op %d ref advance: %v", seed, op, err)
-				}
-			case 3:
-				if r.Intn(3) != 0 {
-					continue
-				}
-				// Tear the store down (graceful here; the torn-tail and
-				// kill -9 paths get their own tests) and recover.
-				if err := store.Drain(ctx); err != nil {
-					t.Fatalf("seed %d op %d drain: %v", seed, op, err)
-				}
-				store, err = OpenStore(dir, opt)
-				if err != nil {
-					t.Fatalf("seed %d op %d reopen: %v", seed, op, err)
-				}
-				info, err := store.Info("prop")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := fmt.Sprintf("%016x", ref.Fingerprint()); info.Fingerprint != want {
-					t.Fatalf("seed %d op %d: recovered fingerprint %s, want %s", seed, op, info.Fingerprint, want)
+			ctx := context.Background()
+			clock := int64(0)
+			for op := 0; op < 120; op++ {
+				switch r.Intn(4) {
+				case 0, 1:
+					specs := randomSpecs(r, nodes)
+					if _, err := store.Submit(ctx, "prop", specs); err != nil {
+						t.Fatalf("%s seed %d op %d submit: %v", name, seed, op, err)
+					}
+					if _, err := ref.Submit(specs); err != nil {
+						t.Fatalf("%s seed %d op %d ref submit: %v", name, seed, op, err)
+					}
+				case 2:
+					clock += int64(r.Intn(200))
+					if err := store.Advance(ctx, "prop", clock); err != nil {
+						t.Fatalf("%s seed %d op %d advance: %v", name, seed, op, err)
+					}
+					if err := ref.Advance(clock); err != nil {
+						t.Fatalf("%s seed %d op %d ref advance: %v", name, seed, op, err)
+					}
+				case 3:
+					if r.Intn(3) != 0 {
+						continue
+					}
+					// Tear the store down (graceful here; the torn-tail and
+					// kill -9 paths get their own tests) and recover.
+					if err := store.Drain(ctx); err != nil {
+						t.Fatalf("%s seed %d op %d drain: %v", name, seed, op, err)
+					}
+					store, err = OpenStore(dir, opt)
+					if err != nil {
+						t.Fatalf("%s seed %d op %d reopen: %v", name, seed, op, err)
+					}
+					info, err := store.Info("prop")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := fmt.Sprintf("%016x", ref.Fingerprint()); info.Fingerprint != want {
+						t.Fatalf("%s seed %d op %d: recovered fingerprint %s, want %s", name, seed, op, info.Fingerprint, want)
+					}
+					h, err := store.get("prop")
+					if err != nil {
+						t.Fatal(err)
+					}
+					h.mu.Lock()
+					got := pendingWalk(h.sess)
+					h.mu.Unlock()
+					if want := pendingWalk(ref); !slices.Equal(got, want) {
+						t.Fatalf("%s seed %d op %d: recovered pending order %v, want %v", name, seed, op, got, want)
+					}
 				}
 			}
-		}
-		info, err := store.Info("prop")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := fmt.Sprintf("%016x", ref.Fingerprint()); info.Fingerprint != want {
-			t.Fatalf("seed %d final: fingerprint %s, want %s", seed, info.Fingerprint, want)
-		}
-		if info.Agg != ref.Agg() {
-			t.Fatalf("seed %d final aggregates: %+v vs %+v", seed, info.Agg, ref.Agg())
-		}
-		if err := store.Drain(ctx); err != nil {
-			t.Fatal(err)
+			info, err := store.Info("prop")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("%016x", ref.Fingerprint()); info.Fingerprint != want {
+				t.Fatalf("%s seed %d final: fingerprint %s, want %s", name, seed, info.Fingerprint, want)
+			}
+			if info.Agg != ref.Agg() {
+				t.Fatalf("%s seed %d final aggregates: %+v vs %+v", name, seed, info.Agg, ref.Agg())
+			}
+			if err := store.Drain(ctx); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -72,10 +72,16 @@ func TestServerEndToEnd(t *testing.T) {
 	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "unknown start policy") {
 		t.Fatalf("unknown start under G&G: %d %s", w.Code, w.Body)
 	}
-	// SMART without allow_unstable is refused, with the reason named.
+	// A plan order needs no opt-in: it restores exactly.
 	w = doJSON(t, srv, "POST", "/v1/sessions", "", createRequest{Name: "sm", Config: Config{Nodes: 8, Order: "SMART-FFIA"}})
+	if w.Code != http.StatusCreated {
+		t.Fatalf("SMART session: %d %s", w.Code, w.Body)
+	}
+	// The retired opt-in field is now an unknown field like any other.
+	w = doJSON(t, srv, "POST", "/v1/sessions", "", map[string]any{"name": "sm2",
+		"config": map[string]any{"nodes": 8, "order": "SMART-FFIA", "allow_unstable": true}})
 	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "allow_unstable") {
-		t.Fatalf("unstable order: %d %s", w.Code, w.Body)
+		t.Fatalf("allow_unstable: %d %s", w.Code, w.Body)
 	}
 
 	w = doJSON(t, srv, "POST", "/v1/sessions/m1/jobs", "alice", submitRequest{Jobs: []JobSpec{

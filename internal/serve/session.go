@@ -33,11 +33,9 @@ type Config struct {
 	// Nodes is the machine size.
 	Nodes int `json:"nodes"`
 	// Order and Start select the scheduling algorithm (sched.OrderName /
-	// sched.StartName); empty defaults to FCFS / EASY-Backfilling.
-	// Recovery is byte-identical for removal-stable orders (FCFS,
-	// Garey&Graham); SMART/PSRS sessions restore to a content-equivalent
-	// queue whose replan counters restart, which can change future (not
-	// past) decisions — the API refuses them unless AllowUnstable.
+	// sched.StartName); empty defaults to FCFS / EASY-Backfilling. Every
+	// cell of the paper's grid recovers exactly: a PSRS/SMART snapshot
+	// records the plan order and length as well as the jobs.
 	Order string `json:"order,omitempty"`
 	Start string `json:"start,omitempty"`
 	// MaxPending bounds the waiting queue: submissions beyond it are
@@ -47,9 +45,6 @@ type Config struct {
 	// DoneHistory bounds how many finished/expired/shed job records stay
 	// queryable; older ones are evicted. Default 10000.
 	DoneHistory int `json:"done_history,omitempty"`
-	// AllowUnstable permits SMART/PSRS order policies despite their
-	// weaker (content-equivalent, not counter-identical) recovery.
-	AllowUnstable bool `json:"allow_unstable,omitempty"`
 }
 
 const (
@@ -84,15 +79,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxPending < 0 || c.DoneHistory < 0 {
 		return rejectf("serve: max_pending and done_history must be >= 0")
-	}
-	switch sched.OrderName(c.Order) {
-	case sched.OrderFCFS, sched.OrderGG:
-	case sched.OrderPSRS, sched.OrderSMARTFFIA, sched.OrderSMARTNFIW:
-		if !c.AllowUnstable {
-			return rejectf("serve: order %q replans from counters that do not survive recovery; set allow_unstable to accept content-equivalent restores", c.Order)
-		}
-	default:
-		return rejectf("serve: unknown order policy %q", c.Order)
 	}
 	if _, err := sched.New(sched.OrderName(c.Order), sched.StartName(c.Start), sched.Config{MachineNodes: c.Nodes}); err != nil {
 		return rejectf("serve: %v", err)
@@ -183,6 +169,7 @@ type jobState struct {
 	start  int64
 	end    int64
 	seq    int      // start order; breaks completion ties
+	rank   int      // position in the order's plan while pending (rankPlan), else 0
 	j      *job.Job // the scheduler's handle while the job waits
 	digest uint64   // what the record contributes to its section's sum
 }
@@ -235,13 +222,8 @@ type Session struct {
 	clock  int64
 	nextID int64
 
-	jobs map[job.ID]*jobState
-	// pendingOrder is the arrival order of pending jobs (entries whose
-	// status moved on are skipped and lazily compacted); pendingN counts
-	// the live ones.
-	pendingOrder []job.ID
-	pendingN     int
-	deadlines    deadlineQueue
+	jobs      map[job.ID]*jobState
+	deadlines deadlineQueue
 	// retired is the bounded eviction ring over done/expired/shed jobs,
 	// oldest first.
 	retired []job.ID
@@ -311,7 +293,7 @@ func (s *Session) Name() string { return s.name }
 func (s *Session) Clock() int64 { return s.clock }
 
 // Counts returns (pending, running) job counts.
-func (s *Session) Counts() (pending, running int) { return s.pendingN, s.step.RunningLen() }
+func (s *Session) Counts() (pending, running int) { return s.sch.QueueLen(), s.step.RunningLen() }
 
 // Agg returns the session's running totals.
 func (s *Session) Agg() Aggregates { return s.agg }
@@ -341,7 +323,7 @@ func (s *Session) Submit(specs []JobSpec) ([]SubmitResult, error) {
 		st := &jobState{id: id, spec: sp, submit: s.clock}
 		s.jobs[id] = st
 		switch {
-		case s.pendingN >= s.cfg.MaxPending:
+		case s.sch.QueueLen() >= s.cfg.MaxPending:
 			// Bounded queue: record the refusal durably (it is part of
 			// the replayed state) but never schedule the job.
 			st.status = StatusShed
@@ -354,8 +336,6 @@ func (s *Session) Submit(specs []JobSpec) ([]SubmitResult, error) {
 		default:
 			st.status = StatusPending
 			st.j = coreJob(id, sp, s.clock)
-			s.pendingOrder = append(s.pendingOrder, id)
-			s.pendingN++
 			s.fold(secPending, st, 0)
 			if sp.Deadline > 0 {
 				heap.Push(&s.deadlines, deadlineEvent{at: sp.Deadline, id: id})
@@ -374,7 +354,6 @@ func (s *Session) Submit(specs []JobSpec) ([]SubmitResult, error) {
 	if err := s.startJobs(); err != nil {
 		return nil, err
 	}
-	s.maybeCompact()
 	return results, nil
 }
 
@@ -410,7 +389,6 @@ func (s *Session) Advance(to int64) error {
 			return err
 		}
 	}
-	s.maybeCompact()
 	return nil
 }
 
@@ -440,8 +418,7 @@ func (s *Session) expireDeadlines(now int64) {
 		s.sch.Withdraw(st.j, now)
 		s.unfold(secPending, st)
 		st.status = StatusExpired
-		st.j = nil
-		s.pendingN--
+		st.j, st.rank = nil, 0
 		s.agg.Expired++
 		s.retire(st)
 		if s.audit != nil {
@@ -462,8 +439,10 @@ func (s *Session) finish(e sim.RunEntry) {
 }
 
 // startJobs runs the stepper's passes at the current instant and
-// settles the records of the jobs they started.
+// settles the records of the jobs they started. A pass that replanned
+// the order re-ranks the jobs still waiting.
 func (s *Session) startJobs() error {
+	epoch := s.sch.Recomputations()
 	started, err := s.step.RunPasses(s.clock)
 	if errors.Is(err, sim.ErrInterrupted) {
 		return ErrInterrupted
@@ -479,13 +458,28 @@ func (s *Session) startJobs() error {
 		s.unfold(secPending, st)
 		st.status = StatusRunning
 		st.start, st.end, st.seq = e.Start, e.End, e.Seq
-		st.j = nil
-		s.pendingN--
+		st.j, st.rank = nil, 0
 		s.fold(secRunning, st, 0)
 		s.agg.Started++
 		s.agg.SumWait = job.AddSat(s.agg.SumWait, st.start-st.submit)
 	}
+	if s.sch.Recomputations() != epoch {
+		s.rankPlan()
+	}
 	return nil
+}
+
+// rankPlan numbers the jobs of a new plan 1, 2, … in plan order: one
+// O(Q) walk per replan, which itself costs O(Q log Q). No job arrives
+// between a replan and this walk, so every waiting job is in the plan.
+func (s *Session) rankPlan() {
+	c := s.sch.Waiting()
+	for i, j := 1, c.Next(); j != nil; i, j = i+1, c.Next() {
+		st := s.jobs[j.ID]
+		s.unfold(secPending, st)
+		st.rank = i
+		s.fold(secPending, st, 0)
+	}
 }
 
 // retire appends a settled job to the bounded history ring, evicting
@@ -500,22 +494,6 @@ func (s *Session) retire(st *jobState) {
 		s.unfold(secRetired, s.jobs[old])
 		delete(s.jobs, old)
 	}
-}
-
-// maybeCompact sweeps pendingOrder's tombstones (entries whose job
-// started or retired) once they dominate the slice. The sweep preserves
-// arrival order, so it never changes fingerprints or snapshots.
-func (s *Session) maybeCompact() {
-	if len(s.pendingOrder) < 64 || len(s.pendingOrder) < 2*s.pendingN {
-		return
-	}
-	live := s.pendingOrder[:0]
-	for _, id := range s.pendingOrder {
-		if st := s.jobs[id]; st != nil && st.status == StatusPending {
-			live = append(live, id)
-		}
-	}
-	s.pendingOrder = live
 }
 
 // Apply replays one WAL record. Replay must never cleanly reject: the

@@ -231,7 +231,7 @@ func TestSessionMatchesEngine(t *testing.T) {
 			want.SumResponse += a.End - a.Job.Submit
 		}
 
-		sess, err := NewSession("m1", Config{Nodes: nodes, Order: string(c.order), Start: string(c.start), AllowUnstable: true})
+		sess, err := NewSession("m1", Config{Nodes: nodes, Order: string(c.order), Start: string(c.start)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,6 +21,7 @@ type snapJob struct {
 	// Seq is the start order (running jobs only): it breaks completion
 	// ties, so restoring it keeps event delivery byte-identical.
 	Seq    int    `json:"seq,omitempty"`
+	Rank   int    `json:"rank,omitempty"` // plan orders' pending jobs only
 	Status string `json:"status,omitempty"`
 }
 
@@ -40,12 +41,14 @@ type snapHeader struct {
 	StartSeq int        `json:"start_seq"`
 	WALSeq   uint64     `json:"wal_seq"`
 	Agg      Aggregates `json:"agg"`
+	PlanSize int        `json:"plan_size,omitempty"` // plan orders only
 }
 
 // Snapshot is a session's full durable state at one WAL position:
 // restoring it and replaying the WAL records after WALSeq reconstructs
-// the session exactly. Pending jobs are stored in arrival order (the
-// order the order policy saw them), running jobs in start order.
+// the session exactly, for every order policy. Pending jobs are stored
+// in the order policy's order — a plan order's ranked plan jobs, then
+// the arrivals since by id — and running jobs in start order.
 type Snapshot struct {
 	snapHeader
 	Pending []snapJob `json:"pending"`

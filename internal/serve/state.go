@@ -68,7 +68,7 @@ func (h hash64) sum() uint64 {
 
 // jobDigest hashes one job record as it stands in a section. ordinal is
 // the record's retire ordinal (see retireOrdinal), 0 in the other two
-// sections.
+// sections; a plan rank only when there is one (see Fingerprint).
 func jobDigest(st *jobState, ordinal int64) uint64 {
 	h := hashSeed
 	h.int(int64(st.id))
@@ -84,6 +84,9 @@ func jobDigest(st *jobState, ordinal int64) uint64 {
 	h.int(st.end)
 	h.int(int64(st.seq))
 	h.int(ordinal)
+	if st.rank > 0 {
+		h.int(int64(st.rank))
+	}
 	return h.sum()
 }
 
@@ -107,19 +110,22 @@ func (s *Session) retireOrdinal(index int) int64 {
 }
 
 // Fingerprint hashes the session's complete observable state: config,
-// clocks, counters, and every live and retired job record. Two sessions
-// with equal fingerprints serve identical answers to every query and
-// make identical future scheduling decisions (for removal-stable order
-// policies) — this is the equality the crash-recovery tests assert.
+// clocks, counters, the plan length of a plan order, and every live and
+// retired job record. Two sessions with equal fingerprints serve
+// identical answers to every query and make identical future scheduling
+// decisions — this is the equality the crash-recovery tests assert.
 //
 // The definition (serve-session-v2) is the scalar header plus, per
 // section, the job count and the wrapping sum of the jobs' digests. The
 // sums are maintained as jobs move between sections, so the cost is
 // independent of the number of jobs. A sum ignores order: retired order
-// is in the digests (retireOrdinal), pending order is ascending id and
-// running order ascending start seq, which RestoreSession checks. It is
-// an equality and corruption check, not an authenticator: whoever can
-// edit a snapshot can also recompute it.
+// is in the digests (retireOrdinal), and so is a plan order's pending
+// plan (ranks); the arrivals after it are in ascending id and running
+// jobs in ascending start seq, which RestoreSession checks. The plan
+// length and ranks are hashed only when nonzero, so a session that never
+// planned (every FCFS and Garey&Graham one) hashes as it did before they
+// existed. It is an equality and corruption check, not an authenticator:
+// whoever can edit a snapshot can also recompute it.
 func (s *Session) Fingerprint() uint64 {
 	h := hashSeed
 	h.str("serve-session-v2")
@@ -140,6 +146,9 @@ func (s *Session) Fingerprint() uint64 {
 	h.int(s.agg.Shed)
 	h.int(s.agg.SumWait)
 	h.int(s.agg.SumResponse)
+	if size := s.sch.PlanSize(); size > 0 {
+		h.int(int64(size))
+	}
 	for sec, n := range s.sectionLens() {
 		h.int(int64(n))
 		h.word(s.sums[sec])
@@ -149,20 +158,19 @@ func (s *Session) Fingerprint() uint64 {
 
 // sectionLens counts the jobs of each section.
 func (s *Session) sectionLens() [numSections]int {
-	return [numSections]int{s.pendingN, s.step.RunningLen(), len(s.retired)}
+	return [numSections]int{s.sch.QueueLen(), s.step.RunningLen(), len(s.retired)}
 }
 
-// eachJob visits a section's jobs in its order: pending by arrival (the
-// order the order policy saw them, which is ascending id), running by
-// start seq, retired oldest first. It stops at visit's first error.
+// eachJob visits a section's jobs in its order: pending in the order
+// policy's current order (ranked plan first, then arrivals by id), running
+// by start seq, retired oldest first. It stops at visit's first error.
 func (s *Session) eachJob(sec section, visit func(*jobState) error) error {
 	switch sec {
 	case secPending:
-		for _, id := range s.pendingOrder {
-			if st := s.jobs[id]; st != nil && st.status == StatusPending {
-				if err := visit(st); err != nil {
-					return err
-				}
+		c := s.sch.Waiting()
+		for j := c.Next(); j != nil; j = c.Next() {
+			if err := visit(s.jobs[j.ID]); err != nil {
+				return err
 			}
 		}
 	case secRunning:
@@ -191,12 +199,13 @@ func (s *Session) snapHeader(walSeq uint64) snapHeader {
 		StartSeq: s.step.StartSeq(),
 		WALSeq:   walSeq,
 		Agg:      s.agg,
+		PlanSize: s.sch.PlanSize(),
 	}
 }
 
 func (st *jobState) snap() snapJob {
 	return snapJob{ID: int64(st.id), Spec: st.spec, Submit: st.submit,
-		Start: st.start, End: st.end, Seq: st.seq, Status: string(st.status)}
+		Start: st.start, End: st.end, Seq: st.seq, Rank: st.rank, Status: string(st.status)}
 }
 
 // Snapshot captures the session's durable state as of WAL sequence
@@ -301,12 +310,19 @@ func RestoreSession(snap *Snapshot) (*Session, error) {
 	s.nextID = snap.NextID
 	s.agg = snap.Agg
 
-	// Pending jobs re-enter the order policy in arrival order — the same
-	// Push sequence the original session performed, so removal-stable
-	// orders rebuild the identical queue. Arrival order is id order; the
-	// fingerprint's digest sum cannot tell, so it is checked here.
+	// Pending jobs re-enter the order policy in its order: a plan order's
+	// ranked jobs as the live part of a plan of PlanSize jobs, then the
+	// arrivals since by id — the pushes the original session made after
+	// its last replan. The sums cannot see that order; its shape is
+	// checked here.
+	var ranked []*job.Job
 	for i, sj := range snap.Pending {
-		if i > 0 && sj.ID <= snap.Pending[i-1].ID {
+		switch afterArrival := len(ranked) < i; {
+		case sj.Rank < 0 || sj.Rank > snap.PlanSize:
+			return nil, fmt.Errorf("serve: restore %s: pending job %d has rank %d, outside a plan of %d", snap.Name, sj.ID, sj.Rank, snap.PlanSize)
+		case sj.Rank > 0 && (afterArrival || i > 0 && sj.Rank <= snap.Pending[i-1].Rank):
+			return nil, fmt.Errorf("serve: restore %s: pending job %d of rank %d follows job %d, not in plan order", snap.Name, sj.ID, sj.Rank, snap.Pending[i-1].ID)
+		case sj.Rank == 0 && afterArrival && sj.ID <= snap.Pending[i-1].ID:
 			return nil, fmt.Errorf("serve: restore %s: pending job %d follows job %d, not in arrival order", snap.Name, sj.ID, snap.Pending[i-1].ID)
 		}
 		st, err := s.adopt(sj, StatusPending)
@@ -314,12 +330,20 @@ func RestoreSession(snap *Snapshot) (*Session, error) {
 			return nil, err
 		}
 		st.j = coreJob(st.id, st.spec, st.submit)
-		s.pendingOrder = append(s.pendingOrder, st.id)
-		s.pendingN++
+		st.rank = sj.Rank
 		s.fold(secPending, st, 0)
 		if st.spec.Deadline > 0 {
 			s.deadlines = append(s.deadlines, deadlineEvent{at: st.spec.Deadline, id: st.id})
 		}
+		if st.rank > 0 {
+			ranked = append(ranked, st.j)
+		}
+	}
+	if err := s.sch.RestorePlan(snap.PlanSize, ranked); err != nil {
+		return nil, fmt.Errorf("serve: restore %s: %w", snap.Name, err)
+	}
+	for _, sj := range snap.Pending[len(ranked):] {
+		st := s.jobs[job.ID(sj.ID)]
 		if err := s.step.Submit(st.j, st.submit); err != nil {
 			return nil, fmt.Errorf("serve: restore %s: %w", snap.Name, err)
 		}

@@ -109,7 +109,9 @@ func OpenStore(dir string, opt StoreOptions) (*Store, error) {
 			return nil, fmt.Errorf("serve: recovering session %s: %w", name, err)
 		}
 		st.sessions[name] = h
-		opt.logf("session %s recovered: clock=%d wal_seq=%d", name, h.clockNow(), h.walSeqNow())
+		if info, err := h.info(); err == nil {
+			opt.logf("session %s recovered: clock=%d wal_seq=%d", name, info.Clock, info.WALSeq)
+		}
 	}
 	return st, nil
 }
@@ -509,18 +511,6 @@ func (h *handle) info() (SessionInfo, error) {
 		WALSeq:      h.wal.LastSeq(),
 		Fingerprint: fmt.Sprintf("%016x", h.sess.Fingerprint()),
 	}, nil
-}
-
-func (h *handle) clockNow() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sess.Clock()
-}
-
-func (h *handle) walSeqNow() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.wal.LastSeq()
 }
 
 // worker is the session's single writer: it drains the intake queue in

@@ -2,15 +2,19 @@
 # serve-smoke: the scheduler-as-a-service daemon, exercised end to end
 # through the real binaries (see DESIGN.md §15).
 #
-#   1. Boot jobschedd on a free port against a fresh data directory.
-#   2. Push 10k submissions through cmd/schedload (concurrent workers,
-#      batched requests, clock advances interleaved) and capture the
-#      session fingerprint.
+#   1. Boot jobschedd on a free port against a fresh data directory and
+#      create the SMART-FFIA / EASY-Backfilling session smoke-plan next
+#      to schedload's default FCFS / EASY-Backfilling session smoke.
+#   2. Push 10k submissions into each session through cmd/schedload
+#      (concurrent workers, batched requests, clock advances
+#      interleaved) and capture both session fingerprints.
 #   3. SIGTERM the daemon: it must refuse new work, flush its final
 #      snapshots, and exit 0 (set -e turns a non-zero drain into a
 #      failure here).
-#   4. Restart on the same data directory and require the recovered
-#      fingerprint to be byte-identical to the pre-shutdown one.
+#   4. Restart on the same data directory and require both recovered
+#      fingerprints to be byte-identical to the pre-shutdown ones. The
+#      drain's snapshot of smoke-plan is taken in the middle of a plan
+#      (checked below), so this is exact plan restore end to end.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -42,29 +46,43 @@ start_daemon() {
 	addr=$(cat "$tmp/addr")
 }
 
-echo "--- serve: $SERVE_JOBS submissions, SIGTERM drain, recovery fingerprint"
-start_daemon
-"$tmp/schedload" -addr "$addr" -session smoke -jobs "$SERVE_JOBS" \
-	-workers 8 -batch 25 -out "$tmp/load.json" >/dev/null
+sessions="smoke smoke-plan"
 
-fp_before=$("$tmp/schedload" -addr "$addr" -session smoke -fingerprint)
-echo "    pre-shutdown state: $fp_before"
+echo "--- serve: $SERVE_JOBS submissions per session, SIGTERM drain, recovery fingerprints"
+start_daemon
+# schedload creates a missing session with the default order; this one
+# exists before it runs, so it drives the plan order.
+curl -sf -X POST "http://$addr/v1/sessions" -H 'Content-Type: application/json' \
+	-d '{"name":"smoke-plan","config":{"nodes":256,"order":"SMART-FFIA","start":"EASY-Backfilling"}}' >/dev/null
+for s in $sessions; do
+	"$tmp/schedload" -addr "$addr" -session "$s" -jobs "$SERVE_JOBS" \
+		-workers 8 -batch 25 -out "$tmp/load-$s.json" >/dev/null
+	"$tmp/schedload" -addr "$addr" -session "$s" -fingerprint >"$tmp/fp-$s"
+	echo "    $s pre-shutdown state: $(cat "$tmp/fp-$s")"
+done
 
 kill -TERM "$daemon_pid"
 wait "$daemon_pid" # set -eu: a non-zero (unclean) drain exit fails the gate
 daemon_pid=""
 grep -q "drained cleanly" "$tmp/daemon.log"
-
-start_daemon
-fp_after=$("$tmp/schedload" -addr "$addr" -session smoke -fingerprint)
-echo "    recovered state:    $fp_after"
-[ "$fp_before" = "$fp_after" ] || {
-	echo "FAIL: recovery diverged from the drained state"
+grep -q '"plan_size"' "$tmp/data/sessions/smoke-plan/snapshot.json" || {
+	echo "FAIL: smoke-plan's snapshot holds no plan"
 	exit 1
 }
+
+start_daemon
+for s in $sessions; do
+	fp_before=$(cat "$tmp/fp-$s")
+	fp_after=$("$tmp/schedload" -addr "$addr" -session "$s" -fingerprint)
+	echo "    $s recovered state:    $fp_after"
+	[ "$fp_before" = "$fp_after" ] || {
+		echo "FAIL: $s recovery diverged from the drained state"
+		exit 1
+	}
+done
 
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
 daemon_pid=""
 
-echo "--- serve: OK (state recovered byte-identically)"
+echo "--- serve: OK (both sessions recovered byte-identically)"
