@@ -266,10 +266,12 @@ func (s *shadowAsserter) observe(ordered []*job.Job, picked *job.Job, now int64,
 	}
 	// A backfill happened: compare the head's shadow before and after.
 	head := ordered[0]
-	before, _ := shadowTime(head, now, free, slices.Clone(running))
-	after, _ := shadowTime(head, now, free-picked.Nodes,
-		append(slices.Clone(running),
-			sim.Running{Job: picked, Start: now, EstEnd: now + picked.Estimate}))
+	ends := slices.Clone(running)
+	slices.SortFunc(ends, byEstEnd)
+	before, _ := shadowTime(head, now, free, ends)
+	ends = append(ends, sim.Running{Job: picked, Start: now, EstEnd: now + picked.Estimate})
+	slices.SortFunc(ends, byEstEnd)
+	after, _ := shadowTime(head, now, free-picked.Nodes, ends)
 	s.backfills++
 	if after > before {
 		s.t.Errorf("backfill of %v at t=%d pushed the head shadow %d → %d",

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"jobsched/internal/job"
+	"jobsched/internal/sim"
 )
 
 // Every order policy stores its waiting queue once, in a queue.Index,
@@ -209,5 +210,34 @@ func TestIndexedScanZeroAlloc(t *testing.T) {
 		s.PickMany(ix, 5000, 4, nil, 16, UnlimitedWindow)
 	}); allocs != 0 {
 		t.Fatalf("width-pruned no-fit pass allocates %v objects per run, want 0", allocs)
+	}
+}
+
+// TestEASYPassZeroAlloc gates EASY's fault-free pass: with a blocked head
+// over a 200-entry running list, sorting the running list once per pass
+// and inserting each backfill into it must allocate nothing.
+func TestEASYPassZeroAlloc(t *testing.T) {
+	const nodes = 256
+	running := make([]sim.Running, 200)
+	for i := range running {
+		est := int64(100 + (i*37)%500)
+		running[i] = sim.Running{Job: &job.Job{ID: job.ID(1000 + i), Nodes: 1, Estimate: est}, EstEnd: est}
+	}
+	o := NewFCFSOrder("FCFS")
+	o.Push(&job.Job{ID: 1, Nodes: 100, Estimate: 1000}, 0) // blocked head
+	o.Push(&job.Job{ID: 2, Nodes: 1, Estimate: 10}, 0)     // backfills before the shadow
+	o.Push(&job.Job{ID: 3, Nodes: 2, Estimate: 100000}, 0) // outlasts the shadow, no spare nodes
+	o.Push(&job.Job{ID: 4, Nodes: 100, Estimate: 100}, 0)  // too wide to backfill
+	s := NewEASYStarter()
+	ix := o.OrderedIter(0)
+	free := nodes - len(running)
+	// Warm the picked/decision/running buffers so steady-state capacity is measured.
+	if got := s.PickMany(ix, 0, free, running, nodes, UnlimitedWindow); len(got) != 1 || got[0].ID != 2 {
+		t.Fatalf("pass started %v, want the one backfill of job 2", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.PickMany(ix, 0, free, running, nodes, UnlimitedWindow)
+	}); allocs != 0 {
+		t.Fatalf("EASY pass with a blocked head allocates %v objects per run, want 0", allocs)
 	}
 }

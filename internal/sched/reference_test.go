@@ -17,6 +17,8 @@ package sched
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"jobsched/internal/job"
 	"jobsched/internal/objective"
@@ -102,8 +104,14 @@ func (s refEASY) slicePickOne(ordered []*job.Job, now int64, free int, running [
 	if len(ordered) == 1 {
 		return nil
 	}
-	s.ends = append(s.ends[:0], running...)
-	shadow, spare := shadowTime(head, now, free, s.ends)
+	ends := slices.Clone(running)
+	sort.Slice(ends, func(a, b int) bool {
+		if ends[a].EstEnd != ends[b].EstEnd {
+			return ends[a].EstEnd < ends[b].EstEnd
+		}
+		return ends[a].Job.ID < ends[b].Job.ID
+	})
+	shadow, spare := shadowTime(head, now, free, ends)
 	if s.rec != nil {
 		s.rec.Record(telemetry.Event{Type: telemetry.EventBackfill, At: now,
 			Job: telemetry.None, Starter: s.Name(), Head: int64(head.ID),

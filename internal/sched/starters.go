@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"jobsched/internal/job"
 	"jobsched/internal/profile"
@@ -226,10 +227,6 @@ func (s *GareyGrahamStarter) PickMany(ix *queue.Index, now int64, free int, runn
 // may even delay the head when a running job finishes early.
 type EASYStarter struct {
 	decided
-	// ends is the reusable shadow-time sort buffer (pickOneIx runs once
-	// per scheduling decision; allocating a running-list copy each time
-	// is measurable under deep backlogs). Not safe for concurrent use.
-	ends []sim.Running
 	// rec receives backfill-attempt events (nil = tracing disabled);
 	// stats counts the drain profile's kernel operations.
 	rec   telemetry.Recorder
@@ -310,7 +307,10 @@ func (s *EASYStarter) PickMany(ix *queue.Index, now int64, free int, running []s
 		ix.UnhideAll()
 		return s.picked
 	}
+	// The pass's running list in shadow order: sorted once, and each pick
+	// inserted where the sort would have put it.
 	runLocal := append(s.runBuf[:0], running...)
+	slices.SortFunc(runLocal, byEstEnd)
 	for ix.Len() > 0 && free > 0 && !stopNow(s.interrupt) {
 		if len(s.picked) >= limit {
 			break
@@ -321,7 +321,9 @@ func (s *EASYStarter) PickMany(ix *queue.Index, now int64, free int, running []s
 		}
 		s.picked = append(s.picked, j)
 		free -= j.Nodes
-		runLocal = append(runLocal, sim.Running{Job: j, Start: now, EstEnd: job.AddSat(now, j.Estimate)})
+		r := sim.Running{Job: j, Start: now, EstEnd: job.AddSat(now, j.Estimate)}
+		i, _ := slices.BinarySearchFunc(runLocal, r, byEstEnd)
+		runLocal = slices.Insert(runLocal, i, r)
 		ix.Hide(j)
 	}
 	s.runBuf = runLocal[:0]
@@ -330,9 +332,10 @@ func (s *EASYStarter) PickMany(ix *queue.Index, now int64, free int, running []s
 }
 
 // pickOneIx is the fault-free EASY decision against an explicit running
-// list: the backfill scan visits only candidates that fit the free nodes
-// (width-pruned), never the runs of too-wide jobs between them. Depth =
-// the candidate's rank in the remaining (visible) order.
+// list sorted by byEstEnd: the backfill scan visits only candidates that
+// fit the free nodes (width-pruned), never the runs of too-wide jobs
+// between them. Depth = the candidate's rank in the remaining (visible)
+// order.
 func (s *EASYStarter) pickOneIx(ix *queue.Index, now int64, free int, running []sim.Running) *job.Job {
 	head, headSlot := ix.First()
 	if head == nil {
@@ -347,8 +350,7 @@ func (s *EASYStarter) pickOneIx(ix *queue.Index, now int64, free int, running []
 	if ix.Len() == 1 {
 		return nil
 	}
-	s.ends = append(s.ends[:0], running...)
-	shadow, spare := shadowTime(head, now, free, s.ends)
+	shadow, spare := shadowTime(head, now, free, running)
 	if s.rec != nil {
 		s.rec.Record(telemetry.Event{Type: telemetry.EventBackfill, At: now,
 			Job: telemetry.None, Starter: s.Name(), Head: int64(head.ID),
@@ -463,15 +465,9 @@ func (s *EASYStarter) drainPickOneIx(ix *queue.Index, now int64, free int) *job.
 
 // shadowTime computes the head job's reservation: the earliest estimated
 // time at which enough nodes drain for the head, and the spare nodes left
-// over at that time after the head starts. ends is sorted in place (the
-// caller passes an owned copy of the running list).
+// over at that time after the head starts. ends must be sorted by
+// byEstEnd.
 func shadowTime(head *job.Job, now int64, free int, ends []sim.Running) (shadow int64, spare int) {
-	sort.Slice(ends, func(a, b int) bool {
-		if ends[a].EstEnd != ends[b].EstEnd {
-			return ends[a].EstEnd < ends[b].EstEnd
-		}
-		return ends[a].Job.ID < ends[b].Job.ID
-	})
 	avail := free
 	for _, r := range ends {
 		avail += r.Job.Nodes
@@ -483,6 +479,15 @@ func shadowTime(head *job.Job, now int64, free int, ends []sim.Running) (shadow 
 	// simulator validates widths, so this is unreachable for valid jobs
 	// unless the queue head is wider than the machine.
 	return profile.Infinity, 0
+}
+
+// byEstEnd orders running jobs by estimated completion, ties by ID: a
+// total order, the one in which EASY's shadow walk drains the machine.
+func byEstEnd(a, b sim.Running) int {
+	if c := cmp.Compare(a.EstEnd, b.EstEnd); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Job.ID, b.Job.ID)
 }
 
 func maxInt64(a, b int64) int64 {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"cmp"
-	"container/heap"
 	"errors"
 	"fmt"
 	"slices"
@@ -108,22 +107,68 @@ type completion struct {
 	job *job.Job
 }
 
+// completionHeap is a binary min-heap of completions on (at, seq). The
+// pair is a total order, so the pop sequence is fixed by the pushed set
+// alone; being typed, a push or pop boxes nothing.
 type completionHeap []completion
 
-func (h completionHeap) Len() int { return len(h) }
-func (h completionHeap) Less(i, j int) bool {
+func (h completionHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h completionHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x interface{}) { *h = append(*h, x.(completion)) }
-func (h *completionHeap) Pop() interface{} {
+
+func (h *completionHeap) push(c completion) {
+	*h = append(*h, c)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the earliest completion; the heap is non-empty.
+func (h *completionHeap) pop() completion {
 	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	h.down(0, n)
+	c := old[n]
+	old[n] = completion{}
+	*h = old[:n]
+	return c
+}
+
+// init establishes the heap order over entries appended without push.
+func (h completionHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, len(h))
+	}
+}
+
+func (h completionHeap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func (h completionHeap) down(i, n int) {
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && h.less(r, c) {
+			c = r
+		}
+		if !h.less(c, i) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // RunEntry is one executing job as the Stepper tracks it: unlike the
@@ -165,21 +210,24 @@ type Stepper struct {
 
 	free     int
 	startSeq int
-	// running holds the executing jobs. A heap entry in due is live only
-	// while running still maps its job to the same Seq: an aborted
-	// attempt leaves its completion behind, and Complete skips it.
-	running map[job.ID]RunEntry
+	// running holds the executing jobs sorted by ID, and view, index for
+	// index, the same jobs as Startable sees them: the engine's record and
+	// the scheduler's view are kept together rather than rebuilt per pass.
+	// A heap entry in due is live only while running still holds its job
+	// with the same Seq: an aborted attempt leaves its completion behind,
+	// and Complete skips it.
+	running []RunEntry
+	view    []Running
 	due     completionHeap
 
-	runBuf []Running  // the running list handed to Startable
-	out    []RunEntry // the slice Complete and RunPasses return
+	out []RunEntry // the slice Complete and RunPasses return
 }
 
 // NewStepper returns an idle machine driving s. Of opt it honours
 // Recorder, Interrupt and MeasureCPU; the rest is the batch driver's.
 func NewStepper(m Machine, s Scheduler, opt Options) *Stepper {
 	st := &Stepper{s: s, rec: opt.Recorder, measure: opt.MeasureCPU,
-		free: m.Nodes, running: make(map[job.ID]RunEntry, 64)}
+		free: m.Nodes, running: make([]RunEntry, 0, 64), view: make([]Running, 0, 64)}
 	if opt.Interrupt != nil {
 		st.SetInterrupt(opt.Interrupt)
 	}
@@ -223,7 +271,7 @@ func (st *Stepper) timed(f func()) {
 // heap. The completion of an aborted attempt still marks an instant
 // (Complete delivers nothing for it).
 func (st *Stepper) NextCompletion() (int64, bool) {
-	if st.due.Len() == 0 {
+	if len(st.due) == 0 {
 		return 0, false
 	}
 	return st.due[0].at, true
@@ -235,15 +283,13 @@ func (st *Stepper) NextCompletion() (int64, bool) {
 // RunPasses call.
 func (st *Stepper) Complete(now int64) []RunEntry {
 	st.out = st.out[:0]
-	for st.due.Len() > 0 && st.due[0].at == now {
-		c := heap.Pop(&st.due).(completion)
-		e, ok := st.running[c.job.ID]
-		if !ok || e.Seq != c.seq {
+	for len(st.due) > 0 && st.due[0].at == now {
+		c := st.due.pop()
+		i, ok := st.find(c.job.ID)
+		if !ok || st.running[i].Seq != c.seq {
 			continue // completion of an aborted attempt
 		}
-		st.free += c.job.Nodes
-		delete(st.running, c.job.ID)
-		st.out = append(st.out, e)
+		st.out = append(st.out, st.remove(i))
 		if st.rec != nil {
 			st.rec.Record(telemetry.Event{Type: telemetry.EventFinish, At: now,
 				Job: int64(c.job.ID), Nodes: c.job.Nodes, Head: telemetry.None,
@@ -268,7 +314,8 @@ func (st *Stepper) Submit(j *job.Job, now int64) error {
 
 // RunPasses lets the scheduler start jobs at now until it declines and
 // returns the started entries in start order (same reuse rule as
-// Complete). The interrupt hook is polled after every pass: a scheduler
+// Complete). Every pass hands Startable the running set itself, in ID
+// order. The interrupt hook is polled after every pass: a scheduler
 // that saw it mid-walk returned a truncated, possibly empty pick list,
 // so none of it starts and ErrInterrupted tells the caller to discard
 // the state.
@@ -276,13 +323,12 @@ func (st *Stepper) RunPasses(now int64) ([]RunEntry, error) {
 	st.out = st.out[:0]
 	for {
 		var starts []*job.Job
-		running := st.runningList()
 		if st.rec != nil {
 			st.rec.Record(telemetry.Event{Type: telemetry.EventPass, At: now,
 				Job: telemetry.None, Head: telemetry.None,
 				Queue: st.s.QueueLen(), Free: st.free})
 		}
-		st.timed(func() { starts = st.s.Startable(now, st.free, running) })
+		st.timed(func() { starts = st.s.Startable(now, st.free, st.view) })
 		if st.Interrupted() {
 			return nil, ErrInterrupted
 		}
@@ -297,14 +343,10 @@ func (st *Stepper) RunPasses(now int64) ([]RunEntry, error) {
 			st.free -= j.Nodes
 			e := RunEntry{Job: j, Start: now, End: job.AddSat(now, j.EffectiveRuntime()), Seq: st.startSeq}
 			st.startSeq++
-			// The assignment doubles as the duplicate check: an ID that is
-			// already running leaves the map's length where it was.
-			executing := len(st.running)
-			st.running[j.ID] = e
-			if len(st.running) == executing {
+			if !st.insert(e) {
 				return nil, fmt.Errorf("sim: job ID %d started at %d is already running: IDs must be unique among unfinished jobs", j.ID, now)
 			}
-			heap.Push(&st.due, completion{at: e.End, seq: e.Seq, job: j})
+			st.due.push(completion{at: e.End, seq: e.Seq, job: j})
 			st.out = append(st.out, e)
 			if st.rec != nil {
 				ev := telemetry.Event{Type: telemetry.EventStart, At: now,
@@ -323,42 +365,59 @@ func (st *Stepper) RunPasses(now int64) ([]RunEntry, error) {
 	}
 }
 
-// runningList snapshots the running set in ID order into a buffer
-// reused across scheduling rounds. Schedulers must not retain the slice
-// past the Startable call (the Scheduler contract).
-func (st *Stepper) runningList() []Running {
-	st.runBuf = st.runBuf[:0]
-	for _, e := range st.running {
-		st.runBuf = append(st.runBuf, Running{Job: e.Job, Start: e.Start, EstEnd: job.AddSat(e.Start, e.Job.Estimate)})
+// find locates id in the running set: its index, or where it would go.
+func (st *Stepper) find(id job.ID) (int, bool) {
+	return slices.BinarySearchFunc(st.running, id, func(e RunEntry, id job.ID) int {
+		return cmp.Compare(e.Job.ID, id)
+	})
+}
+
+// insert adds e to the running set at its ID's position, or reports false
+// if that ID is already running. The completion heap is the caller's.
+func (st *Stepper) insert(e RunEntry) bool {
+	i, found := st.find(e.Job.ID)
+	if found {
+		return false
 	}
-	slices.SortFunc(st.runBuf, func(a, b Running) int { return cmp.Compare(a.Job.ID, b.Job.ID) })
-	return st.runBuf
+	st.running = slices.Insert(st.running, i, e)
+	st.view = slices.Insert(st.view, i, Running{Job: e.Job, Start: e.Start, EstEnd: job.AddSat(e.Start, e.Job.Estimate)})
+	return true
+}
+
+// remove takes entry i out of the running set, frees its nodes and
+// returns it.
+func (st *Stepper) remove(i int) RunEntry {
+	e := st.running[i]
+	st.free += e.Job.Nodes
+	st.running = slices.Delete(st.running, i, i+1)
+	st.view = slices.Delete(st.view, i, i+1)
+	return e
 }
 
 // Entries returns the running set in start order: the order completion
 // ties resolve in, and what Restore takes back.
 func (st *Stepper) Entries() []RunEntry {
-	out := make([]RunEntry, 0, len(st.running))
-	for _, e := range st.running {
-		out = append(out, e)
-	}
+	out := slices.Clone(st.running)
 	slices.SortFunc(out, func(a, b RunEntry) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 
 // Restore loads running entries captured by Entries, and the start
 // sequence to continue from, into an idle Stepper. The scheduler learns
-// of the jobs from the next pass's running list.
+// of the jobs from the next pass's running list. Entries that
+// oversubscribe the machine or repeat a job ID are refused.
 func (st *Stepper) Restore(entries []RunEntry, startSeq int) error {
 	for _, e := range entries {
 		if e.Job.Nodes > st.free {
 			return fmt.Errorf("sim: running jobs oversubscribe the machine")
 		}
+		if !st.insert(e) {
+			return fmt.Errorf("sim: running job ID %d restored twice: IDs must be unique among unfinished jobs", e.Job.ID)
+		}
 		st.free -= e.Job.Nodes
-		st.running[e.Job.ID] = e
 		st.due = append(st.due, completion{at: e.End, seq: e.Seq, job: e.Job})
 	}
-	heap.Init(&st.due)
+	st.due.init()
 	st.startSeq = startSeq
 	return nil
 }
@@ -372,20 +431,17 @@ func (st *Stepper) AddCapacity(delta int) { st.free += delta }
 // work — or reports false when nothing runs. Its nodes are free again
 // and its completion will be skipped; resubmitting is the driver's call.
 func (st *Stepper) AbortNewest() (RunEntry, bool) {
-	var best RunEntry
-	found := false
-	//lint:ignore maprange max-selection with a total tie-break on (Start, Job.ID): every iteration order yields the same victim, and sorting would allocate on the failure-handling path
-	for _, e := range st.running {
-		if !found || e.Start > best.Start ||
-			(e.Start == best.Start && e.Job.ID > best.Job.ID) {
-			best, found = e, true
+	best := -1
+	for i, e := range st.running {
+		// ID order: of equal starts, the later entry has the larger ID.
+		if best < 0 || e.Start >= st.running[best].Start {
+			best = i
 		}
 	}
-	if found {
-		st.free += best.Job.Nodes
-		delete(st.running, best.Job.ID)
+	if best < 0 {
+		return RunEntry{}, false
 	}
-	return best, found
+	return st.remove(best), true
 }
 
 // Run simulates the scheduler on the job stream and returns the final
@@ -531,7 +587,7 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 			return nil, err
 		}
 		due, hasDue := st.NextCompletion()
-		if nxt == nil && !hasDue && nextEdge >= len(edges) && resub.Len() == 0 {
+		if nxt == nil && !hasDue && nextEdge >= len(edges) && len(resub) == 0 {
 			break
 		}
 		if st.Interrupted() {
@@ -551,7 +607,7 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 			// the loop finite.
 			now = edges[nextEdge].at
 		}
-		if resub.Len() > 0 && (now < 0 || resub[0].at < now) {
+		if len(resub) > 0 && (now < 0 || resub[0].at < now) {
 			now = resub[0].at
 		}
 		if opt.MaxTime > 0 && now > opt.MaxTime {
@@ -618,7 +674,7 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 					continue
 				}
 				if delay := opt.Resubmit.Delay(n); delay > 0 {
-					heap.Push(&resub, completion{at: job.AddSat(now, delay), seq: resubSeq, job: j})
+					resub.push(completion{at: job.AddSat(now, delay), seq: resubSeq, job: j})
 					resubSeq++
 					continue
 				}
@@ -637,8 +693,8 @@ func run(m Machine, src Source, s Scheduler, opt Options, capHint int) (*Result,
 		// failure edges so a retry never lands on capacity that vanished
 		// in the same instant, before fresh arrivals so retried jobs keep
 		// their seniority in submission-order delivery).
-		for resub.Len() > 0 && resub[0].at == now {
-			c := heap.Pop(&resub).(completion)
+		for len(resub) > 0 && resub[0].at == now {
+			c := resub.pop()
 			res.Resubmits++
 			if rec != nil {
 				rec.Record(telemetry.Event{Type: telemetry.EventArrival, At: now,

@@ -40,9 +40,11 @@ type Scheduler interface {
 	// Startable returns the jobs to start right now. free is the number
 	// of currently unassigned nodes, running the jobs currently executing
 	// (estimated completions only). The returned jobs must be waiting and
-	// their total node request must not exceed free. The running slice is
-	// owned by the engine and rewritten on the next scheduling round;
-	// implementations must copy it if they need it past the call.
+	// their total node request must not exceed free. running is ordered
+	// by job ID and is the engine's own running set, not a copy: it
+	// changes as jobs start and finish, so implementations must neither
+	// modify it nor retain it past the call (copy it to keep or reorder
+	// it).
 	Startable(now int64, free int, running []Running) []*job.Job
 	// QueueLen returns the number of waiting jobs; every accepted Submit
 	// raises it by one.
