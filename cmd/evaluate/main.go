@@ -6,13 +6,15 @@
 //	evaluate [-full] [-table N] [-csv dir] [-nodes 256] [-seed 1]
 //
 // Without -full, scaled-down workloads (≈1/8 of the paper's job counts)
-// are used so the whole run finishes in well under a minute; -full uses
-// the paper-scale counts of Table 1 (79,164 / 50,000 / 50,000 jobs),
-// which takes a few minutes. Shapes, not absolute values, are the
-// reproduction target (see EXPERIMENTS.md).
+// are used so the whole run finishes in well under a minute; -full uses the
+// paper-scale counts of Table 1 (79,164 / 50,000 / 50,000 jobs) and
+// changes nothing else. Its conservative backfilling cells dominate the
+// run time (see EXPERIMENTS.md). Shapes, not absolute values, are the
+// reproduction target.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -49,7 +51,7 @@ type robustness struct {
 
 func main() {
 	var (
-		full     = flag.Bool("full", false, "paper-scale job counts (slower)")
+		full     = flag.Bool("full", false, "paper-scale job counts of Table 1 (same policies; much slower)")
 		scale    = flag.Int("scale", 0, "workload scale divisor (0 = default: 8, or 1 with -full); larger is faster")
 		table    = flag.Int("table", 0, "only this table (1-8); 0 = all")
 		csvDir   = flag.String("csv", "", "also write per-table CSV series (figures) to this directory")
@@ -75,18 +77,33 @@ func main() {
 		}
 		return
 	}
-	if rb.resume && rb.journalPath == "" {
-		fmt.Fprintln(os.Stderr, "evaluate: -resume needs -journal")
-		os.Exit(1)
-	}
-	if rb.shards > 1 && rb.journalPath == "" {
-		fmt.Fprintln(os.Stderr, "evaluate: -shards needs -journal (the owned cells must be recorded for -merge)")
+	if err := checkFlags(*table, rb); err != nil {
+		fmt.Fprintln(os.Stderr, "evaluate:", err)
 		os.Exit(1)
 	}
 	if err := run(*full, *scale, *table, *csvDir, *nodes, *seed, *traceDir, *counters, rb); err != nil {
 		fmt.Fprintln(os.Stderr, "evaluate:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects flag values the run would otherwise ignore: a table
+// outside 0–8, a shard index outside [0, shards), and -resume or -shards
+// without the journal they need.
+func checkFlags(table int, rb robustness) error {
+	switch {
+	case table < 0 || table > 8:
+		return fmt.Errorf("-table %d out of range (1-8, or 0 for all)", table)
+	case rb.shards < 1:
+		return fmt.Errorf("-shards %d: need at least 1", rb.shards)
+	case rb.shard < 0 || rb.shard >= rb.shards:
+		return fmt.Errorf("-shard %d out of range [0,%d)", rb.shard, rb.shards)
+	case rb.resume && rb.journalPath == "":
+		return errors.New("-resume needs -journal")
+	case rb.shards > 1 && rb.journalPath == "":
+		return errors.New("-shards needs -journal (the owned cells must be recorded for -merge)")
+	}
+	return nil
 }
 
 // runMerge unions shard journals (refusing mixed fingerprints) into one
@@ -173,19 +190,16 @@ func run(full bool, scale, table int, csvDir string, nodes int, seed int64, trac
 		fmt.Println()
 	}
 
-	// Paper-scale saturated runs use the horizon-accelerated conservative
-	// walk; scaled runs keep the exact semantics.
 	gridOpts := eval.Options{
-		Parallel:         true,
-		Validate:         true,
-		FastConservative: full,
-		KeepGoing:        rb.keepGoing,
-		CellTimeout:      rb.cellWall,
-		Interrupt:        interrupted.Load,
-		Journal:          journal,
-		Resubmit:         rb.fo.Resubmit(),
-		ShardCount:       rb.shards,
-		ShardIndex:       rb.shard,
+		Parallel:    true,
+		Validate:    true,
+		KeepGoing:   rb.keepGoing,
+		CellTimeout: rb.cellWall,
+		Interrupt:   interrupted.Load,
+		Journal:     journal,
+		Resubmit:    rb.fo.Resubmit(),
+		ShardCount:  rb.shards,
+		ShardIndex:  rb.shard,
 	}
 	if journal != nil {
 		// Stamp the journal with this evaluation's fingerprint: a -resume

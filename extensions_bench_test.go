@@ -201,25 +201,3 @@ func BenchmarkExtensionFailureInjection(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkExtensionFastConservative quantifies the horizon-accelerated
-// conservative walk (DESIGN.md §5): scheduling cost and schedule quality
-// against the exact semantics.
-func BenchmarkExtensionFastConservative(b *testing.B) {
-	loadBenchWorkloads(b)
-	for _, fast := range []bool{false, true} {
-		name := "exact"
-		if fast {
-			name = "fast"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := sched.Config{MachineNodes: 256, FastConservative: fast}
-			for i := 0; i < b.N; i++ {
-				v := runCell(b, benchCTC, cfg, sched.OrderFCFS, sched.StartConservative)
-				if i == 0 {
-					b.ReportMetric(v, "avg-response-s")
-				}
-			}
-		})
-	}
-}

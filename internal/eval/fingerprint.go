@@ -96,7 +96,9 @@ func (f *Fingerprint) Options(opt Options) {
 		f.String(string(s))
 	}
 	f.Int(int64(opt.MaxBackfillDepth))
-	f.Bool(opt.FastConservative)
+	// The slot of the deleted approximate conservative walk: cells it
+	// recorded are refused, cells of the exact walk still resume.
+	f.Bool(false)
 	f.Bool(opt.MeasureCPU)
 	f.Int(int64(len(opt.Failures)))
 	for _, fl := range opt.Failures {

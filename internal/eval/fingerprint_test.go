@@ -41,6 +41,27 @@ func TestFingerprintCoversResubmitPolicy(t *testing.T) {
 	}
 }
 
+// TestFingerprintKeepsExactWalkJournals pins the option-block hash across
+// the removal of the approximate conservative walk. The two golden values
+// were computed before the removal, from the default options and from the
+// options that selected the approximate walk: journals of the exact walk
+// (every run without -full) must still resume, and journals of the
+// approximate walk (every -full run) must be refused, since their
+// Backfilling cells are not the exact policy's.
+func TestFingerprintKeepsExactWalkJournals(t *testing.T) {
+	const (
+		exactWalk  = uint64(0x776648f05cefb14d)
+		approxWalk = uint64(0xeb8bac21f1083764)
+	)
+	got := fpOf(Options{})
+	if got != exactWalk {
+		t.Errorf("default options hash to %#x, want %#x: journals recorded by the exact walk would no longer resume", got, exactWalk)
+	}
+	if got == approxWalk {
+		t.Errorf("default options hash to the approximate walk's %#x: its journals would resume", approxWalk)
+	}
+}
+
 // TestJournalResumeRefusesDifferentResubmitPolicy is the end-to-end
 // regression: a journal stamped under one -retries/-backoff setting is
 // refused on resume under another, with the fingerprint mismatch named.

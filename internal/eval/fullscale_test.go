@@ -24,7 +24,7 @@ func TestFullScale(t *testing.T) {
 	t.Logf("CTC workload: %d jobs, %d removed (>256 nodes)", len(filtered), removed)
 	for _, c := range []Case{Unweighted, Weighted} {
 		g, err := Run("full-scale CTC", sim.Machine{Nodes: 256}, filtered, c,
-			Options{Parallel: true, Validate: true, FastConservative: true})
+			Options{Parallel: true, Validate: true})
 		if err != nil {
 			t.Fatal(err)
 		}

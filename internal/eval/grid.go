@@ -118,9 +118,6 @@ type Options struct {
 	Validate bool
 	// MaxBackfillDepth bounds the conservative starter (0 = unlimited).
 	MaxBackfillDepth int
-	// FastConservative selects the horizon-accelerated conservative walk
-	// for paper-scale saturated runs (see sched.Config.FastConservative).
-	FastConservative bool
 	// Orders/Starts override the paper grid (nil = paper grid).
 	Orders []sched.OrderName
 	Starts []sched.StartName
@@ -223,7 +220,6 @@ func Run(title string, m sim.Machine, jobs []*job.Job, c Case, opt Options) (*Gr
 		MachineNodes:     m.Nodes,
 		Weight:           c.WeightFunc(),
 		MaxBackfillDepth: opt.MaxBackfillDepth,
-		FastConservative: opt.FastConservative,
 		Announced:        opt.Announced,
 		ProfileFactory:   opt.ProfileFactory,
 	}

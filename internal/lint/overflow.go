@@ -15,9 +15,9 @@ import (
 // joined when the tree kernel grew subtree aggregates: its end-time and
 // area computations run against Infinity (= MaxInt64) deadline jobs, the
 // exact inputs that wrap raw arithmetic. internal/queue joined with the
-// pending-queue index: its maxE aggregate stores raw job estimates and
-// its counters feed telemetry totals, both int64 domains where a wrap
-// would silently misprune a scan.
+// pending-queue index: its int64 operation counters (RebuiltSlots sums
+// slot counts, Total sums every counter) feed telemetry totals, where a
+// wrap would report a plausible negative count.
 var checkedArithScope = []string{
 	"jobsched/internal/job",
 	"jobsched/internal/objective",

@@ -3,13 +3,13 @@
 //
 // An Index is the one store of an order policy's waiting queue: slots
 // are queue positions in priority order, and a flat segment tree over
-// the slots carries three aggregates per node — alive count (order
-// statistics), minimum job width (width-pruned scans) and maximum
-// estimate (the fast-conservative horizon). Push appends, Remove
-// tombstones, and a replanning order policy rebuilds the whole index
-// once per plan epoch; all queries are O(log Q) and allocation-free, so
-// a scheduling pass over a 100k-deep backlog touches the handful of
-// jobs that can actually start instead of every queued misfit.
+// the slots carries two aggregates per node — alive count (order
+// statistics) and minimum job width (width-pruned scans). Push appends,
+// Remove tombstones, and a replanning order policy rebuilds the whole
+// index once per plan epoch; all queries are O(log Q) and
+// allocation-free, so a scheduling pass over a 100k-deep backlog touches
+// the handful of jobs that can actually start instead of every queued
+// misfit.
 //
 // Upkeep is amortized O(1) where the traffic is. Push, and Remove of the
 // first job of the order, write their leaf and leave the ancestors stale;
@@ -31,17 +31,12 @@ import (
 	"jobsched/internal/job"
 )
 
-const (
-	// widthInf is the leaf width of a dead or hidden slot: wider than any
-	// machine, so width-pruned descents never enter it.
-	widthInf = math.MaxInt
-	// estNone is the leaf estimate of a dead or hidden slot (valid
-	// estimates are positive).
-	estNone = int64(-1)
-)
+// widthInf is the leaf width of a dead or hidden slot: wider than any
+// machine, so width-pruned descents never enter it.
+const widthInf = math.MaxInt
 
 // Index is the indexed waiting queue: jobs in priority order with
-// order-statistic, width-minimum and estimate-maximum aggregates.
+// order-statistic and width-minimum aggregates.
 type Index struct {
 	// slots holds the jobs in priority order; nil marks a removed slot.
 	// A hidden slot (pass-local exclusion, see Hide) keeps its job but
@@ -52,7 +47,6 @@ type Index struct {
 	size int
 	cnt  []int32 // alive slots per subtree
 	minW []int   // minimum job width per subtree (widthInf when none)
-	maxE []int64 // maximum job estimate per subtree (estNone when none)
 	// alive counts visible jobs (= Len; excludes removed and hidden).
 	alive int
 	// hiddenSlots lists the pass-locally hidden slots, in hide order.
@@ -92,11 +86,6 @@ func (ix *Index) pull(i int) {
 	} else {
 		ix.minW[i] = ix.minW[r]
 	}
-	if ix.maxE[l] >= ix.maxE[r] {
-		ix.maxE[i] = ix.maxE[l]
-	} else {
-		ix.maxE[i] = ix.maxE[r]
-	}
 }
 
 // writeLeaf writes slot's leaf from j (nil = dead) and leaves its
@@ -104,9 +93,9 @@ func (ix *Index) pull(i int) {
 func (ix *Index) writeLeaf(slot int, j *job.Job) {
 	i := ix.size + slot
 	if j == nil {
-		ix.cnt[i], ix.minW[i], ix.maxE[i] = 0, widthInf, estNone
+		ix.cnt[i], ix.minW[i] = 0, widthInf
 	} else {
-		ix.cnt[i], ix.minW[i], ix.maxE[i] = 1, j.Nodes, j.Estimate
+		ix.cnt[i], ix.minW[i] = 1, j.Nodes
 	}
 }
 
@@ -128,9 +117,8 @@ func (ix *Index) grow(need int) {
 	ix.size = size
 	ix.cnt = make([]int32, 2*size)
 	ix.minW = make([]int, 2*size)
-	ix.maxE = make([]int64, 2*size)
 	for i := range ix.minW {
-		ix.minW[i], ix.maxE[i] = widthInf, estNone
+		ix.minW[i] = widthInf
 	}
 	ix.rebuildLeaves(len(ix.slots))
 	if ix.stats != nil {
@@ -517,48 +505,6 @@ func (ix *Index) MinNodes() int {
 		return widthInf
 	}
 	return ix.minW[1]
-}
-
-// MaxEstimateFirst returns the maximum estimate among the first k visible
-// jobs (the fast-conservative walk horizon); k ≥ Len covers the whole
-// queue. Returns 0 when nothing is visible or k ≤ 0.
-func (ix *Index) MaxEstimateFirst(k int) int64 {
-	ix.sync()
-	if ix.alive == 0 || k <= 0 {
-		return 0
-	}
-	if ix.stats != nil {
-		ix.stats.MaxEstQueries++
-	}
-	if k >= ix.alive {
-		if ix.maxE[1] > 0 {
-			return ix.maxE[1]
-		}
-		return 0
-	}
-	_, slot := ix.Select(k - 1)
-	res := estNone
-	l, r := ix.size, ix.size+slot+1
-	for l < r {
-		if l&1 == 1 {
-			if ix.maxE[l] > res {
-				res = ix.maxE[l]
-			}
-			l++
-		}
-		if r&1 == 1 {
-			r--
-			if ix.maxE[r] > res {
-				res = ix.maxE[r]
-			}
-		}
-		l >>= 1
-		r >>= 1
-	}
-	if res < 0 {
-		return 0
-	}
-	return res
 }
 
 // AppendOrdered appends the visible jobs in priority order to dst. Tests

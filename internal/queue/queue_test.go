@@ -113,23 +113,6 @@ func checkAgainstNaive(t *testing.T, ix *Index, n *naive, maxNodes int) {
 	if got := ix.MinNodes(); got != wantMin {
 		t.Fatalf("MinNodes = %d, want %d", got, wantMin)
 	}
-	for _, k := range []int{1, 2, len(vis), len(vis) + 7} {
-		if k < 1 {
-			continue
-		}
-		var want int64
-		for i, j := range vis {
-			if i >= k {
-				break
-			}
-			if j.Estimate > want {
-				want = j.Estimate
-			}
-		}
-		if got := ix.MaxEstimateFirst(k); got != want {
-			t.Fatalf("MaxEstimateFirst(%d) = %d, want %d", k, got, want)
-		}
-	}
 
 	// Materialized order.
 	adapted := ix.AppendOrdered(nil)
@@ -154,7 +137,7 @@ func probeAgainstNaive(t *testing.T, ix *Index, n *naive, step, maxNodes int) {
 		return
 	}
 	last := vis[len(vis)-1]
-	switch step % 6 {
+	switch step % 5 {
 	case 0:
 		maxNodes = last.Nodes // the newest job fits, whatever else does
 		var want *job.Job
@@ -182,18 +165,10 @@ func probeAgainstNaive(t *testing.T, ix *Index, n *naive, step, maxNodes int) {
 			t.Fatalf("first query MinNodes = %d, want %d", got, want)
 		}
 	case 3:
-		var want int64
-		for _, j := range vis {
-			want = max(want, j.Estimate)
-		}
-		if got := ix.MaxEstimateFirst(len(vis)); got != want {
-			t.Fatalf("first query MaxEstimateFirst(all) = %d, want %d", got, want)
-		}
-	case 4:
 		if got, _ := ix.Select(len(vis) - 1); got != last {
 			t.Fatalf("first query Select(last) = %v, want job %d", got, last.ID)
 		}
-	case 5:
+	case 4:
 		if got := ix.Rank(ix.pos[last.ID]); got != len(vis)-1 {
 			t.Fatalf("first query Rank(last) = %d, want %d", got, len(vis)-1)
 		}
@@ -335,7 +310,6 @@ func TestIndexZeroAlloc(t *testing.T) {
 		}},
 		{"width-queries", func() {
 			sink += int64(ix.MinNodes())
-			sink += ix.MaxEstimateFirst(1000)
 			_, s := ix.Select(17)
 			sink += int64(ix.Rank(s))
 		}},

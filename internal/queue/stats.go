@@ -32,10 +32,9 @@ type Stats struct {
 	Steps      int64
 	FitQueries int64
 	// RankQueries/SelectQueries count order-statistic lookups (telemetry
-	// depth and head reconstruction), MaxEstQueries horizon lookups.
+	// depth and head reconstruction).
 	RankQueries   int64
 	SelectQueries int64
-	MaxEstQueries int64
 }
 
 // Total returns the summed operation count, saturating rather than
@@ -45,7 +44,7 @@ type Stats struct {
 func (s *Stats) Total() int64 {
 	var total int64
 	for _, c := range []int64{s.Pushes, s.Removes, s.Hides, s.Rebuilds,
-		s.Steps, s.FitQueries, s.RankQueries, s.SelectQueries, s.MaxEstQueries} {
+		s.Steps, s.FitQueries, s.RankQueries, s.SelectQueries} {
 		total = job.AddSat(total, c)
 	}
 	return total
@@ -59,9 +58,6 @@ func (s *Stats) String() string {
 		s.Pushes, s.Removes, s.Steps, s.FitQueries, s.RankQueries, s.SelectQueries)
 	if s.Hides > 0 {
 		out += fmt.Sprintf(" hide=%d", s.Hides)
-	}
-	if s.MaxEstQueries > 0 {
-		out += fmt.Sprintf(" maxest=%d", s.MaxEstQueries)
 	}
 	if s.Rebuilds > 0 {
 		out += fmt.Sprintf(" rebuilds=%d rebuiltSlots=%d", s.Rebuilds, s.RebuiltSlots)

@@ -129,9 +129,9 @@ type gridCase struct {
 }
 
 // batchGridCases enumerates the algorithm configurations under test:
-// every grid cell, conservative in exact/fast/depth-bounded flavors,
-// with and without announced maintenance windows — all built by New with
-// the given scratch-profile backend (nil = the default kernel).
+// every grid cell, conservative unbounded and depth-bounded, with and
+// without announced maintenance windows — all built by New with the
+// given scratch-profile backend (nil = the default kernel).
 func batchGridCases(nodes int, factory ProfileFactory) []gridCase {
 	drains := []sim.Failure{
 		{At: 120, Nodes: nodes, Duration: 60},
@@ -147,11 +147,8 @@ func batchGridCases(nodes int, factory ProfileFactory) []gridCase {
 			add(fmt.Sprintf("%s/%s", o, s), o, s, Config{})
 		}
 	}
-	add("FCFS/Backfilling-fast", OrderFCFS, StartConservative, Config{FastConservative: true})
 	add("FCFS/Backfilling-depth3", OrderFCFS, StartConservative, Config{MaxBackfillDepth: 3})
 	add("FCFS/Backfilling-drains", OrderFCFS, StartConservative, Config{Announced: drains})
-	add("FCFS/Backfilling-fast-drains", OrderFCFS, StartConservative,
-		Config{FastConservative: true, Announced: drains})
 	add("FCFS/EASY-drains", OrderFCFS, StartEASY, Config{Announced: drains})
 	add("GG-drains", OrderGG, StartList, Config{Announced: drains})
 	return cases
@@ -456,7 +453,7 @@ func TestReferenceSharesNoDecisionFunction(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"PickMany", "PickAdmitted", "Startable", "pickOneIx", "drainPickOneIx", "exactPass"} {
+	for _, want := range []string{"PickMany", "PickAdmitted", "Startable", "pickOneIx", "drainPickOneIx"} {
 		if !decisions[want] {
 			t.Errorf("production decision function %s not found: the scan is looking at the wrong files", want)
 		}

@@ -28,36 +28,32 @@ func TestConservativeRoutesAroundDrain(t *testing.T) {
 	const nodes = 4
 	jobs := []*job.Job{drainJob(1, 0, 80, 80, 4)}
 
-	for _, fast := range []bool{false, true} {
-		alg, err := New(OrderFCFS, StartConservative, Config{
-			MachineNodes:     nodes,
-			FastConservative: fast,
-			Announced:        fullDrain,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.RunChecked(sim.Machine{Nodes: nodes}, job.CloneAll(jobs), alg,
-			sim.Options{Failures: fullDrain})
-		if err != nil {
-			t.Fatalf("fast=%v: %v", fast, err)
-		}
-		if res.AbortedAttempts != 0 {
-			t.Errorf("fast=%v: %d aborts, want 0 (drain was announced)",
-				fast, res.AbortedAttempts)
-		}
-		if got := res.Schedule.Allocs[0].Start; got != 100 {
-			t.Errorf("fast=%v: job started at %d, want 100 (after the drain)", fast, got)
-		}
-	}
-
-	// The unaware baseline shows why: without the announcement the same
-	// job starts at 0 and the drain aborts it.
-	alg, err := New(OrderFCFS, StartConservative, Config{MachineNodes: nodes})
+	alg, err := New(OrderFCFS, StartConservative, Config{
+		MachineNodes: nodes,
+		Announced:    fullDrain,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := sim.RunChecked(sim.Machine{Nodes: nodes}, job.CloneAll(jobs), alg,
+		sim.Options{Failures: fullDrain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.AbortedAttempts != 0 {
+		t.Errorf("%d aborts, want 0 (drain was announced)", res.AbortedAttempts)
+	}
+	if got := res.Schedule.Allocs[0].Start; got != 100 {
+		t.Errorf("job started at %d, want 100 (after the drain)", got)
+	}
+
+	// The unaware baseline shows why: without the announcement the same
+	// job starts at 0 and the drain aborts it.
+	alg, err = New(OrderFCFS, StartConservative, Config{MachineNodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = sim.RunChecked(sim.Machine{Nodes: nodes}, job.CloneAll(jobs), alg,
 		sim.Options{Failures: fullDrain})
 	if err != nil {
 		t.Fatal(err)

@@ -31,11 +31,10 @@ type Admitter interface {
 // here once.
 //
 // The filter is the index's own: queue.Index.Hide takes a job out of
-// every query (Len, First, Rank, Select, MinNodes, MaxEstimateFirst, the
-// cursors) until UnhideAll, so hiding the inadmissible jobs hands the
-// inner policy exactly the admissible queue — depths and heads in its
-// decisions count admissible jobs only, as if it had been given a
-// filtered list. Two contracts make that safe:
+// every query (Len, First, Rank, Select, MinNodes, the cursors) until
+// UnhideAll, so hiding the inadmissible jobs hands the inner policy
+// exactly the admissible queue — depths and heads in its decisions
+// count admissible jobs only, as if it had been given a filtered list. Two contracts make that safe:
 //
 //   - a PickMany that hides must UnhideAll before it returns, so hiding
 //     never outlives the call that did it (and an inner policy's own

@@ -11,8 +11,8 @@ package sched
 // A reference scheduler is derived from a production Composite
 // (referenceOf) or Switching (referenceOfSwitching): it shares the order
 // policy and the start policy's configuration (hooks, announced drains,
-// depth bound, fast mode, scratch backend), and for a filtering wrapper
-// its admission rule, but none of production's decision functions —
+// depth bound, scratch backend), and for a filtering wrapper its
+// admission rule, but none of production's decision functions —
 // TestReferenceSharesNoDecisionFunction pins that.
 
 import (
@@ -231,25 +231,6 @@ func (s refConservative) Pick(ordered []*job.Job, now int64, free int, running [
 		depth = s.maxDepth
 	}
 
-	// Horizon acceleration (fast mode): only reservations intersecting
-	// [now, now + max queue estimate) can influence a start-now decision,
-	// so far-future reservations are skipped and ends clipped. The
-	// intermediate placements feeding the walk may shift in corner cases
-	// (a fit window crossing the horizon), which is the documented
-	// approximation of fast mode.
-	horizon := profile.Infinity
-	if s.fast {
-		var maxEst int64
-		for _, j := range ordered[:depth] {
-			if j.Estimate > maxEst {
-				maxEst = j.Estimate
-			}
-		}
-		// Saturating add: a huge estimate near Infinity degrades to the
-		// exact (unaccelerated) walk instead of wrapping negative.
-		horizon = job.AddSat(now, maxEst)
-	}
-
 	s.scratch = ensureScratch(s.scratch, s.factory, s.stats, machineNodes, now)
 	p := s.scratch
 	for _, r := range running {
@@ -259,16 +240,13 @@ func (s refConservative) Pick(ordered []*job.Job, now int64, free int, running [
 			// defensive against malformed Running data.
 			end = now + 1
 		}
-		if end > horizon {
-			end = horizon
-		}
 		p.Reserve(r.Job.Nodes, now, end)
 	}
 	// Announced drains come after the running reservations: ReserveClamped
 	// saturates at zero where a drain overlaps capacity the running set
 	// already holds (those jobs will be aborted by the engine; the profile
 	// must simply not promise that capacity to anyone else).
-	reserveDrains(p, s.announced, now, horizon)
+	reserveDrains(p, s.announced, now)
 	for i, j := range ordered[:depth] {
 		if stopAt(s.interrupt, i) {
 			return nil
@@ -298,13 +276,10 @@ func (s refConservative) Pick(ordered []*job.Job, now int64, free int, running [
 			s.rec.Record(telemetry.Event{Type: telemetry.EventBackfill, At: now,
 				Job: telemetry.None, Starter: s.Name(), Head: int64(j.ID)})
 		}
-		if t >= horizon {
-			continue // cannot influence any start-now decision
+		if t >= profile.Infinity {
+			continue // never placeable: holds no reservation
 		}
 		end := job.AddSat(t, j.Estimate)
-		if end > horizon {
-			end = horizon
-		}
 		if end > t {
 			p.Reserve(j.Nodes, t, end)
 		}

@@ -331,11 +331,6 @@ type Config struct {
 	// Production installations bound this for tractability; an ablation
 	// bench measures the effect.
 	MaxBackfillDepth int
-	// FastConservative selects the horizon-accelerated conservative
-	// walk (near-linear passes, negligibly different decisions in
-	// horizon-crossing corner cases) — used for paper-scale saturated
-	// runs. See ConservativeStarter.
-	FastConservative bool
 	// Hooks attaches the telemetry layer (decision-trace recorder and
 	// availability-profile op counters) to the start policy. The zero
 	// value disables telemetry at the cost of one branch per decision
@@ -397,7 +392,7 @@ func New(order OrderName, start StartName, cfg Config) (*Composite, error) {
 		st = NewListStarter()
 	case StartConservative:
 		cs := NewConservativeStarter(cfg.MaxBackfillDepth)
-		cs.fast, cs.factory = cfg.FastConservative, cfg.ProfileFactory
+		cs.factory = cfg.ProfileFactory
 		st = cs
 	case StartEASY:
 		es := NewEASYStarter()

@@ -36,19 +36,16 @@ type FailureAware interface {
 // profile via clamped reservation: a drain takes its nodes regardless of
 // how much the profile thinks is free (overlap with running jobs shows up
 // as aborts at run time, not as a profile invariant violation). Windows
-// are clipped to [now, horizon).
-func reserveDrains(p profile.Kernel, announced []sim.Failure, now, horizon int64) {
+// are clipped to start at now.
+func reserveDrains(p profile.Kernel, announced []sim.Failure, now int64) {
 	for _, f := range announced {
 		end := job.AddSat(f.At, f.Duration)
-		if end <= now || f.At >= horizon {
+		if end <= now {
 			continue
 		}
 		start := f.At
 		if start < now {
 			start = now
-		}
-		if end > horizon {
-			end = horizon
 		}
 		if end > start {
 			p.ReserveClamped(f.Nodes, start, end)
@@ -394,7 +391,7 @@ func (s *EASYStarter) buildDrainProfile(now int64, running []sim.Running, machin
 		}
 		p.Reserve(r.Job.Nodes, now, end)
 	}
-	reserveDrains(p, s.announced, now, profile.Infinity)
+	reserveDrains(p, s.announced, now)
 }
 
 // drainPickOneIx is EASY's failure-aware decision, used while announced
@@ -513,14 +510,6 @@ type ConservativeStarter struct {
 	// profile's kernel operations (both nil = telemetry disabled).
 	rec   telemetry.Recorder
 	stats *profile.Stats
-	// fast enables the horizon acceleration: reservations starting at or
-	// beyond now + max(queue estimates) are skipped and reservation ends
-	// are clipped to that horizon. Start-now decisions agree with the
-	// exact walk except when an intermediate job's fit window crosses the
-	// horizon (rare; the ablation bench quantifies the quality effect);
-	// it turns the O(queue²) pass into a near-linear one and makes
-	// paper-scale saturated runs tractable.
-	fast bool
 	// scratch is the reusable reservation profile. A pass rebuilds the full
 	// reservation state (compression); recycling the step storage via
 	// Reset removes the per-pass allocation storm. A Starter
@@ -532,25 +521,17 @@ type ConservativeStarter struct {
 	// them out of the scratch profile, so reservations — and therefore
 	// start-now decisions — route around known drains.
 	announced []sim.Failure
-	// picked/runBuf are PickMany's reusable pass buffers.
+	// picked is PickMany's reusable pass buffer.
 	picked []*job.Job
-	runBuf []sim.Running
 	// interrupt is the cooperative cancellation hook (Interruptible).
 	interrupt func() bool
 }
 
-// NewConservativeStarter returns the exact conservative backfilling
-// start policy. maxDepth > 0 bounds the reservation walk
+// NewConservativeStarter returns the conservative backfilling start
+// policy. maxDepth > 0 bounds the reservation walk
 // (ablation/production tractability); 0 keeps the full semantics.
 func NewConservativeStarter(maxDepth int) *ConservativeStarter {
 	return &ConservativeStarter{maxDepth: maxDepth}
-}
-
-// NewFastConservativeStarter returns the horizon-accelerated variant
-// (see the fast field): same policy, near-linear scheduling passes,
-// negligibly different decisions in horizon-crossing corner cases.
-func NewFastConservativeStarter(maxDepth int) *ConservativeStarter {
-	return &ConservativeStarter{maxDepth: maxDepth, fast: true}
 }
 
 // Name implements Starter.
@@ -571,146 +552,20 @@ func (s *ConservativeStarter) Instrument(h telemetry.Hooks) {
 	}
 }
 
-// PickMany implements Starter. Exact mode runs the whole pass as one
-// continued profile walk (exactPass); fast mode restarts the decision
-// per start, because its skip horizon depends on the maximum estimate
-// over the *remaining* queue and so legitimately moves as jobs leave it.
+// PickMany implements Starter: one conservative pass with ONE profile
+// build and ONE cursor walk, where the sequential protocol (the
+// reference oracle) rebuilds and rewalks after every start. Equivalence:
+// when a job starts, the next sequential rebuild differs from the current
+// profile only by that job's running reservation, which is added here
+// immediately; re-walked unstarted jobs keep their placements because
+// (a) the started job's fit check passed *on top of* their reservations,
+// so each old window stays feasible, and (b) capacity only shrank, so no
+// earlier fit can open. The depth budget counts unstarted jobs only —
+// each sequential walk indexes maxDepth jobs of its remaining
+// (started-jobs-removed) queue.
 func (s *ConservativeStarter) PickMany(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
 	s.reset()
 	s.picked = s.picked[:0]
-	if !s.fast {
-		return s.exactPass(ix, now, free, running, machineNodes, limit)
-	}
-	runLocal := append(s.runBuf[:0], running...)
-	for ix.Len() > 0 && free > 0 && !stopNow(s.interrupt) {
-		if len(s.picked) >= limit {
-			break
-		}
-		j := s.pickOneIx(ix, now, free, runLocal, machineNodes)
-		if j == nil {
-			break
-		}
-		s.picked = append(s.picked, j)
-		free -= j.Nodes
-		runLocal = append(runLocal, sim.Running{Job: j, Start: now, EstEnd: job.AddSat(now, j.Estimate)})
-		ix.Hide(j)
-	}
-	s.runBuf = runLocal[:0]
-	ix.UnhideAll()
-	return s.picked
-}
-
-// pickOneIx is one full conservative decision: build the reservation
-// profile from scratch, walk the queue, start the first job whose
-// reservation is due now. The index makes two steps cheap: the "nothing
-// in the queue fits" precheck — the dominant cost of saturated
-// deep-backlog passes — is one O(1) subtree-minimum lookup, and fast
-// mode's walk horizon (max estimate over the walked prefix) is an
-// O(log Q) range query. The reservation walk itself still visits the
-// first depth jobs: every unstarted job holds a reservation that
-// constrains later placements, wide or not.
-func (s *ConservativeStarter) pickOneIx(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes int) *job.Job {
-	if ix.Len() == 0 || free <= 0 {
-		return nil
-	}
-	if ix.MinNodes() > free {
-		return nil
-	}
-	depth := ix.Len()
-	if s.maxDepth > 0 && depth > s.maxDepth {
-		depth = s.maxDepth
-	}
-	// Horizon acceleration (fast mode): only reservations intersecting
-	// [now, now + max queue estimate) can influence a start-now decision,
-	// so far-future reservations are skipped and ends clipped. The
-	// intermediate placements feeding the walk may shift in corner cases
-	// (a fit window crossing the horizon), which is the documented
-	// approximation of fast mode.
-	horizon := profile.Infinity
-	if s.fast {
-		// Saturating add: a huge estimate near Infinity degrades to the
-		// exact (unaccelerated) walk instead of wrapping negative.
-		horizon = job.AddSat(now, ix.MaxEstimateFirst(depth))
-	}
-
-	s.scratch = ensureScratch(s.scratch, s.factory, s.stats, machineNodes, now)
-	p := s.scratch
-	for _, r := range running {
-		end := r.EstEnd
-		if end <= now {
-			// A job running past its estimate would have been killed; be
-			// defensive against malformed Running data.
-			end = now + 1
-		}
-		if end > horizon {
-			end = horizon
-		}
-		p.Reserve(r.Job.Nodes, now, end)
-	}
-	// Announced drains come after the running reservations: ReserveClamped
-	// saturates at zero where a drain overlaps capacity the running set
-	// already holds (those jobs will be aborted by the engine; the profile
-	// must simply not promise that capacity to anyone else).
-	reserveDrains(p, s.announced, now, horizon)
-	it := ix.Iter()
-	var first *job.Job
-	for j, i := it.Next(), 0; j != nil && i < depth; j, i = it.Next(), i+1 {
-		if stopAt(s.interrupt, i) {
-			return nil
-		}
-		if i == 0 {
-			first = j
-		}
-		t := p.EarliestFit(j.Nodes, j.Estimate, now)
-		if t == now {
-			// The profile assumes the machine's nominal size; an injected
-			// hardware outage can shrink the real free count below it, so
-			// re-check physical availability before starting.
-			if j.Nodes <= free {
-				d := telemetry.Decision{
-					Starter: s.Name(), Reason: telemetry.ReasonReservationDueNow,
-					Depth: i, Head: telemetry.None,
-				}
-				if i > 0 {
-					d.Head = int64(first.ID)
-				}
-				s.stash(j, d)
-				return j
-			}
-			// Cannot physically start: reserve at now so later queue jobs
-			// still respect this job's priority claim.
-		}
-		if i == 0 && s.rec != nil && ix.Len() > 1 {
-			// The head did not start now: everything deeper in this walk
-			// is a backfill attempt against the head's reservation.
-			s.rec.Record(telemetry.Event{Type: telemetry.EventBackfill, At: now,
-				Job: telemetry.None, Starter: s.Name(), Head: int64(j.ID)})
-		}
-		if t >= horizon {
-			continue // cannot influence any start-now decision
-		}
-		end := job.AddSat(t, j.Estimate)
-		if end > horizon {
-			end = horizon
-		}
-		if end > t {
-			p.Reserve(j.Nodes, t, end)
-		}
-	}
-	return nil
-}
-
-// exactPass computes an exact conservative pass with ONE profile build
-// and ONE cursor walk, where the sequential protocol rebuilds and rewalks
-// after every start. Equivalence: when a job starts, the next sequential
-// rebuild differs from the current profile only by that job's running
-// reservation, which is added here immediately; re-walked unstarted jobs
-// keep their placements because (a) the started job's fit check passed
-// *on top of* their reservations, so each old window stays feasible, and
-// (b) capacity only shrank, so no earlier fit can open. The depth budget
-// counts unstarted jobs only — each sequential walk indexes maxDepth jobs
-// of its remaining (started-jobs-removed) queue.
-func (s *ConservativeStarter) exactPass(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
 	if ix.Len() == 0 || free <= 0 {
 		return s.picked
 	}
@@ -729,7 +584,7 @@ func (s *ConservativeStarter) exactPass(ix *queue.Index, now int64, free int, ru
 		}
 		p.Reserve(r.Job.Nodes, now, end)
 	}
-	reserveDrains(p, s.announced, now, profile.Infinity)
+	reserveDrains(p, s.announced, now)
 
 	p.BeginPass(now)
 	walked := 0 // unstarted jobs examined: the remaining-queue index

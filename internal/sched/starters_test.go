@@ -261,35 +261,25 @@ func TestConservativeOutageRecheckKeepsPriorityClaim(t *testing.T) {
 	// while the physical free count cannot host the job. The starter must
 	// re-check `free` — and, crucially, still reserve the blocked job at
 	// now so later queue jobs cannot jump its priority claim.
-	for _, mk := range []struct {
-		name string
-		s    func() *ConservativeStarter
-	}{
-		{"exact", func() *ConservativeStarter { return NewConservativeStarter(0) }},
-		{"fast", func() *ConservativeStarter { return NewFastConservativeStarter(0) }},
-	} {
-		t.Run(mk.name, func(t *testing.T) {
-			// Machine nominally 4, nothing running, but an outage holds 2
-			// nodes: free = 2. Head wants all 4 → EarliestFit says now, the
-			// physical re-check refuses it.
-			head := j(0, 4, 10)
-			behind := j(1, 2, 5)
-			q := []*job.Job{head, behind}
+	t.Run("exact", func(t *testing.T) {
+		// Machine nominally 4, nothing running, but an outage holds 2
+		// nodes: free = 2. Head wants all 4 → EarliestFit says now, the
+		// physical re-check refuses it.
+		head := j(0, 4, 10)
+		behind := j(1, 2, 5)
+		q := []*job.Job{head, behind}
 
-			s := mk.s()
-			if got := pickNext(s, q, 0, 2, nil, 4); got != nil {
-				t.Fatalf("started %v during the outage, want nil (head 4n > 2 free, "+
-					"behind blocked by the head's claim)", got)
-			}
+		if got := pickNext(NewConservativeStarter(0), q, 0, 2, nil, 4); got != nil {
+			t.Fatalf("started %v during the outage, want nil (head 4n > 2 free, "+
+				"behind blocked by the head's claim)", got)
+		}
 
-			// Sanity: without the head's claim the 2-node job starts at once
-			// on the same outage state.
-			s2 := mk.s()
-			if got := pickNext(s2, []*job.Job{behind}, 0, 2, nil, 4); got != behind {
-				t.Fatalf("pick = %v, want the 2-node job (fits the 2 free nodes)", got)
-			}
-		})
-	}
+		// Sanity: without the head's claim the 2-node job starts at once
+		// on the same outage state.
+		if got := pickNext(NewConservativeStarter(0), []*job.Job{behind}, 0, 2, nil, 4); got != behind {
+			t.Fatalf("pick = %v, want the 2-node job (fits the 2 free nodes)", got)
+		}
+	})
 }
 
 func TestConservativeOutageRecheckEndToEnd(t *testing.T) {
