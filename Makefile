@@ -52,8 +52,8 @@ race:
 bench-smoke:
 	$(GO) run ./benchmark -smoke
 
-# The hand-composed example programs (start-policy wrappers, Switching,
-# quickstart) diffed against the goldens in results/examples/.
+# The example programs (start-policy wrappers, Switching, quickstart,
+# capacity, estimates) diffed against the goldens in results/examples/.
 examples-smoke:
 	./scripts/examples-smoke.sh
 

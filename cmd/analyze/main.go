@@ -23,8 +23,8 @@ import (
 	"jobsched/internal/analysis"
 	"jobsched/internal/bounds"
 	"jobsched/internal/cli"
-	"jobsched/internal/core"
 	"jobsched/internal/job"
+	"jobsched/internal/objective"
 	"jobsched/internal/sched"
 	"jobsched/internal/sim"
 	"jobsched/internal/stats"
@@ -144,10 +144,6 @@ func runAllocs(path string, nodes int) error {
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	util := 0.0
-	if agg.Makespan > 0 && nodes > 0 {
-		util = agg.UsedArea / (float64(agg.Makespan) * float64(nodes))
-	}
 	fmt.Printf("== allocation spill (%d records) ==\n", agg.Jobs)
 	fmt.Printf("completed jobs:             %d (%d killed at estimate, %d aborted attempts)\n",
 		agg.Completed, agg.Killed, agg.AbortedAttempts)
@@ -155,7 +151,7 @@ func runAllocs(path string, nodes int) error {
 	fmt.Printf("avg weighted response time: %.4g node-s^2\n", agg.AvgWeightedResponseTime())
 	fmt.Printf("avg wait time:              %.4g s\n", agg.AvgWaitTime())
 	fmt.Printf("makespan:                   %d s\n", agg.Makespan)
-	fmt.Printf("utilization (%d nodes):    %.2f%%\n", nodes, util*100)
+	fmt.Printf("utilization (%d nodes):    %.2f%%\n", nodes, agg.Utilization(nodes)*100)
 	return nil
 }
 
@@ -206,19 +202,20 @@ func run(in, wl string, n, nodes int, seed int64, simulate bool, order, start st
 	if !simulate {
 		return nil
 	}
-	alg, err := core.NewScheduler(sched.OrderName(order), sched.StartName(start), nodes, false)
+	alg, err := sched.New(sched.OrderName(order), sched.StartName(start), sched.Config{MachineNodes: nodes})
 	if err != nil {
 		return err
 	}
-	res, err := core.Simulate(core.Machine{Nodes: nodes}, jobs, alg)
+	res, err := sim.Run(sim.Machine{Nodes: nodes}, jobs, alg, sim.Options{Validate: true})
 	if err != nil {
 		return err
 	}
+	resp := objective.AvgResponseTime{}.Eval(res.Schedule)
 	fmt.Printf("\n== schedule (%s) ==\n", alg.Name())
 	fmt.Printf("avg response time:  %.4g s (gap vs bound: %.1f%%)\n",
-		res.AvgResponse, bounds.Gap(res.AvgResponse, lbResp)*100)
-	fmt.Printf("makespan:           %d s\n", res.Makespan)
-	fmt.Printf("utilization:        %.1f%%\n", res.Utilization*100)
+		resp, bounds.Gap(resp, lbResp)*100)
+	fmt.Printf("makespan:           %d s\n", res.Schedule.Makespan())
+	fmt.Printf("utilization:        %.1f%%\n", objective.Utilization{}.Eval(res.Schedule)*100)
 	util := analysis.UtilizationSeries(res.Schedule)
 	backlog := analysis.BacklogSeries(res.Schedule)
 	fmt.Printf("peak backlog:       %.0f jobs\n", analysis.MaxValue(backlog))

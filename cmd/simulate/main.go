@@ -22,9 +22,9 @@ import (
 	"time"
 
 	"jobsched/internal/cli"
-	"jobsched/internal/core"
 	"jobsched/internal/faults"
 	"jobsched/internal/job"
+	"jobsched/internal/objective"
 	"jobsched/internal/sched"
 	"jobsched/internal/sim"
 	"jobsched/internal/telemetry"
@@ -51,15 +51,19 @@ func main() {
 		fo       = cli.AddFaultFlags(flag.CommandLine)
 	)
 	flag.Parse()
+	weight := job.UnitWeight
+	if *weighted {
+		weight = job.AreaWeight
+	}
 	var err error
 	if *stream {
 		if fo.Enabled() {
 			err = fmt.Errorf("fault injection needs the workload span up front; not supported with -stream")
 		} else {
-			err = runStream(*order, *start, *weighted, *wl, *in, *jobs, *nodes, *seed, *load, *spill, *counters, *memstats)
+			err = runStream(*order, *start, weight, *wl, *in, *jobs, *nodes, *seed, *load, *spill, *counters, *memstats)
 		}
 	} else {
-		err = run(*order, *start, *weighted, *wl, *in, *jobs, *nodes, *seed, *exact, *traceOut, *counters, *memstats, fo)
+		err = run(*order, *start, weight, *wl, *in, *jobs, *nodes, *seed, *exact, *traceOut, *counters, *memstats, fo)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simulate:", err)
@@ -118,7 +122,7 @@ func (s *heapSampler) Peak() uint64 {
 // runStream is the bounded-memory path: arrivals are pulled from a
 // streaming source and finalized allocations go to an aggregate
 // collector (plus an optional JSONL spill) instead of being retained.
-func runStream(order, start string, weighted bool, wl, in string, n, nodes int, seed int64, load float64, spill string, counters, memstats bool) error {
+func runStream(order, start string, weight job.WeightFunc, wl, in string, n, nodes int, seed int64, load float64, spill string, counters, memstats bool) error {
 	src, err := cli.OpenSource(cli.LoadOptions{
 		Kind: wl, Path: in, Jobs: n, MachineNodes: nodes, Seed: seed,
 	}, load)
@@ -153,7 +157,11 @@ func runStream(order, start string, weighted bool, wl, in string, n, nodes int, 
 		sink = sim.MultiSink{agg, sim.NewAllocEncoder(sf)}
 	}
 
-	s, err := core.NewSchedulerWith(sched.OrderName(order), sched.StartName(start), nodes, weighted, hooks)
+	s, err := sched.New(sched.OrderName(order), sched.StartName(start), sched.Config{
+		MachineNodes: nodes,
+		Weight:       weight,
+		Hooks:        hooks,
+	})
 	if err != nil {
 		return err
 	}
@@ -176,10 +184,6 @@ func runStream(order, start string, weighted bool, wl, in string, n, nodes int, 
 		fmt.Fprintf(os.Stderr, "simulate: skipped %d jobs wider than %d nodes\n", src.Removed(), nodes)
 	}
 
-	util := 0.0
-	if agg.Makespan > 0 {
-		util = agg.UsedArea / (float64(agg.Makespan) * float64(nodes))
-	}
 	fmt.Printf("algorithm:                       %s\n", s.Name())
 	fmt.Printf("jobs completed:                  %d (streamed)\n", agg.Completed)
 	fmt.Printf("machine nodes:                   %d\n", nodes)
@@ -187,7 +191,7 @@ func runStream(order, start string, weighted bool, wl, in string, n, nodes int, 
 	fmt.Printf("average weighted response time:  %.4g node-s^2\n", agg.AvgWeightedResponseTime())
 	fmt.Printf("average wait time:               %.4g s\n", agg.AvgWaitTime())
 	fmt.Printf("makespan:                        %d s\n", agg.Makespan)
-	fmt.Printf("utilization:                     %.2f%%\n", util*100)
+	fmt.Printf("utilization:                     %.2f%%\n", agg.Utilization(nodes)*100)
 	fmt.Printf("max queue length:                %d\n", res.MaxQueue)
 	fmt.Printf("wall time:                       %s\n", elapsed.Round(time.Millisecond))
 	if sampler != nil {
@@ -200,7 +204,7 @@ func runStream(order, start string, weighted bool, wl, in string, n, nodes int, 
 	return nil
 }
 
-func run(order, start string, weighted bool, wl, in string, n, nodes int, seed int64, exact bool, traceOut string, counters, memstats bool, fo *cli.FaultOptions) error {
+func run(order, start string, weight job.WeightFunc, wl, in string, n, nodes int, seed int64, exact bool, traceOut string, counters, memstats bool, fo *cli.FaultOptions) error {
 	var sampler *heapSampler
 	if memstats {
 		sampler = startHeapSampler()
@@ -249,12 +253,17 @@ func run(order, start string, weighted bool, wl, in string, n, nodes int, seed i
 			len(plan.Failures), len(plan.Announced))
 	}
 
-	s, err := core.NewFailureAwareScheduler(sched.OrderName(order), sched.StartName(start),
-		nodes, weighted, plan.Announced, hooks)
+	s, err := sched.New(sched.OrderName(order), sched.StartName(start), sched.Config{
+		MachineNodes: nodes,
+		Weight:       weight,
+		Hooks:        hooks,
+		Announced:    plan.Announced,
+	})
 	if err != nil {
 		return err
 	}
-	res, err := core.SimulateWith(core.Machine{Nodes: nodes}, js, s, sim.Options{
+	res, err := sim.Run(sim.Machine{Nodes: nodes}, js, s, sim.Options{
+		Validate: true,
 		Recorder: hooks.Recorder,
 		Failures: plan.Failures,
 		Resubmit: fo.Resubmit(),
@@ -274,16 +283,16 @@ func run(order, start string, weighted bool, wl, in string, n, nodes int, seed i
 	fmt.Printf("algorithm:                       %s\n", s.Name())
 	fmt.Printf("jobs:                            %d\n", len(js))
 	fmt.Printf("machine nodes:                   %d\n", nodes)
-	fmt.Printf("average response time:           %.4g s\n", res.AvgResponse)
-	fmt.Printf("average weighted response time:  %.4g node-s^2\n", res.AvgWeightedResponse)
-	fmt.Printf("average wait time:               %.4g s\n", res.AvgWait)
-	fmt.Printf("makespan:                        %d s\n", res.Makespan)
-	fmt.Printf("utilization:                     %.2f%%\n", res.Utilization*100)
+	fmt.Printf("average response time:           %.4g s\n", objective.AvgResponseTime{}.Eval(res.Schedule))
+	fmt.Printf("average weighted response time:  %.4g node-s^2\n", objective.AvgWeightedResponseTime{}.Eval(res.Schedule))
+	fmt.Printf("average wait time:               %.4g s\n", objective.AvgWaitTime{}.Eval(res.Schedule))
+	fmt.Printf("makespan:                        %d s\n", res.Schedule.Makespan())
+	fmt.Printf("utilization:                     %.2f%%\n", objective.Utilization{}.Eval(res.Schedule)*100)
 	fmt.Printf("max queue length:                %d\n", res.MaxQueue)
 	if fo.Enabled() {
-		fmt.Printf("aborted attempts:                %d\n", res.Aborted)
+		fmt.Printf("aborted attempts:                %d\n", res.AbortedAttempts)
 		fmt.Printf("resubmissions:                   %d\n", res.Resubmits)
-		fmt.Printf("lost jobs:                       %d\n", res.Lost)
+		fmt.Printf("lost jobs:                       %d\n", res.LostJobs)
 	}
 	if sampler != nil {
 		fmt.Printf("peak heap (sampled):             %.1f MiB\n", float64(sampler.Peak())/(1<<20))

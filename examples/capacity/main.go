@@ -14,8 +14,10 @@ import (
 	"fmt"
 	"log"
 
-	"jobsched/internal/core"
+	"jobsched/internal/job"
+	"jobsched/internal/objective"
 	"jobsched/internal/sched"
+	"jobsched/internal/sim"
 	"jobsched/internal/trace"
 	"jobsched/internal/workload"
 )
@@ -53,18 +55,19 @@ func main() {
 }
 
 // smallestMachine binary-searches the machine size meeting the target.
-func smallestMachine(base []*core.Job, o sched.OrderName, s sched.StartName) (int, float64) {
+func smallestMachine(base []*job.Job, o sched.OrderName, s sched.StartName) (int, float64) {
 	meets := func(nodes int) (bool, float64) {
 		jobs, _ := trace.FilterMaxNodes(base, nodes)
-		alg, err := core.NewScheduler(o, s, nodes, false)
+		alg, err := sched.New(o, s, sched.Config{MachineNodes: nodes})
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := core.Simulate(core.Machine{Nodes: nodes}, jobs, alg)
+		res, err := sim.Run(sim.Machine{Nodes: nodes}, jobs, alg, sim.Options{Validate: true})
 		if err != nil {
 			log.Fatal(err)
 		}
-		return res.AvgResponse <= targetResponse, res.AvgResponse
+		resp := objective.AvgResponseTime{}.Eval(res.Schedule)
+		return resp <= targetResponse, resp
 	}
 	lo, hi := 64, 1024
 	_, respHi := meets(hi)

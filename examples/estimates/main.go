@@ -12,9 +12,10 @@ import (
 	"fmt"
 	"log"
 
-	"jobsched/internal/core"
 	"jobsched/internal/job"
+	"jobsched/internal/objective"
 	"jobsched/internal/sched"
+	"jobsched/internal/sim"
 	"jobsched/internal/trace"
 	"jobsched/internal/workload"
 )
@@ -48,15 +49,15 @@ func main() {
 		fmt.Printf("%-28s", fmt.Sprintf("%s/%s", a.order, a.start))
 		for _, f := range factors {
 			jobs := scale(base, f)
-			alg, err := core.NewScheduler(a.order, a.start, nodes, false)
+			alg, err := sched.New(a.order, a.start, sched.Config{MachineNodes: nodes})
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := core.Simulate(core.Machine{Nodes: nodes}, jobs, alg)
+			res, err := sim.Run(sim.Machine{Nodes: nodes}, jobs, alg, sim.Options{Validate: true})
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("%10.0f", res.AvgResponse)
+			fmt.Printf("%10.0f", objective.AvgResponseTime{}.Eval(res.Schedule))
 		}
 		fmt.Println()
 	}

@@ -14,8 +14,9 @@ import (
 	"fmt"
 	"log"
 
-	"jobsched/internal/core"
+	"jobsched/internal/objective"
 	"jobsched/internal/sched"
+	"jobsched/internal/sim"
 	"jobsched/internal/trace"
 	"jobsched/internal/workload"
 )
@@ -40,43 +41,55 @@ func main() {
 		})
 	}
 
-	withRes, err := core.NewReservedScheduler(sched.OrderFCFS, sched.StartEASY, nodes, reservations)
+	// The calendar wraps the start policy: every start it allows leaves
+	// the reserved nodes free for each reserved window.
+	cal, err := sched.NewCalendar(nodes, reservations)
 	if err != nil {
 		log.Fatal(err)
 	}
-	without, err := core.NewScheduler(sched.OrderFCFS, sched.StartEASY, nodes, false)
+	base, err := sched.New(sched.OrderFCFS, sched.StartEASY, sched.Config{MachineNodes: nodes})
+	if err != nil {
+		log.Fatal(err)
+	}
+	withRes := sched.WrapStarter(base, func(st sched.Starter) sched.Starter {
+		return sched.NewReservedStarter(st, cal)
+	})
+	without, err := sched.New(sched.OrderFCFS, sched.StartEASY, sched.Config{MachineNodes: nodes})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	resWith, err := core.Simulate(core.Machine{Nodes: nodes}, jobs, withRes)
-	if err != nil {
-		log.Fatal(err)
+	run := func(s sim.Scheduler) *sim.Schedule {
+		res, err := sim.Run(sim.Machine{Nodes: nodes}, jobs, s, sim.Options{Validate: true})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res.Schedule
 	}
-	resWithout, err := core.Simulate(core.Machine{Nodes: nodes}, jobs, without)
-	if err != nil {
-		log.Fatal(err)
-	}
+	schedWith := run(withRes)
+	schedWithout := run(without)
 
 	fmt.Printf("local workload: %d jobs on %d nodes; %d reserved windows of %d nodes\n\n",
 		len(jobs), nodes, len(reservations), nodes/2)
 	fmt.Printf("%-28s %-22s %-14s\n", "", "avg response (s)", "utilization")
-	fmt.Printf("%-28s %-22.0f %.1f%%\n", "without reservations",
-		resWithout.AvgResponse, resWithout.Utilization*100)
-	fmt.Printf("%-28s %-22.0f %.1f%%\n", "honoring reservations",
-		resWith.AvgResponse, resWith.Utilization*100)
+	report := func(label string, s *sim.Schedule) {
+		fmt.Printf("%-28s %-22.0f %.1f%%\n", label,
+			objective.AvgResponseTime{}.Eval(s), objective.Utilization{}.Eval(s)*100)
+	}
+	report("without reservations", schedWithout)
+	report("honoring reservations", schedWith)
 
 	// Verify the hard guarantee on the produced schedule.
 	for _, e := range reservations {
 		worst := 0
-		for _, a := range resWith.Schedule.Allocs {
+		for _, a := range schedWith.Allocs {
 			if a.Start < e.End && a.End > e.Start {
 				at := a.Start
 				if at < e.Start {
 					at = e.Start
 				}
 				used := 0
-				for _, b := range resWith.Schedule.Allocs {
+				for _, b := range schedWith.Allocs {
 					if b.Start <= at && at < b.End {
 						used += b.Job.Nodes
 					}

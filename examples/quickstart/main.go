@@ -10,14 +10,15 @@ import (
 	"fmt"
 	"log"
 
-	"jobsched/internal/core"
+	"jobsched/internal/objective"
 	"jobsched/internal/sched"
+	"jobsched/internal/sim"
 	"jobsched/internal/workload"
 )
 
 func main() {
 	// A 256-node batch partition, as in the paper's Example 5.
-	machine := core.Machine{Nodes: 256}
+	machine := sim.Machine{Nodes: 256}
 
 	// A small randomized workload (paper Table 2 parameters).
 	cfg := workload.DefaultRandomizedConfig()
@@ -27,19 +28,19 @@ func main() {
 
 	// FCFS with EASY backfilling — the production setting at the CTC,
 	// and the paper's reference algorithm.
-	scheduler, err := core.NewScheduler(sched.OrderFCFS, sched.StartEASY, machine.Nodes, false)
+	scheduler, err := sched.New(sched.OrderFCFS, sched.StartEASY, sched.Config{MachineNodes: machine.Nodes})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	res, err := core.Simulate(machine, jobs, scheduler)
+	res, err := sim.Run(machine, jobs, scheduler, sim.Options{Validate: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("simulated %d jobs under %s\n", len(jobs), scheduler.Name())
-	fmt.Printf("  average response time: %.0f s\n", res.AvgResponse)
-	fmt.Printf("  average wait time:     %.0f s\n", res.AvgWait)
-	fmt.Printf("  makespan:              %d s\n", res.Makespan)
-	fmt.Printf("  utilization:           %.1f%%\n", res.Utilization*100)
+	fmt.Printf("  average response time: %.0f s\n", objective.AvgResponseTime{}.Eval(res.Schedule))
+	fmt.Printf("  average wait time:     %.0f s\n", objective.AvgWaitTime{}.Eval(res.Schedule))
+	fmt.Printf("  makespan:              %d s\n", res.Schedule.Makespan())
+	fmt.Printf("  utilization:           %.1f%%\n", objective.Utilization{}.Eval(res.Schedule)*100)
 }

@@ -7,7 +7,7 @@ import (
 
 // passProtocolScope: the packages that drive profile kernels through the
 // batched scheduling pass API (PR 6's BeginPass/StartMany/CommitPass
-// protocol). internal/profile itself — the three implementations — is
+// protocol). internal/profile itself — where the kernels live — is
 // deliberately out of scope: it owns the pass state and manipulates it
 // below the protocol.
 var passProtocolScope = []string{

@@ -76,6 +76,16 @@ func TestUtilizationMetric(t *testing.T) {
 	if got := (Utilization{}).Eval(sched2()); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Utilization = %v, want %v", got, want)
 	}
+	// The streaming aggregates report the same figure, bit for bit.
+	var agg sim.Aggregates
+	for _, a := range sched2().Allocs {
+		if err := agg.Emit(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := agg.Utilization(4), (Utilization{}).Eval(sched2()); got != want {
+		t.Errorf("Aggregates.Utilization = %v, want %v", got, want)
+	}
 }
 
 func TestMetricsOnEmptySchedule(t *testing.T) {

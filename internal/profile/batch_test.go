@@ -13,10 +13,17 @@ import (
 // deferred-coalescing path, and including drain-crossing and
 // saturating-reserve (permanent, to-Infinity) job sets.
 
+// fitReserver is the part of the kernel API a sequential start loop
+// needs; the array kernel, which has no batch API, has it too.
+type fitReserver interface {
+	EarliestFit(nodes int, duration int64, notBefore int64) int64
+	Reserve(nodes int, start, end int64)
+}
+
 // seqStartLoop is the explicitly-written sequential loop the batch API is
 // specified against. Deliberately NOT startManySequential: the test must
 // not compare the implementation against itself.
-func seqStartLoop(k Kernel, reqs []StartReq, now int64) []int64 {
+func seqStartLoop(k fitReserver, reqs []StartReq, now int64) []int64 {
 	starts := make([]int64, 0, len(reqs))
 	for _, r := range reqs {
 		at := k.EarliestFit(r.Nodes, r.Duration, now)
@@ -33,12 +40,11 @@ func seqStartLoop(k Kernel, reqs []StartReq, now int64) []int64 {
 	return starts
 }
 
-// buildRandomBase drives all three kernels through an identical random
+// buildRandomBase drives both kernels through an identical random
 // mutation prefix: feasible reservations (some permanent), drains, and
 // early releases. Returns them ready for a batch-vs-sequential trial.
-func buildRandomBase(rng *rand.Rand, nodes int) (*Tree, *Profile, *Reference) {
+func buildRandomBase(rng *rand.Rand, nodes int) (*Tree, *Reference) {
 	tree := NewTree(nodes, 0)
-	opt := New(nodes, 0)
 	ref := NewReference(nodes, 0)
 	for i, n := 0, rng.Intn(30); i < n; i++ {
 		w := 1 + rng.Intn(nodes)
@@ -51,13 +57,11 @@ func buildRandomBase(rng *rand.Rand, nodes int) (*Tree, *Profile, *Reference) {
 			}
 			end := satEnd(at, d)
 			tree.Reserve(w, at, end)
-			opt.Reserve(w, at, end)
 			ref.Reserve(w, at, end)
 		case 1: // drain (may overcommit, saturates at zero)
 			lo := int64(rng.Intn(300))
 			hi := lo + 1 + int64(rng.Intn(120))
 			tree.ReserveClamped(w, lo, hi)
-			opt.ReserveClamped(w, lo, hi)
 			ref.ReserveClamped(w, lo, hi)
 		case 2: // permanent reservation: a tail short of w nodes forever
 			at := ref.EarliestFit(w, Infinity, int64(rng.Intn(100)))
@@ -65,7 +69,6 @@ func buildRandomBase(rng *rand.Rand, nodes int) (*Tree, *Profile, *Reference) {
 				continue
 			}
 			tree.Reserve(w, at, Infinity)
-			opt.Reserve(w, at, Infinity)
 			ref.Reserve(w, at, Infinity)
 		case 3: // release a fresh feasible slice (early completion)
 			d := int64(10 + rng.Intn(100))
@@ -75,17 +78,15 @@ func buildRandomBase(rng *rand.Rand, nodes int) (*Tree, *Profile, *Reference) {
 			}
 			end := satEnd(at, d)
 			tree.Reserve(w, at, end)
-			opt.Reserve(w, at, end)
 			ref.Reserve(w, at, end)
 			cut := at + (end-at)/2
 			if cut > at {
 				tree.Release(w, cut, end)
-				opt.Release(w, cut, end)
 				ref.Release(w, cut, end)
 			}
 		}
 	}
-	return tree, opt, ref
+	return tree, ref
 }
 
 // randomReqs generates a batch, occasionally saturating (full-width or
@@ -116,7 +117,7 @@ func TestStartManyMatchesSequentialLoop(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		treeSmallLimit = limits[trial%len(limits)]
 		nodes := 1 + rng.Intn(64)
-		tree, opt, ref := buildRandomBase(rng, nodes)
+		tree, ref := buildRandomBase(rng, nodes)
 		now := int64(rng.Intn(250))
 		reqs := randomReqs(rng, nodes)
 
@@ -125,7 +126,6 @@ func TestStartManyMatchesSequentialLoop(t *testing.T) {
 			batch, seq Kernel
 		}{
 			{"tree", tree.Clone(), tree.Clone()},
-			{"array", opt.Clone(), opt.Clone()},
 			{"reference", ref.Clone(), ref.Clone()},
 		} {
 			tc.batch.BeginPass(now)
@@ -173,7 +173,7 @@ func TestStartManyMidPassDrain(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		treeSmallLimit = limits[trial%len(limits)]
 		nodes := 2 + rng.Intn(63)
-		tree, _, ref := buildRandomBase(rng, nodes)
+		tree, ref := buildRandomBase(rng, nodes)
 		now := int64(rng.Intn(250))
 		reqs1 := randomReqs(rng, nodes)
 		reqs2 := randomReqs(rng, nodes)
@@ -225,7 +225,6 @@ func TestStartManySaturating(t *testing.T) {
 		mk   func() Kernel
 	}{
 		{"tree", func() Kernel { return NewTree(8, 0) }},
-		{"array", func() Kernel { return New(8, 0) }},
 		{"reference", func() Kernel { return NewReference(8, 0) }},
 	} {
 		k := tc.mk()

@@ -97,9 +97,9 @@ func interpretDifferential(data []byte, log *[]string, o diffOptions) (err error
 	defer func(old int) { treeSmallLimit = old }(treeSmallLimit)
 	treeSmallLimit = limit
 	tree := NewTree(nodes, from)
-	opt := New(nodes, from)
+	opt := newArray(nodes, from)
 	ref := NewReference(nodes, from)
-	spareTree, spareOpt, spareRef := &Tree{}, &Profile{}, &Reference{}
+	spareTree, spareOpt, spareRef := &Tree{}, &array{}, &Reference{}
 	var ledger []reservation
 
 	opNo := 0
@@ -236,13 +236,11 @@ func interpretDifferential(data []byte, log *[]string, o diffOptions) (err error
 			}
 			logf("BatchPass(now=%d, reqs=%v)", now, reqs)
 			tree.BeginPass(now)
-			opt.BeginPass(now)
 			ref.BeginPass(now)
 			sTree := tree.StartMany(reqs, nil)
-			sOpt := opt.StartMany(reqs, nil)
+			sOpt := seqStartLoop(opt, reqs, now) // the array has no batch API
 			sRef := ref.StartMany(reqs, nil)
 			tree.CommitPass()
-			opt.CommitPass()
 			ref.CommitPass()
 			for n := range reqs {
 				if e := check3(fmt.Sprintf("StartMany[%d]", n), sTree[n], sOpt[n], sRef[n]); e != nil {
@@ -352,9 +350,12 @@ func TestDifferentialAdversarial(t *testing.T) {
 	treeSmallLimit = 0 // the boundary cases must hit the treap, not the array fallback
 	nodes := 8
 	tree := NewTree(nodes, 50)
-	opt := New(nodes, 50)
+	opt := newArray(nodes, 50)
 	ref := NewReference(nodes, 50)
-	for _, p := range []Kernel{tree, opt, ref} {
+	for _, p := range []interface {
+		Reserve(nodes int, start, end int64)
+		Release(nodes int, start, end int64)
+	}{tree, opt, ref} {
 		p.Reserve(5, 60, Infinity) // permanent: only 3 free from t=60 on
 		p.Reserve(3, 100, 200)     // fully blocked window inside the tail
 		p.Release(5, 90, 100)      // early-completion handback before it

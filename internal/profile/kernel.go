@@ -2,22 +2,21 @@ package profile
 
 import "jobsched/internal/job"
 
-// Kernel is the availability-profile operation set shared by the three
-// implementations in this package:
+// Kernel is the availability-profile operation set. Two types in this
+// package implement it:
 //
-//   - Tree, the O(log S) balanced-tree kernel (the production default);
-//   - Profile, the array-backed skip-ahead kernel it replaced (the
-//     baseline of the recorded BENCH_3.json numbers, and a second backend
-//     for the backend-independence tests); and
+//   - Tree, the production kernel: an array for small profiles, a
+//     balanced tree once they grow (see tree.go); and
 //   - Reference, the brute-force oracle of the differential tests.
 //
 // Schedulers hold their scratch profiles through this interface so the
-// backend is swappable: the determinism tests run whole evaluation grids
-// against both Tree and Reference and require byte-identical tables.
+// backend is swappable (sched.ProfileFactory): the determinism tests run
+// whole evaluation grids against both Tree and Reference and require
+// byte-identical tables, and the benchmark wraps Tree to time it.
 //
-// All three implementations realize the same canonical step function —
-// identical query results, identical String()/StepCount() after every
-// operation — which is what the differential oracle enforces.
+// Every kernel realizes the same canonical step function — identical
+// query results, identical String()/StepCount() after every operation —
+// which is what the differential oracle enforces.
 type Kernel interface {
 	// Nodes returns the machine size.
 	Nodes() int
@@ -58,7 +57,6 @@ type Kernel interface {
 
 var (
 	_ Kernel = (*Tree)(nil)
-	_ Kernel = (*Profile)(nil)
 	_ Kernel = (*Reference)(nil)
 )
 

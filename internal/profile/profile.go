@@ -3,15 +3,22 @@
 // variants — EASY uses it to compute the shadow time of the queue head,
 // conservative backfilling inserts a reservation for every waiting job.
 //
-// The profile is a sorted slice of steps; each step holds the number of
-// free nodes from its time until the next step. The final step extends to
-// infinity. All times are estimated: running jobs are entered with their
-// projected completion (start + estimate), which is exactly the
-// information a scheduler legitimately has on-line.
+// Each step holds the number of free nodes from its time until the next
+// step; the final step extends to infinity. All times are estimated:
+// running jobs are entered with their projected completion (start +
+// estimate), which is exactly the information a scheduler legitimately
+// has on-line.
 //
-// # Complexity
+// Tree is the kernel schedulers use (through the Kernel interface). It
+// runs small profiles on the array kernel of this file and promotes large
+// ones to a balanced tree (tree.go). Reference, the original naive
+// implementation, is the brute-force oracle of the differential tests
+// (differential_test.go, FuzzProfileOps, FuzzProfileTree) and the
+// "before" side of the recorded BENCH_1.json.
 //
-// Profile is the optimized kernel (S = step count):
+// # The array kernel
+//
+// The array is a sorted slice of steps (S = step count):
 //
 //   - EarliestFit is a single forward pass, O(S) worst case: when a step
 //     short of nodes blocks the candidate window, the scan skips ahead and
@@ -28,10 +35,6 @@
 //     costs O(S) memmove with zero allocations once the backing array is
 //     warm. Reset reuses that array, which is what kills the allocation
 //     storm in conservative backfilling's per-pass profile rebuilds.
-//
-// The original naive implementation is kept alive as Reference, the
-// brute-force oracle of the differential tests (differential_test.go,
-// FuzzProfileOps) and the "before" side of the recorded BENCH_1.json.
 package profile
 
 import (
@@ -39,8 +42,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"jobsched/internal/job"
 )
 
 // Infinity is the time horizon of the last step.
@@ -51,68 +52,54 @@ type step struct {
 	free int   // free nodes in [at, next.at)
 }
 
-// Profile is a step function of free nodes over time. The zero value is
-// unusable; create profiles with New (or recycle one with Reset).
-//
-// A Profile is not safe for concurrent use: the query cursor mutates on
-// reads. Each simulation goroutine must own its profiles (the evaluation
-// grid gives every cell its own scheduler, so this holds by construction).
-type Profile struct {
+// array is the array kernel: Tree's small mode. The zero value is
+// unusable; create one with newArray (or recycle one with Reset). Like
+// Tree, it is not safe for concurrent use: the query cursor mutates on
+// reads.
+type array struct {
 	steps []step
 	nodes int // machine size
 	// cur is the query cursor: the index of the step that covered the last
 	// queried time. Purely a performance hint — seekIndex re-validates it
 	// on every use — so mutations only need to keep it in range lazily.
 	cur int
-	// stats, when attached via SetStats, counts kernel operations for the
-	// telemetry layer. nil (the default) costs one branch per operation.
-	stats *Stats
-	// passNow anchors an open batched scheduling pass (see BeginPass).
-	passNow int64
 }
 
-// New returns a profile for a machine with the given node count, entirely
-// free from time `from` on.
-func New(nodes int, from int64) *Profile {
+// newArray returns an array profile for a machine with the given node
+// count, entirely free from time `from` on.
+func newArray(nodes int, from int64) *array {
 	if nodes <= 0 {
 		panic("profile: machine must have at least one node")
 	}
-	return &Profile{
+	return &array{
 		steps: []step{{at: from, free: nodes}},
 		nodes: nodes,
 	}
 }
 
-// Nodes returns the machine size.
-func (p *Profile) Nodes() int { return p.nodes }
-
 // Reset reinitializes p to a fully free machine of the given size from
-// time `from` on, reusing the step storage. It is the scratch-profile
-// entry point: a scheduler that rebuilds its reservation profile on every
-// pass calls Reset instead of New and performs zero allocations once the
-// backing array has grown to the working-set size.
-func (p *Profile) Reset(nodes int, from int64) {
+// time `from` on, reusing the step storage, so a scratch profile rebuilt
+// on every pass performs zero allocations once the backing array has
+// grown to the working-set size.
+func (p *array) Reset(nodes int, from int64) {
 	if nodes <= 0 {
 		panic("profile: machine must have at least one node")
 	}
 	p.nodes = nodes
 	p.steps = append(p.steps[:0], step{at: from, free: nodes})
 	p.cur = 0
-	if p.stats != nil {
-		p.stats.Resets++
-	}
 }
 
 // Clone returns an independent deep copy.
-func (p *Profile) Clone() *Profile {
-	c := &Profile{nodes: p.nodes, steps: make([]step, len(p.steps))}
+func (p *array) Clone() *array {
+	c := &array{nodes: p.nodes, steps: make([]step, len(p.steps))}
 	copy(c.steps, p.steps)
 	return c
 }
 
 // CloneInto copies p into dst, reusing dst's step storage (the
 // allocation-free counterpart of Clone for scratch pools).
-func (p *Profile) CloneInto(dst *Profile) {
+func (p *array) CloneInto(dst *array) {
 	dst.nodes = p.nodes
 	dst.steps = append(dst.steps[:0], p.steps...)
 	dst.cur = 0
@@ -120,10 +107,7 @@ func (p *Profile) CloneInto(dst *Profile) {
 
 // FreeAt returns the number of free nodes at time t. Times before the
 // first step report the first step's value.
-func (p *Profile) FreeAt(t int64) int {
-	if p.stats != nil {
-		p.stats.FreeAt++
-	}
+func (p *array) FreeAt(t int64) int {
 	return p.steps[p.seekIndex(t)].free
 }
 
@@ -131,7 +115,7 @@ func (p *Profile) FreeAt(t int64) int {
 // with at <= t, clamped to 0), starting the search at the query cursor:
 // the common monotone-query case resolves in O(1), anything else falls
 // back to a binary search of the relevant side.
-func (p *Profile) seekIndex(t int64) int {
+func (p *array) seekIndex(t int64) int {
 	i := p.cur
 	if i >= len(p.steps) {
 		i = len(p.steps) - 1
@@ -166,7 +150,7 @@ func (p *Profile) seekIndex(t int64) int {
 // the first step's value. atLeast is a lower bound on the answer (0 when
 // unknown): Reserve/Release pass the start boundary's index so the end
 // boundary's search skips the prefix.
-func (p *Profile) splitAt(t int64, atLeast int) int {
+func (p *array) splitAt(t int64, atLeast int) int {
 	i := atLeast + sort.Search(len(p.steps)-atLeast,
 		func(k int) bool { return p.steps[atLeast+k].at >= t })
 	if i < len(p.steps) && p.steps[i].at == t {
@@ -187,12 +171,9 @@ func (p *Profile) splitAt(t int64, atLeast int) int {
 // Reserve subtracts `nodes` free nodes on [start, end). It panics if the
 // reservation would drive any step negative — callers must only reserve
 // intervals found by EarliestFit or known to fit.
-func (p *Profile) Reserve(nodes int, start, end int64) {
+func (p *array) Reserve(nodes int, start, end int64) {
 	if nodes <= 0 || end <= start {
 		panic("profile: Reserve requires positive nodes and start < end")
-	}
-	if p.stats != nil {
-		p.stats.Reserve++
 	}
 	i := p.splitAt(start, 0)
 	j := p.splitAt(end, i)
@@ -212,12 +193,9 @@ func (p *Profile) Reserve(nodes int, start, end int64) {
 // an announced maintenance drain takes its nodes regardless of what the
 // reservation profile thinks is free, and any shortfall manifests as
 // aborted jobs at run time, not as a scheduler invariant violation.
-func (p *Profile) ReserveClamped(nodes int, start, end int64) {
+func (p *array) ReserveClamped(nodes int, start, end int64) {
 	if nodes <= 0 || end <= start {
 		panic("profile: ReserveClamped requires positive nodes and start < end")
-	}
-	if p.stats != nil {
-		p.stats.ReserveClamped++
 	}
 	i := p.splitAt(start, 0)
 	j := p.splitAt(end, i)
@@ -247,12 +225,9 @@ func (p *Profile) ReserveClamped(nodes int, start, end int64) {
 // Release adds `nodes` free nodes on [start, end). Used when a running
 // job completes earlier than estimated: the remainder of its projected
 // allocation is handed back.
-func (p *Profile) Release(nodes int, start, end int64) {
+func (p *array) Release(nodes int, start, end int64) {
 	if nodes <= 0 || end <= start {
 		panic("profile: Release requires positive nodes and start < end")
-	}
-	if p.stats != nil {
-		p.stats.Release++
 	}
 	i := p.splitAt(start, 0)
 	j := p.splitAt(end, i)
@@ -270,7 +245,7 @@ func (p *Profile) Release(nodes int, start, end int64) {
 // shifted by the same amount, and they differed before — so only steps i
 // and j can have become redundant. Removing at most two steps keeps the
 // canonical form without the naive full-slice sweep.
-func (p *Profile) coalesceEdges(i, j int) {
+func (p *array) coalesceEdges(i, j int) {
 	// The end boundary first so index i stays valid.
 	if j < len(p.steps) && p.steps[j].free == p.steps[j-1].free {
 		p.steps = append(p.steps[:j], p.steps[j+1:]...)
@@ -291,15 +266,12 @@ func (p *Profile) coalesceEdges(i, j int) {
 // short of `nodes` blocks the candidate window, the candidate start jumps
 // to the end of the blocking step and the scan resumes there — earlier
 // steps are never revisited, so the whole query is O(S).
-func (p *Profile) EarliestFit(nodes int, duration int64, notBefore int64) int64 {
+func (p *array) EarliestFit(nodes int, duration int64, notBefore int64) int64 {
 	if nodes > p.nodes {
 		panic(fmt.Sprintf("profile: job wants %d nodes on a %d-node machine", nodes, p.nodes))
 	}
 	if duration <= 0 {
 		panic("profile: EarliestFit requires positive duration")
-	}
-	if p.stats != nil {
-		p.stats.EarliestFit++
 	}
 	anchor := p.seekIndex(notBefore)
 	start := notBefore
@@ -337,12 +309,9 @@ func (p *Profile) EarliestFit(nodes int, duration int64, notBefore int64) int64 
 
 // MinFree returns the minimum number of free nodes over [start, end).
 // Panics on an empty interval.
-func (p *Profile) MinFree(start, end int64) int {
+func (p *array) MinFree(start, end int64) int {
 	if end <= start {
 		panic("profile: MinFree requires start < end")
-	}
-	if p.stats != nil {
-		p.stats.MinFree++
 	}
 	i := p.seekIndex(start)
 	min := p.steps[i].free
@@ -354,36 +323,11 @@ func (p *Profile) MinFree(start, end int64) int {
 	return min
 }
 
-// BeginPass opens a batched scheduling pass anchored at `now`. The array
-// kernel has no canonicalization to defer, so the pass only records the
-// anchor time (and counts toward Stats.Passes for comparability with the
-// tree kernel).
-func (p *Profile) BeginPass(now int64) {
-	p.passNow = now
-	if p.stats != nil {
-		p.stats.Passes++
-	}
-}
-
-// StartMany places each request at its earliest fit from the pass time
-// and reserves it, appending the start times to `starts`. Identical in
-// effect to the equivalent sequential EarliestFit+Reserve loop (it *is*
-// that loop here).
-func (p *Profile) StartMany(reqs []StartReq, starts []int64) []int64 {
-	if p.stats != nil {
-		p.stats.BatchedStarts = job.AddSat(p.stats.BatchedStarts, int64(len(reqs)))
-	}
-	return startManySequential(p, reqs, p.passNow, starts)
-}
-
-// CommitPass closes the pass. Nothing was deferred: no-op.
-func (p *Profile) CommitPass() {}
-
 // StepCount returns the number of steps (diagnostics, complexity tests).
-func (p *Profile) StepCount() int { return len(p.steps) }
+func (p *array) StepCount() int { return len(p.steps) }
 
 // String renders the profile compactly for debugging.
-func (p *Profile) String() string {
+func (p *array) String() string {
 	var b strings.Builder
 	b.WriteString("profile[")
 	for i, s := range p.steps {

@@ -8,16 +8,17 @@ import (
 
 // Reference is the brute-force availability profile: the original, naive
 // implementation kept alive verbatim as a differential-testing oracle for
-// the optimized Profile. Every operation re-derives its answer from
+// the optimized kernels (Tree and its array mode). Every operation re-derives its answer from
 // scratch — stepIndex binary-searches the full slice on every call, and
 // EarliestFit restarts its window scan from the blocking step's index via
 // a fresh binary search — so the code stays obviously correct at the cost
 // of O(S²) worst-case queries.
 //
-// The differential tests (differential_test.go, FuzzProfileOps) drive a
-// Profile and a Reference through identical operation sequences and
-// assert identical results and identical canonical step functions. Do not
-// "optimize" this type: its value is that it is slow and simple.
+// The differential tests (differential_test.go, FuzzProfileOps) drive the
+// optimized kernels and a Reference through identical operation
+// sequences and assert identical results and identical canonical step
+// functions. Do not "optimize" this type: its value is that it is slow
+// and simple.
 type Reference struct {
 	steps []step
 	nodes int
@@ -128,7 +129,7 @@ func (p *Reference) Reserve(nodes int, start, end int64) {
 
 // ReserveClamped subtracts up to `nodes` free nodes on [start, end),
 // clamping each step at zero instead of panicking on overcommit (the
-// brute-force counterpart of Profile.ReserveClamped).
+// brute-force counterpart of array.ReserveClamped).
 func (p *Reference) ReserveClamped(nodes int, start, end int64) {
 	if nodes <= 0 || end <= start {
 		panic("profile: ReserveClamped requires positive nodes and start < end")

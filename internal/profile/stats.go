@@ -13,7 +13,7 @@ import (
 // nil check per operation.
 //
 // Counters are plain fields, not atomics: a profile is owned by one
-// simulation goroutine (see the Profile doc), and so is its Stats.
+// simulation goroutine (see the Tree doc), and so is its Stats.
 type Stats struct {
 	EarliestFit int64
 	Reserve     int64
@@ -69,9 +69,3 @@ func (s *Stats) String() string {
 	}
 	return out
 }
-
-// SetStats attaches (or, with nil, detaches) an operation counter to the
-// profile. The pointer survives Reset — a scratch profile keeps counting
-// across the per-pass rebuilds, which is exactly the per-run total the
-// telemetry layer reports.
-func (p *Profile) SetStats(s *Stats) { p.stats = s }

@@ -10,11 +10,11 @@ import (
 // Tree is the O(log S) availability-profile kernel: the canonical step
 // function is stored in a balanced binary search tree keyed by step start
 // time, with per-subtree minimum/maximum free-node aggregates and lazy
-// range-add tags. It replaces the array-backed Profile as the scratch
-// profile of the backfilling schedulers — at deep backlogs (~100k queued
-// jobs) the array kernel's O(S) memmove per reservation and O(S) fit
-// scan become the simulation hot path again (BENCH_3.json), while every
-// Tree operation stays logarithmic:
+// range-add tags. It replaced the array kernel as the scratch profile of
+// the backfilling schedulers — at deep backlogs (~100k queued jobs) the
+// array's O(S) memmove per reservation and O(S) fit scan become the
+// simulation hot path again (BENCH_3.json), while every Tree operation
+// stays logarithmic:
 //
 //   - Reserve/Release/ReserveClamped split at most two boundaries and
 //     apply one lazy range-add, O(log S) (ReserveClamped walks the steps
@@ -35,23 +35,24 @@ import (
 //
 // The brute-force Reference remains the differential-testing oracle: the
 // oracle suite (differential_test.go, FuzzProfileOps, FuzzProfileTree)
-// drives Tree, Profile and Reference through identical op sequences and
-// requires identical results and identical canonical step functions.
+// drives Tree, the array kernel and Reference through identical op
+// sequences and requires identical results and identical canonical step
+// functions.
 //
 // Small profiles bypass the tree entirely: while the step count stays at
 // or below treeSmallLimit, operations delegate to an embedded array
-// kernel (Profile) — at scheduler-typical sizes (tens to hundreds of
+// kernel (profile.go) — at scheduler-typical sizes (tens to hundreds of
 // steps) a contiguous array beats any pointer structure on constants,
-// and the array kernel is already proven against the oracle. The first
-// growth past the limit promotes the steps into the treap, where they
-// stay until the next Reset. Asymptotics are unchanged (the array phase
-// is bounded by the constant limit), and the differential suite drives
-// the limit to 0 and to tiny values so both regimes and the promotion
-// boundary sit under the oracle.
+// and the array kernel is proven against the oracle. The first growth
+// past the limit promotes the steps into the treap, where they stay
+// until the next Reset. Asymptotics are unchanged (the array phase is
+// bounded by the constant limit), and the differential suite drives the
+// limit to 0 and to tiny values so both regimes and the promotion
+// boundary sit under the oracle. Tree alone counts Stats and runs
+// batched passes; the array only answers queries and mutations.
 //
 // A Tree is not safe for concurrent use: queries push lazy tags down the
-// descent path. Each simulation goroutine must own its profiles, exactly
-// as with Profile.
+// descent path. Each simulation goroutine must own its profiles.
 type Tree struct {
 	pool []tnode
 	free []int32 // freelist of recycled pool slots
@@ -59,11 +60,11 @@ type Tree struct {
 	size int // machine size
 	seq  uint64
 	// small is the array-mode kernel (nil once promoted); spare retains a
-	// promoted-away Profile so Reset can return to array mode without
+	// promoted-away array so Reset can return to array mode without
 	// allocating. smallLimit is captured from treeSmallLimit at
 	// construction.
-	small      *Profile
-	spare      *Profile
+	small      *array
+	spare      *array
 	smallLimit int
 	// pass tracks an open batched scheduling pass: edge coalescing is
 	// deferred (dirty boundary keys collected) and replayed at CommitPass,
@@ -119,12 +120,14 @@ func NewTree(nodes int, from int64) *Tree {
 func (t *Tree) Nodes() int { return t.size }
 
 // SetStats attaches (or, with nil, detaches) an operation counter. The
-// pointer survives Reset, like Profile's.
+// pointer survives Reset — a scratch profile keeps counting across the
+// per-pass rebuilds, which is exactly the per-run total the telemetry
+// layer reports.
 func (t *Tree) SetStats(s *Stats) { t.stats = s }
 
 // Reset reinitializes t to a fully free machine of the given size from
 // time `from` on, reusing the node pool (and, in array mode, the spare
-// Profile from an earlier promotion). An open pass is abandoned.
+// array from an earlier promotion). An open pass is abandoned.
 func (t *Tree) Reset(nodes int, from int64) {
 	if nodes <= 0 {
 		panic("profile: machine must have at least one node")
@@ -139,7 +142,7 @@ func (t *Tree) Reset(nodes int, from int64) {
 			if t.spare != nil {
 				t.small, t.spare = t.spare, nil
 			} else {
-				t.small = New(nodes, from)
+				t.small = newArray(nodes, from)
 			}
 		}
 		t.small.Reset(nodes, from)
@@ -205,7 +208,7 @@ func (t *Tree) CloneInto(dst *Tree) {
 			if dst.spare != nil {
 				dst.small, dst.spare = dst.spare, nil
 			} else {
-				dst.small = New(t.size, 0)
+				dst.small = newArray(t.size, 0)
 			}
 		}
 		t.small.CloneInto(dst.small)
@@ -712,7 +715,7 @@ func (t *Tree) clampSub(i int32, w int) {
 
 // ReserveClamped subtracts up to `nodes` free nodes on [start, end),
 // clamping each step at zero instead of panicking on overcommit (the
-// announced-maintenance drain operation; see Profile.ReserveClamped).
+// announced-maintenance drain operation; see array.ReserveClamped).
 func (t *Tree) ReserveClamped(nodes int, start, end int64) {
 	if nodes <= 0 || end <= start {
 		panic("profile: ReserveClamped requires positive nodes and start < end")

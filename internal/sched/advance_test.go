@@ -121,15 +121,24 @@ func TestReservationsHardGuarantee(t *testing.T) {
 		jobs[i] = &job.Job{ID: job.ID(i), Submit: at, Nodes: 1 + r.Intn(nodes),
 			Estimate: est, Runtime: 1 + r.Int63n(est)}
 	}
+	var algs []*Composite
 	for _, inner := range []Starter{NewListStarter(), NewEASYStarter(), NewGareyGrahamStarter()} {
-		alg := Compose(NewFCFSOrder("FCFS"), NewReservedStarter(inner, cal), nodes)
+		algs = append(algs, Compose(NewFCFSOrder("FCFS"), NewReservedStarter(inner, cal), nodes))
+	}
+	// A grid cell from New with the calendar layered on by WrapStarter.
+	base, err := New(OrderFCFS, StartEASY, Config{MachineNodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	algs = append(algs, WrapStarter(base, func(st Starter) Starter { return NewReservedStarter(st, cal) }))
+	for _, alg := range algs {
 		res, err := sim.RunChecked(sim.Machine{Nodes: nodes}, job.CloneAll(jobs), alg,
 			sim.Options{Validate: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Schedule.Allocs) != len(jobs) {
-			t.Fatalf("%s: %d of %d jobs", inner.Name(), len(res.Schedule.Allocs), len(jobs))
+			t.Fatalf("%s: %d of %d jobs", alg.Name(), len(res.Schedule.Allocs), len(jobs))
 		}
 		for _, e := range entries {
 			for _, a := range res.Schedule.Allocs {
@@ -139,7 +148,7 @@ func TestReservationsHardGuarantee(t *testing.T) {
 					used := usedAt(res.Schedule, maxI64(a.Start, e.Start))
 					if nodes-used < e.Nodes {
 						t.Fatalf("%s: reservation %q violated: %d nodes in use at %d",
-							inner.Name(), e.Name, used, a.Start)
+							alg.Name(), e.Name, used, a.Start)
 					}
 				}
 			}

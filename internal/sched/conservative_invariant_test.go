@@ -11,9 +11,10 @@ import (
 
 // reservations computes each queued job's projected start under
 // conservative semantics: walk the order, give every job the earliest
-// fit, reserve it. Mirrors ConservativeStarter's internal walk.
+// fit, reserve it. Mirrors ConservativeStarter's internal walk on the
+// brute-force Reference profile, so it shares no kernel with production.
 func reservations(ordered []*job.Job, now int64, running []sim.Running, m int) map[job.ID]int64 {
-	p := profile.New(m, now)
+	p := profile.NewReference(m, now)
 	for _, r := range running {
 		end := r.EstEnd
 		if end <= now {

@@ -10,9 +10,10 @@ import (
 	"jobsched/internal/sim"
 )
 
-// naiveConservativePick is the unoptimized reference walk: a fresh array
-// profile, full reservations. The production ConservativeStarter must
-// make exactly the same decision on every input.
+// naiveConservativePick is the unoptimized reference walk: a fresh
+// brute-force Reference profile (no kernel shared with production), full
+// reservations. The production ConservativeStarter must make exactly the
+// same decision on every input.
 func naiveConservativePick(ordered []*job.Job, now int64, free int, running []sim.Running, machineNodes int) *job.Job {
 	if len(ordered) == 0 || free <= 0 {
 		return nil
@@ -27,7 +28,7 @@ func naiveConservativePick(ordered []*job.Job, now int64, free int, running []si
 	if !fits {
 		return nil
 	}
-	p := profile.New(machineNodes, now)
+	p := profile.NewReference(machineNodes, now)
 	for _, r := range running {
 		end := r.EstEnd
 		if end <= now {

@@ -90,10 +90,10 @@ type Starter interface {
 }
 
 // ProfileFactory constructs a scratch availability profile. The default
-// (nil) builds the O(log S) tree kernel, the only kernel production code
-// builds; tests and benches inject profile.New (the array kernel) or
-// profile.NewReference (the brute-force oracle) through
-// Config.ProfileFactory to pin backend-independence of whole schedules.
+// (nil) builds profile.Tree, the only kernel production code builds;
+// tests inject profile.NewReference (the brute-force oracle) through
+// Config.ProfileFactory to pin backend-independence of whole schedules,
+// and the benchmark injects a timed Tree.
 type ProfileFactory func(nodes int, from int64) profile.Kernel
 
 // makeScratch applies the factory default.
@@ -343,9 +343,9 @@ type Config struct {
 	// historical behavior bit-for-bit.
 	Announced []sim.Failure
 	// ProfileFactory selects the scratch availability-profile backend for
-	// profile-backed start policies. Nil uses the O(log S) tree kernel;
-	// differential tests inject the array kernel or the brute-force
-	// reference to pin that whole schedules are backend-independent.
+	// profile-backed start policies. Nil uses profile.Tree; differential
+	// tests inject the brute-force reference to pin that whole schedules
+	// are backend-independent.
 	ProfileFactory ProfileFactory
 }
 

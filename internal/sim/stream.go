@@ -92,12 +92,17 @@ type Aggregates struct {
 	// UsedArea is the node-seconds consumed by all attempts, aborted
 	// ones included (they occupied the machine until the failure).
 	UsedArea float64
-	// Makespan is the largest completion time seen.
-	Makespan int64
+	// FirstStart is the earliest start time seen and Makespan the
+	// largest completion time.
+	FirstStart int64
+	Makespan   int64
 }
 
 // Emit implements Sink.
 func (g *Aggregates) Emit(a Allocation) error {
+	if g.Jobs == 0 || a.Start < g.FirstStart {
+		g.FirstStart = a.Start
+	}
 	g.Jobs++
 	g.UsedArea += float64(a.Job.Nodes) * float64(a.End-a.Start)
 	if a.End > g.Makespan {
@@ -139,6 +144,16 @@ func (g *Aggregates) AvgWeightedResponseTime() float64 {
 		return 0
 	}
 	return g.WeightedSum / float64(g.Completed)
+}
+
+// Utilization mirrors objective.Utilization on a machine of the given
+// size: used area over (makespan − first start) × nodes.
+func (g *Aggregates) Utilization(nodes int) float64 {
+	span := float64(g.Makespan-g.FirstStart) * float64(nodes)
+	if g.Makespan == 0 || span == 0 {
+		return 0
+	}
+	return g.UsedArea / span
 }
 
 // AllocRecord is the JSONL spill schema written by AllocEncoder: one

@@ -174,8 +174,13 @@ func (f sinkFunc) Emit(a Allocation) error { return f(a) }
 // TestAggregatesMatchSchedule: the constant-memory aggregates must
 // reproduce the metrics computed from a retained schedule.
 func TestAggregatesMatchSchedule(t *testing.T) {
+	// The workload starts at t=1000, so utilization's span must begin at
+	// the first start, not at zero.
 	jobs := randomWorkload(13, 500, 4)
-	opt := Options{Failures: []Failure{{At: 70, Nodes: 2, Duration: 25}}}
+	for _, j := range jobs {
+		j.Submit += 1000
+	}
+	opt := Options{Failures: []Failure{{At: 1070, Nodes: 2, Duration: 25}}}
 	want, err := Run(Machine{Nodes: 4}, jobs, &fifoScheduler{}, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -193,8 +198,10 @@ func TestAggregatesMatchSchedule(t *testing.T) {
 	var respSum, waitSum, makespan int64
 	var weighted, area float64
 	var completed, aborted, killed int64
+	first := want.Schedule.Allocs[0].Start
 	for _, a := range want.Schedule.Allocs {
 		area += float64(a.Job.Nodes) * float64(a.End-a.Start)
+		first = min(first, a.Start)
 		if a.End > makespan {
 			makespan = a.End
 		}
@@ -220,6 +227,14 @@ func TestAggregatesMatchSchedule(t *testing.T) {
 	}
 	if agg.UsedArea != area {
 		t.Errorf("used area %g, want %g", agg.UsedArea, area)
+	}
+	// objective.Utilization's formula (that package imports sim, so its
+	// own tests check the two agree on a hand-built schedule).
+	if first < 1000 || agg.FirstStart != first {
+		t.Errorf("first start %d, want %d (>= 1000)", agg.FirstStart, first)
+	}
+	if got, want := agg.Utilization(4), area/(float64(makespan-first)*4); got != want {
+		t.Errorf("Utilization %g, want %g", got, want)
 	}
 	if rel := math.Abs(agg.WeightedSum-weighted) / weighted; rel > 1e-12 {
 		t.Errorf("weighted sum %g, want %g (rel %g)", agg.WeightedSum, weighted, rel)

@@ -51,10 +51,10 @@
 #                at tiny sizes: all six workloads run end to end, and the
 #                schedules they produce must match the committed
 #                benchmark/expect.json (see benchmark/README.md)
-#   examples-smoke scripts/examples-smoke.sh — the hand-composed example
-#                programs (chemistry, combined, metacomputing: the
-#                start-policy wrappers and Switching; plus quickstart)
-#                diffed against results/examples/*.txt
+#   examples-smoke scripts/examples-smoke.sh — the example programs
+#                (chemistry, combined, metacomputing: the start-policy
+#                wrappers and Switching; plus quickstart, capacity and
+#                estimates) diffed against results/examples/*.txt
 #   stream-smoke scripts/stream-smoke.sh — a ~1M-job synthetic trace
 #                simulated end-to-end under a GOMEMLIMIT heap ceiling
 #                (the bounded-memory streaming path), plus a 2-shard
