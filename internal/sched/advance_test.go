@@ -121,24 +121,15 @@ func TestReservationsHardGuarantee(t *testing.T) {
 		jobs[i] = &job.Job{ID: job.ID(i), Submit: at, Nodes: 1 + r.Intn(nodes),
 			Estimate: est, Runtime: 1 + r.Int63n(est)}
 	}
-	var algs []*Composite
 	for _, inner := range []Starter{NewListStarter(), NewEASYStarter(), NewGareyGrahamStarter()} {
-		algs = append(algs, Compose(NewFCFSOrder("FCFS"), NewReservedStarter(inner, cal), nodes))
-	}
-	// A grid cell from New with the calendar layered on by WrapStarter.
-	base, err := New(OrderFCFS, StartEASY, Config{MachineNodes: nodes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	algs = append(algs, WrapStarter(base, func(st Starter) Starter { return NewReservedStarter(st, cal) }))
-	for _, alg := range algs {
+		alg := Compose(NewFCFSOrder("FCFS"), NewReservedStarter(inner, cal), nodes)
 		res, err := sim.RunChecked(sim.Machine{Nodes: nodes}, job.CloneAll(jobs), alg,
 			sim.Options{Validate: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Schedule.Allocs) != len(jobs) {
-			t.Fatalf("%s: %d of %d jobs", alg.Name(), len(res.Schedule.Allocs), len(jobs))
+			t.Fatalf("%s: %d of %d jobs", inner.Name(), len(res.Schedule.Allocs), len(jobs))
 		}
 		for _, e := range entries {
 			for _, a := range res.Schedule.Allocs {
@@ -148,11 +139,56 @@ func TestReservationsHardGuarantee(t *testing.T) {
 					used := usedAt(res.Schedule, maxI64(a.Start, e.Start))
 					if nodes-used < e.Nodes {
 						t.Fatalf("%s: reservation %q violated: %d nodes in use at %d",
-							alg.Name(), e.Name, used, a.Start)
+							inner.Name(), e.Name, used, a.Start)
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestReservedGridCellHardGuarantee layers a calendar onto a grid cell
+// built by New, through WrapStarter, and checks that no reserved window
+// is ever oversubscribed; a calendar that does not fit the machine is
+// rejected.
+func TestReservedGridCellHardGuarantee(t *testing.T) {
+	const nodes = 256
+	entries := []AdvanceReservation{{Name: "site", Nodes: 128, Start: 50000, End: 80000}}
+	cal, err := NewCalendar(nodes, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := New(OrderFCFS, StartEASY, Config{MachineNodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg := WrapStarter(base, func(st Starter) Starter { return NewReservedStarter(st, cal) })
+	r := rand.New(rand.NewSource(77))
+	jobs := make([]*job.Job, 200)
+	var at int64
+	for i := range jobs {
+		at += int64(r.Intn(1000))
+		est := int64(1 + r.Intn(20000))
+		jobs[i] = &job.Job{ID: job.ID(i), Submit: at, Nodes: 1 + r.Intn(nodes),
+			Estimate: est, Runtime: 1 + r.Int63n(est)}
+	}
+	res, err := sim.RunChecked(sim.Machine{Nodes: nodes}, jobs, alg, sim.Options{Validate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Schedule.Allocs) != len(jobs) {
+		t.Fatalf("%d of %d jobs", len(res.Schedule.Allocs), len(jobs))
+	}
+	e := entries[0]
+	for _, a := range res.Schedule.Allocs {
+		if a.Start < e.End && a.End > e.Start {
+			if used := usedAt(res.Schedule, maxI64(a.Start, e.Start)); nodes-used < e.Nodes {
+				t.Fatalf("reservation %q violated: %d nodes in use at %d", e.Name, used, a.Start)
+			}
+		}
+	}
+	if _, err := NewCalendar(nodes, []AdvanceReservation{{Nodes: 500, Start: 0, End: 10}}); err == nil {
+		t.Error("calendar wider than the machine accepted")
 	}
 }
 
