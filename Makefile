@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: check build test fmt-check vet lint fuzz-smoke race bench-smoke examples-smoke stream-smoke serve-smoke
+.PHONY: check build test fmt-check vet lint fuzz-smoke race bench-smoke examples-smoke tables-smoke stream-smoke serve-smoke
 
 # Tier-1 gate: gofmt + vet + lint + lint-budget + build + race-enabled
-# tests + fuzz smoke + bench smoke + examples smoke (see scripts/check.sh
-# for the step list).
+# tests + fuzz smoke + bench smoke + examples smoke + tables smoke (see
+# scripts/check.sh for the step list).
 check:
 	./scripts/check.sh
 
@@ -56,6 +56,11 @@ bench-smoke:
 # capacity, estimates) diffed against the goldens in results/examples/.
 examples-smoke:
 	./scripts/examples-smoke.sh
+
+# Default-scale paper Tables 1-4 and 6 diffed against
+# results/evaluate_default.txt (Table 5 takes minutes and stays out).
+tables-smoke:
+	./scripts/tables-smoke.sh
 
 # Million-job streaming run under a GOMEMLIMIT ceiling + 2-shard merge
 # cross-check against single-process output (see DESIGN.md §12).

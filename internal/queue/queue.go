@@ -64,7 +64,12 @@ type Index struct {
 	// leaf: [popLo, popHi) are the dead leaves before head whose ancestors
 	// the next sync still has to repair.
 	head, popLo, popHi int
-	stats              *Stats
+	// changes counts the mutations that can move a queued job to another
+	// position of the visible order: successful Remove, Rebuild and Hide,
+	// and an UnhideAll that restores something. Push (an append at the
+	// tail) and compaction (a renumbering) leave it alone.
+	changes uint64
+	stats   *Stats
 }
 
 // NewIndex returns an empty index.
@@ -76,6 +81,12 @@ func (ix *Index) SetStats(s *Stats) { ix.stats = s }
 
 // Len returns the number of visible (alive, unhidden) jobs.
 func (ix *Index) Len() int { return ix.alive }
+
+// Changes returns the order-change counter: it moves on every mutation
+// except Push, so a caller that remembers it knows whether the visible
+// order since is its old order plus appended jobs (see
+// sched.ConservativeStarter).
+func (ix *Index) Changes() uint64 { return ix.changes }
 
 // pull recomputes internal node i from its children.
 func (ix *Index) pull(i int) {
@@ -259,6 +270,7 @@ func (ix *Index) Remove(j *job.Job) (ok, rebuilt bool) {
 	ix.slots[slot] = nil
 	ix.skipDead()
 	delete(ix.pos, j.ID)
+	ix.changes++
 	if ix.stats != nil {
 		ix.stats.Removes++
 	}
@@ -324,6 +336,7 @@ func (ix *Index) Rebuild(parts ...[]*job.Job) {
 		}
 	}
 	ix.alive, ix.rebuilt = n, n
+	ix.changes++
 	if n > ix.size {
 		ix.grow(n)
 	} else {
@@ -348,6 +361,7 @@ func (ix *Index) Hide(j *job.Job) bool {
 	ix.setLeaf(slot, nil)
 	ix.alive--
 	ix.hiddenSlots = append(ix.hiddenSlots, slot)
+	ix.changes++
 	if ix.stats != nil {
 		ix.stats.Hides++
 	}
@@ -356,6 +370,9 @@ func (ix *Index) Hide(j *job.Job) bool {
 
 // UnhideAll restores every hidden slot (end of a batched pass).
 func (ix *Index) UnhideAll() {
+	if len(ix.hiddenSlots) == 0 {
+		return
+	}
 	ix.sync()
 	for _, slot := range ix.hiddenSlots {
 		if j := ix.slots[slot]; j != nil {
@@ -363,6 +380,7 @@ func (ix *Index) UnhideAll() {
 			ix.alive++
 		}
 	}
+	ix.changes++
 	ix.hiddenSlots = ix.hiddenSlots[:0]
 }
 

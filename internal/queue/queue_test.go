@@ -14,6 +14,10 @@ type naive struct {
 	jobs    []*job.Job
 	hidden  map[job.ID]bool
 	rebuilt map[job.ID]bool
+	// changes models Index.Changes: every successful remove, rebuild and
+	// hide, and every unhideAll that restores a job, moves it; nothing
+	// else does.
+	changes uint64
 }
 
 func newNaive() *naive { return &naive{hidden: map[job.ID]bool{}, rebuilt: map[job.ID]bool{}} }
@@ -26,6 +30,7 @@ func (n *naive) remove(j *job.Job) (ok, rebuilt bool) {
 	for i, q := range n.jobs {
 		if q == j {
 			n.jobs = append(n.jobs[:i], n.jobs[i+1:]...)
+			n.changes++
 			delete(n.hidden, j.ID)
 			rebuilt = n.rebuilt[j.ID]
 			delete(n.rebuilt, j.ID)
@@ -33,6 +38,19 @@ func (n *naive) remove(j *job.Job) (ok, rebuilt bool) {
 		}
 	}
 	return false, false
+}
+
+// hide and unhideAll model Hide and UnhideAll.
+func (n *naive) hide(j *job.Job) {
+	n.hidden[j.ID] = true
+	n.changes++
+}
+
+func (n *naive) unhideAll() {
+	if len(n.hidden) > 0 {
+		n.changes++
+	}
+	n.hidden = map[job.ID]bool{}
 }
 
 func (n *naive) visible() []*job.Job {
@@ -46,6 +64,7 @@ func (n *naive) visible() []*job.Job {
 }
 
 func (n *naive) rebuild(order []*job.Job) {
+	n.changes++
 	n.jobs = append(n.jobs[:0:0], order...)
 	n.hidden = map[job.ID]bool{}
 	n.rebuilt = map[job.ID]bool{}
@@ -60,6 +79,9 @@ func checkAgainstNaive(t *testing.T, ix *Index, n *naive, maxNodes int) {
 	vis := n.visible()
 	if ix.Len() != len(vis) {
 		t.Fatalf("Len = %d, oracle %d", ix.Len(), len(vis))
+	}
+	if ix.Changes() != n.changes {
+		t.Fatalf("Changes = %d, oracle %d", ix.Changes(), n.changes)
 	}
 
 	// Cursor iteration order.
@@ -200,7 +222,7 @@ func TestIndexDifferential(t *testing.T) {
 			n.push(j)
 		case op < 8: // remove a random queued job (unhide first, engine-style)
 			ix.UnhideAll()
-			n.hidden = map[job.ID]bool{}
+			n.unhideAll()
 			i := rng.Intn(len(queued))
 			j := queued[i]
 			queued = append(queued[:i], queued[i+1:]...)
@@ -214,10 +236,11 @@ func TestIndexDifferential(t *testing.T) {
 				if !ix.Hide(j) {
 					t.Fatalf("Hide(job %d) = false", j.ID)
 				}
-				n.hidden[j.ID] = true
+				n.hide(j)
 			}
 		default: // rebuild in a random permutation (a replan epoch)
 			ix.UnhideAll()
+			n.unhideAll()
 			perm := append(queued[:0:0], queued...)
 			rng.Shuffle(len(perm), func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
 			cut := rng.Intn(len(perm) + 1)
@@ -229,7 +252,7 @@ func TestIndexDifferential(t *testing.T) {
 		}
 	}
 	ix.UnhideAll()
-	n.hidden = map[job.ID]bool{}
+	n.unhideAll()
 	checkAgainstNaive(t, ix, n, 128)
 	if stats.Pushes == 0 || stats.Removes == 0 || stats.Rebuilds == 0 || stats.Total() <= 0 {
 		t.Fatalf("stats not counting: %s", stats.String())
@@ -325,7 +348,9 @@ func TestIndexZeroAlloc(t *testing.T) {
 // FuzzIndexOps interprets the input as a sequence of index operations —
 // Push (singly and in bursts, fresh and duplicate IDs), Remove (head,
 // middle, absent), Hide, UnhideAll, Rebuild — and compares every query
-// surface with the naive oracle after each one. The seeds make the slot
+// surface, and the change counter, with the naive oracle after each one:
+// pushes, refused pushes and removes, and compaction leave the counter
+// alone; every other successful mutation moves it. The seeds make the slot
 // array outgrow its first capacity, drain far enough to compact (with and
 // without a rebuilt prefix in front of the pushed tail), and query right
 // after a burst of pushes, which is when the deferred ancestor repair has
@@ -383,7 +408,7 @@ func FuzzIndexOps(f *testing.F) {
 		remove := func(j *job.Job) {
 			// Engine-style: the pass restores what it hid before a start.
 			ix.UnhideAll()
-			n.hidden = map[job.ID]bool{}
+			n.unhideAll()
 			ok, rebuilt := ix.Remove(j)
 			if wantOK, wantRebuilt := n.remove(j); ok != wantOK || rebuilt != wantRebuilt {
 				t.Fatalf("Remove(job %d) = %v, %v; oracle %v, %v", j.ID, ok, rebuilt, wantOK, wantRebuilt)
@@ -416,11 +441,14 @@ func FuzzIndexOps(f *testing.F) {
 					if !ix.Hide(j) {
 						t.Fatalf("Hide(job %d) = false", j.ID)
 					}
-					n.hidden[j.ID] = true
+					n.hide(j)
+					if ix.Hide(j) { // hidden already: refused, no change
+						t.Fatalf("Hide(job %d) accepted a hidden job", j.ID)
+					}
 				}
 			case opUnhideAll:
 				ix.UnhideAll()
-				n.hidden = map[job.ID]bool{}
+				n.unhideAll()
 			case opRebuild:
 				// A replan: some deterministic permutation of what is queued.
 				perm := append(n.jobs[:0:0], n.jobs...)

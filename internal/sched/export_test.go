@@ -20,3 +20,12 @@ func WorkloadsChanged(t *testing.T, nodes int, a, b func() sim.Scheduler) (chang
 	t.Helper()
 	return workloadsChanged(t, nodes, a, b)
 }
+
+// WithReuseOracle wraps c's conservative start policy in the reuse
+// differential (see reuseOracle) for a row built by a package that
+// imports this one; reused reports how many passes it checked.
+func WithReuseOracle(t *testing.T, c *Composite) (_ *Composite, reused func() int) {
+	t.Helper()
+	c, o := withReuseOracle(t, c)
+	return c, func() int { return o.reused }
+}

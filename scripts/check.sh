@@ -55,6 +55,10 @@
 #                (chemistry, combined, metacomputing: the start-policy
 #                wrappers and Switching; plus quickstart, capacity and
 #                estimates) diffed against results/examples/*.txt
+#   tables-smoke scripts/tables-smoke.sh — default-scale paper Tables
+#                1-4 and 6 (evaluate -table N) diffed against their
+#                sections of results/evaluate_default.txt; Table 5 takes
+#                minutes and stays out
 #   stream-smoke scripts/stream-smoke.sh — a ~1M-job synthetic trace
 #                simulated end-to-end under a GOMEMLIMIT heap ceiling
 #                (the bounded-memory streaming path), plus a 2-shard
@@ -98,6 +102,7 @@ echo "==> bench-smoke: go run ./benchmark -smoke"
 go run ./benchmark -smoke >/dev/null
 
 run examples-smoke ./scripts/examples-smoke.sh
+run tables-smoke ./scripts/tables-smoke.sh
 run stream-smoke ./scripts/stream-smoke.sh
 run serve-smoke ./scripts/serve-smoke.sh
 
