@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+
 	"jobsched/internal/job"
 	"jobsched/internal/queue"
 	"jobsched/internal/sim"
@@ -113,7 +115,11 @@ func (f *Filter) PickAdmitted(rule Admitter, ix *queue.Index, now int64, free in
 		}
 		f.picked = append(f.picked, j)
 		free -= j.Nodes
-		run = append(run, sim.Running{Job: j, Start: now, EstEnd: job.AddSat(now, j.Estimate)})
+		// In ID order, as the engine hands running jobs over: the inner
+		// policy sees the set the engine would give it after this start.
+		r := sim.Running{Job: j, Start: now, EstEnd: job.AddSat(now, j.Estimate)}
+		i, _ := slices.BinarySearchFunc(run, r, byID)
+		run = slices.Insert(run, i, r)
 	}
 	f.runBuf = run[:0]
 	return f.picked
