@@ -6,10 +6,19 @@
 // the slots carries two aggregates per node — alive count (order
 // statistics) and minimum job width (width-pruned scans). Push appends,
 // Remove tombstones, and a replanning order policy rebuilds the whole
-// index once per plan epoch; all queries are O(log Q) and
-// allocation-free, so a scheduling pass over a 100k-deep backlog touches
-// the handful of jobs that can actually start instead of every queued
-// misfit.
+// index once per plan epoch; past the small-mode limit all queries are
+// O(log Q) and allocation-free, so a scheduling pass over a 100k-deep
+// backlog touches the handful of jobs that can actually start instead of
+// every queued misfit.
+//
+// A short queue skips the tree: while the slot array holds at most
+// indexSmallLimit slots, the index keeps one width per slot and no
+// job → slot map, and every query and lookup is a linear scan from the
+// head — at the depths of a shallow stream (tens of jobs) a scan of a
+// contiguous array beats any descent on constants. The first Push or
+// Rebuild past the limit promotes the slots into the tree for good. Both
+// modes keep the same slots, tombstones and compactions, so every
+// operation count except Stats.Grows is the same in either.
 //
 // Upkeep is amortized O(1) where the traffic is. Push, and Remove of the
 // first job of the order, write their leaf and leave the ancestors stale;
@@ -27,9 +36,16 @@ package queue
 
 import (
 	"math"
+	"slices"
 
 	"jobsched/internal/job"
 )
+
+// indexSmallLimit is the small-mode slot budget of new Indexes: up to
+// this many slots (tombstones included) an Index scans, past it it
+// promotes to the segment tree. Tests override it (0 builds the tree on
+// the first push, tiny values hammer the promotion boundary).
+var indexSmallLimit = 256
 
 // widthInf is the leaf width of a dead or hidden slot: wider than any
 // machine, so width-pruned descents never enter it.
@@ -40,8 +56,13 @@ const widthInf = math.MaxInt
 type Index struct {
 	// slots holds the jobs in priority order; nil marks a removed slot.
 	// A hidden slot (pass-local exclusion, see Hide) keeps its job but
-	// its tree leaf is cleared.
+	// its leaf is cleared.
 	slots []*job.Job
+	// widths is small mode's only leaf data, one per slot: the job's
+	// width, or widthInf for a dead or hidden slot. Nil once promoted.
+	widths []int
+	// smallLimit is captured from indexSmallLimit at construction.
+	smallLimit int
 	// size is the segment-tree leaf capacity (a power of two ≥ len(slots));
 	// node i's children are 2i and 2i+1, leaves start at index size.
 	size int
@@ -52,6 +73,7 @@ type Index struct {
 	// hiddenSlots lists the pass-locally hidden slots, in hide order.
 	hiddenSlots []int
 	// pos maps a queued job's ID to its slot (lookups only — never ranged).
+	// It exists only in tree mode: nil pos is the small-mode marker.
 	pos map[job.ID]int
 	// synced is the number of leading slots whose ancestors are up to
 	// date: Push appends leaves past it, sync catches the tree up.
@@ -72,8 +94,8 @@ type Index struct {
 	stats   *Stats
 }
 
-// NewIndex returns an empty index.
-func NewIndex() *Index { return &Index{pos: make(map[job.ID]int)} }
+// NewIndex returns an empty index, in small mode.
+func NewIndex() *Index { return &Index{smallLimit: indexSmallLimit} }
 
 // SetStats attaches (or, with nil, detaches) an operation counter. The
 // pointer survives Rebuild, so one counter accumulates across plan epochs.
@@ -110,13 +132,74 @@ func (ix *Index) writeLeaf(slot int, j *job.Job) {
 	}
 }
 
-// setLeaf writes slot's leaf from j (nil = dead) and bubbles the change up.
-func (ix *Index) setLeaf(slot int, j *job.Job) {
+// put writes slot's leaf from j (nil = dead or hidden): its width in
+// small mode; in the tree, the leaf and its ancestors.
+func (ix *Index) put(slot int, j *job.Job) {
+	if ix.pos == nil {
+		if j == nil {
+			ix.widths[slot] = widthInf
+		} else {
+			ix.widths[slot] = j.Nodes
+		}
+		return
+	}
+	ix.sync()
 	ix.writeLeaf(slot, j)
 	ix.pullRange(slot, slot)
 }
 
-// grow reallocates the tree for at least `need` leaves and rebuilds it.
+// visible reports whether slot holds a job that is neither removed nor
+// hidden.
+func (ix *Index) visible(slot int) bool {
+	if ix.pos == nil {
+		return ix.widths[slot] != widthInf
+	}
+	return ix.cnt[ix.size+slot] > 0
+}
+
+// slotOf returns j's slot, or -1 when j itself is not queued (absent, or
+// a different job carrying a queued job's ID). O(1) in the tree; in small
+// mode a pointer scan from the head.
+func (ix *Index) slotOf(j *job.Job) int {
+	if ix.pos == nil {
+		for s := ix.head; s < len(ix.slots); s++ {
+			if ix.slots[s] == j {
+				return s
+			}
+		}
+		return -1
+	}
+	if s, ok := ix.pos[j.ID]; ok && ix.slots[s] == j {
+		return s
+	}
+	return -1
+}
+
+// promote leaves small mode for good: it builds the job → slot map and
+// the tree from the current slots, hidden ones included.
+func (ix *Index) promote() {
+	ix.pos = make(map[job.ID]int, len(ix.slots))
+	for s, j := range ix.slots {
+		if j != nil {
+			ix.pos[j.ID] = s
+		}
+	}
+	ix.widths = nil
+	ix.grow(len(ix.slots))
+}
+
+// refill rewrites small mode's widths from slots, which must hold no
+// tombstone and no hidden job (after a Rebuild or a compaction).
+func (ix *Index) refill() {
+	ix.widths = ix.widths[:0]
+	for _, j := range ix.slots {
+		ix.widths = append(ix.widths, j.Nodes)
+	}
+	ix.head = 0
+}
+
+// grow allocates the tree (at promotion), or reallocates it, for at least
+// `need` leaves and rebuilds it.
 func (ix *Index) grow(need int) {
 	size := ix.size
 	if size == 0 {
@@ -208,28 +291,42 @@ func (ix *Index) repair() {
 // FCFS order and of a replanner's unplanned tail) and reports whether it
 // was queued: a job whose ID is already waiting is refused. Amortized
 // O(1) within a burst — the leaf is written now, its ancestors by the
-// next sync — plus the occasional doubling rebuild.
+// next sync — plus the occasional doubling rebuild; in small mode the
+// refusal is an ID scan from the head.
 func (ix *Index) Push(j *job.Job) bool {
-	slot := len(ix.slots)
-	// The assignment Push makes anyway doubles as the duplicate check: an
-	// ID that was already queued leaves the map's length where it was.
-	n := len(ix.pos)
-	ix.pos[j.ID] = slot
-	if len(ix.pos) == n {
-		for s, q := range ix.slots {
+	if ix.pos == nil {
+		for _, q := range ix.slots[ix.head:] {
 			if q != nil && q.ID == j.ID {
-				ix.pos[j.ID] = s
-				break
+				return false
 			}
 		}
-		return false
-	}
-	ix.slots = append(ix.slots, j)
-	ix.alive++
-	if len(ix.slots) > ix.size {
-		ix.grow(len(ix.slots))
+		ix.slots = append(ix.slots, j)
+		ix.widths = append(ix.widths, j.Nodes)
+		ix.alive++
+		if len(ix.slots) > ix.smallLimit {
+			ix.promote()
+		}
 	} else {
-		ix.writeLeaf(slot, j)
+		// The assignment Push makes anyway doubles as the duplicate check:
+		// an ID that was already queued leaves the map's length where it was.
+		slot, n := len(ix.slots), len(ix.pos)
+		ix.pos[j.ID] = slot
+		if len(ix.pos) == n {
+			for s, q := range ix.slots {
+				if q != nil && q.ID == j.ID {
+					ix.pos[j.ID] = s
+					break
+				}
+			}
+			return false
+		}
+		ix.slots = append(ix.slots, j)
+		ix.alive++
+		if len(ix.slots) > ix.size {
+			ix.grow(len(ix.slots))
+		} else {
+			ix.writeLeaf(slot, j)
+		}
 	}
 	if ix.stats != nil {
 		ix.stats.Pushes++
@@ -243,16 +340,16 @@ func (ix *Index) Push(j *job.Job) bool {
 // a replanner's plan versus its unplanned arrivals. O(log Q), amortized
 // O(1) for the head of the order, plus the amortized compaction.
 func (ix *Index) Remove(j *job.Job) (ok, rebuilt bool) {
-	slot, ok := ix.pos[j.ID]
-	if !ok || ix.slots[slot] != j {
+	slot := ix.slotOf(j)
+	if slot < 0 {
 		return false, false
 	}
 	switch {
-	case ix.cnt[ix.size+slot] == 0:
+	case !ix.visible(slot):
 		// Hidden slot (defensive: passes normally UnhideAll first): it is
 		// already invisible and already debited from alive.
 		ix.dropHidden(slot)
-	case slot == ix.head:
+	case slot == ix.head && ix.pos != nil:
 		// Head pop: the leaf dies now, its ancestors at the next sync. The
 		// slots between two pops are tombstones, so the stale leaves stay
 		// one run, and k heads started at one instant cost O(k + log Q).
@@ -263,8 +360,7 @@ func (ix *Index) Remove(j *job.Job) (ok, rebuilt bool) {
 		}
 		ix.popHi = slot + 1
 	default:
-		ix.sync()
-		ix.setLeaf(slot, nil)
+		ix.put(slot, nil)
 		ix.alive--
 	}
 	ix.slots[slot] = nil
@@ -304,7 +400,9 @@ func (ix *Index) maybeCompact() {
 	for s, j := range ix.slots {
 		if j != nil {
 			ix.slots[n] = j
-			ix.pos[j.ID] = n
+			if ix.pos != nil {
+				ix.pos[j.ID] = n
+			}
 			n++
 		} else if s < ix.rebuilt {
 			rebuilt-- // a tombstone below the boundary pulls it down
@@ -312,7 +410,11 @@ func (ix *Index) maybeCompact() {
 	}
 	clear(ix.slots[n:])
 	ix.slots, ix.rebuilt = ix.slots[:n], rebuilt
-	ix.rebuildLeaves(used)
+	if ix.pos == nil {
+		ix.refill()
+	} else {
+		ix.rebuildLeaves(used)
+	}
 	if ix.stats != nil {
 		ix.stats.Compactions++
 	}
@@ -331,15 +433,22 @@ func (ix *Index) Rebuild(parts ...[]*job.Job) {
 	for _, part := range parts {
 		for _, j := range part {
 			ix.slots = append(ix.slots, j)
-			ix.pos[j.ID] = n
+			if ix.pos != nil {
+				ix.pos[j.ID] = n
+			}
 			n++
 		}
 	}
 	ix.alive, ix.rebuilt = n, n
 	ix.changes++
-	if n > ix.size {
+	switch {
+	case ix.pos == nil && n <= ix.smallLimit:
+		ix.refill()
+	case ix.pos == nil:
+		ix.promote()
+	case n > ix.size:
 		ix.grow(n)
-	} else {
+	default:
 		ix.rebuildLeaves(max(used, n))
 	}
 	if ix.stats != nil {
@@ -353,12 +462,11 @@ func (ix *Index) Rebuild(parts ...[]*job.Job) {
 // j was visible. The caller must UnhideAll before the pass returns (the
 // engine's Remove calls arrive afterwards).
 func (ix *Index) Hide(j *job.Job) bool {
-	slot, ok := ix.pos[j.ID]
-	if !ok || ix.slots[slot] != j || ix.cnt[ix.size+slot] == 0 {
+	slot := ix.slotOf(j)
+	if slot < 0 || !ix.visible(slot) {
 		return false
 	}
-	ix.sync()
-	ix.setLeaf(slot, nil)
+	ix.put(slot, nil)
 	ix.alive--
 	ix.hiddenSlots = append(ix.hiddenSlots, slot)
 	ix.changes++
@@ -373,10 +481,9 @@ func (ix *Index) UnhideAll() {
 	if len(ix.hiddenSlots) == 0 {
 		return
 	}
-	ix.sync()
 	for _, slot := range ix.hiddenSlots {
 		if j := ix.slots[slot]; j != nil {
-			ix.setLeaf(slot, j)
+			ix.put(slot, j)
 			ix.alive++
 		}
 	}
@@ -384,22 +491,33 @@ func (ix *Index) UnhideAll() {
 	ix.hiddenSlots = ix.hiddenSlots[:0]
 }
 
+// scan is small mode's cursor step: the first slot at or after p whose
+// width is at most maxNodes (dead and hidden slots are widthInf), or -1.
+func (ix *Index) scan(p, maxNodes int) int {
+	for s := max(p, ix.head); s < len(ix.widths); s++ {
+		if ix.widths[s] <= maxNodes {
+			return s
+		}
+	}
+	return -1
+}
+
 // nextAliveSlot returns the first visible slot > after, or -1.
 func (ix *Index) nextAliveSlot(after int) int {
-	ix.sync()
 	if ix.alive == 0 {
 		return -1
 	}
-	p := after + 1
-	if p < 0 {
-		p = 0
-	}
+	p := max(after+1, 0)
 	if p >= len(ix.slots) {
 		return -1
 	}
 	if ix.stats != nil {
 		ix.stats.Steps++
 	}
+	if ix.pos == nil {
+		return ix.scan(p, widthInf-1)
+	}
+	ix.sync()
 	i := ix.size + p
 	for {
 		if ix.cnt[i] > 0 {
@@ -424,22 +542,22 @@ func (ix *Index) nextAliveSlot(after int) int {
 
 // nextFitSlot returns the first visible slot > after whose job is at most
 // maxNodes wide, or -1 — the width-pruned scan: runs of too-wide jobs are
-// skipped in O(log Q) total, not O(run length).
+// skipped in O(log Q) total, not O(run length) (small mode scans them).
 func (ix *Index) nextFitSlot(after, maxNodes int) int {
-	ix.sync()
 	if ix.alive == 0 {
 		return -1
 	}
-	p := after + 1
-	if p < 0 {
-		p = 0
-	}
+	p := max(after+1, 0)
 	if p >= len(ix.slots) {
 		return -1
 	}
 	if ix.stats != nil {
 		ix.stats.FitQueries++
 	}
+	if ix.pos == nil {
+		return ix.scan(p, maxNodes)
+	}
+	ix.sync()
 	i := ix.size + p
 	for {
 		if ix.minW[i] <= maxNodes {
@@ -463,16 +581,25 @@ func (ix *Index) nextFitSlot(after, maxNodes int) int {
 }
 
 // Rank returns how many visible jobs precede slot — the job's current
-// position (0-based) in the priority order. O(log Q).
+// position (0-based) in the priority order. O(log Q); in small mode a
+// scan from the head.
 func (ix *Index) Rank(slot int) int {
-	ix.sync()
-	if ix.size == 0 {
-		return 0
+	if cap(ix.slots) == 0 {
+		return 0 // never held a job: uncounted, as in an index without a tree
 	}
 	if ix.stats != nil {
 		ix.stats.RankQueries++
 	}
 	res := 0
+	if ix.pos == nil {
+		for _, w := range ix.widths[ix.head:max(slot, ix.head)] {
+			if w != widthInf {
+				res++
+			}
+		}
+		return res
+	}
+	ix.sync()
 	l, r := ix.size, ix.size+slot
 	for l < r {
 		if l&1 == 1 {
@@ -490,14 +617,25 @@ func (ix *Index) Rank(slot int) int {
 }
 
 // Select returns the k-th (0-based) visible job and its slot, or (nil, -1).
+// O(log Q); in small mode a scan from the head.
 func (ix *Index) Select(k int) (*job.Job, int) {
-	ix.sync()
 	if k < 0 || k >= ix.alive {
 		return nil, -1
 	}
 	if ix.stats != nil {
 		ix.stats.SelectQueries++
 	}
+	if ix.pos == nil {
+		for s := ix.head; ; s++ {
+			if ix.widths[s] != widthInf {
+				if k == 0 {
+					return ix.slots[s], s
+				}
+				k--
+			}
+		}
+	}
+	ix.sync()
 	i := 1
 	for i < ix.size {
 		if lc := int(ix.cnt[2*i]); k < lc {
@@ -516,12 +654,16 @@ func (ix *Index) First() (*job.Job, int) {
 }
 
 // MinNodes returns the narrowest visible width (the O(1) "can anything at
-// all fit?" precheck); an empty index reports an unsatisfiably wide job.
+// all fit?" precheck, a scan in small mode); an empty index reports an
+// unsatisfiably wide job.
 func (ix *Index) MinNodes() int {
-	ix.sync()
-	if ix.size == 0 || ix.alive == 0 {
+	if ix.alive == 0 {
 		return widthInf
 	}
+	if ix.pos == nil {
+		return slices.Min(ix.widths[ix.head:])
+	}
+	ix.sync()
 	return ix.minW[1]
 }
 
@@ -530,7 +672,7 @@ func (ix *Index) MinNodes() int {
 // iterate with a Cursor instead.
 func (ix *Index) AppendOrdered(dst []*job.Job) []*job.Job {
 	for s, j := range ix.slots {
-		if j != nil && ix.cnt[ix.size+s] > 0 {
+		if j != nil && ix.visible(s) {
 			dst = append(dst, j)
 		}
 	}
@@ -539,9 +681,9 @@ func (ix *Index) AppendOrdered(dst []*job.Job) []*job.Job {
 
 // Cursor iterates the visible jobs in priority order without
 // materializing a slice. Zero-allocation: the cursor is a value and every
-// step is a tree descent. A cursor is invalidated by any index mutation
-// except Hide of a job at or before the cursor (the batched passes' usage:
-// hide what you just picked, keep iterating).
+// step is a tree descent (a scan in small mode). A cursor is invalidated
+// by any index mutation except Hide of a job at or before the cursor (the
+// batched passes' usage: hide what you just picked, keep iterating).
 type Cursor struct {
 	ix   *Index
 	slot int

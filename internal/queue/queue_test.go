@@ -2,7 +2,9 @@ package queue
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"jobsched/internal/job"
@@ -191,19 +193,46 @@ func probeAgainstNaive(t *testing.T, ix *Index, n *naive, step, maxNodes int) {
 			t.Fatalf("first query Select(last) = %v, want job %d", got, last.ID)
 		}
 	case 4:
-		if got := ix.Rank(ix.pos[last.ID]); got != len(vis)-1 {
+		if got := ix.Rank(ix.slotOf(last)); got != len(vis)-1 {
 			t.Fatalf("first query Rank(last) = %d, want %d", got, len(vis)-1)
 		}
 	}
 }
 
+// smallLimits are the small-mode budgets the differential tests run
+// under: the tree from the first push, the promotion boundary hammered,
+// and the production default.
+var smallLimits = []int{0, 4, indexSmallLimit}
+
+// checkMode pins the one-way promotion, called after every operation: an
+// index is in small mode exactly until its slot array first outgrows the
+// budget.
+func checkMode(t *testing.T, ix *Index, promoted *bool) {
+	t.Helper()
+	want := *promoted || len(ix.slots) > ix.smallLimit
+	if tree := ix.pos != nil; tree != want {
+		t.Fatalf("tree mode = %v, want %v (%d slots, budget %d)", tree, want, len(ix.slots), ix.smallLimit)
+	}
+	*promoted = want
+}
+
 // TestIndexDifferential drives random Push/Remove/Hide/Rebuild
-// interleavings against the brute-force oracle.
+// interleavings against the brute-force oracle, under every small-mode
+// budget of smallLimits.
 func TestIndexDifferential(t *testing.T) {
+	defer func(old int) { indexSmallLimit = old }(indexSmallLimit)
+	for _, limit := range smallLimits {
+		indexSmallLimit = limit
+		t.Run(fmt.Sprintf("limit=%d", limit), testIndexDifferential)
+	}
+}
+
+func testIndexDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ix := NewIndex()
 	var stats Stats
 	ix.SetStats(&stats)
+	promoted := false
 	n := newNaive()
 	nextID := job.ID(0)
 	var queued []*job.Job
@@ -247,9 +276,13 @@ func TestIndexDifferential(t *testing.T) {
 			ix.Rebuild(perm[:cut], perm[cut:])
 			n.rebuild(perm)
 		}
+		checkMode(t, ix, &promoted)
 		if step%37 == 0 || step > 5950 {
 			checkAgainstNaive(t, ix, n, 1+rng.Intn(300))
 		}
+	}
+	if !promoted {
+		t.Fatalf("the queue never outgrew the small-mode budget %d", ix.smallLimit)
 	}
 	ix.UnhideAll()
 	n.unhideAll()
@@ -300,75 +333,154 @@ func TestIndexHideRestores(t *testing.T) {
 }
 
 // TestIndexZeroAlloc pins zero steady-state allocations for cursor
-// iteration and the width/order-statistic queries — the per-pass hot path.
+// iteration and the width/order-statistic queries — the per-pass hot path
+// — on a deep queue (the tree) and on a shallow one (small mode), and for
+// a shallow queue's whole pass cycle: Push, Hide, UnhideAll, Remove.
 func TestIndexZeroAlloc(t *testing.T) {
-	ix := NewIndex()
-	for i := 1; i <= 4096; i++ {
-		nodes := 200 + i%56
-		if i%97 == 0 {
-			nodes = 1 + i%8
+	fill := func(n int) *Index {
+		ix := NewIndex()
+		for i := 1; i <= n; i++ {
+			nodes := 200 + i%56
+			if i%97 == 0 || (n < 97 && i%9 == 0) {
+				nodes = 1 + i%8
+			}
+			ix.Push(&job.Job{ID: job.ID(i), Nodes: nodes, Estimate: int64(i)})
 		}
-		ix.Push(&job.Job{ID: job.ID(i), Nodes: nodes, Estimate: int64(i)})
+		return ix
 	}
 	var sink int64
-	gates := []struct {
-		name string
-		fn   func()
-	}{
-		{"cursor", func() {
-			it := ix.Iter()
-			for k := 0; k < 64; k++ {
-				j := it.Next()
-				if j == nil {
-					break
-				}
-				sink += int64(j.Nodes)
-			}
-		}},
-		{"cursor-fit", func() {
-			it := ix.Iter()
-			for j := it.NextFit(8); j != nil; j = it.NextFit(8) {
-				sink += int64(j.Nodes)
-			}
-		}},
-		{"width-queries", func() {
-			sink += int64(ix.MinNodes())
-			_, s := ix.Select(17)
-			sink += int64(ix.Rank(s))
-		}},
-	}
-	for _, g := range gates {
-		if allocs := testing.AllocsPerRun(100, g.fn); allocs != 0 {
-			t.Errorf("%s: %v allocs per run, want 0", g.name, allocs)
+	for _, q := range []struct {
+		mode string
+		ix   *Index
+	}{{"tree", fill(4096)}, {"small", fill(40)}} {
+		if small := q.ix.pos == nil; small != (q.mode == "small") {
+			t.Fatalf("%s: small mode = %v", q.mode, small)
 		}
+		ix := q.ix
+		gates := []struct {
+			name string
+			fn   func()
+		}{
+			{"cursor", func() {
+				it := ix.Iter()
+				for k := 0; k < 64; k++ {
+					j := it.Next()
+					if j == nil {
+						break
+					}
+					sink += int64(j.Nodes)
+				}
+			}},
+			{"cursor-fit", func() {
+				it := ix.Iter()
+				for j := it.NextFit(8); j != nil; j = it.NextFit(8) {
+					sink += int64(j.Nodes)
+				}
+			}},
+			{"width-queries", func() {
+				sink += int64(ix.MinNodes())
+				_, s := ix.Select(17)
+				sink += int64(ix.Rank(s))
+			}},
+		}
+		for _, g := range gates {
+			if allocs := testing.AllocsPerRun(100, g.fn); allocs != 0 {
+				t.Errorf("%s %s: %v allocs per run, want 0", q.mode, g.name, allocs)
+			}
+		}
+	}
+
+	// The pass cycle: 40 waiting jobs; each cycle pushes an arrival,
+	// hides the head as a pass picks it, restores it and starts it. The
+	// ring of 64 jobs never pushes an ID that is still waiting.
+	ix := fill(40)
+	ring := make([]*job.Job, 64)
+	for i := range ring {
+		ring[i] = &job.Job{ID: job.ID(1000 + i), Nodes: 1 + i%16, Estimate: int64(i)}
+	}
+	k := 0
+	cycle := func() {
+		ix.Push(ring[k%len(ring)])
+		k++
+		head, _ := ix.First()
+		ix.Hide(head)
+		ix.UnhideAll()
+		ix.Remove(head)
+	}
+	for range 200 { // past the slot array's growth and its first compactions
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(500, cycle); allocs != 0 {
+		t.Errorf("small pass cycle: %v allocs per run, want 0", allocs)
+	}
+	if ix.pos != nil || ix.Len() != 40 {
+		t.Fatalf("pass cycle left small mode = %v, Len = %d", ix.pos == nil, ix.Len())
 	}
 	_ = sink
 }
 
+// TestIndexRefusesStrangers pins, in both modes, that the index is keyed
+// by job and by ID: a second job with a waiting job's ID is not pushed,
+// and a job that only carries a waiting job's ID is neither removed nor
+// hidden — and none of the refusals changes anything.
+func TestIndexRefusesStrangers(t *testing.T) {
+	defer func(old int) { indexSmallLimit = old }(indexSmallLimit)
+	for _, limit := range []int{0, indexSmallLimit} {
+		indexSmallLimit = limit
+		ix := NewIndex()
+		var stats Stats
+		ix.SetStats(&stats)
+		for i := 1; i <= 10; i++ {
+			ix.Push(&job.Job{ID: job.ID(i), Nodes: i, Estimate: 1})
+		}
+		if small := ix.pos == nil; small != (limit > 0) {
+			t.Fatalf("limit %d: small mode = %v", limit, small)
+		}
+		head, _ := ix.First()
+		ix.Hide(head) // a hidden job's ID is still waiting
+		before, changes := stats, ix.Changes()
+		for _, id := range []job.ID{1, 5, 10} {
+			stranger := &job.Job{ID: id, Nodes: 1, Estimate: 1}
+			if ix.Push(stranger) {
+				t.Fatalf("limit %d: Push accepted a second job with waiting ID %d", limit, id)
+			}
+			if ok, _ := ix.Remove(stranger); ok {
+				t.Fatalf("limit %d: Remove took a stranger carrying waiting ID %d", limit, id)
+			}
+			if ix.Hide(stranger) {
+				t.Fatalf("limit %d: Hide took a stranger carrying waiting ID %d", limit, id)
+			}
+		}
+		if stats != before || ix.Changes() != changes || ix.Len() != 9 {
+			t.Fatalf("limit %d: refusals changed the index: %v -> %v, Len %d", limit, &before, &stats, ix.Len())
+		}
+		ix.UnhideAll()
+		if got := ix.AppendOrdered(nil); len(got) != 10 || got[0] != head {
+			t.Fatalf("limit %d: order after refusals starts %v, %d jobs", limit, got[0], len(got))
+		}
+	}
+}
+
 // FuzzIndexOps interprets the input as a sequence of index operations —
 // Push (singly and in bursts, fresh and duplicate IDs), Remove (head,
-// middle, absent), Hide, UnhideAll, Rebuild — and compares every query
-// surface, and the change counter, with the naive oracle after each one:
-// pushes, refused pushes and removes, and compaction leave the counter
-// alone; every other successful mutation moves it. The seeds make the slot
-// array outgrow its first capacity, drain far enough to compact (with and
-// without a rebuilt prefix in front of the pushed tail), and query right
-// after a burst of pushes, which is when the deferred ancestor repair has
-// the most to catch up on.
+// middle, absent), Hide, UnhideAll, Rebuild (of the queued jobs, and of
+// the queued jobs plus fresh ones, as a restored plan does) — and
+// compares every query surface, and the change counter, with the naive
+// oracle after each one: pushes, refused pushes and removes, and
+// compaction leave the counter alone; every other successful mutation
+// moves it. Each input runs once under every small-mode budget of
+// smallLimits, and the runs must end with the same slot layout and the
+// same operation counts, Grows (tree allocations) apart.
+//
+// The seeds make the slot array outgrow its first capacity, drain far
+// enough to compact (with and without a rebuilt prefix in front of the
+// pushed tail), and query right after a burst of pushes, which is when
+// the deferred ancestor repair has the most to catch up on. Others cross
+// the small-mode budget in the middle of a burst, by Rebuilds below and
+// above it, and with slots hidden, and compact in small mode.
 func FuzzIndexOps(f *testing.F) {
-	const (
-		opPush = iota
-		opBurst
-		opRemoveHead
-		opRemoveMiddle
-		opRemoveAbsent
-		opHide
-		opUnhideAll
-		opRebuild
-		opPushDuplicate
-		numOps
-	)
 	rep := func(n int, op ...byte) []byte { return bytes.Repeat(op, n) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	f.Add([]byte{opPush, 3, opPush, 4, opHide, 0, opPushDuplicate, 0, opRemoveHead, opUnhideAll, opRemoveAbsent})
 	// Growth past the first capacity, then a drain from the middle that compacts.
 	f.Add(append(rep(3, opBurst, 40, 5), rep(100, opRemoveMiddle, 7)...))
@@ -384,93 +496,181 @@ func FuzzIndexOps(f *testing.F) {
 	f.Add(rep(18, opBurst, 5, 40, opRemoveHead, opRemoveHead, opRemoveHead, opRemoveHead, opRemoveHead, opRemoveHead))
 	// Hides between pushes and bursts, restored by the removals that follow.
 	f.Add(append(rep(20, opPush, 9, opHide, 1, opBurst, 5, 2), rep(30, opUnhideAll, opRemoveMiddle, 3)...))
+	// Promotion in the middle of a burst: 233 slots, then 64 more (the
+	// budget of 4 goes in the first burst).
+	f.Add(cat(rep(3, opBurst, 63, 5), []byte{opBurst, 40, 5, opBurst, 63, 7, opRemoveMiddle, 90}))
+	// Rebuilds while small: 3 jobs (below every budget but 0), 65 (above
+	// 4), then past the default budget by restored plans of 64 more each.
+	f.Add(cat([]byte{opPush, 1, opPush, 2, opRebuildGrow, 0, 3, opRebuildGrow, 61, 4},
+		rep(4, opRebuildGrow, 63, 9), []byte{opRemoveHead, opRemoveMiddle, 100}))
+	// Compaction in small mode, with a rebuilt prefix: 128 slots drained
+	// from the middle past 64 tombstones, then refilled.
+	f.Add(cat(rep(2, opBurst, 63, 3), []byte{opRebuild, 2}, rep(80, opRemoveMiddle, 128),
+		rep(2, opBurst, 30, 8), rep(5, opRemoveHead)))
+	// Hides, then the pushes that promote while they are held.
+	f.Add(cat([]byte{opPush, 1, opPush, 2, opPush, 3, opHide, 0, opHide, 200, opBurst, 5, 6},
+		rep(3, opBurst, 63, 1), rep(10, opHide, 37), rep(2, opBurst, 63, 2), []byte{opRemoveMiddle, 50, opUnhideAll}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ix := NewIndex()
-		n := newNaive()
-		nextID, steps := job.ID(0), 0
-		arg := func() int {
-			if len(data) == 0 {
-				return 0
+		defer func(old int) { indexSmallLimit = old }(indexSmallLimit)
+		var first fuzzOutcome
+		for i, limit := range smallLimits {
+			indexSmallLimit = limit
+			got := runIndexOps(t, data)
+			if i == 0 {
+				first = got
+				continue
 			}
-			b := data[0]
-			data = data[1:]
-			return int(b)
-		}
-		push := func(seed int) {
-			nextID++
-			j := &job.Job{ID: nextID, Nodes: 1 + seed%256, Estimate: 1 + int64(seed*101%5000)}
-			if !ix.Push(j) {
-				t.Fatalf("Push(job %d) refused a fresh ID", j.ID)
+			if !slices.Equal(got.layout, first.layout) {
+				t.Fatalf("budget %d: slot layout %v, budget %d: %v", limit, got.layout, smallLimits[0], first.layout)
 			}
-			n.push(j)
-		}
-		remove := func(j *job.Job) {
-			// Engine-style: the pass restores what it hid before a start.
-			ix.UnhideAll()
-			n.unhideAll()
-			ok, rebuilt := ix.Remove(j)
-			if wantOK, wantRebuilt := n.remove(j); ok != wantOK || rebuilt != wantRebuilt {
-				t.Fatalf("Remove(job %d) = %v, %v; oracle %v, %v", j.ID, ok, rebuilt, wantOK, wantRebuilt)
+			if got.stats != first.stats {
+				t.Fatalf("budget %d: counts %+v, budget %d: %+v", limit, got.stats, smallLimits[0], first.stats)
 			}
-		}
-		for len(data) > 0 {
-			switch op := arg() % numOps; op {
-			case opPush:
-				push(arg())
-			case opBurst:
-				for k, seed := 1+arg()%64, arg(); k > 0; k-- {
-					push(seed + k)
-				}
-			case opRemoveHead:
-				if len(n.jobs) > 0 {
-					remove(n.jobs[0])
-				}
-			case opRemoveMiddle:
-				if len(n.jobs) > 0 {
-					remove(n.jobs[arg()*len(n.jobs)/256])
-				}
-			case opRemoveAbsent:
-				remove(&job.Job{ID: nextID + 1, Nodes: 1, Estimate: 1})
-				if len(n.jobs) > 0 { // a stranger carrying a queued job's ID
-					remove(&job.Job{ID: n.jobs[0].ID, Nodes: 1, Estimate: 1})
-				}
-			case opHide:
-				if vis := n.visible(); len(vis) > 0 {
-					j := vis[arg()*len(vis)/256]
-					if !ix.Hide(j) {
-						t.Fatalf("Hide(job %d) = false", j.ID)
-					}
-					n.hide(j)
-					if ix.Hide(j) { // hidden already: refused, no change
-						t.Fatalf("Hide(job %d) accepted a hidden job", j.ID)
-					}
-				}
-			case opUnhideAll:
-				ix.UnhideAll()
-				n.unhideAll()
-			case opRebuild:
-				// A replan: some deterministic permutation of what is queued.
-				perm := append(n.jobs[:0:0], n.jobs...)
-				if k := arg(); len(perm) > 1 {
-					for i := range perm {
-						o := (i*(2*k+1) + k) % len(perm)
-						perm[i], perm[o] = perm[o], perm[i]
-					}
-				}
-				ix.Rebuild(perm)
-				n.rebuild(perm)
-			case opPushDuplicate:
-				if len(n.jobs) > 0 {
-					dup := *n.jobs[arg()*len(n.jobs)/256]
-					if ix.Push(&dup) {
-						t.Fatalf("Push accepted a second job with queued ID %d", dup.ID)
-					}
-				}
-			}
-			steps++
-			probeAgainstNaive(t, ix, n, steps, 1+steps*53%300)
-			checkAgainstNaive(t, ix, n, 1+steps*53%300)
 		}
 	})
+}
+
+// The operations of FuzzIndexOps: the first byte of each is the opcode
+// (mod numOps), and the bytes after it are its arguments.
+const (
+	opPush = iota
+	opBurst
+	opRemoveHead
+	opRemoveMiddle
+	opRemoveAbsent
+	opHide
+	opUnhideAll
+	opRebuild
+	opPushDuplicate
+	opRebuildGrow
+	numOps
+)
+
+// fuzzOutcome is what must not depend on the small-mode budget: the
+// final slot layout (job IDs, 0 for a tombstone) and the operation
+// counts, with Grows zeroed.
+type fuzzOutcome struct {
+	layout []job.ID
+	stats  Stats
+}
+
+// runIndexOps runs one FuzzIndexOps input on a fresh index under the
+// current budget, checking it against the oracle after every operation.
+func runIndexOps(t *testing.T, data []byte) fuzzOutcome {
+	t.Helper()
+	ix := NewIndex()
+	var stats Stats
+	ix.SetStats(&stats)
+	n := newNaive()
+	nextID, steps, promoted := job.ID(0), 0, false
+	arg := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	fresh := func(seed int) *job.Job {
+		nextID++
+		return &job.Job{ID: nextID, Nodes: 1 + seed%256, Estimate: 1 + int64(seed*101%5000)}
+	}
+	push := func(seed int) {
+		j := fresh(seed)
+		if !ix.Push(j) {
+			t.Fatalf("Push(job %d) refused a fresh ID", j.ID)
+		}
+		n.push(j)
+	}
+	remove := func(j *job.Job) {
+		// Engine-style: the pass restores what it hid before a start.
+		ix.UnhideAll()
+		n.unhideAll()
+		ok, rebuilt := ix.Remove(j)
+		if wantOK, wantRebuilt := n.remove(j); ok != wantOK || rebuilt != wantRebuilt {
+			t.Fatalf("Remove(job %d) = %v, %v; oracle %v, %v", j.ID, ok, rebuilt, wantOK, wantRebuilt)
+		}
+	}
+	// permuted returns some deterministic permutation of what is queued.
+	permuted := func(k int) []*job.Job {
+		perm := append(n.jobs[:0:0], n.jobs...)
+		if len(perm) > 1 {
+			for i := range perm {
+				o := (i*(2*k+1) + k) % len(perm)
+				perm[i], perm[o] = perm[o], perm[i]
+			}
+		}
+		return perm
+	}
+	for len(data) > 0 {
+		switch op := arg() % numOps; op {
+		case opPush:
+			push(arg())
+		case opBurst:
+			for k, seed := 1+arg()%64, arg(); k > 0; k-- {
+				push(seed + k)
+			}
+		case opRemoveHead:
+			if len(n.jobs) > 0 {
+				remove(n.jobs[0])
+			}
+		case opRemoveMiddle:
+			if len(n.jobs) > 0 {
+				remove(n.jobs[arg()*len(n.jobs)/256])
+			}
+		case opRemoveAbsent:
+			remove(&job.Job{ID: nextID + 1, Nodes: 1, Estimate: 1})
+			if len(n.jobs) > 0 { // a stranger carrying a queued job's ID
+				remove(&job.Job{ID: n.jobs[0].ID, Nodes: 1, Estimate: 1})
+			}
+		case opHide:
+			if vis := n.visible(); len(vis) > 0 {
+				j := vis[arg()*len(vis)/256]
+				if !ix.Hide(j) {
+					t.Fatalf("Hide(job %d) = false", j.ID)
+				}
+				n.hide(j)
+				if ix.Hide(j) { // hidden already: refused, no change
+					t.Fatalf("Hide(job %d) accepted a hidden job", j.ID)
+				}
+			}
+		case opUnhideAll:
+			ix.UnhideAll()
+			n.unhideAll()
+		case opRebuild:
+			perm := permuted(arg())
+			ix.Rebuild(perm)
+			n.rebuild(perm)
+		case opRebuildGrow:
+			// A restored plan: the queued jobs and 1–64 fresh ones.
+			k, perm := 1+arg()%64, permuted(arg())
+			for ; k > 0; k-- {
+				perm = append(perm, fresh(k))
+			}
+			ix.Rebuild(perm)
+			n.rebuild(perm)
+		case opPushDuplicate:
+			if len(n.jobs) > 0 {
+				dup := *n.jobs[arg()*len(n.jobs)/256]
+				if ix.Push(&dup) {
+					t.Fatalf("Push accepted a second job with queued ID %d", dup.ID)
+				}
+			}
+		}
+		steps++
+		checkMode(t, ix, &promoted)
+		probeAgainstNaive(t, ix, n, steps, 1+steps*53%300)
+		checkAgainstNaive(t, ix, n, 1+steps*53%300)
+	}
+	out := fuzzOutcome{stats: stats}
+	out.stats.Grows = 0
+	for _, j := range ix.slots {
+		if j == nil {
+			out.layout = append(out.layout, 0)
+		} else {
+			out.layout = append(out.layout, j.ID)
+		}
+	}
+	return out
 }

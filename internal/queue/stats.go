@@ -23,7 +23,9 @@ type Stats struct {
 	// total slots written by them.
 	Rebuilds     int64
 	RebuiltSlots int64
-	// Compactions counts tombstone sweeps, Grows capacity doublings.
+	// Compactions counts tombstone sweeps. Grows counts tree allocations:
+	// the promotion out of small mode and every capacity doubling after
+	// it (a queue that stays small never grows).
 	Compactions int64
 	Grows       int64
 
