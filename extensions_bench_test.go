@@ -5,35 +5,11 @@ import (
 	"testing"
 
 	"jobsched/internal/bounds"
-	"jobsched/internal/gang"
 	"jobsched/internal/job"
-	"jobsched/internal/moldable"
 	"jobsched/internal/objective"
 	"jobsched/internal/sched"
 	"jobsched/internal/sim"
 )
-
-// BenchmarkExtensionGangScheduling measures the gang-scheduling
-// counterfactual (paper reference [15]): average response time of FCFS
-// on the Example 5 machine if it *did* support time sharing, for
-// increasing time-sharing degrees. Level 1 is the paper's batch machine.
-func BenchmarkExtensionGangScheduling(b *testing.B) {
-	loadBenchWorkloads(b)
-	for _, levels := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("levels=%d", levels), func(b *testing.B) {
-			cfg := gang.Config{Nodes: 256, MaxLevels: levels, Overhead: 0.05}
-			for i := 0; i < b.N; i++ {
-				res, err := gang.Simulate(cfg, job.CloneAll(benchCTC))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(res.AvgResponseTime(), "avg-response-s")
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkExtensionCombinedPolicy measures the day/night switching
 // scheduler the paper's administrator leaves as her final step, against
@@ -102,64 +78,6 @@ func BenchmarkExtensionOptimalityGap(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkExtensionAdaptivePartitioning measures the Example 3
-// counterfactual: the CTC workload remolded into moldable jobs and
-// scheduled with adaptive partitioning, against the rigid FCFS control
-// arm, for each width policy.
-func BenchmarkExtensionAdaptivePartitioning(b *testing.B) {
-	loadBenchWorkloads(b)
-	for _, policy := range []moldable.WidthPolicy{moldable.Requested, moldable.Greedy, moldable.EfficiencyCap} {
-		b.Run(policy.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				w, err := moldable.FromRigid(benchCTC, 256, 2, 0.005, 0.2, 9)
-				if err != nil {
-					b.Fatal(err)
-				}
-				alg := moldable.NewAdaptive(w, policy, 256)
-				res, err := sim.Run(sim.Machine{Nodes: 256}, w.Jobs, alg, sim.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					var sum float64
-					for _, a := range res.Schedule.Allocs {
-						sum += float64(a.End - a.Job.Submit)
-					}
-					b.ReportMetric(sum/float64(len(res.Schedule.Allocs)), "avg-response-s")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkExtensionNativePSRS compares the unmodified preemptive PSRS
-// (on a machine with time sharing, its design target) against the
-// paper's non-preemptive adaptation with EASY backfilling on the batch
-// machine — quantifying what the Section 5.5 modification costs or buys.
-func BenchmarkExtensionNativePSRS(b *testing.B) {
-	loadBenchWorkloads(b)
-	b.Run("native-preemptive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := gang.SimulatePSRS(gang.PSRSConfig{Nodes: 256}, job.CloneAll(benchCTC))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.ReportMetric(res.AvgResponseTime(), "avg-response-s")
-			}
-		}
-	})
-	b.Run("modified-easy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			v := runCell(b, benchCTC, sched.Config{MachineNodes: 256},
-				sched.OrderPSRS, sched.StartEASY)
-			if i == 0 {
-				b.ReportMetric(v, "avg-response-s")
-			}
-		}
-	})
 }
 
 // BenchmarkExtensionFailureInjection measures each algorithm's

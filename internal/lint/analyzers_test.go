@@ -81,10 +81,7 @@ func TestAnalyzerCorpus(t *testing.T) {
 	for _, tc := range corpusCases {
 		tc := tc
 		t.Run(tc.dir, func(t *testing.T) {
-			pkg, err := LoadDir(tc.dir, tc.importPath)
-			if err != nil {
-				t.Fatalf("loading corpus: %v", err)
-			}
+			pkg := loadCorpus(t, tc.dir, tc.importPath)
 			analyzers, err := ByName(tc.analyzer)
 			if err != nil {
 				t.Fatal(err)
@@ -140,10 +137,7 @@ func TestScopeFiltering(t *testing.T) {
 		{"errflow", "testdata/errflow", "jobsched/internal/cli"},
 	}
 	for _, tc := range cases {
-		pkg, err := LoadDir(tc.dir, tc.path)
-		if err != nil {
-			t.Fatalf("loading corpus: %v", err)
-		}
+		pkg := loadCorpus(t, tc.dir, tc.path)
 		analyzers, err := ByName(tc.analyzer)
 		if err != nil {
 			t.Fatal(err)

@@ -9,10 +9,7 @@ import (
 // path and runs the maprange analyzer over it.
 func loadSuppressionFixture(t *testing.T) Result {
 	t.Helper()
-	pkg, err := LoadDir("testdata/suppression", "jobsched/internal/sim/fixture")
-	if err != nil {
-		t.Fatalf("loading suppression corpus: %v", err)
-	}
+	pkg := loadCorpus(t, "testdata/suppression", "jobsched/internal/sim/fixture")
 	analyzers, err := ByName("maprange")
 	if err != nil {
 		t.Fatal(err)
@@ -79,10 +76,7 @@ func TestSuppressionMachinery(t *testing.T) {
 
 // TestParseIgnoresMalformed pins the directive grammar details.
 func TestParseIgnoresMalformed(t *testing.T) {
-	pkg, err := LoadDir("testdata/suppression", "jobsched/internal/sim/fixture")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkg := loadCorpus(t, "testdata/suppression", "jobsched/internal/sim/fixture")
 	var all []ignoreDirective
 	for _, f := range pkg.Files {
 		all = append(all, parseIgnores(pkg.Fset, f)...)
@@ -147,15 +141,7 @@ func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := Load(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Run(pkgs, Analyzers())
+	res := Run(loadModule(t), Analyzers())
 	for _, d := range res.Diagnostics {
 		t.Errorf("tree not lint-clean: %s", d)
 	}

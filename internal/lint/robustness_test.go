@@ -39,14 +39,7 @@ func TestDriverRobustness(t *testing.T) {
 		t.Skip("loads and type-checks the whole module")
 	}
 
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := Load(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := loadModule(t)
 	if len(pkgs) == 0 {
 		t.Fatal("module load returned no packages")
 	}
@@ -66,10 +59,7 @@ func TestDriverRobustness(t *testing.T) {
 	for _, tc := range corpusCases {
 		tc := tc
 		t.Run(tc.dir, func(t *testing.T) {
-			pkg, err := LoadDir(tc.dir, tc.importPath)
-			if err != nil {
-				t.Fatalf("loading corpus: %v", err)
-			}
+			pkg := loadCorpus(t, tc.dir, tc.importPath)
 			one := Run([]*Package{pkg}, Analyzers())
 			requireSorted(t, tc.dir, one.Diagnostics)
 			two := Run([]*Package{pkg}, Analyzers())

@@ -472,7 +472,7 @@ func shadowTime(head *job.Job, now int64, free int, ends []sim.Running) (shadow 
 	for _, r := range ends {
 		avail += r.Job.Nodes
 		if avail >= head.Nodes {
-			return maxInt64(r.EstEnd, now), avail - head.Nodes
+			return max(r.EstEnd, now), avail - head.Nodes
 		}
 	}
 	// The head fits on the drained machine only if it fits at all; the
@@ -488,13 +488,6 @@ func byEstEnd(a, b sim.Running) int {
 		return c
 	}
 	return cmp.Compare(a.Job.ID, b.Job.ID)
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ConservativeStarter implements conservative backfilling (Section 5.2):

@@ -11,14 +11,12 @@
 #                correctness bugs in simulators (locks copied into
 #                goroutines, loop variables captured by reference,
 #                torn counter updates)
-#   lint         go run ./cmd/jobschedlint ./... — the repo-specific
-#                analyzers (determinism, wallclock hygiene, telemetry
-#                guards, checked arithmetic, sim purity); see DESIGN.md §9
-#   lint-protocol the protocol-aware contract analyzers run as their own
-#                named step (passprotocol, streamcontract, journalsync,
-#                errflow; see DESIGN.md §13) so a batch-pass or journal
-#                contract break is named at the gate, not buried in the
-#                full-suite output
+#   lint         go run ./cmd/jobschedlint ./... — every repo-specific
+#                analyzer (determinism, wallclock hygiene, telemetry
+#                guards, checked arithmetic, sim purity; DESIGN.md §9)
+#                and the protocol-aware contract analyzers (passprotocol,
+#                streamcontract, journalsync, errflow; DESIGN.md §13);
+#                each finding names its analyzer
 #   lint-budget  scripts/lint-budget.sh — every //lint:ignore directive
 #                must be ledgered with a justification, and each
 #                analyzer's live suppression count must stay within its
@@ -85,7 +83,6 @@ run gofmt sh -c 'out=$(gofmt -l .); [ -z "$out" ] || { echo "not gofmt-clean:"; 
 run vet go vet ./...
 run vet-focus go vet -copylocks -loopclosure -atomic ./...
 run lint go run ./cmd/jobschedlint ./...
-run lint-protocol go run ./cmd/jobschedlint -analyzers passprotocol,streamcontract,journalsync,errflow ./...
 run lint-budget ./scripts/lint-budget.sh
 run build go build ./...
 run test-race go test -race ./...
