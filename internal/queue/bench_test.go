@@ -2,6 +2,8 @@ package queue
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"jobsched/internal/job"
@@ -61,4 +63,46 @@ func BenchmarkIndexShallowPass(b *testing.B) {
 			push()
 		}
 	}
+}
+
+// BenchmarkIndexDeepBacklog measures the life of a 100k-job backlog on a
+// fresh index, the shape of a saturated deep queue: 100k pushes, then
+// starts that alternate between the head and the middle of the order until
+// the tombstones outnumber the waiting jobs and the slot array compacts,
+// then one replan that rebuilds the index in reverse order. It reports the
+// time and the allocations per job besides the usual per-op figures.
+func BenchmarkIndexDeepBacklog(b *testing.B) {
+	const n = 100_000
+	r := rand.New(rand.NewSource(5))
+	jobs := make([]*job.Job, n)
+	for i := range jobs {
+		jobs[i] = &job.Job{ID: job.ID(i + 1), Nodes: 1 + r.Intn(256), Estimate: 1 + r.Int63n(5000)}
+	}
+	plan := make([]*job.Job, 0, n)
+	var stats Stats
+	var before, after runtime.MemStats
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for range b.N {
+		ix := NewIndex()
+		ix.SetStats(&stats)
+		for _, j := range jobs {
+			ix.Push(j)
+		}
+		for compactions := stats.Compactions; stats.Compactions == compactions; {
+			head, _ := ix.First()
+			ix.Remove(head)
+			mid, _ := ix.Select(ix.Len() / 2)
+			ix.Remove(mid)
+		}
+		plan = ix.AppendOrdered(plan[:0])
+		slices.Reverse(plan)
+		ix.Rebuild(plan)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	perJob := float64(b.N) * n
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perJob, "ns/job")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/perJob, "allocs/job")
 }

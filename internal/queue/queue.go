@@ -13,12 +13,18 @@
 //
 // A short queue skips the tree: while the slot array holds at most
 // indexSmallLimit slots, the index keeps one width per slot and no
-// job → slot map, and every query and lookup is a linear scan from the
+// ID → slot table, and every query and lookup is a linear scan from the
 // head — at the depths of a shallow stream (tens of jobs) a scan of a
 // contiguous array beats any descent on constants. The first Push or
 // Rebuild past the limit promotes the slots into the tree for good. Both
 // modes keep the same slots, tombstones and compactions, so every
 // operation count except Stats.Grows is the same in either.
+//
+// In the tree, Remove and Hide find a job's slot, and Push refuses a
+// waiting ID, through a paged ID → slot table (idTable): 32 consecutive
+// IDs share a page, so the near-sequential IDs of a workload's backlog
+// sit in few pages, and consecutive operations mostly hit the page the
+// last one used.
 //
 // Upkeep is amortized O(1) where the traffic is. Push, and Remove of the
 // first job of the order, write their leaf and leave the ancestors stale;
@@ -64,7 +70,8 @@ type Index struct {
 	// smallLimit is captured from indexSmallLimit at construction.
 	smallLimit int
 	// size is the segment-tree leaf capacity (a power of two ≥ len(slots));
-	// node i's children are 2i and 2i+1, leaves start at index size.
+	// node i's children are 2i and 2i+1, leaves start at index size. Zero
+	// is the small-mode marker.
 	size int
 	cnt  []int32 // alive slots per subtree
 	minW []int   // minimum job width per subtree (widthInf when none)
@@ -72,9 +79,8 @@ type Index struct {
 	alive int
 	// hiddenSlots lists the pass-locally hidden slots, in hide order.
 	hiddenSlots []int
-	// pos maps a queued job's ID to its slot (lookups only — never ranged).
-	// It exists only in tree mode: nil pos is the small-mode marker.
-	pos map[job.ID]int
+	// pos maps a queued job's ID to its slot. It is used only in tree mode.
+	pos idTable
 	// synced is the number of leading slots whose ancestors are up to
 	// date: Push appends leaves past it, sync catches the tree up.
 	synced int
@@ -100,6 +106,10 @@ func NewIndex() *Index { return &Index{smallLimit: indexSmallLimit} }
 // SetStats attaches (or, with nil, detaches) an operation counter. The
 // pointer survives Rebuild, so one counter accumulates across plan epochs.
 func (ix *Index) SetStats(s *Stats) { ix.stats = s }
+
+// small reports whether the index is still in small mode (no tree, no
+// ID table).
+func (ix *Index) small() bool { return ix.size == 0 }
 
 // Len returns the number of visible (alive, unhidden) jobs.
 func (ix *Index) Len() int { return ix.alive }
@@ -135,7 +145,7 @@ func (ix *Index) writeLeaf(slot int, j *job.Job) {
 // put writes slot's leaf from j (nil = dead or hidden): its width in
 // small mode; in the tree, the leaf and its ancestors.
 func (ix *Index) put(slot int, j *job.Job) {
-	if ix.pos == nil {
+	if ix.small() {
 		if j == nil {
 			ix.widths[slot] = widthInf
 		} else {
@@ -151,7 +161,7 @@ func (ix *Index) put(slot int, j *job.Job) {
 // visible reports whether slot holds a job that is neither removed nor
 // hidden.
 func (ix *Index) visible(slot int) bool {
-	if ix.pos == nil {
+	if ix.small() {
 		return ix.widths[slot] != widthInf
 	}
 	return ix.cnt[ix.size+slot] > 0
@@ -161,7 +171,7 @@ func (ix *Index) visible(slot int) bool {
 // a different job carrying a queued job's ID). O(1) in the tree; in small
 // mode a pointer scan from the head.
 func (ix *Index) slotOf(j *job.Job) int {
-	if ix.pos == nil {
+	if ix.small() {
 		for s := ix.head; s < len(ix.slots); s++ {
 			if ix.slots[s] == j {
 				return s
@@ -169,19 +179,19 @@ func (ix *Index) slotOf(j *job.Job) int {
 		}
 		return -1
 	}
-	if s, ok := ix.pos[j.ID]; ok && ix.slots[s] == j {
+	if s := ix.pos.get(j.ID); s >= 0 && ix.slots[s] == j {
 		return s
 	}
 	return -1
 }
 
-// promote leaves small mode for good: it builds the job → slot map and
-// the tree from the current slots, hidden ones included.
+// promote leaves small mode for good: it builds the ID → slot table
+// and the tree from the current slots, hidden ones included.
 func (ix *Index) promote() {
-	ix.pos = make(map[job.ID]int, len(ix.slots))
+	ix.pos = newIDTable(len(ix.slots))
 	for s, j := range ix.slots {
 		if j != nil {
-			ix.pos[j.ID] = s
+			ix.pos.set(j.ID, s)
 		}
 	}
 	ix.widths = nil
@@ -294,7 +304,7 @@ func (ix *Index) repair() {
 // next sync — plus the occasional doubling rebuild; in small mode the
 // refusal is an ID scan from the head.
 func (ix *Index) Push(j *job.Job) bool {
-	if ix.pos == nil {
+	if ix.small() {
 		for _, q := range ix.slots[ix.head:] {
 			if q != nil && q.ID == j.ID {
 				return false
@@ -307,17 +317,8 @@ func (ix *Index) Push(j *job.Job) bool {
 			ix.promote()
 		}
 	} else {
-		// The assignment Push makes anyway doubles as the duplicate check:
-		// an ID that was already queued leaves the map's length where it was.
-		slot, n := len(ix.slots), len(ix.pos)
-		ix.pos[j.ID] = slot
-		if len(ix.pos) == n {
-			for s, q := range ix.slots {
-				if q != nil && q.ID == j.ID {
-					ix.pos[j.ID] = s
-					break
-				}
-			}
+		slot := len(ix.slots)
+		if !ix.pos.add(j.ID, slot) {
 			return false
 		}
 		ix.slots = append(ix.slots, j)
@@ -349,7 +350,7 @@ func (ix *Index) Remove(j *job.Job) (ok, rebuilt bool) {
 		// Hidden slot (defensive: passes normally UnhideAll first): it is
 		// already invisible and already debited from alive.
 		ix.dropHidden(slot)
-	case slot == ix.head && ix.pos != nil:
+	case slot == ix.head && !ix.small():
 		// Head pop: the leaf dies now, its ancestors at the next sync. The
 		// slots between two pops are tombstones, so the stale leaves stay
 		// one run, and k heads started at one instant cost O(k + log Q).
@@ -365,7 +366,9 @@ func (ix *Index) Remove(j *job.Job) (ok, rebuilt bool) {
 	}
 	ix.slots[slot] = nil
 	ix.skipDead()
-	delete(ix.pos, j.ID)
+	if !ix.small() {
+		ix.pos.del(j.ID)
+	}
 	ix.changes++
 	if ix.stats != nil {
 		ix.stats.Removes++
@@ -400,8 +403,8 @@ func (ix *Index) maybeCompact() {
 	for s, j := range ix.slots {
 		if j != nil {
 			ix.slots[n] = j
-			if ix.pos != nil {
-				ix.pos[j.ID] = n
+			if !ix.small() {
+				ix.pos.set(j.ID, n)
 			}
 			n++
 		} else if s < ix.rebuilt {
@@ -410,7 +413,7 @@ func (ix *Index) maybeCompact() {
 	}
 	clear(ix.slots[n:])
 	ix.slots, ix.rebuilt = ix.slots[:n], rebuilt
-	if ix.pos == nil {
+	if ix.small() {
 		ix.refill()
 	} else {
 		ix.rebuildLeaves(used)
@@ -425,16 +428,23 @@ func (ix *Index) maybeCompact() {
 // amortized against the epoch's O(Q log Q) plan sort.
 func (ix *Index) Rebuild(parts ...[]*job.Job) {
 	used := len(ix.slots)
+	if !ix.small() {
+		// The old IDs leave one by one, so that their pages recycle.
+		for _, j := range ix.slots {
+			if j != nil {
+				ix.pos.del(j.ID)
+			}
+		}
+	}
 	clear(ix.slots)
 	ix.slots = ix.slots[:0]
 	ix.hiddenSlots = ix.hiddenSlots[:0]
-	clear(ix.pos)
 	n := 0
 	for _, part := range parts {
 		for _, j := range part {
 			ix.slots = append(ix.slots, j)
-			if ix.pos != nil {
-				ix.pos[j.ID] = n
+			if !ix.small() {
+				ix.pos.set(j.ID, n)
 			}
 			n++
 		}
@@ -442,9 +452,9 @@ func (ix *Index) Rebuild(parts ...[]*job.Job) {
 	ix.alive, ix.rebuilt = n, n
 	ix.changes++
 	switch {
-	case ix.pos == nil && n <= ix.smallLimit:
+	case ix.small() && n <= ix.smallLimit:
 		ix.refill()
-	case ix.pos == nil:
+	case ix.small():
 		ix.promote()
 	case n > ix.size:
 		ix.grow(n)
@@ -514,7 +524,7 @@ func (ix *Index) nextAliveSlot(after int) int {
 	if ix.stats != nil {
 		ix.stats.Steps++
 	}
-	if ix.pos == nil {
+	if ix.small() {
 		return ix.scan(p, widthInf-1)
 	}
 	ix.sync()
@@ -554,7 +564,7 @@ func (ix *Index) nextFitSlot(after, maxNodes int) int {
 	if ix.stats != nil {
 		ix.stats.FitQueries++
 	}
-	if ix.pos == nil {
+	if ix.small() {
 		return ix.scan(p, maxNodes)
 	}
 	ix.sync()
@@ -591,7 +601,7 @@ func (ix *Index) Rank(slot int) int {
 		ix.stats.RankQueries++
 	}
 	res := 0
-	if ix.pos == nil {
+	if ix.small() {
 		for _, w := range ix.widths[ix.head:max(slot, ix.head)] {
 			if w != widthInf {
 				res++
@@ -625,7 +635,7 @@ func (ix *Index) Select(k int) (*job.Job, int) {
 	if ix.stats != nil {
 		ix.stats.SelectQueries++
 	}
-	if ix.pos == nil {
+	if ix.small() {
 		for s := ix.head; ; s++ {
 			if ix.widths[s] != widthInf {
 				if k == 0 {
@@ -660,7 +670,7 @@ func (ix *Index) MinNodes() int {
 	if ix.alive == 0 {
 		return widthInf
 	}
-	if ix.pos == nil {
+	if ix.small() {
 		return slices.Min(ix.widths[ix.head:])
 	}
 	ix.sync()

@@ -3,6 +3,7 @@ package queue
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -210,7 +211,7 @@ var smallLimits = []int{0, 4, indexSmallLimit}
 func checkMode(t *testing.T, ix *Index, promoted *bool) {
 	t.Helper()
 	want := *promoted || len(ix.slots) > ix.smallLimit
-	if tree := ix.pos != nil; tree != want {
+	if tree := !ix.small(); tree != want {
 		t.Fatalf("tree mode = %v, want %v (%d slots, budget %d)", tree, want, len(ix.slots), ix.smallLimit)
 	}
 	*promoted = want
@@ -335,7 +336,7 @@ func TestIndexHideRestores(t *testing.T) {
 // TestIndexZeroAlloc pins zero steady-state allocations for cursor
 // iteration and the width/order-statistic queries — the per-pass hot path
 // — on a deep queue (the tree) and on a shallow one (small mode), and for
-// a shallow queue's whole pass cycle: Push, Hide, UnhideAll, Remove.
+// the whole pass cycle on both: Push, Hide, UnhideAll, Remove.
 func TestIndexZeroAlloc(t *testing.T) {
 	fill := func(n int) *Index {
 		ix := NewIndex()
@@ -353,7 +354,7 @@ func TestIndexZeroAlloc(t *testing.T) {
 		mode string
 		ix   *Index
 	}{{"tree", fill(4096)}, {"small", fill(40)}} {
-		if small := q.ix.pos == nil; small != (q.mode == "small") {
+		if small := q.ix.small(); small != (q.mode == "small") {
 			t.Fatalf("%s: small mode = %v", q.mode, small)
 		}
 		ix := q.ix
@@ -413,8 +414,47 @@ func TestIndexZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(500, cycle); allocs != 0 {
 		t.Errorf("small pass cycle: %v allocs per run, want 0", allocs)
 	}
-	if ix.pos != nil || ix.Len() != 40 {
-		t.Fatalf("pass cycle left small mode = %v, Len = %d", ix.pos == nil, ix.Len())
+	if !ix.small() || ix.Len() != 40 {
+		t.Fatalf("pass cycle left small mode = %v, Len = %d", ix.small(), ix.Len())
+	}
+
+	// The deep pass cycle: 4,096 waiting jobs; each cycle pushes two
+	// arrivals with advancing IDs, hides the head as a pass picks it,
+	// restores it and starts it along with a backfilled job from the
+	// middle. The jobs come from a ring that is long enough never to push
+	// an ID that is still waiting, so the ID table keeps taking pages for
+	// new IDs, and only recycled ones will do.
+	deep := fill(4096)
+	deepRing := make([]*job.Job, 1<<14)
+	for i := range deepRing {
+		deepRing[i] = &job.Job{ID: job.ID(5000 + i), Nodes: 1 + i%200, Estimate: int64(i)}
+	}
+	k = 0
+	deepCycle := func() {
+		for range 2 {
+			deep.Push(deepRing[k%len(deepRing)])
+			k++
+		}
+		head, _ := deep.First()
+		deep.Hide(head)
+		deep.UnhideAll()
+		deep.Remove(head)
+		mid, _ := deep.Select(deep.Len() / 2)
+		deep.Remove(mid)
+	}
+	for range 3 * len(deepRing) { // past the slot array's growth, compactions and page turnover
+		deepCycle()
+	}
+	if allocs := testing.AllocsPerRun(2000, deepCycle); allocs != 0 {
+		t.Errorf("deep pass cycle: %v allocs per run, want 0", allocs)
+	}
+	if deep.small() || deep.Len() != 4096 {
+		t.Fatalf("deep pass cycle: small mode = %v, Len = %d", deep.small(), deep.Len())
+	}
+	// The waiting IDs span less than twice the depth, and emptied pages
+	// are reused, so the table never held more pages than that span needs.
+	if n := len(deep.pos.pages); n > 2*4096>>idPageBits+1 {
+		t.Errorf("deep pass cycle: %d ID-table pages for 4,096 waiting jobs", n)
 	}
 	_ = sink
 }
@@ -433,7 +473,7 @@ func TestIndexRefusesStrangers(t *testing.T) {
 		for i := 1; i <= 10; i++ {
 			ix.Push(&job.Job{ID: job.ID(i), Nodes: i, Estimate: 1})
 		}
-		if small := ix.pos == nil; small != (limit > 0) {
+		if small := ix.small(); small != (limit > 0) {
 			t.Fatalf("limit %d: small mode = %v", limit, small)
 		}
 		head, _ := ix.First()
@@ -461,7 +501,8 @@ func TestIndexRefusesStrangers(t *testing.T) {
 	}
 }
 
-// FuzzIndexOps interprets the input as a sequence of index operations —
+// FuzzIndexOps interprets the input as an ID spacing (see idSpacings)
+// and a sequence of index operations —
 // Push (singly and in bursts, fresh and duplicate IDs), Remove (head,
 // middle, absent), Hide, UnhideAll, Rebuild (of the queued jobs, and of
 // the queued jobs plus fresh ones, as a restored plan does) — and
@@ -470,7 +511,8 @@ func TestIndexRefusesStrangers(t *testing.T) {
 // compaction leave the counter alone; every other successful mutation
 // moves it. Each input runs once under every small-mode budget of
 // smallLimits, and the runs must end with the same slot layout and the
-// same operation counts, Grows (tree allocations) apart.
+// same operation counts, Grows (tree allocations) apart. Every seed runs
+// under every ID spacing.
 //
 // The seeds make the slot array outgrow its first capacity, drain far
 // enough to compact (with and without a rebuilt prefix in front of the
@@ -481,42 +523,51 @@ func TestIndexRefusesStrangers(t *testing.T) {
 func FuzzIndexOps(f *testing.F) {
 	rep := func(n int, op ...byte) []byte { return bytes.Repeat(op, n) }
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	f.Add([]byte{opPush, 3, opPush, 4, opHide, 0, opPushDuplicate, 0, opRemoveHead, opUnhideAll, opRemoveAbsent})
+	var seeds [][]byte
+	add := func(data []byte) { seeds = append(seeds, data) }
+	add([]byte{opPush, 3, opPush, 4, opHide, 0, opPushDuplicate, 0, opRemoveHead, opUnhideAll, opRemoveAbsent})
 	// Growth past the first capacity, then a drain from the middle that compacts.
-	f.Add(append(rep(3, opBurst, 40, 5), rep(100, opRemoveMiddle, 7)...))
+	add(append(rep(3, opBurst, 40, 5), rep(100, opRemoveMiddle, 7)...))
 	// A deep queue drained from the head, then a burst and a hide on what is left.
-	f.Add(append(append(rep(5, opBurst, 63, 1), rep(250, opRemoveHead)...), opBurst, 9, 2, opHide, 2))
+	add(append(append(rep(5, opBurst, 63, 1), rep(250, opRemoveHead)...), opBurst, 9, 2, opHide, 2))
 	// A rebuilt prefix with a pushed tail behind it, drained from both parts until it compacts.
-	f.Add(append(append(append(rep(2, opBurst, 50, 3), opRebuild, 5), rep(2, opBurst, 30, 4)...),
+	add(append(append(append(rep(2, opBurst, 50, 3), opRebuild, 5), rep(2, opBurst, 30, 4)...),
 		rep(60, opRemoveMiddle, 11, opRemoveMiddle, 200)...))
 	// Bursts of six behind a queue that six head removals have just
 	// emptied: seven operations a cycle, so that each of the six
 	// first-query probes gets its turn right after a burst, over a tree
 	// whose synced ancestors all still say "nobody here".
-	f.Add(rep(18, opBurst, 5, 40, opRemoveHead, opRemoveHead, opRemoveHead, opRemoveHead, opRemoveHead, opRemoveHead))
+	add(rep(18, opBurst, 5, 40, opRemoveHead, opRemoveHead, opRemoveHead, opRemoveHead, opRemoveHead, opRemoveHead))
 	// Hides between pushes and bursts, restored by the removals that follow.
-	f.Add(append(rep(20, opPush, 9, opHide, 1, opBurst, 5, 2), rep(30, opUnhideAll, opRemoveMiddle, 3)...))
+	add(append(rep(20, opPush, 9, opHide, 1, opBurst, 5, 2), rep(30, opUnhideAll, opRemoveMiddle, 3)...))
 	// Promotion in the middle of a burst: 233 slots, then 64 more (the
 	// budget of 4 goes in the first burst).
-	f.Add(cat(rep(3, opBurst, 63, 5), []byte{opBurst, 40, 5, opBurst, 63, 7, opRemoveMiddle, 90}))
+	add(cat(rep(3, opBurst, 63, 5), []byte{opBurst, 40, 5, opBurst, 63, 7, opRemoveMiddle, 90}))
 	// Rebuilds while small: 3 jobs (below every budget but 0), 65 (above
 	// 4), then past the default budget by restored plans of 64 more each.
-	f.Add(cat([]byte{opPush, 1, opPush, 2, opRebuildGrow, 0, 3, opRebuildGrow, 61, 4},
+	add(cat([]byte{opPush, 1, opPush, 2, opRebuildGrow, 0, 3, opRebuildGrow, 61, 4},
 		rep(4, opRebuildGrow, 63, 9), []byte{opRemoveHead, opRemoveMiddle, 100}))
 	// Compaction in small mode, with a rebuilt prefix: 128 slots drained
 	// from the middle past 64 tombstones, then refilled.
-	f.Add(cat(rep(2, opBurst, 63, 3), []byte{opRebuild, 2}, rep(80, opRemoveMiddle, 128),
+	add(cat(rep(2, opBurst, 63, 3), []byte{opRebuild, 2}, rep(80, opRemoveMiddle, 128),
 		rep(2, opBurst, 30, 8), rep(5, opRemoveHead)))
 	// Hides, then the pushes that promote while they are held.
-	f.Add(cat([]byte{opPush, 1, opPush, 2, opPush, 3, opHide, 0, opHide, 200, opBurst, 5, 6},
+	add(cat([]byte{opPush, 1, opPush, 2, opPush, 3, opHide, 0, opHide, 200, opBurst, 5, 6},
 		rep(3, opBurst, 63, 1), rep(10, opHide, 37), rep(2, opBurst, 63, 2), []byte{opRemoveMiddle, 50, opUnhideAll}))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	for _, data := range seeds {
+		for spacing := range idSpacings {
+			f.Add(uint8(spacing), data)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, spacing uint8, data []byte) {
 		defer func(old int) { indexSmallLimit = old }(indexSmallLimit)
+		id := idSpacings[int(spacing)%len(idSpacings)]
 		var first fuzzOutcome
 		for i, limit := range smallLimits {
 			indexSmallLimit = limit
-			got := runIndexOps(t, data)
+			got := runIndexOps(t, id, data)
 			if i == 0 {
 				first = got
 				continue
@@ -529,6 +580,37 @@ func FuzzIndexOps(f *testing.F) {
 			}
 		}
 	})
+}
+
+// idSpacings are the ID sequences FuzzIndexOps draws its fresh jobs
+// from: the k-th fresh job (k = 1, 2, …) gets ID id(k). Workloads number
+// their jobs densely, but SWF job numbers pass through as they are, so the
+// index must not care: each sequence is injective, and none yields 0 (the
+// tombstone of fuzzOutcome.layout).
+var idSpacings = []func(k int64) job.ID{
+	// Dense and ascending, 32 to a page of the ID table.
+	func(k int64) job.ID { return job.ID(k) },
+	// Gaps: every ID on a page of its own.
+	func(k int64) job.ID { return job.ID(k * 41) },
+	// Runs of five with jumps between them: some pages shared, some not.
+	func(k int64) job.ID { return job.ID(k + k/5*97) },
+	// Alternating around 0 (-1, 1, -2, 2, …): negative IDs, and pushes that
+	// straddle the boundary between the pages of -32…-1 and 0…31.
+	func(k int64) job.ID {
+		if k%2 == 1 {
+			return job.ID(-(k + 1) / 2)
+		}
+		return job.ID(k / 2)
+	},
+	// Alternating between the two ends of the int64 range.
+	func(k int64) job.ID {
+		if k%2 == 1 {
+			return job.ID(math.MinInt64 + k/2)
+		}
+		return job.ID(math.MaxInt64 - k/2)
+	},
+	// Descending, from below a page boundary down across many.
+	func(k int64) job.ID { return job.ID(1<<40 - 17 - k) },
 }
 
 // The operations of FuzzIndexOps: the first byte of each is the opcode
@@ -556,14 +638,15 @@ type fuzzOutcome struct {
 }
 
 // runIndexOps runs one FuzzIndexOps input on a fresh index under the
-// current budget, checking it against the oracle after every operation.
-func runIndexOps(t *testing.T, data []byte) fuzzOutcome {
+// current budget, with fresh IDs from id, checking it against the oracle
+// after every operation.
+func runIndexOps(t *testing.T, id func(k int64) job.ID, data []byte) fuzzOutcome {
 	t.Helper()
 	ix := NewIndex()
 	var stats Stats
 	ix.SetStats(&stats)
 	n := newNaive()
-	nextID, steps, promoted := job.ID(0), 0, false
+	fresh, steps, promoted := int64(0), 0, false
 	arg := func() int {
 		if len(data) == 0 {
 			return 0
@@ -572,12 +655,12 @@ func runIndexOps(t *testing.T, data []byte) fuzzOutcome {
 		data = data[1:]
 		return int(b)
 	}
-	fresh := func(seed int) *job.Job {
-		nextID++
-		return &job.Job{ID: nextID, Nodes: 1 + seed%256, Estimate: 1 + int64(seed*101%5000)}
+	newJob := func(seed int) *job.Job {
+		fresh++
+		return &job.Job{ID: id(fresh), Nodes: 1 + seed%256, Estimate: 1 + int64(seed*101%5000)}
 	}
 	push := func(seed int) {
-		j := fresh(seed)
+		j := newJob(seed)
 		if !ix.Push(j) {
 			t.Fatalf("Push(job %d) refused a fresh ID", j.ID)
 		}
@@ -620,7 +703,7 @@ func runIndexOps(t *testing.T, data []byte) fuzzOutcome {
 				remove(n.jobs[arg()*len(n.jobs)/256])
 			}
 		case opRemoveAbsent:
-			remove(&job.Job{ID: nextID + 1, Nodes: 1, Estimate: 1})
+			remove(&job.Job{ID: id(fresh + 1), Nodes: 1, Estimate: 1})
 			if len(n.jobs) > 0 { // a stranger carrying a queued job's ID
 				remove(&job.Job{ID: n.jobs[0].ID, Nodes: 1, Estimate: 1})
 			}
@@ -646,7 +729,7 @@ func runIndexOps(t *testing.T, data []byte) fuzzOutcome {
 			// A restored plan: the queued jobs and 1–64 fresh ones.
 			k, perm := 1+arg()%64, permuted(arg())
 			for ; k > 0; k-- {
-				perm = append(perm, fresh(k))
+				perm = append(perm, newJob(k))
 			}
 			ix.Rebuild(perm)
 			n.rebuild(perm)

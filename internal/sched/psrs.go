@@ -68,34 +68,34 @@ func (o *PSRSOrder) computePlan(jobs []*job.Job) []*job.Job {
 	// preemption (wide: > 50% of the nodes), one for all other (small)
 	// jobs. Jobs map to bins by preemptive completion time; within a bin
 	// the Smith order is kept; the final order alternates small, wide,
-	// small, … starting with the small sequence.
+	// small, … starting with the small sequence. Bin k of the small
+	// sequence is bucket 2k, of the wide one 2k+1, and a stable counting
+	// sort by bucket lays the plan out.
 	half := o.machine / 2
-	smallBins := make(map[int][]*job.Job)
-	wideBins := make(map[int][]*job.Job)
-	maxBin := 0
-	for _, j := range ratio {
-		c := completion[j.ID]
+	bucket := make([]int32, len(ratio))
+	var start [2*(maxGeomBin+1) + 1]int // start[b+1] counts bucket b, then prefix-summed
+	for i, j := range ratio {
+		b := 2 * geomSeqBin(completion[i], 1.0) // offset 1·2^k
 		if j.Nodes > half {
-			k := geomSeqBin(c, 1.5) // offset 1.5·2^k
-			wideBins[k] = append(wideBins[k], j)
-			if k > maxBin {
-				maxBin = k
-			}
-		} else {
-			k := geomSeqBin(c, 1.0) // offset 1·2^k
-			smallBins[k] = append(smallBins[k], j)
-			if k > maxBin {
-				maxBin = k
-			}
+			b = 2*geomSeqBin(completion[i], 1.5) + 1 // offset 1.5·2^k
 		}
+		bucket[i] = int32(b)
+		start[b+1]++
 	}
-	plan := make([]*job.Job, 0, len(jobs))
-	for k := 0; k <= maxBin; k++ {
-		plan = append(plan, smallBins[k]...)
-		plan = append(plan, wideBins[k]...)
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	plan := make([]*job.Job, len(ratio))
+	for i, j := range ratio {
+		b := bucket[i]
+		plan[start[b]] = j
+		start[b]++
 	}
 	return plan
 }
+
+// maxGeomBin is geomSeqBin's clamp.
+const maxGeomBin = 128
 
 // geomSeqBin returns the smallest k >= 0 with t <= offset·2^k.
 func geomSeqBin(t float64, offset float64) int {
@@ -104,8 +104,8 @@ func geomSeqBin(t float64, offset float64) int {
 	for t > bound {
 		bound *= 2
 		k++
-		if k > 128 {
-			return 128 // clamp pathological inputs
+		if k > maxGeomBin {
+			return maxGeomBin // clamp pathological inputs
 		}
 	}
 	return k
@@ -113,7 +113,7 @@ func geomSeqBin(t float64, offset float64) int {
 
 // preemptiveCompletions builds PSRS's preemptive schedule for the ratio-
 // ordered snapshot (all jobs available at virtual time 0, durations = user
-// estimates) and returns each job's completion time.
+// estimates) and returns each job's completion time, aligned with ratio.
 //
 // Small jobs (≤ 50% of the nodes) are list-scheduled greedily in ratio
 // order. A wide job at the queue head preempts all running jobs once it
@@ -121,21 +121,33 @@ func geomSeqBin(t float64, offset float64) int {
 // DESIGN.md §2.4) as: the earliest of (a) enough nodes draining naturally
 // or (b) its waiting time reaching its own execution time. Preempted jobs
 // resume after the wide job with their remaining processing time.
-func (o *PSRSOrder) preemptiveCompletions(ratio []*job.Job) map[job.ID]float64 {
+func (o *PSRSOrder) preemptiveCompletions(ratio []*job.Job) []float64 {
 	type running struct {
-		j         *job.Job
+		i         int // index in ratio
 		remaining float64
 		since     float64 // segment start
 	}
-	completion := make(map[job.ID]float64, len(ratio))
+	completion := make([]float64, len(ratio))
+	for i := range completion {
+		completion[i] = -1 // not yet complete
+	}
+	runs := make([]running, len(ratio)) // runs[i] is ratio[i]'s, once started
 	var (
 		active  []*running
 		free    = o.machine
 		t       float64
-		queue   = append([]*job.Job(nil), ratio...)
+		pending = 0    // ratio[pending:] is the waiting queue
 		waiting = -1.0 // head wide job's wait start; <0 = not waiting
 	)
 	half := o.machine / 2
+	// begin starts the queue's head at time t.
+	begin := func() *running {
+		r := &runs[pending]
+		*r = running{i: pending, remaining: float64(ratio[pending].Estimate), since: t}
+		pending++
+		waiting = -1
+		return r
+	}
 
 	finishSegment := func(r *running, now float64) {
 		r.remaining -= now - r.since
@@ -146,8 +158,8 @@ func (o *PSRSOrder) preemptiveCompletions(ratio []*job.Job) map[job.ID]float64 {
 		for _, r := range active {
 			finishSegment(r, now)
 			if r.remaining <= 1e-9 {
-				completion[r.j.ID] = now
-				free += r.j.Nodes
+				completion[r.i] = now
+				free += ratio[r.i].Nodes
 			} else {
 				kept = append(kept, r)
 			}
@@ -155,26 +167,22 @@ func (o *PSRSOrder) preemptiveCompletions(ratio []*job.Job) map[job.ID]float64 {
 		active = kept
 	}
 
-	for len(queue) > 0 || len(active) > 0 {
+	for pending < len(ratio) || len(active) > 0 {
 		// Start jobs per list semantics.
-		for len(queue) > 0 {
-			head := queue[0]
+		for pending < len(ratio) {
+			head := ratio[pending]
 			if head.Nodes <= half {
 				if head.Nodes <= free {
-					active = append(active, &running{j: head, remaining: float64(head.Estimate), since: t})
+					active = append(active, begin())
 					free -= head.Nodes
-					queue = queue[1:]
-					waiting = -1
 					continue
 				}
 				break // list semantics: the head waits
 			}
 			// Wide job at the head.
 			if head.Nodes <= free {
-				active = append(active, &running{j: head, remaining: float64(head.Estimate), since: t})
+				active = append(active, begin())
 				free -= head.Nodes
-				queue = queue[1:]
-				waiting = -1
 				continue
 			}
 			if waiting < 0 {
@@ -185,27 +193,21 @@ func (o *PSRSOrder) preemptiveCompletions(ratio []*job.Job) map[job.ID]float64 {
 				for _, r := range active {
 					finishSegment(r, t)
 				}
-				preempted := active
-				active = []*running{{j: head, remaining: float64(head.Estimate), since: t}}
-				free = o.machine - head.Nodes
-				queue = queue[1:]
-				waiting = -1
+				wide := begin()
 				t += float64(head.Estimate)
-				completion[head.ID] = t
+				completion[wide.i] = t
 				// Resume preempted jobs (they fitted together before, so
 				// they fit again on the drained machine).
-				active = nil
 				free = o.machine
-				for _, r := range preempted {
+				for _, r := range active {
 					r.since = t
-					active = append(active, r)
-					free -= r.j.Nodes
+					free -= ratio[r.i].Nodes
 				}
 				continue
 			}
 			break
 		}
-		if len(active) == 0 && len(queue) == 0 {
+		if len(active) == 0 && pending == len(ratio) {
 			break
 		}
 		// Advance to the next event: earliest running completion, or the
@@ -217,8 +219,8 @@ func (o *PSRSOrder) preemptiveCompletions(ratio []*job.Job) map[job.ID]float64 {
 				next = end
 			}
 		}
-		if waiting >= 0 && len(queue) > 0 {
-			deadline := waiting + float64(queue[0].Estimate)
+		if waiting >= 0 && pending < len(ratio) {
+			deadline := waiting + float64(ratio[pending].Estimate)
 			if next < 0 || deadline < next {
 				next = deadline
 			}
@@ -235,9 +237,9 @@ func (o *PSRSOrder) preemptiveCompletions(ratio []*job.Job) map[job.ID]float64 {
 		completeDone(t)
 	}
 	// Any jobs never scheduled (defensive): complete them at the horizon.
-	for _, j := range ratio {
-		if _, ok := completion[j.ID]; !ok {
-			completion[j.ID] = t + float64(j.Estimate)
+	for i, j := range ratio {
+		if completion[i] < 0 {
+			completion[i] = t + float64(j.Estimate)
 		}
 	}
 	return completion

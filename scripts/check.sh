@@ -39,9 +39,10 @@
 #                generator/simulator invariants
 #                (faults.FuzzFailureSchedule), the daemon's snapshot
 #                decoder, restore and streaming writer
-#                (serve.FuzzReadSnapshot) and the queue index's
+#                (serve.FuzzReadSnapshot), the queue index's
 #                mutations and queries against its naive model
-#                (queue.FuzzIndexOps). A short deterministic
+#                (queue.FuzzIndexOps) and its ID → slot table against a
+#                plain map (queue.FuzzIDTable). A short deterministic
 #                budget — regressions on the seeded corpus and shallow
 #                mutations fail here; deep exploration is for manual
 #                `make fuzz` sessions
@@ -93,6 +94,7 @@ run fuzz-smoke go test -run='^$' -fuzz='^FuzzProfileTree$' -fuzztime=500x ./inte
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzFailureSchedule$' -fuzztime=500x ./internal/faults
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzReadSnapshot$' -fuzztime=500x ./internal/serve
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzIndexOps$' -fuzztime=500x ./internal/queue
+run fuzz-smoke go test -run='^$' -fuzz='^FuzzIDTable$' -fuzztime=500x ./internal/queue
 
 step=bench-smoke
 echo "==> bench-smoke: go run ./benchmark -smoke"
