@@ -436,11 +436,87 @@ func cellTelemetry(name, traceDir string, counters bool) (func(o sched.OrderName
 				fmt.Printf("  %-32s passes=%-6d startable=%-6d starts=%-6d backfill=%d/%d profile-ops=%d\n",
 					c.label, k.Passes, k.StartableCalls, k.Starts, bfS, bfA, k.Profile.Total())
 			}
+			counts := make([]*telemetry.Counters, len(cells))
+			labels := make([]string, len(cells))
+			for i, c := range cells {
+				counts[i], labels[i] = c.cnt, c.label
+			}
+			fmt.Printf("  -- exact work (%s) --\n", name)
+			printWork(labels, counts)
 			fmt.Println()
 		}
 		return nil
 	}
 	return hooks, finish
+}
+
+// workCounter is one column of the exact-work ledger: a deterministic
+// operation count of the profile kernel (profile.ops) or the queue index
+// (queue.ops), the layers the benchmark's traced runs report under the
+// same names. Shape diagnostics (treap depth and rebalances, index
+// grows) are left out: they measure structure, not work.
+type workCounter struct {
+	layer, name string
+	get         func(*telemetry.Counters) int64
+}
+
+var workCounters = []workCounter{
+	{"profile", "earliest_fit", func(c *telemetry.Counters) int64 { return c.Profile.EarliestFit }},
+	{"profile", "reserve", func(c *telemetry.Counters) int64 { return c.Profile.Reserve }},
+	{"profile", "reserve_clamped", func(c *telemetry.Counters) int64 { return c.Profile.ReserveClamped }},
+	{"profile", "release", func(c *telemetry.Counters) int64 { return c.Profile.Release }},
+	{"profile", "free_at", func(c *telemetry.Counters) int64 { return c.Profile.FreeAt }},
+	{"profile", "min_free", func(c *telemetry.Counters) int64 { return c.Profile.MinFree }},
+	{"profile", "resets", func(c *telemetry.Counters) int64 { return c.Profile.Resets }},
+	{"profile", "passes", func(c *telemetry.Counters) int64 { return c.Profile.Passes }},
+	{"profile", "batched_starts", func(c *telemetry.Counters) int64 { return c.Profile.BatchedStarts }},
+	{"queue", "pushes", func(c *telemetry.Counters) int64 { return c.Queue.Pushes }},
+	{"queue", "removes", func(c *telemetry.Counters) int64 { return c.Queue.Removes }},
+	{"queue", "hides", func(c *telemetry.Counters) int64 { return c.Queue.Hides }},
+	{"queue", "steps", func(c *telemetry.Counters) int64 { return c.Queue.Steps }},
+	{"queue", "fit_queries", func(c *telemetry.Counters) int64 { return c.Queue.FitQueries }},
+	{"queue", "rank_queries", func(c *telemetry.Counters) int64 { return c.Queue.RankQueries }},
+	{"queue", "select_queries", func(c *telemetry.Counters) int64 { return c.Queue.SelectQueries }},
+	{"queue", "rebuilds", func(c *telemetry.Counters) int64 { return c.Queue.Rebuilds }},
+	{"queue", "rebuilt_slots", func(c *telemetry.Counters) int64 { return c.Queue.RebuiltSlots }},
+	{"queue", "compactions", func(c *telemetry.Counters) int64 { return c.Queue.Compactions }},
+}
+
+// printWork prints the exact-work ledger of one grid: per cell, one line
+// per layer with every counter that is nonzero on some cell of the grid
+// (a cell whose counters are all 0 in a layer gets no line there). The
+// counts are deterministic, so a diff of two ledgers shows exactly which
+// cells do more or less work.
+func printWork(labels []string, cells []*telemetry.Counters) {
+	for _, layer := range []string{"profile", "queue"} {
+		var cols []workCounter
+		for _, wc := range workCounters {
+			if wc.layer != layer {
+				continue
+			}
+			for _, c := range cells {
+				if wc.get(c) != 0 {
+					cols = append(cols, wc)
+					break
+				}
+			}
+		}
+		if len(cols) == 0 {
+			continue
+		}
+		for i, c := range cells {
+			var b strings.Builder
+			fmt.Fprintf(&b, "  %-32s %-8s", labels[i], layer)
+			nonzero := false
+			for _, wc := range cols {
+				fmt.Fprintf(&b, " %s=%d", wc.name, wc.get(c))
+				nonzero = nonzero || wc.get(c) != 0
+			}
+			if nonzero {
+				fmt.Println(b.String())
+			}
+		}
+	}
 }
 
 // firstLine trims a multi-line cell error (panics carry their stack) to

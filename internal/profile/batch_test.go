@@ -110,14 +110,21 @@ func randomReqs(rng *rand.Rand, nodes int) []StartReq {
 // TestStartManyMatchesSequentialLoop is the core metamorphic property:
 // for random bases and random batches, StartMany ≡ the sequential loop,
 // per kernel, in both the start-time sequence and the canonical profile.
+// At the production default every base stays in array mode, so those
+// trials check the one-scan placement (array.startOne); at the limit 4
+// a batch may promote mid-way.
 func TestStartManyMatchesSequentialLoop(t *testing.T) {
 	defer func(old int) { treeSmallLimit = old }(treeSmallLimit)
 	limits := []int{0, 4, treeSmallLimit} // treap, promotion boundary, production default
 	rng := rand.New(rand.NewSource(0xBA7C4))
+	arrayTrials := 0
 	for trial := 0; trial < 300; trial++ {
 		treeSmallLimit = limits[trial%len(limits)]
 		nodes := 1 + rng.Intn(64)
 		tree, ref := buildRandomBase(rng, nodes)
+		if tree.small != nil {
+			arrayTrials++
+		}
 		now := int64(rng.Intn(250))
 		reqs := randomReqs(rng, nodes)
 
@@ -159,6 +166,9 @@ func TestStartManyMatchesSequentialLoop(t *testing.T) {
 				t.Fatalf("trial %d: tree invariant violated after batch: %v", trial, err)
 			}
 		}
+	}
+	if arrayTrials < 100 {
+		t.Errorf("only %d of 300 trials started in array mode", arrayTrials)
 	}
 }
 

@@ -3,6 +3,7 @@ package profile
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -415,11 +416,27 @@ func FuzzProfileOps(f *testing.F) {
 		rng.Read(data)
 		f.Add(data)
 	}
+	addStartManyEdges(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := interpretDifferential(data, nil, diffOptions{}); err != nil {
 			t.Fatalf("differential divergence: %v", err)
 		}
 	})
+}
+
+// addStartManyEdges seeds a fuzz target with op streams at the edges of
+// the array mode's one-scan StartMany (see
+// TestDifferentialShrunkenRegressions): on an 8-node machine from t=0 in
+// array mode, a pass whose end saturates to Infinity followed by a
+// permanent job; and, after Reserve(4 nodes, d=51) at [20, 71), a pass
+// at 30 whose window starts and ends mid-step, one at 61 ending exactly
+// on the boundary at 71, and one at 30 too wide for the reserved step,
+// which starts on the last step.
+func addStartManyEdges(f *testing.F) {
+	f.Add([]byte{7, 0, 2, 9, 10, 0, 3, 1, 5, 9, 10, 0, 3, 0})
+	f.Add([]byte{7, 0, 2, 1, 3, 50, 20, 9, 30, 0, 1, 9})
+	f.Add([]byte{7, 0, 2, 1, 3, 50, 20, 9, 61, 0, 1, 9})
+	f.Add([]byte{7, 0, 2, 1, 3, 50, 20, 9, 30, 0, 5, 9})
 }
 
 // TestDifferentialShrunkenRegressions pins, as explicit op sequences,
@@ -438,6 +455,14 @@ func FuzzProfileOps(f *testing.F) {
 //     reservation left a stale subtree max (stored 36, actual 54),
 //     caught by the invariant checker rather than an answer mismatch.
 //
+// The startmany cases pin the edges of the array mode's one-scan
+// placement (array.startOne), which splits the window its fit search
+// stopped on instead of searching for the boundaries again: an end that
+// saturates to Infinity (the step at Infinity must appear, and a job
+// only the step at Infinity admits must reserve nothing), a window
+// starting mid-step at the pass time, one ending exactly on a step
+// boundary, and one starting on the last step.
+//
 // They run in both tree regimes, so a regression in deferred coalescing
 // or lazy aggregate maintenance trips here with a three-op repro
 // before the randomized suites go hunting for one.
@@ -445,33 +470,51 @@ func TestDifferentialShrunkenRegressions(t *testing.T) {
 	defer func(old int) { treeSmallLimit = old }(treeSmallLimit)
 	for _, limit := range []int{0, treeSmallLimit} {
 		treeSmallLimit = limit
+		pass := func(k Kernel, now int64, reqs ...StartReq) []int64 {
+			k.BeginPass(now)
+			defer k.CommitPass()
+			return k.StartMany(reqs, nil)
+		}
 		for _, tc := range []struct {
 			name  string
-			drive func(k Kernel)
+			drive func(k Kernel) []int64
 		}{
-			{"batch-release-coalesce", func(k Kernel) {
-				k.BeginPass(239)
-				k.StartMany([]StartReq{{Nodes: 23, Duration: 184}, {Nodes: 6, Duration: Infinity}, {Nodes: 11, Duration: 39}}, nil)
-				k.CommitPass()
+			{"batch-release-coalesce", func(k Kernel) []int64 {
+				starts := pass(k, 239, StartReq{Nodes: 23, Duration: 184}, StartReq{Nodes: 6, Duration: Infinity}, StartReq{Nodes: 11, Duration: 39})
 				k.Release(23, 239, 423)
+				return starts
 			}},
-			{"reset-batch-coalesce", func(k Kernel) {
+			{"reset-batch-coalesce", func(k Kernel) []int64 {
 				k.Reset(15, 139)
-				k.BeginPass(166)
-				k.StartMany([]StartReq{{Nodes: 5, Duration: 89}}, nil)
-				k.CommitPass()
+				starts := pass(k, 166, StartReq{Nodes: 5, Duration: 89})
 				k.Release(5, 166, 255)
+				return starts
 			}},
-			{"batch-max-aggregate", func(k Kernel) {
-				k.BeginPass(0)
-				k.StartMany([]StartReq{{Nodes: 1, Duration: Infinity - 1}}, nil)
-				k.CommitPass()
+			{"batch-max-aggregate", func(k Kernel) []int64 {
+				return pass(k, 0, StartReq{Nodes: 1, Duration: Infinity - 1})
+			}},
+			{"startmany-saturated-end", func(k Kernel) []int64 {
+				return pass(k, 80, StartReq{Nodes: 20, Duration: Infinity - 5}, StartReq{Nodes: 31, Duration: Infinity},
+					StartReq{Nodes: 5, Duration: 3})
+			}},
+			{"startmany-mid-step", func(k Kernel) []int64 {
+				k.Reserve(4, 100, 151)
+				return pass(k, 110, StartReq{Nodes: 2, Duration: 10})
+			}},
+			{"startmany-end-on-boundary", func(k Kernel) []int64 {
+				k.Reserve(4, 100, 151)
+				return pass(k, 141, StartReq{Nodes: 2, Duration: 10}, StartReq{Nodes: 45, Duration: 10})
+			}},
+			{"startmany-last-step", func(k Kernel) []int64 {
+				k.Reserve(4, 100, 151)
+				return pass(k, 110, StartReq{Nodes: 50, Duration: 10}, StartReq{Nodes: 51, Duration: 7})
 			}},
 		} {
 			tree := NewTree(51, 73)
 			ref := NewReference(51, 73)
-			tc.drive(tree)
-			tc.drive(ref)
+			if got, want := tc.drive(tree), tc.drive(ref); !slices.Equal(got, want) {
+				t.Errorf("limit %d, %s: starts %v, reference %v", limit, tc.name, got, want)
+			}
 			if tree.String() != ref.String() {
 				t.Errorf("limit %d, %s: canonical forms diverged:\ntree:      %v\nreference: %v", limit, tc.name, tree, ref)
 			}

@@ -42,7 +42,10 @@ type Kernel interface {
 	// time and reserves it, appending the start times to `starts`. The
 	// resulting profile state and start-time set are identical to the
 	// equivalent sequential EarliestFit+Reserve loop (the metamorphic
-	// property the batch tests pin).
+	// property the batch tests pin), and Stats counts it as that loop.
+	// It is how the conservative walk places each job it does not keep,
+	// one request at a time; Tree answers a request in array mode with a
+	// single scan.
 	StartMany(reqs []StartReq, starts []int64) []int64
 	// CommitPass closes the pass, restoring the canonical form when the
 	// implementation deferred coalescing work during the pass.

@@ -40,6 +40,7 @@ package profile
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -305,6 +306,60 @@ func (p *array) EarliestFit(nodes int, duration int64, notBefore int64) int64 {
 		}
 	}
 	return Infinity
+}
+
+// startOne places a job at its earliest fit from notBefore and reserves
+// it there, returning the start (Infinity, reserving nothing, if no
+// finite start admits the job). The effect is exactly EarliestFit
+// followed by Reserve, in one scan: the fit search stops on the window's
+// last step, so the window's first step is known too, and the two
+// boundaries are split there directly instead of being searched for
+// again. A window ending at Infinity (a saturated end) gets its step at
+// Infinity, as Reserve's split does.
+func (p *array) startOne(nodes int, duration int64, notBefore int64) int64 {
+	if nodes > p.nodes {
+		panic(fmt.Sprintf("profile: job wants %d nodes on a %d-node machine", nodes, p.nodes))
+	}
+	if duration <= 0 {
+		panic("profile: EarliestFit requires positive duration")
+	}
+	first := p.seekIndex(notBefore) // the step holding the window's start
+	start := max(notBefore, p.steps[first].at)
+	end := satEnd(start, duration)
+	last := first
+	for ; ; last++ {
+		if p.steps[last].free < nodes {
+			if last+1 == len(p.steps) {
+				return Infinity
+			}
+			first = last + 1
+			start = p.steps[first].at
+			end = satEnd(start, duration)
+			continue
+		}
+		if last+1 == len(p.steps) || p.steps[last+1].at >= end {
+			break
+		}
+	}
+	if start == Infinity {
+		return Infinity // only the step at Infinity admits it: never
+	}
+	// The window is [start, end) over steps first..last, with end inside
+	// step last (or on its successor's start).
+	if p.steps[first].at < start {
+		p.steps = slices.Insert(p.steps, first+1, step{at: start, free: p.steps[first].free})
+		first++
+		last++
+	}
+	j := last + 1 // the end boundary
+	if j == len(p.steps) || p.steps[j].at != end {
+		p.steps = slices.Insert(p.steps, j, step{at: end, free: p.steps[last].free})
+	}
+	for k := first; k < j; k++ {
+		p.steps[k].free -= nodes
+	}
+	p.coalesceEdges(first, j)
+	return start
 }
 
 // MinFree returns the minimum number of free nodes over [start, end).

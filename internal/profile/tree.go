@@ -890,12 +890,29 @@ func (t *Tree) BeginPass(now int64) {
 // StartMany places each request at its earliest fit from the pass time
 // and reserves it, appending the start times to `starts`. Identical in
 // effect to the sequential EarliestFit+Reserve loop (the batch tests pin
-// exactly that).
+// exactly that), and counted as that loop: one EarliestFit per request,
+// one Reserve per placed one. In array mode each request is one scan
+// (array.startOne); a request that promotes the profile hands the rest
+// to the treap's loop.
 func (t *Tree) StartMany(reqs []StartReq, starts []int64) []int64 {
 	if t.stats != nil {
 		t.stats.BatchedStarts = job.AddSat(t.stats.BatchedStarts, int64(len(reqs)))
 	}
-	return startManySequential(t, reqs, t.passNow, starts)
+	for i, r := range reqs {
+		if t.small == nil {
+			return startManySequential(t, reqs[i:], t.passNow, starts)
+		}
+		at := t.small.startOne(r.Nodes, r.Duration, t.passNow)
+		starts = append(starts, at)
+		if t.stats != nil {
+			t.stats.EarliestFit++
+			if at != Infinity {
+				t.stats.Reserve++
+			}
+		}
+		t.maybePromote()
+	}
+	return starts
 }
 
 // CommitPass closes the pass and replays the deferred edge coalescing,

@@ -237,6 +237,7 @@ func FuzzProfileTree(f *testing.F) {
 		rng.Read(data)
 		f.Add(data)
 	}
+	addStartManyEdges(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := interpretDifferential(data, nil, diffOptions{treeInvariants: true}); err != nil {
 			t.Fatalf("differential divergence: %v", err)

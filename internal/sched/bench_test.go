@@ -5,8 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"jobsched/internal/cli"
 	"jobsched/internal/job"
+	"jobsched/internal/profile"
 	"jobsched/internal/sim"
+	"jobsched/internal/telemetry"
 )
 
 func benchQueue(n int) []*job.Job {
@@ -159,6 +162,41 @@ func BenchmarkDeepQueueCells(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkConservativeEarlyCompletion runs conservative backfilling over
+// a 2,000-job CTC trace, whose runtimes mostly fall short of their
+// estimates: most passes follow an early completion, the case the kept
+// profile's repair serves. It reports the profile kernel's operations
+// per run beside the time.
+func BenchmarkConservativeEarlyCompletion(b *testing.B) {
+	const nodes = 256
+	jobs, _, err := cli.Load(cli.LoadOptions{Kind: "ctc", Jobs: 2000, MachineNodes: nodes, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, o := range []OrderName{OrderFCFS, OrderSMARTFFIA} {
+		b.Run(string(o), func(b *testing.B) {
+			var stats profile.Stats
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				alg, err := New(o, StartConservative, Config{MachineNodes: nodes,
+					Hooks: telemetry.Hooks{ProfileStats: &stats}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				run := job.CloneAll(jobs)
+				b.StartTimer()
+				if _, err := sim.Run(sim.Machine{Nodes: nodes}, run, alg, sim.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			n := float64(b.N)
+			b.ReportMetric(float64(stats.EarliestFit)/n, "earliest_fit/op")
+			b.ReportMetric(float64(stats.Reserve)/n, "reserve/op")
+			b.ReportMetric(float64(stats.Release)/n, "release/op")
 		})
 	}
 }

@@ -37,7 +37,7 @@ type reuseOracle struct {
 
 func (o *reuseOracle) PickMany(ix *queue.Index, now int64, free int, running []sim.Running, m, limit int) []*job.Job {
 	o.passes++
-	if o.reusable(ix, now, running, m) {
+	if until, ok := o.reusable(ix, now, running, m); ok && until == now {
 		o.reused++
 		kept := o.keep.fits
 		want, rebuilt := rebuiltFits(ix.AppendOrdered(nil)[:len(kept)], now, running, m, o.announced)
@@ -127,13 +127,15 @@ func exactly(jobs []*job.Job) []*job.Job {
 	return out
 }
 
-// reuseWorkloads are the gate workloads, each also with exact runtimes.
+// reuseWorkloads are the gate workloads, each also with exact runtimes,
+// and one where most jobs end far before their estimates (the passes
+// after those completions repair the kept profile).
 func reuseWorkloads(nodes int) []equivWorkload {
 	var out []equivWorkload
 	for _, w := range equivWorkloads(nodes) {
 		out = append(out, w, equivWorkload{w.name + " exact", exactly(w.jobs)})
 	}
-	return out
+	return append(out, equivWorkload{"early", earlyJobs(7, 400, nodes)})
 }
 
 // runOracle simulates every workload under a fresh scheduler from mk and
@@ -325,8 +327,9 @@ func TestConservativeReuseBehindFilter(t *testing.T) {
 // TestConservativeReservationMovesLater pins the cross-pass half of
 // what conservative backfilling promises: nothing. An early completion
 // lets J1 move earlier into the window J2 held, and J2's reservation
-// moves later — and that pass rebuilds. (The within-pass half, that no
-// start delays a job ahead of it, is what
+// moves later — and that pass repairs the kept profile up to J1, the
+// first reservation that moves, and places the rest again. (The
+// within-pass half, that no start delays a job ahead of it, is what
 // TestConservativeBackfillNeverDelaysEarlierJobs checks at every
 // decision.)
 func TestConservativeReservationMovesLater(t *testing.T) {
@@ -340,17 +343,14 @@ func TestConservativeReservationMovesLater(t *testing.T) {
 	for _, j := range []*job.Job{j1, j2, j3} {
 		ix.Push(j)
 	}
-	var stats profile.Stats
 	s := NewConservativeStarter(0)
-	s.Instrument(telemetry.Hooks{ProfileStats: &stats})
-	pass := func(now int64, free int, running []sim.Running, wantResets int64, wantFits []int64) {
+	pass := func(now int64, free int, running []sim.Running, wantPath passPath, wantFits []int64) {
 		t.Helper()
-		before := stats.Resets
 		if got := s.PickMany(ix, now, free, running, nodes, UnlimitedWindow); len(got) != 0 {
 			t.Fatalf("t=%d: started %v, want nothing", now, got)
 		}
-		if got := stats.Resets - before; got != wantResets {
-			t.Errorf("t=%d: %d resets, want %d", now, got, wantResets)
+		if s.path != wantPath {
+			t.Errorf("t=%d: the pass took path %v, want %v", now, s.path, wantPath)
 		}
 		if !slices.Equal(s.keep.fits, wantFits) {
 			t.Errorf("t=%d: reservations %v, want %v", now, s.keep.fits, wantFits)
@@ -358,15 +358,14 @@ func TestConservativeReservationMovesLater(t *testing.T) {
 	}
 	both := []sim.Running{{Job: r1, Start: 0, EstEnd: 100}, {Job: r2, Start: 0, EstEnd: 30}}
 	// t=5: J1 waits for R1's estimate, J2 fits in the hole R2 leaves at
-	// 30, J3 only behind J1. (The first pass creates the profile rather
-	// than resetting it.)
-	pass(5, 1, both, 0, []int64{100, 30, 200})
+	// 30, J3 only behind J1.
+	pass(5, 1, both, pathRebuild, []int64{100, 30, 200})
 	// t=7, nothing changed: the pass keeps the profile.
-	pass(7, 1, both, 0, []int64{100, 30, 200})
-	// t=10: R1 ends 90 s before its estimate, so the pass rebuilds. J1
+	pass(7, 1, both, pathReuse, []int64{100, 30, 200})
+	// t=10: R1 ends 90 s before its estimate, so the pass repairs. J1
 	// moves up to 30 and takes the whole machine there, so J2 moves
 	// later, from 30 to 130.
-	pass(10, 4, both[1:], 1, []int64{30, 130, 130})
+	pass(10, 4, both[1:], pathRepairMoved, []int64{30, 130, 130})
 }
 
 // TestConservativeReuseRate pins how often reuse happens on the

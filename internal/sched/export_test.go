@@ -3,6 +3,8 @@ package sched
 import (
 	"testing"
 
+	"jobsched/internal/job"
+	"jobsched/internal/queue"
 	"jobsched/internal/sim"
 )
 
@@ -28,4 +30,13 @@ func WithReuseOracle(t *testing.T, c *Composite) (_ *Composite, reused func() in
 	t.Helper()
 	c, o := withReuseOracle(t, c)
 	return c, func() int { return o.reused }
+}
+
+// pickRebuilding runs one pass of s that rebuilds its profile from the
+// running jobs and places the whole order, whatever the last pass kept:
+// the reference side of the repair differential
+// (TestConservativeRepairMatchesRebuild).
+func (s *ConservativeStarter) pickRebuilding(ix *queue.Index, now int64, free int, running []sim.Running, m, limit int) []*job.Job {
+	s.keep.valid = false
+	return s.PickMany(ix, now, free, running, m, limit)
 }

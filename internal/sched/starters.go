@@ -506,34 +506,42 @@ func byEstEnd(a, b sim.Running) int {
 // window) or when SMART/PSRS reorder the queue.
 //
 // A pass either rebuilds the profile from the running jobs and the
-// whole order, or keeps the last pass's profile and places only the
-// jobs that arrived since (see PickMany and DESIGN.md §11).
+// whole order, keeps the last pass's profile and places only the jobs
+// that arrived since, or repairs the kept profile after early
+// completions (see PickMany and DESIGN.md §11).
 type ConservativeStarter struct {
 	decided
 	// maxDepth bounds how many queued jobs are walked per pass
 	// (0 = unlimited, the paper's semantics).
 	maxDepth int
 	// rec receives backfill-attempt events; stats counts the scratch
-	// profile's kernel operations (both nil = telemetry disabled).
+	// profiles' kernel operations (both nil = telemetry disabled).
 	rec   telemetry.Recorder
 	stats *profile.Stats
 	// scratch is the reusable reservation profile; Reset recycles its
 	// step storage. A Starter is owned by one simulation goroutine, so
-	// this is not a race. factory selects the backend (default: the
-	// O(log S) tree kernel).
+	// this is not a race. factory selects the backend (default:
+	// profile.NewTree, which keeps profiles of up to 1,024 steps on its
+	// O(S) array and moves larger ones to the O(log S) treap).
 	scratch profile.Kernel
 	factory ProfileFactory
 	// announced holds maintenance windows (FailureAware): each pass carves
 	// them out of the scratch profile, so reservations — and therefore
 	// start-now decisions — route around known drains.
 	announced []sim.Failure
-	// picked is PickMany's reusable pass buffer.
+	// picked is PickMany's reusable pass buffer; req and starts are the
+	// buffers of its one-job StartMany placements.
 	picked []*job.Job
+	req    [1]profile.StartReq
+	starts []int64
 	// interrupt is the cooperative cancellation hook (Interruptible).
 	interrupt func() bool
 	// keep is what the last pass left in scratch, for the next pass to
-	// reuse.
+	// reuse; rep is the state of a pass that repairs it.
 	keep keptPass
+	rep  repair
+	// path is how the last pass came by its profile.
+	path passPath
 }
 
 // keptPass describes the profile the last pass left behind: the
@@ -551,15 +559,35 @@ type keptPass struct {
 	changes uint64
 	machine int
 	// fits holds the reserved start of each of the first len(fits)
-	// waiting jobs, in order (profile.Infinity: no reservation).
+	// waiting jobs, in order (profile.Infinity: no reservation); jobs
+	// holds those jobs, so the next pass walks them from here rather than
+	// from the queue.
 	fits []int64
+	jobs []*job.Job
 	// running is the running set the profile reserves — the pass's
 	// running jobs plus its picks — in the engine's ID order.
 	running []sim.Running
-	// reserved counts the reservations added since the last Reset; it
-	// bounds the dead history a kept profile accumulates.
+	// reserved counts the reservations added since the last Reset, less
+	// the kept ones a repair released whole; it bounds the dead history a
+	// kept profile accumulates.
 	reserved int
 }
+
+// passPath is how a conservative pass came by its profile.
+type passPath uint8
+
+const (
+	// pathRebuild: reset to the running jobs, every waiting job placed.
+	pathRebuild passPath = iota
+	// pathReuse: the kept profile as it was.
+	pathReuse
+	// pathRepair: the kept profile with the early-departed jobs' rest
+	// released; no kept reservation moved.
+	pathRepair
+	// pathRepairMoved: as pathRepair up to the first kept reservation
+	// that moved, rebuilt from there on.
+	pathRepairMoved
+)
 
 // NewConservativeStarter returns the conservative backfilling start
 // policy. maxDepth > 0 bounds the reservation walk
@@ -584,27 +612,30 @@ func (s *ConservativeStarter) Announce(windows []sim.Failure) {
 func (s *ConservativeStarter) Instrument(h telemetry.Hooks) {
 	s.rec = h.Recorder
 	s.stats = h.ProfileStats
-	if s.scratch != nil {
-		s.scratch.SetStats(s.stats)
+	for _, p := range []profile.Kernel{s.scratch, s.rep.test} {
+		if p != nil {
+			p.SetStats(s.stats)
+		}
 	}
 }
 
 // PickMany implements Starter: one conservative pass with one profile
-// and one cursor walk, where the sequential protocol (the reference
-// oracle) rebuilds and rewalks after every start. Equivalence: when a
-// job starts, the next sequential rebuild differs from the current
-// profile only by that job's running reservation, which is added here
-// immediately; re-walked unstarted jobs keep their placements because
-// (a) the started job's fit check passed *on top of* their reservations,
-// so each old window stays feasible, and (b) capacity only shrank, so no
+// and one walk, where the sequential protocol (the reference oracle)
+// rebuilds and rewalks after every start. Equivalence: when a job
+// starts, the next sequential rebuild differs from the current profile
+// only by that job's running reservation, which its placement already
+// made; re-walked unstarted jobs keep their placements because (a) the
+// started job's fit check passed *on top of* their reservations, so
+// each old window stays feasible, and (b) capacity only shrank, so no
 // earlier fit can open. The depth budget counts unstarted jobs only —
 // each sequential walk indexes maxDepth jobs of its remaining
 // (started-jobs-removed) queue.
 //
-// When reusable reports that the last pass's profile is exactly what a
-// rebuild would produce over [now, ∞), the pass keeps it: the first
-// len(keep.fits) jobs read their kept fits instead of querying and
-// reserving, and only the jobs behind them are placed.
+// prepare leaves in the profile what a rebuild would hold over
+// [now, ∞) for the first len(keep.fits) jobs (none after a rebuild).
+// The walk reads those jobs from keep.jobs and their fits from
+// keep.fits, and places every job behind them with one StartMany
+// request, on a cursor positioned past them.
 func (s *ConservativeStarter) PickMany(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
 	s.reset()
 	s.picked = s.picked[:0]
@@ -618,19 +649,28 @@ func (s *ConservativeStarter) PickMany(ix *queue.Index, now int64, free int, run
 	}
 
 	kp := &s.keep
-	if !s.reusable(ix, now, running, machineNodes) {
-		s.rebuild(now, running, machineNodes)
-	}
+	s.path = s.prepare(ix, now, running, machineNodes)
 	p := s.scratch
 	p.BeginPass(now)
-	fits, k := kp.fits, len(kp.fits)
+	fits, jobs, k := kp.fits, kp.jobs, len(kp.fits)
 	w := 0       // fits rewritten so far: the walked jobs', in order
 	walked := 0  // unstarted jobs examined: the remaining-queue index
 	visited := 0 // positions examined; kept fits past it stay as they are
 	headID := telemetry.None
-	it := ix.Iter()
+	var it queue.Cursor // past the kept prefix: at position pos
 	interrupted := false
-	for j, pos := it.Next(), 0; j != nil; j, pos = it.Next(), pos+1 {
+	for pos := 0; ; pos++ {
+		var j *job.Job
+		if pos < k {
+			j = jobs[pos]
+		} else {
+			if pos == k {
+				it = s.cursorAt(ix, k-1)
+			}
+			if j = it.Next(); j == nil {
+				break
+			}
+		}
 		visited = pos
 		if free <= 0 {
 			break // the sequential protocol stops passing at zero free
@@ -650,7 +690,16 @@ func (s *ConservativeStarter) PickMany(ix *queue.Index, now int64, free int, run
 		if pos < k {
 			t = fits[pos]
 		} else {
-			t = p.EarliestFit(j.Nodes, j.Estimate, now)
+			// One request: the earliest fit, reserved. For a job that
+			// starts now, that is the reservation the next sequential
+			// rebuild would hold for it as a running job. Its fit check
+			// passed on the drained profile, so the plain reservation
+			// commutes with the drains' zero-clamp inside the window.
+			s.req[0] = profile.StartReq{Nodes: j.Nodes, Duration: j.Estimate}
+			s.starts = p.StartMany(s.req[:], s.starts[:0])
+			if t = s.starts[0]; t < profile.Infinity {
+				kp.reserved++
+			}
 		}
 		if t == now && j.Nodes <= free {
 			d := telemetry.Decision{
@@ -663,25 +712,17 @@ func (s *ConservativeStarter) PickMany(ix *queue.Index, now int64, free int, run
 			s.stash(j, d)
 			s.picked = append(s.picked, j)
 			free -= j.Nodes
-			// The reservation the next sequential rebuild would hold for
-			// this now-running job — a kept fit holds it already. Its fit
-			// check passed on the drained profile, so the plain Reserve
-			// commutes with the drains' zero-clamp inside the window.
-			if pos >= k {
-				end := job.AddSat(now, j.Estimate)
-				if end <= now {
-					end = now + 1
-				}
-				p.Reserve(j.Nodes, now, end)
-				kp.reserved++
-			}
 			// Early stop: a start-now fit needs Nodes <= free, so if no
-			// job past the cursor is narrow enough for the shrunken free,
+			// job past this one is narrow enough for the shrunken free,
 			// no further pick is possible and the remaining reservations
 			// cannot influence any decision this pass — mirroring the
 			// sequential protocol, whose next pass exits on its width
 			// precheck without touching the profile.
-			if probe := it; probe.NextFit(free) == nil {
+			probe := it
+			if pos < k {
+				probe = s.cursorAt(ix, pos)
+			}
+			if probe.NextFit(free) == nil {
 				break
 			}
 			continue
@@ -697,28 +738,54 @@ func (s *ConservativeStarter) PickMany(ix *queue.Index, now int64, free int, run
 		}
 		walked++
 		if w < len(fits) {
-			fits[w] = t
+			fits[w], jobs[w] = t, j
 		} else {
-			fits = append(fits, t)
+			fits, jobs = append(fits, t), append(jobs, j)
 		}
 		w++
-		if pos < k || t >= profile.Infinity {
-			continue // kept, or never placeable: holds no reservation
-		}
-		if end := job.AddSat(t, j.Estimate); end > t {
-			p.Reserve(j.Nodes, t, end)
-			kp.reserved++
-		}
 	}
 	p.CommitPass()
 	// The kept fits this pass never reached stay kept behind the ones it
 	// rewrote (w <= visited, so the copy moves them down or nowhere).
 	if visited < k {
+		copy(jobs[w:], jobs[visited:k])
 		w += copy(fits[w:], fits[visited:k])
 	}
-	kp.fits = fits[:w]
+	kp.fits, kp.jobs = fits[:w], jobs[:w]
 	s.remember(ix, now, running, machineNodes, interrupted)
 	return s.picked
+}
+
+// cursorAt returns a cursor at position pos of the queue (-1: before
+// the first job), so that Next returns the job at pos+1.
+func (s *ConservativeStarter) cursorAt(ix *queue.Index, pos int) queue.Cursor {
+	if pos < 0 {
+		return ix.Iter()
+	}
+	_, slot := ix.Select(pos)
+	return ix.IterAfter(slot)
+}
+
+// prepare readies the profile of a pass and says how: it keeps the last
+// pass's profile when reusable, repairs it when the last pass's
+// profile differs from a rebuild only by running jobs that left before
+// their estimated end, and rebuilds it otherwise.
+func (s *ConservativeStarter) prepare(ix *queue.Index, now int64, running []sim.Running, machineNodes int) passPath {
+	until, ok := s.reusable(ix, now, running, machineNodes)
+	switch {
+	case !ok:
+		s.rebuild(now, running, machineNodes)
+		return pathRebuild
+	case until == now:
+		return pathReuse
+	}
+	for _, r := range s.rep.gone {
+		s.scratch.Release(r.Job.Nodes, now, r.EstEnd)
+	}
+	if s.repairKept(now, running, until, machineNodes) {
+		return pathRepairMoved
+	}
+	return pathRepair
 }
 
 // rebuild resets the scratch profile to the running jobs' reservations
@@ -730,7 +797,7 @@ func (s *ConservativeStarter) rebuild(now int64, running []sim.Running, machineN
 	p := s.scratch
 	kp := &s.keep
 	kp.valid = s.maxDepth == 0
-	kp.fits = kp.fits[:0]
+	kp.fits, kp.jobs = kp.fits[:0], kp.jobs[:0]
 	kp.reserved = len(running)
 	for _, r := range running {
 		end := r.EstEnd
@@ -766,52 +833,62 @@ func (s *ConservativeStarter) remember(ix *queue.Index, now int64, running []sim
 
 // reusable reports whether the kept profile is, over [now, ∞), exactly
 // the one a rebuild would produce for the first len(keep.fits) waiting
-// jobs. It holds when, since the last pass:
+// jobs — except for the running jobs that left before their estimated
+// end, whose reservations it still holds: it returns the latest
+// estimated end among those (now if there are none; their list is in
+// rep.gone). It holds when, since the last pass:
 //   - the order only lost that pass's picks and gained jobs at its tail
 //     (the index moved by exactly the picks' removals; Push does not
 //     count) — so no replan or withdrawal intervened, and a hiding
 //     wrapper hid at most those picks;
-//   - every job that left the running set had reached its estimated end,
-//     and nothing else did (a rebuild would reserve the same running
-//     jobs, and the departed ones' reservations end by now). Both sets
-//     are compared in ID order, the order the engine and Filter keep;
+//   - the running set only lost jobs, each of them with its estimated
+//     end unchanged, and none is past its estimated end now. The sets
+//     are compared in order, the engine's and Filter's ID order;
 //   - no announced drain is pending, no kept fit is in the past, and the
 //     profile's dead history is bounded by the live reservations.
 //
-// Then each kept fit t ≥ now is still the earliest: the rebuild places
-// the same jobs in the same order over a profile with no more capacity
-// than the last pass saw from now on, so no earlier window can open, and
-// the last pass's final profile, which holds every one of them, proves
-// each window feasible (DESIGN.md §11).
-func (s *ConservativeStarter) reusable(ix *queue.Index, now int64, running []sim.Running, machineNodes int) bool {
+// Then, with the early-departed jobs counted as still running, each kept
+// fit t ≥ now is still the earliest: the rebuild places the same jobs in
+// the same order over a profile with no more capacity than the last
+// pass saw from now on, so no earlier window can open, and the last
+// pass's final profile, which holds every one of them, proves each
+// window feasible (DESIGN.md §11).
+func (s *ConservativeStarter) reusable(ix *queue.Index, now int64, running []sim.Running, machineNodes int) (until int64, ok bool) {
 	kp := &s.keep
 	if !kp.valid || kp.ix != ix || kp.machine != machineNodes || ix.Changes() != kp.changes {
-		return false
+		return 0, false
 	}
 	if drainsPending(s.announced, now) || kp.reserved > 2*(len(running)+ix.Len()) {
-		return false
+		return 0, false
 	}
+	gone := s.rep.gone[:0]
+	until = now
 	i := 0
 	for _, r := range running {
-		for i < len(kp.running) && kp.running[i].EstEnd <= now {
-			i++
+		for ; i < len(kp.running) && kp.running[i].Job != r.Job; i++ {
+			if e := kp.running[i]; e.EstEnd > now {
+				gone = append(gone, e)
+				until = max(until, e.EstEnd)
+			}
 		}
-		if i == len(kp.running) || kp.running[i].Job != r.Job || kp.running[i].EstEnd != r.EstEnd {
-			return false
+		if i == len(kp.running) || kp.running[i].EstEnd != r.EstEnd || r.EstEnd <= now {
+			return 0, false
 		}
 		i++
 	}
 	for ; i < len(kp.running); i++ {
-		if kp.running[i].EstEnd > now {
-			return false
+		if e := kp.running[i]; e.EstEnd > now {
+			gone = append(gone, e)
+			until = max(until, e.EstEnd)
 		}
 	}
+	s.rep.gone = gone
 	for _, t := range kp.fits {
 		if t < now {
-			return false
+			return 0, false
 		}
 	}
-	return true
+	return until, true
 }
 
 // byID orders running jobs by ID, the order the engine hands them over.

@@ -56,8 +56,11 @@
 #                estimates) diffed against results/examples/*.txt
 #   tables-smoke scripts/tables-smoke.sh — default-scale paper Tables
 #                1-4 and 6 (evaluate -table N) diffed against their
-#                sections of results/evaluate_default.txt; Table 5 takes
-#                minutes and stays out
+#                sections of results/evaluate_default.txt, and the exact
+#                work of Tables 3, 4 and 6 (evaluate -counters: profile
+#                and queue operation counts per cell) diffed against
+#                results/work_default.txt; Table 5 takes minutes and
+#                stays out
 #   stream-smoke scripts/stream-smoke.sh — a ~1M-job synthetic trace
 #                simulated end-to-end under a GOMEMLIMIT heap ceiling
 #                (the bounded-memory streaming path), plus a 2-shard
