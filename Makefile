@@ -30,7 +30,7 @@ lint:
 	./scripts/lint-budget.sh
 
 # Fixed-budget fuzz runs of the SWF reader, the availability-profile
-# differential oracle, the tree-kernel structural invariants, the
+# differential oracle, the profile kernel's block invariants, the
 # fault-schedule invariants, the daemon's snapshot decoder + restore, the
 # queue index against its naive model and its ID → slot table against a
 # plain map — the same budgets the tier-1 gate uses.

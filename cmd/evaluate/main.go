@@ -453,7 +453,7 @@ func cellTelemetry(name, traceDir string, counters bool) (func(o sched.OrderName
 // workCounter is one column of the exact-work ledger: a deterministic
 // operation count of the profile kernel (profile.ops) or the queue index
 // (queue.ops), the layers the benchmark's traced runs report under the
-// same names. Shape diagnostics (treap depth and rebalances, index
+// same names. Shape diagnostics (the always-zero tree depth, index
 // grows) are left out: they measure structure, not work.
 type workCounter struct {
 	layer, name string

@@ -9,12 +9,12 @@ import (
 // Metamorphic tests for the batch API: by specification (kernel.go),
 // BeginPass/StartMany/CommitPass must produce a profile state and a
 // start-time sequence identical to the equivalent sequential
-// EarliestFit+Reserve loop — on every kernel, including the tree's
-// deferred-coalescing path, and including drain-crossing and
-// saturating-reserve (permanent, to-Infinity) job sets.
+// EarliestFit+Reserve loop — on every kernel, including Trees cut into
+// tiny blocks, and including drain-crossing and saturating-reserve
+// (permanent, to-Infinity) job sets.
 
 // fitReserver is the part of the kernel API a sequential start loop
-// needs; the array kernel, which has no batch API, has it too.
+// needs.
 type fitReserver interface {
 	EarliestFit(nodes int, duration int64, notBefore int64) int64
 	Reserve(nodes int, start, end int64)
@@ -42,9 +42,10 @@ func seqStartLoop(k fitReserver, reqs []StartReq, now int64) []int64 {
 
 // buildRandomBase drives both kernels through an identical random
 // mutation prefix: feasible reservations (some permanent), drains, and
-// early releases. Returns them ready for a batch-vs-sequential trial.
-func buildRandomBase(rng *rand.Rand, nodes int) (*Tree, *Reference) {
-	tree := NewTree(nodes, 0)
+// early releases. Returns them ready for a batch-vs-sequential trial;
+// the Tree's blocks split past 2·half steps.
+func buildRandomBase(rng *rand.Rand, nodes, half int) (*Tree, *Reference) {
+	tree := newTestTree(nodes, 0, half)
 	ref := NewReference(nodes, 0)
 	for i, n := 0, rng.Intn(30); i < n; i++ {
 		w := 1 + rng.Intn(nodes)
@@ -110,20 +111,19 @@ func randomReqs(rng *rand.Rand, nodes int) []StartReq {
 // TestStartManyMatchesSequentialLoop is the core metamorphic property:
 // for random bases and random batches, StartMany ≡ the sequential loop,
 // per kernel, in both the start-time sequence and the canonical profile.
-// At the production default every base stays in array mode, so those
-// trials check the one-scan placement (array.startOne); at the limit 4
-// a batch may promote mid-way.
+// At the production block size every base is one block, so those trials
+// check the one-scan placement (Tree.startOne) on a flat array; with
+// blocks of at most two or four steps a batch splits and drops blocks
+// mid-way.
 func TestStartManyMatchesSequentialLoop(t *testing.T) {
-	defer func(old int) { treeSmallLimit = old }(treeSmallLimit)
-	limits := []int{0, 4, treeSmallLimit} // treap, promotion boundary, production default
+	halves := []int{1, 2, blockSteps}
 	rng := rand.New(rand.NewSource(0xBA7C4))
-	arrayTrials := 0
+	multiBlock := 0
 	for trial := 0; trial < 300; trial++ {
-		treeSmallLimit = limits[trial%len(limits)]
 		nodes := 1 + rng.Intn(64)
-		tree, ref := buildRandomBase(rng, nodes)
-		if tree.small != nil {
-			arrayTrials++
+		tree, ref := buildRandomBase(rng, nodes, halves[trial%len(halves)])
+		if len(tree.blocks) > 1 {
+			multiBlock++
 		}
 		now := int64(rng.Intn(250))
 		reqs := randomReqs(rng, nodes)
@@ -167,23 +167,21 @@ func TestStartManyMatchesSequentialLoop(t *testing.T) {
 			}
 		}
 	}
-	if arrayTrials < 100 {
-		t.Errorf("only %d of 300 trials started in array mode", arrayTrials)
+	if multiBlock < 100 {
+		t.Errorf("only %d of 300 trials started on more than one block", multiBlock)
 	}
 }
 
 // TestStartManyMidPassDrain exercises a drain landing inside an open
 // pass (the failure-aware starter reserves drains between placements):
-// eager drain coalescing must compose with the deferred reservation
-// edges, still matching the sequential interleaving exactly.
+// the drain's sweep coalescing must compose with the placements' edge
+// coalescing, still matching the sequential interleaving exactly.
 func TestStartManyMidPassDrain(t *testing.T) {
-	defer func(old int) { treeSmallLimit = old }(treeSmallLimit)
-	limits := []int{0, 4, treeSmallLimit} // treap, promotion boundary, production default
+	halves := []int{1, 2, blockSteps}
 	rng := rand.New(rand.NewSource(0xD4A1))
 	for trial := 0; trial < 200; trial++ {
-		treeSmallLimit = limits[trial%len(limits)]
 		nodes := 2 + rng.Intn(63)
-		tree, ref := buildRandomBase(rng, nodes)
+		tree, ref := buildRandomBase(rng, nodes, halves[trial%len(halves)])
 		now := int64(rng.Intn(250))
 		reqs1 := randomReqs(rng, nodes)
 		reqs2 := randomReqs(rng, nodes)
@@ -228,13 +226,12 @@ func TestStartManyMidPassDrain(t *testing.T) {
 // post-reservation profile, and permanent jobs push followers to
 // Infinity — identically on every kernel.
 func TestStartManySaturating(t *testing.T) {
-	defer func(old int) { treeSmallLimit = old }(treeSmallLimit)
-	treeSmallLimit = 0 // the tree case must pin the treap's deferred-coalescing path
 	for _, tc := range []struct {
 		name string
 		mk   func() Kernel
 	}{
 		{"tree", func() Kernel { return NewTree(8, 0) }},
+		{"tiny tree", func() Kernel { return newTestTree(8, 0, 1) }},
 		{"reference", func() Kernel { return NewReference(8, 0) }},
 	} {
 		k := tc.mk()

@@ -98,7 +98,7 @@ func BenchmarkConservativePass(b *testing.B) {
 			for i := range jobs {
 				jobs[i] = jobShape{w: 1 + r.Intn(200), d: int64(60 + r.Intn(20000))}
 			}
-			p := newArray(256, 0)
+			p := NewTree(256, 0)
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -146,8 +146,8 @@ func BenchmarkMinFreeMonotoneReference(b *testing.B) {
 	}
 }
 
-func buildProfile(reservations int) *array {
-	p := newArray(256, 0)
+func buildProfile(reservations int) *Tree {
+	p := NewTree(256, 0)
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < reservations; i++ {
 		w := 1 + r.Intn(64)

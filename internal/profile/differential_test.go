@@ -8,9 +8,10 @@ import (
 	"testing"
 )
 
-// This file implements the differential oracle: the tree kernel, the
-// optimized array kernel and the brute-force Reference are driven through
-// identical operation sequences decoded from a byte stream, and every
+// This file implements the differential oracle: the kernel at its
+// production block size, the kernel cut into tiny blocks (so that small
+// profiles span many of them) and the brute-force Reference are driven
+// through identical operation sequences decoded from a byte stream, and every
 // observable — query results, batch-pass start sets, canonical step
 // functions, step counts — must match exactly. On divergence the byte
 // stream is shrunk (chunked delta-debugging) and the failure reports the
@@ -62,10 +63,9 @@ type reservation struct {
 
 // diffOptions tunes one interpreter run.
 type diffOptions struct {
-	// treeInvariants validates the tree kernel's structural invariants
-	// (BST order, heap order, lazy-consistent min/max/count aggregates,
-	// logarithmic height) after every operation. FuzzProfileTree sets it;
-	// the pure differential paths leave it off for speed.
+	// treeInvariants validates both Trees' block invariants (block sizes,
+	// summaries, canonical form) after every operation. FuzzProfileTree
+	// sets it; the pure differential paths leave it off for speed.
 	treeInvariants bool
 }
 
@@ -85,22 +85,14 @@ func interpretDifferential(data []byte, log *[]string, o diffOptions) (err error
 	r := &opReader{data: data}
 	nodes := 1 + int(r.byte()%64)
 	from := r.time()
-	// One byte picks the tree's array-mode budget, so the stream explores
-	// all three regimes: pure treap, early promotion (the mode boundary),
-	// and the production default.
-	limit := treeSmallLimit
-	switch r.byte() % 3 {
-	case 0:
-		limit = 0
-	case 1:
-		limit = 4
-	}
-	defer func(old int) { treeSmallLimit = old }(treeSmallLimit)
-	treeSmallLimit = limit
+	// One byte picks the tiny Tree's block size: blocks of at most two,
+	// four or six steps, so block splits, drops and summaries are hit on
+	// profiles of a handful of steps.
+	half := 1 + int(r.byte()%3)
 	tree := NewTree(nodes, from)
-	opt := newArray(nodes, from)
+	opt := newTestTree(nodes, from, half)
 	ref := NewReference(nodes, from)
-	spareTree, spareOpt, spareRef := &Tree{}, &array{}, &Reference{}
+	spareTree, spareOpt, spareRef := &Tree{}, &Tree{}, &Reference{}
 	var ledger []reservation
 
 	opNo := 0
@@ -109,7 +101,7 @@ func interpretDifferential(data []byte, log *[]string, o diffOptions) (err error
 			*log = append(*log, fmt.Sprintf(format, args...))
 		}
 	}
-	logf("init: nodes=%d from=%d treeLimit=%d", nodes, from, limit)
+	logf("init: nodes=%d from=%d tinyB=%d", nodes, from, half)
 
 	defer func() {
 		if p := recover(); p != nil {
@@ -120,10 +112,10 @@ func interpretDifferential(data []byte, log *[]string, o diffOptions) (err error
 	fail := func(format string, args ...any) *diffError {
 		return &diffError{op: opNo, msg: fmt.Sprintf(format, args...)}
 	}
-	// check3 compares tree and array results against the oracle's.
+	// check3 compares both Trees' results against the oracle's.
 	check3 := func(op string, gotTree, gotOpt, want int64) *diffError {
 		if gotTree != want || gotOpt != want {
-			return fail("%s diverged: tree %d, array %d, reference %d\ntree:      %v\narray:     %v\nreference: %v",
+			return fail("%s diverged: tree %d, tiny %d, reference %d\ntree:      %v\ntiny:      %v\nreference: %v",
 				op, gotTree, gotOpt, want, tree, opt, ref)
 		}
 		return nil
@@ -237,11 +229,13 @@ func interpretDifferential(data []byte, log *[]string, o diffOptions) (err error
 			}
 			logf("BatchPass(now=%d, reqs=%v)", now, reqs)
 			tree.BeginPass(now)
+			opt.BeginPass(now)
 			ref.BeginPass(now)
 			sTree := tree.StartMany(reqs, nil)
-			sOpt := seqStartLoop(opt, reqs, now) // the array has no batch API
+			sOpt := opt.StartMany(reqs, nil)
 			sRef := ref.StartMany(reqs, nil)
 			tree.CommitPass()
+			opt.CommitPass()
 			ref.CommitPass()
 			for n := range reqs {
 				if e := check3(fmt.Sprintf("StartMany[%d]", n), sTree[n], sOpt[n], sRef[n]); e != nil {
@@ -257,15 +251,18 @@ func interpretDifferential(data []byte, log *[]string, o diffOptions) (err error
 			}
 		}
 		if tree.StepCount() != ref.StepCount() || opt.StepCount() != ref.StepCount() {
-			return fail("step counts diverged: tree %d (%v), array %d (%v), reference %d (%v)",
+			return fail("step counts diverged: tree %d (%v), tiny %d (%v), reference %d (%v)",
 				tree.StepCount(), tree, opt.StepCount(), opt, ref.StepCount(), ref)
 		}
 		if s := ref.String(); tree.String() != s || opt.String() != s {
-			return fail("canonical forms diverged:\ntree:      %v\narray:     %v\nreference: %v", tree, opt, ref)
+			return fail("canonical forms diverged:\ntree:      %v\ntiny:      %v\nreference: %v", tree, opt, ref)
 		}
 		if o.treeInvariants {
 			if e := checkTreeInvariants(tree); e != nil {
 				return fail("tree invariant violated: %v\ntree: %v", e, tree)
+			}
+			if e := checkTreeInvariants(opt); e != nil {
+				return fail("tiny tree invariant violated: %v\ntiny: %v", e, opt)
 			}
 		}
 	}
@@ -332,8 +329,8 @@ func TestDifferentialRandomOps(t *testing.T) {
 }
 
 // TestDifferentialRandomOpsTreeInvariants is the structural flavor: the
-// same seeded sequences with the tree's BST/heap/aggregate/height
-// invariants validated after every op.
+// same seeded sequences with both Trees' block invariants validated
+// after every op.
 func TestDifferentialRandomOpsTreeInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x7EE1))
 	for seq := 0; seq < 100; seq++ {
@@ -345,13 +342,13 @@ func TestDifferentialRandomOpsTreeInvariants(t *testing.T) {
 
 // TestDifferentialAdversarial pins hand-built sequences at the known
 // boundary behaviors: permanently blocked tails (reservations to
-// Infinity), huge durations, and queries before the profile start.
+// Infinity), huge durations, and queries before the profile start. The
+// tiny Tree (blocks of at most two steps) meets them across block
+// boundaries, the production one inside a single block.
 func TestDifferentialAdversarial(t *testing.T) {
-	defer func(old int) { treeSmallLimit = old }(treeSmallLimit)
-	treeSmallLimit = 0 // the boundary cases must hit the treap, not the array fallback
 	nodes := 8
-	tree := NewTree(nodes, 50)
-	opt := newArray(nodes, 50)
+	tree := newTestTree(nodes, 50, 1)
+	opt := NewTree(nodes, 50)
 	ref := NewReference(nodes, 50)
 	for _, p := range []interface {
 		Reserve(nodes int, start, end int64)
@@ -376,7 +373,7 @@ func TestDifferentialAdversarial(t *testing.T) {
 			t.Errorf("tree EarliestFit(%d,%d,%d): got %d, reference %d", c.w, c.d, c.nb, got, want)
 		}
 		if got := opt.EarliestFit(c.w, c.d, c.nb); got != want {
-			t.Errorf("array EarliestFit(%d,%d,%d): got %d, reference %d", c.w, c.d, c.nb, got, want)
+			t.Errorf("default EarliestFit(%d,%d,%d): got %d, reference %d", c.w, c.d, c.nb, got, want)
 		}
 	}
 	for lo := int64(0); lo < 250; lo += 7 {
@@ -384,20 +381,22 @@ func TestDifferentialAdversarial(t *testing.T) {
 			t.Errorf("tree MinFree(%d,%d): got %d, reference %d", lo, lo+13, a, b)
 		}
 		if a, b := opt.MinFree(lo, lo+13), ref.MinFree(lo, lo+13); a != b {
-			t.Errorf("array MinFree(%d,%d): got %d, reference %d", lo, lo+13, a, b)
+			t.Errorf("default MinFree(%d,%d): got %d, reference %d", lo, lo+13, a, b)
 		}
 		if a, b := tree.FreeAt(lo), ref.FreeAt(lo); a != b {
 			t.Errorf("tree FreeAt(%d): got %d, reference %d", lo, a, b)
 		}
 		if a, b := opt.FreeAt(lo), ref.FreeAt(lo); a != b {
-			t.Errorf("array FreeAt(%d): got %d, reference %d", lo, a, b)
+			t.Errorf("default FreeAt(%d): got %d, reference %d", lo, a, b)
 		}
 	}
 	if s := ref.String(); tree.String() != s || opt.String() != s {
-		t.Errorf("canonical forms diverged:\ntree:      %v\narray:     %v\nreference: %v", tree, opt, ref)
+		t.Errorf("canonical forms diverged:\ntree:      %v\ndefault:   %v\nreference: %v", tree, opt, ref)
 	}
-	if e := checkTreeInvariants(tree); e != nil {
-		t.Errorf("tree invariant violated: %v", e)
+	for _, tr := range []*Tree{tree, opt} {
+		if e := checkTreeInvariants(tr); e != nil {
+			t.Errorf("tree invariant violated: %v", e)
+		}
 	}
 }
 
@@ -425,9 +424,9 @@ func FuzzProfileOps(f *testing.F) {
 }
 
 // addStartManyEdges seeds a fuzz target with op streams at the edges of
-// the array mode's one-scan StartMany (see
-// TestDifferentialShrunkenRegressions): on an 8-node machine from t=0 in
-// array mode, a pass whose end saturates to Infinity followed by a
+// the one-scan StartMany (see TestDifferentialShrunkenRegressions): on an
+// 8-node machine from t=0 with the tiny Tree's blocks of at most six
+// steps, a pass whose end saturates to Infinity followed by a
 // permanent job; and, after Reserve(4 nodes, d=51) at [20, 71), a pass
 // at 30 whose window starts and ends mid-step, one at 61 ending exactly
 // on the boundary at 71, and one at 30 too wide for the reserved step,
@@ -441,10 +440,10 @@ func addStartManyEdges(f *testing.F) {
 
 // TestDifferentialShrunkenRegressions pins, as explicit op sequences,
 // the minimal repros the shrinker produced while the oracle itself was
-// being validated against deliberately broken kernel builds (the byte
-// streams decode differently now that the interpreter grew a small-mode
-// limit operand, so the decoded ops are pinned instead). Each case
-// failed pre-fix on its sabotaged build:
+// being validated against deliberately broken builds of the treap this
+// kernel replaced (the byte streams decode differently now that the
+// interpreter grew a block-size operand, so the decoded ops are pinned
+// instead). Each case failed pre-fix on its sabotaged build:
 //
 //   - batch+release: with deferred edge coalescing broken, an
 //     uncoalesced equal-valued step pair survived CommitPass and the
@@ -455,21 +454,20 @@ func addStartManyEdges(f *testing.F) {
 //     reservation left a stale subtree max (stored 36, actual 54),
 //     caught by the invariant checker rather than an answer mismatch.
 //
-// The startmany cases pin the edges of the array mode's one-scan
-// placement (array.startOne), which splits the window its fit search
-// stopped on instead of searching for the boundaries again: an end that
+// The startmany cases pin the edges of the one-scan placement
+// (Tree.startOne), which splits the window boundaries where its fit
+// search found them instead of searching again: an end that
 // saturates to Infinity (the step at Infinity must appear, and a job
 // only the step at Infinity admits must reserve nothing), a window
 // starting mid-step at the pass time, one ending exactly on a step
 // boundary, and one starting on the last step.
 //
-// They run in both tree regimes, so a regression in deferred coalescing
-// or lazy aggregate maintenance trips here with a three-op repro
-// before the randomized suites go hunting for one.
+// They run with blocks of at most two steps and at the production block
+// size, so a regression in edge coalescing or lazy summary maintenance
+// trips here with a three-op repro before the randomized suites go
+// hunting for one.
 func TestDifferentialShrunkenRegressions(t *testing.T) {
-	defer func(old int) { treeSmallLimit = old }(treeSmallLimit)
-	for _, limit := range []int{0, treeSmallLimit} {
-		treeSmallLimit = limit
+	for _, half := range []int{1, blockSteps} {
 		pass := func(k Kernel, now int64, reqs ...StartReq) []int64 {
 			k.BeginPass(now)
 			defer k.CommitPass()
@@ -510,19 +508,19 @@ func TestDifferentialShrunkenRegressions(t *testing.T) {
 				return pass(k, 110, StartReq{Nodes: 50, Duration: 10}, StartReq{Nodes: 51, Duration: 7})
 			}},
 		} {
-			tree := NewTree(51, 73)
+			tree := newTestTree(51, 73, half)
 			ref := NewReference(51, 73)
 			if got, want := tc.drive(tree), tc.drive(ref); !slices.Equal(got, want) {
-				t.Errorf("limit %d, %s: starts %v, reference %v", limit, tc.name, got, want)
+				t.Errorf("B=%d, %s: starts %v, reference %v", half, tc.name, got, want)
 			}
 			if tree.String() != ref.String() {
-				t.Errorf("limit %d, %s: canonical forms diverged:\ntree:      %v\nreference: %v", limit, tc.name, tree, ref)
+				t.Errorf("B=%d, %s: canonical forms diverged:\ntree:      %v\nreference: %v", half, tc.name, tree, ref)
 			}
 			if tree.StepCount() != ref.StepCount() {
-				t.Errorf("limit %d, %s: step counts diverged: tree %d, reference %d", limit, tc.name, tree.StepCount(), ref.StepCount())
+				t.Errorf("B=%d, %s: step counts diverged: tree %d, reference %d", half, tc.name, tree.StepCount(), ref.StepCount())
 			}
 			if e := checkTreeInvariants(tree); e != nil {
-				t.Errorf("limit %d, %s: tree invariant violated: %v", limit, tc.name, e)
+				t.Errorf("B=%d, %s: tree invariant violated: %v", half, tc.name, e)
 			}
 		}
 	}

@@ -1,11 +1,11 @@
 package profile
 
-// SetTreeSmallLimit sets the array-mode step budget of Trees created from
-// now on (0 forces the treap from the first step) and returns a function
-// restoring the previous budget. Test-only: it lets the whole-schedule
-// tests in package profile_test run the schedulers on either mode.
-func SetTreeSmallLimit(n int) (restore func()) {
-	old := treeSmallLimit
-	treeSmallLimit = n
-	return func() { treeSmallLimit = old }
-}
+// NewTinyBlockTree returns a Tree whose blocks split past two steps, in
+// groups of two blocks, so that a scheduler's small profiles span many
+// blocks and groups. Test-only: it lets
+// the whole-schedule tests in package profile_test run the schedulers
+// across block boundaries.
+func NewTinyBlockTree(nodes int, from int64) *Tree { return newTreeBlocks(nodes, from, 1, 1) }
+
+// Blocks returns the number of blocks t is cut into.
+func (t *Tree) Blocks() int { return len(t.blocks) }

@@ -5,8 +5,8 @@ import "jobsched/internal/job"
 // Kernel is the availability-profile operation set. Two types in this
 // package implement it:
 //
-//   - Tree, the production kernel: an array for small profiles, a
-//     balanced tree once they grow (see tree.go); and
+//   - Tree, the production kernel: a step array cut into blocks with
+//     min/max bounds (see profile.go); and
 //   - Reference, the brute-force oracle of the differential tests.
 //
 // Schedulers hold their scratch profiles through this interface so the
@@ -44,8 +44,8 @@ type Kernel interface {
 	// equivalent sequential EarliestFit+Reserve loop (the metamorphic
 	// property the batch tests pin), and Stats counts it as that loop.
 	// It is how the conservative walk places each job it does not keep,
-	// one request at a time; Tree answers a request in array mode with a
-	// single scan.
+	// one request at a time; Tree answers each request with a single
+	// scan.
 	StartMany(reqs []StartReq, starts []int64) []int64
 	// CommitPass closes the pass, restoring the canonical form when the
 	// implementation deferred coalescing work during the pass.
@@ -79,10 +79,9 @@ func satEnd(at, duration int64) int64 {
 }
 
 // startManySequential is the shared batch-pass reference loop: place each
-// request at its earliest fit from `now` and reserve it. Tree overrides
-// the canonicalization schedule (deferred edge coalescing), but the
-// resulting step function must be identical to this loop — that is the
-// batch API's defining property.
+// request at its earliest fit from `now` and reserve it. Tree places each
+// request in one scan instead, but the resulting step function must be
+// identical to this loop — that is the batch API's defining property.
 func startManySequential(k Kernel, reqs []StartReq, now int64, starts []int64) []int64 {
 	for _, r := range reqs {
 		at := k.EarliestFit(r.Nodes, r.Duration, now)

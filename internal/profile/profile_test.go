@@ -8,7 +8,7 @@ import (
 )
 
 func TestNewFullyFree(t *testing.T) {
-	p := newArray(256, 1000)
+	p := NewTree(256, 1000)
 	if p.nodes != 256 {
 		t.Fatalf("Nodes = %d", p.nodes)
 	}
@@ -26,11 +26,11 @@ func TestNewPanicsOnBadNodes(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	newArray(0, 0)
+	NewTree(0, 0)
 }
 
 func TestReserveAndFreeAt(t *testing.T) {
-	p := newArray(10, 0)
+	p := NewTree(10, 0)
 	p.Reserve(4, 10, 20)
 	p.Reserve(2, 15, 30)
 	cases := []struct {
@@ -48,7 +48,7 @@ func TestReserveAndFreeAt(t *testing.T) {
 }
 
 func TestReserveOvercommitPanics(t *testing.T) {
-	p := newArray(4, 0)
+	p := NewTree(4, 0)
 	p.Reserve(3, 0, 10)
 	defer func() {
 		if recover() == nil {
@@ -59,7 +59,7 @@ func TestReserveOvercommitPanics(t *testing.T) {
 }
 
 func TestReleaseRestoresCapacity(t *testing.T) {
-	p := newArray(8, 0)
+	p := NewTree(8, 0)
 	p.Reserve(8, 0, 100)
 	p.Release(8, 40, 100) // early completion hands back the remainder
 	if got := p.FreeAt(39); got != 0 {
@@ -71,7 +71,7 @@ func TestReleaseRestoresCapacity(t *testing.T) {
 }
 
 func TestReleaseBeyondMachinePanics(t *testing.T) {
-	p := newArray(4, 0)
+	p := NewTree(4, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
@@ -81,7 +81,7 @@ func TestReleaseBeyondMachinePanics(t *testing.T) {
 }
 
 func TestReserveBadArgsPanics(t *testing.T) {
-	p := newArray(4, 0)
+	p := NewTree(4, 0)
 	for _, c := range []struct {
 		n    int
 		s, e int64
@@ -98,14 +98,14 @@ func TestReserveBadArgsPanics(t *testing.T) {
 }
 
 func TestEarliestFitImmediate(t *testing.T) {
-	p := newArray(10, 0)
+	p := NewTree(10, 0)
 	if got := p.EarliestFit(10, 100, 0); got != 0 {
 		t.Errorf("empty machine fit = %d", got)
 	}
 }
 
 func TestEarliestFitAfterDrain(t *testing.T) {
-	p := newArray(10, 0)
+	p := NewTree(10, 0)
 	p.Reserve(8, 0, 50)
 	// 6 nodes are free only from t=50.
 	if got := p.EarliestFit(6, 10, 0); got != 50 {
@@ -119,7 +119,7 @@ func TestEarliestFitAfterDrain(t *testing.T) {
 
 func TestEarliestFitHole(t *testing.T) {
 	// Free window between two busy periods, long enough only for short jobs.
-	p := newArray(4, 0)
+	p := NewTree(4, 0)
 	p.Reserve(4, 0, 10)
 	p.Reserve(4, 20, 30)
 	if got := p.EarliestFit(4, 10, 0); got != 10 {
@@ -132,14 +132,14 @@ func TestEarliestFitHole(t *testing.T) {
 }
 
 func TestEarliestFitNotBefore(t *testing.T) {
-	p := newArray(4, 0)
+	p := NewTree(4, 0)
 	if got := p.EarliestFit(1, 5, 77); got != 77 {
 		t.Errorf("notBefore fit = %d, want 77", got)
 	}
 }
 
 func TestEarliestFitTooWidePanics(t *testing.T) {
-	p := newArray(4, 0)
+	p := NewTree(4, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")
@@ -149,7 +149,7 @@ func TestEarliestFitTooWidePanics(t *testing.T) {
 }
 
 func TestEarliestFitHugeDurationOverflow(t *testing.T) {
-	p := newArray(4, 0)
+	p := NewTree(4, 0)
 	p.Reserve(4, 0, 10)
 	// Duration near MaxInt64 must not overflow the window check.
 	if got := p.EarliestFit(1, Infinity-5, 0); got != 10 {
@@ -158,7 +158,7 @@ func TestEarliestFitHugeDurationOverflow(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	p := newArray(8, 0)
+	p := NewTree(8, 0)
 	p.Reserve(4, 0, 10)
 	c := p.Clone()
 	c.Reserve(4, 0, 10)
@@ -171,7 +171,7 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestMinFree(t *testing.T) {
-	p := newArray(10, 0)
+	p := NewTree(10, 0)
 	p.Reserve(4, 10, 20)
 	p.Reserve(2, 15, 30)
 	// Free: [0,10)=10, [10,15)=6, [15,20)=4, [20,30)=8, [30,∞)=10.
@@ -198,11 +198,11 @@ func TestMinFreePanicsOnEmptyInterval(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	newArray(4, 0).MinFree(10, 10)
+	NewTree(4, 0).MinFree(10, 10)
 }
 
 func TestCoalesceKeepsStepsMinimal(t *testing.T) {
-	p := newArray(8, 0)
+	p := NewTree(8, 0)
 	p.Reserve(2, 10, 20)
 	p.Release(2, 10, 20) // cancel out: profile flat again
 	if p.StepCount() != 1 {
@@ -211,7 +211,7 @@ func TestCoalesceKeepsStepsMinimal(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	p := newArray(4, 0)
+	p := NewTree(4, 0)
 	p.Reserve(1, 5, 6)
 	if s := p.String(); !strings.Contains(s, "5:3") {
 		t.Errorf("String = %q", s)
@@ -225,7 +225,7 @@ func TestString(t *testing.T) {
 // must report Infinity (no finite start exists) and agree everywhere
 // else.
 func TestEarliestFitPermanentlyBlockedTail(t *testing.T) {
-	p := newArray(4, 0)
+	p := NewTree(4, 0)
 	ref := NewReference(4, 0)
 	for _, q := range []interface {
 		Reserve(int, int64, int64)
@@ -261,7 +261,7 @@ func TestEarliestFitPermanentlyBlockedTail(t *testing.T) {
 // TestEarliestFitFullyReservedLastStep covers the extreme of the tail
 // guard: the last step holds zero free nodes, so nothing fits after it.
 func TestEarliestFitFullyReservedLastStep(t *testing.T) {
-	p := newArray(4, 0)
+	p := NewTree(4, 0)
 	ref := NewReference(4, 0)
 	p.Reserve(4, 10, Infinity)
 	ref.Reserve(4, 10, Infinity)
@@ -288,7 +288,7 @@ func TestEarliestFitFullyReservedLastStep(t *testing.T) {
 // clamp: a duration of math.MaxInt64 (= Infinity) must behave as "forever"
 // without wrapping around.
 func TestEarliestFitMaxInt64Duration(t *testing.T) {
-	p := newArray(4, 0)
+	p := NewTree(4, 0)
 	ref := NewReference(4, 0)
 	p.Reserve(2, 10, 20)
 	ref.Reserve(2, 10, 20)
@@ -316,7 +316,7 @@ func TestEarliestFitMaxInt64Duration(t *testing.T) {
 // allocating once the backing array is warm — the scratch-profile
 // contract the conservative starter relies on.
 func TestResetReusesStorage(t *testing.T) {
-	p := newArray(16, 0)
+	p := NewTree(16, 0)
 	for i := int64(0); i < 20; i++ {
 		p.Reserve(1, i*10, i*10+15)
 	}
@@ -338,9 +338,9 @@ func TestResetReusesStorage(t *testing.T) {
 // TestCloneInto: the allocation-free clone must produce an independent,
 // identical profile.
 func TestCloneInto(t *testing.T) {
-	p := newArray(8, 0)
+	p := NewTree(8, 0)
 	p.Reserve(4, 0, 10)
-	dst := newArray(1, 0)
+	dst := NewTree(1, 0)
 	p.CloneInto(dst)
 	if dst.String() != p.String() || dst.nodes != 8 {
 		t.Fatalf("CloneInto mismatch: %v vs %v", dst, p)
@@ -359,7 +359,7 @@ func TestPropertyReservationsNeverExceedCapacity(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		const nodes = 16
-		p := newArray(nodes, 0)
+		p := NewTree(nodes, 0)
 		for i := 0; i < 40; i++ {
 			w := 1 + r.Intn(nodes)
 			d := int64(1 + r.Intn(50))
@@ -384,7 +384,7 @@ func TestPropertyEarliestFitIsEarliest(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		const nodes = 8
-		p := newArray(nodes, 0)
+		p := NewTree(nodes, 0)
 		for i := 0; i < 10; i++ {
 			w := 1 + r.Intn(nodes)
 			d := int64(1 + r.Intn(30))

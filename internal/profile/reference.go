@@ -8,7 +8,7 @@ import (
 
 // Reference is the brute-force availability profile: the original, naive
 // implementation kept alive verbatim as a differential-testing oracle for
-// the optimized kernels (Tree and its array mode). Every operation re-derives its answer from
+// the optimized kernel (Tree). Every operation re-derives its answer from
 // scratch — stepIndex binary-searches the full slice on every call, and
 // EarliestFit restarts its window scan from the blocking step's index via
 // a fresh binary search — so the code stays obviously correct at the cost

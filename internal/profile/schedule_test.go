@@ -50,14 +50,32 @@ func runCell(t *testing.T, o sched.OrderName, s sched.StartName, announced []sim
 	return out
 }
 
+// blockWatch is a tiny-block Tree that records the most blocks it was
+// cut into after any placement, proving the run crossed block boundaries.
+type blockWatch struct {
+	*profile.Tree
+	most *int
+}
+
+func (w blockWatch) Reserve(nodes int, start, end int64) {
+	w.Tree.Reserve(nodes, start, end)
+	*w.most = max(*w.most, w.Blocks())
+}
+
+func (w blockWatch) StartMany(reqs []profile.StartReq, starts []int64) []int64 {
+	starts = w.Tree.StartMany(reqs, starts)
+	*w.most = max(*w.most, w.Blocks())
+	return starts
+}
+
 // TestTreeModesScheduleIdentically is the whole-schedule backend gate:
 // every profile-backed grid cell (conservative backfilling, and EASY
-// with announced drains, under each order) runs three ways — Tree forced
-// onto the treap, Tree with its default array-mode budget, and the
-// brute-force Reference — and must produce identical schedules and start
-// events. At this scale the default Tree never leaves array mode, so the
-// forced row is the only one that reaches the treap; its rebalance count
-// proves it did.
+// with announced drains, under each order) runs three ways — Tree cut
+// into blocks of at most two steps, Tree at its production block size,
+// and the brute-force Reference — and must produce identical schedules
+// and start events. At this scale the production Tree keeps every
+// profile in one block, so the tiny-block row is the one that crosses
+// block boundaries; its block count proves it did.
 func TestTreeModesScheduleIdentically(t *testing.T) {
 	const nodes = 16
 	r := rand.New(rand.NewSource(11))
@@ -83,11 +101,12 @@ func TestTreeModesScheduleIdentically(t *testing.T) {
 			announced []sim.Failure
 		}{{sched.StartConservative, nil}, {sched.StartEASY, drains}} {
 			name := fmt.Sprintf("%s/%s", o, c.start)
-			restore := profile.SetTreeSmallLimit(0)
-			treap := runCell(t, o, c.start, c.announced, nil, jobs, nodes)
-			restore()
-			if treap.stats.TreeRebalances == 0 {
-				t.Fatalf("%s: the forced-treap run never rebalanced (stats %v)", name, &treap.stats)
+			most := 0
+			tiny := runCell(t, o, c.start, c.announced, func(n int, from int64) profile.Kernel {
+				return blockWatch{profile.NewTinyBlockTree(n, from), &most}
+			}, jobs, nodes)
+			if most < 3 {
+				t.Fatalf("%s: the tiny-block run never held more than %d blocks", name, most)
 			}
 			for _, row := range []struct {
 				name string
@@ -96,18 +115,18 @@ func TestTreeModesScheduleIdentically(t *testing.T) {
 				{"default tree", runCell(t, o, c.start, c.announced, nil, jobs, nodes)},
 				{"reference", runCell(t, o, c.start, c.announced, reference, jobs, nodes)},
 			} {
-				if row.run.schedule != treap.schedule {
-					t.Fatalf("%s: %s schedule diverged from the treap's\n%s\nvs\n%s",
-						name, row.name, row.run.schedule, treap.schedule)
+				if row.run.schedule != tiny.schedule {
+					t.Fatalf("%s: %s schedule diverged from the tiny-block tree's\n%s\nvs\n%s",
+						name, row.name, row.run.schedule, tiny.schedule)
 				}
-				if len(row.run.starts) != len(treap.starts) {
-					t.Fatalf("%s: %s has %d start events, the treap %d",
-						name, row.name, len(row.run.starts), len(treap.starts))
+				if len(row.run.starts) != len(tiny.starts) {
+					t.Fatalf("%s: %s has %d start events, the tiny-block tree %d",
+						name, row.name, len(row.run.starts), len(tiny.starts))
 				}
-				for i := range treap.starts {
-					if row.run.starts[i] != treap.starts[i] {
-						t.Fatalf("%s: %s start event %d diverged\n%+v\nvs the treap's\n%+v",
-							name, row.name, i, row.run.starts[i], treap.starts[i])
+				for i := range tiny.starts {
+					if row.run.starts[i] != tiny.starts[i] {
+						t.Fatalf("%s: %s start event %d diverged\n%+v\nvs the tiny-block tree's\n%+v",
+							name, row.name, i, row.run.starts[i], tiny.starts[i])
 					}
 				}
 			}

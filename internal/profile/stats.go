@@ -33,12 +33,16 @@ type Stats struct {
 	// that predates the batch API.
 	Passes        int64
 	BatchedStarts int64
-	// Tree-kernel diagnostics: the deepest root-to-node descent observed
-	// and the number of subtree reattachments (the treap's rotations).
-	// Excluded from Total for the same reason — they measure shape, not
-	// profile operations.
-	TreeMaxDepth   int64
-	TreeRebalances int64
+	// Scanned counts the steps and the block and group bounds the
+	// kernel's calls visit: the unit of work of a fit scan or a range
+	// update, where the other counters count calls. Excluded from Total and String, like
+	// the batch-pass counters, so reports that predate it render as
+	// before.
+	Scanned int64
+	// TreeMaxDepth is always 0: the kernel has no tree since the blocked
+	// step array replaced the treap. It stays because the benchmark
+	// reports it.
+	TreeMaxDepth int64
 }
 
 // Total returns the summed operation count, saturating rather than
@@ -52,9 +56,9 @@ func (s *Stats) Total() int64 {
 	return total
 }
 
-// String renders the counters compactly for reports. The clamped-reserve,
-// batch-pass and tree-shape counts only appear when nonzero, so reports
-// from runs that never exercise those paths render exactly as before.
+// String renders the counters compactly for reports. The clamped-reserve
+// and batch-pass counts only appear when nonzero, so reports from runs
+// that never exercise those paths render exactly as before.
 func (s *Stats) String() string {
 	out := fmt.Sprintf("fit=%d reserve=%d release=%d freeAt=%d minFree=%d resets=%d",
 		s.EarliestFit, s.Reserve, s.Release, s.FreeAt, s.MinFree, s.Resets)
@@ -63,9 +67,6 @@ func (s *Stats) String() string {
 	}
 	if s.Passes > 0 || s.BatchedStarts > 0 {
 		out += fmt.Sprintf(" passes=%d batched=%d", s.Passes, s.BatchedStarts)
-	}
-	if s.TreeMaxDepth > 0 || s.TreeRebalances > 0 {
-		out += fmt.Sprintf(" treeDepth=%d rebalances=%d", s.TreeMaxDepth, s.TreeRebalances)
 	}
 	return out
 }

@@ -2,135 +2,86 @@ package profile
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"testing"
 )
 
-// checkTreeInvariants validates the tree kernel's structural invariants
-// without disturbing it (lazy tags are accumulated, not pushed):
+// checkTreeInvariants validates the blocked step array without
+// disturbing it (nothing is tightened or summarized):
 //
-//   - BST order: in-order keys strictly increase;
-//   - heap order: every node's priority >= its children's (the treap
-//     property that yields the expected-logarithmic height);
-//   - aggregates: each node's count/min/max equals the recomputed
-//     count/min/max of its subtree's true values (val plus the sum of
-//     ancestor lazy tags);
-//   - range: every true value lies in [0, machine size];
-//   - balance: height <= 4*log2(count)+8 — far above the treap's
-//     expected ~1.39*log2 but low enough to catch degeneration into a
-//     list (splitmix64 seeding gone wrong).
+//   - shape: at least one block, none empty, none over 2·B steps, each
+//     knowing its first step's time, and one group per 2^gshift blocks;
+//   - block bounds: min <= free <= max for every step of the block, with
+//     equality on both sides unless the block is marked loose, so that the
+//     bounds plus the block's lazy add bound its true values;
+//   - group bounds: a group not marked stale bounds the true values of
+//     all of its blocks' steps;
+//   - canonical form: keys strictly increase across block boundaries,
+//     and no two neighbors share a true free count;
+//   - range: every true value lies in [0, machine size].
 func checkTreeInvariants(t *Tree) error {
-	if t.small != nil {
-		// Array mode: no treap to validate, but the embedded kernel must be
-		// canonical (sorted, coalesced, in range) and within the budget.
-		if len(t.small.steps) == 0 {
-			return fmt.Errorf("empty profile: always at least one step")
+	if len(t.blocks) == 0 {
+		return fmt.Errorf("no blocks: the profile always has at least one step")
+	}
+	if want := (len(t.blocks) + 1<<t.gshift - 1) >> t.gshift; len(t.groups) != want {
+		return fmt.Errorf("%d groups for %d blocks, want %d", len(t.groups), len(t.blocks), want)
+	}
+	var prev *step
+	prevFree := 0
+	for b := range t.blocks {
+		blk := &t.blocks[b]
+		if len(blk.steps) == 0 || len(blk.steps) > 2*t.half {
+			return fmt.Errorf("block %d holds %d steps (limit %d)", b, len(blk.steps), 2*t.half)
 		}
-		if len(t.small.steps) > t.smallLimit {
-			return fmt.Errorf("array mode over budget: %d steps, limit %d", len(t.small.steps), t.smallLimit)
+		if blk.first != blk.steps[0].at {
+			return fmt.Errorf("block %d starts at %d, not %d", b, blk.steps[0].at, blk.first)
 		}
-		for i, s := range t.small.steps {
-			if s.free < 0 || s.free > t.size {
-				return fmt.Errorf("value out of range at key %d: %d free on a %d-node machine", s.at, s.free, t.size)
+		grp := &t.groups[b>>t.gshift]
+		mn, mx := blk.steps[0].free, blk.steps[0].free
+		for k := range blk.steps {
+			s := &blk.steps[k]
+			mn, mx = min(mn, s.free), max(mx, s.free)
+			free := s.free + blk.add
+			if free < 0 || free > t.nodes {
+				return fmt.Errorf("value out of range at key %d: %d free on a %d-node machine", s.at, free, t.nodes)
 			}
-			if i > 0 {
-				if prev := t.small.steps[i-1]; s.at <= prev.at {
+			if !grp.stale && (free < grp.min || free > grp.max) {
+				return fmt.Errorf("group %d bounds [%d, %d] miss %d free at key %d", b>>t.gshift, grp.min, grp.max, free, s.at)
+			}
+			if prev != nil {
+				if s.at <= prev.at {
 					return fmt.Errorf("step order violated: key %d after %d", s.at, prev.at)
-				} else if s.free == prev.free {
-					return fmt.Errorf("uncoalesced steps at keys %d and %d (both %d free)", prev.at, s.at, s.free)
+				}
+				if free == prevFree {
+					return fmt.Errorf("uncoalesced steps at keys %d and %d (both %d free)", prev.at, s.at, free)
 				}
 			}
+			prev, prevFree = s, free
 		}
-		return nil
-	}
-	if t.root == nilNode {
-		return fmt.Errorf("empty tree: the profile always has at least one step")
-	}
-	var lastKey int64
-	seen := false
-	var rec func(i int32, acc int) (count int32, min, max, height int, err error)
-	rec = func(i int32, acc int) (int32, int, int, int, error) {
-		n := t.pool[i]
-		childAcc := acc + n.add
-		cnt, height := int32(1), 1
-		tv := n.val + acc
-		mn, mx := tv, tv
-		if n.l != nilNode {
-			if t.pool[n.l].pri > n.pri {
-				return 0, 0, 0, 0, fmt.Errorf("heap order violated at key %d (left child)", n.key)
-			}
-			c, m1, m2, h, err := rec(n.l, childAcc)
-			if err != nil {
-				return 0, 0, 0, 0, err
-			}
-			cnt += c
-			if m1 < mn {
-				mn = m1
-			}
-			if m2 > mx {
-				mx = m2
-			}
-			if h+1 > height {
-				height = h + 1
-			}
+		if blk.min > mn || blk.max < mx || !blk.loose && (blk.min != mn || blk.max != mx) {
+			return fmt.Errorf("block %d bounds [%d, %d] (loose %v) wrong: steps span [%d, %d] (add %d)",
+				b, blk.min, blk.max, blk.loose, mn, mx, blk.add)
 		}
-		// In-order position: the key check happens between the subtrees.
-		if seen && n.key <= lastKey {
-			return 0, 0, 0, 0, fmt.Errorf("BST order violated: key %d after %d", n.key, lastKey)
-		}
-		lastKey, seen = n.key, true
-		if tv < 0 || tv > t.size {
-			return 0, 0, 0, 0, fmt.Errorf("value out of range at key %d: %d free on a %d-node machine", n.key, tv, t.size)
-		}
-		if n.r != nilNode {
-			if t.pool[n.r].pri > n.pri {
-				return 0, 0, 0, 0, fmt.Errorf("heap order violated at key %d (right child)", n.key)
-			}
-			c, m1, m2, h, err := rec(n.r, childAcc)
-			if err != nil {
-				return 0, 0, 0, 0, err
-			}
-			cnt += c
-			if m1 < mn {
-				mn = m1
-			}
-			if m2 > mx {
-				mx = m2
-			}
-			if h+1 > height {
-				height = h + 1
-			}
-		}
-		if n.count != cnt {
-			return 0, 0, 0, 0, fmt.Errorf("count aggregate stale at key %d: stored %d, actual %d", n.key, n.count, cnt)
-		}
-		if n.min+acc != mn {
-			return 0, 0, 0, 0, fmt.Errorf("min aggregate stale at key %d: stored %d, actual %d", n.key, n.min+acc, mn)
-		}
-		if n.max+acc != mx {
-			return 0, 0, 0, 0, fmt.Errorf("max aggregate stale at key %d: stored %d, actual %d", n.key, n.max+acc, mx)
-		}
-		return cnt, mn, mx, height, nil
-	}
-	cnt, _, _, height, err := rec(t.root, 0)
-	if err != nil {
-		return err
-	}
-	if limit := 4*bits.Len32(uint32(cnt)) + 8; height > limit {
-		return fmt.Errorf("tree degenerated: height %d over %d steps (limit %d)", height, cnt, limit)
 	}
 	return nil
 }
 
-// TestTreeHeightLogarithmic grows a large profile (tens of thousands of
-// steps) and asserts the deterministic treap stays balanced — the
-// property the O(log S) complexity claims rest on — and that the depth
-// telemetry sees the same order of magnitude.
-func TestTreeHeightLogarithmic(t *testing.T) {
-	var stats Stats
+// newTestTree returns NewTree when half is blockSteps, and otherwise a
+// Tree with blocks of up to 2·half steps in groups of two blocks, so that
+// small profiles exercise both summary levels.
+func newTestTree(nodes int, from int64, half int) *Tree {
+	if half == blockSteps {
+		return NewTree(nodes, from)
+	}
+	return newTreeBlocks(nodes, from, half, 1)
+}
+
+// TestTreeBlockSizesBounded grows a large profile (tens of thousands of
+// steps) and asserts the blocks stay within their bounds — the property
+// the scan costs rest on — and that the blocks hold B to 2·B steps on
+// average, so a scan reads about S/B summaries, not S.
+func TestTreeBlockSizesBounded(t *testing.T) {
 	tr := NewTree(1<<20, 0)
-	tr.SetStats(&stats)
 	rng := rand.New(rand.NewSource(0x7EE2))
 	for i := 0; i < 50000; i++ {
 		at := int64(rng.Intn(1 << 30))
@@ -138,18 +89,10 @@ func TestTreeHeightLogarithmic(t *testing.T) {
 	}
 	steps := tr.StepCount()
 	if steps < 10000 {
-		t.Fatalf("workload too coalesced to measure balance: %d steps", steps)
+		t.Fatalf("workload too coalesced to measure blocks: %d steps", steps)
 	}
-	height := tr.Height()
-	limit := 4*bits.Len(uint(steps)) + 8
-	if height > limit {
-		t.Fatalf("tree degenerated: height %d over %d steps (limit %d)", height, steps, limit)
-	}
-	if stats.TreeMaxDepth == 0 || stats.TreeMaxDepth > int64(limit) {
-		t.Fatalf("depth telemetry out of range: %d (limit %d)", stats.TreeMaxDepth, limit)
-	}
-	if stats.TreeRebalances == 0 {
-		t.Fatalf("rebalance telemetry never incremented over %d reserves", stats.Reserve)
+	if got, limit := len(tr.blocks), steps/blockSteps+1; got > limit {
+		t.Fatalf("%d blocks over %d steps (limit %d)", got, steps, limit)
 	}
 	if err := checkTreeInvariants(tr); err != nil {
 		t.Fatal(err)
@@ -159,72 +102,87 @@ func TestTreeHeightLogarithmic(t *testing.T) {
 // TestTreeCloneIndependence pins Clone/CloneInto semantics: the copy
 // must match the original exactly and then evolve independently.
 func TestTreeCloneIndependence(t *testing.T) {
-	defer func(old int) { treeSmallLimit = old }(treeSmallLimit)
-	for _, limit := range []int{0, treeSmallLimit} { // treap mode and array mode
-		treeSmallLimit = limit
-		tr := NewTree(16, 0)
+	for _, half := range []int{1, blockSteps} { // many blocks, and one
+		tr := newTestTree(16, 0, half)
 		tr.Reserve(4, 10, 50)
 		tr.Reserve(8, 20, Infinity)
 		before := tr.String()
 
 		c := tr.Clone()
 		if c.String() != before {
-			t.Fatalf("limit %d: clone mismatch: %v vs %v", limit, c, tr)
+			t.Fatalf("B=%d: clone mismatch: %v vs %v", half, c, tr)
 		}
 		c.Reserve(2, 5, 15)
 		if tr.String() != before {
-			t.Fatalf("limit %d: clone mutated the original: %v", limit, tr)
+			t.Fatalf("B=%d: clone mutated the original: %v", half, tr)
 		}
 
 		dst := &Tree{}
 		tr.CloneInto(dst)
 		if dst.String() != before {
-			t.Fatalf("limit %d: CloneInto mismatch: %v vs %v", limit, dst, tr)
+			t.Fatalf("B=%d: CloneInto mismatch: %v vs %v", half, dst, tr)
 		}
 		dst.Release(4, 10, 20)
 		if tr.String() != before {
-			t.Fatalf("limit %d: CloneInto mutated the original: %v", limit, tr)
+			t.Fatalf("B=%d: CloneInto mutated the original: %v", half, tr)
 		}
 		if err := checkTreeInvariants(dst); err != nil {
-			t.Fatalf("limit %d: %v", limit, err)
+			t.Fatalf("B=%d: %v", half, err)
 		}
 	}
 }
 
-// TestTreeEarliestFitComplexity bounds the query cost structurally: on a
-// profile with many steps but a single feasible gap pattern, one
-// EarliestFit must not touch more than O(log S) nodes per blocking run.
-// The proxy is the depth telemetry staying logarithmic while the step
-// count grows by orders of magnitude.
+// TestTreeEarliestFitComplexity bounds the query cost structurally,
+// through Stats.Scanned: a query that crosses a whole profile of S steps
+// must visit at most S/B bounds plus a few blocks of steps, whether
+// every block admits the job or none does. The first query after the
+// profile was built pays for tightening the bounds its mutations left
+// loose; the bound holds from the second on.
 func TestTreeEarliestFitComplexity(t *testing.T) {
-	defer func(old int) { treeSmallLimit = old }(treeSmallLimit)
-	treeSmallLimit = 0 // measure the treap at every size, not the array fallback
 	for _, steps := range []int{1 << 8, 1 << 12, 1 << 16} {
-		tr := NewTree(4, 0)
+		span := int64(steps) * 10
 		// Alternating tall/short steps: 2 free on even slots, 4 on odd.
+		alternating := NewTree(4, 0)
+		// The same slots at 1 and 2 free: a 3-wide job is blocked everywhere.
+		deep := NewTree(4, 0)
+		deep.Reserve(2, 0, span)
 		for i := 0; i < steps; i++ {
 			at := int64(i) * 10
-			tr.Reserve(2, at, at+5)
+			alternating.Reserve(2, at, at+5)
+			deep.Reserve(1, at, at+5)
 		}
-		var stats Stats
-		tr.SetStats(&stats)
-		// A 3-wide job never fits a reserved slot: the query has to skip
-		// every blocking run it crosses, but each skip is one descent.
-		if got := tr.EarliestFit(3, 5, 3); got != 5 {
-			t.Fatalf("steps=%d: EarliestFit(3,5,3) = %d, want 5", steps, got)
-		}
-		limit := int64(4*bits.Len(uint(tr.StepCount())) + 8)
-		if stats.TreeMaxDepth > limit {
-			t.Fatalf("steps=%d: query descended %d levels (limit %d)", steps, stats.TreeMaxDepth, limit)
+		for _, c := range []struct {
+			name         string
+			tr           *Tree
+			w            int
+			d, nb, want  int64
+			boundedFirst bool
+		}{
+			{"immediate", alternating, 3, 5, 3, 5, true},
+			{"every block admits", alternating, 2, span, 3, 3, false},
+			{"no block admits", deep, 3, 50, 0, span, false},
+		} {
+			for query := 0; query < 2; query++ {
+				var stats Stats
+				c.tr.SetStats(&stats)
+				if got := c.tr.EarliestFit(c.w, c.d, c.nb); got != c.want {
+					t.Fatalf("steps=%d %s: EarliestFit(%d,%d,%d) = %d, want %d", steps, c.name, c.w, c.d, c.nb, got, c.want)
+				}
+				limit := int64(c.tr.StepCount()/blockSteps + 4*blockSteps)
+				if (query > 0 || c.boundedFirst) && stats.Scanned > limit {
+					t.Fatalf("steps=%d %s: query %d scanned %d steps and summaries (limit %d)",
+						steps, c.name, query, stats.Scanned, limit)
+				}
+			}
 		}
 	}
 }
 
-// FuzzProfileTree is the structure-aware fuzz target for the tree
-// kernel: the op-tagged byte stream drives all three kernels through the
-// shared differential interpreter, and after every operation the tree's
-// BST/heap order, lazy-consistent min/max/count aggregates and height
-// bound are re-validated. Run with
+// FuzzProfileTree is the structure-aware fuzz target for the blocked
+// kernel: the op-tagged byte stream drives both Trees and the Reference
+// through the shared differential interpreter, and after every operation
+// both Trees' block invariants (sizes, summaries, canonical form) are
+// re-validated. Run with
 //
 //	go test -fuzz FuzzProfileTree ./internal/profile
 func FuzzProfileTree(f *testing.F) {

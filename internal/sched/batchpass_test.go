@@ -360,8 +360,8 @@ func TestGateWrappersBite(t *testing.T) {
 // on which kernel backs the starters' scratch profiles: the tree
 // (default) and the brute-force reference oracle must yield identical
 // schedules and start events for every configuration. At this size the
-// tree stays in its array mode; the treap's whole-schedule gate is
-// TestTreeModesScheduleIdentically in internal/profile.
+// tree's profiles stay small; the whole-schedule gate across many blocks
+// is TestTreeModesScheduleIdentically in internal/profile.
 func TestProfileBackendIndependence(t *testing.T) {
 	const nodes = 16
 	factories := []struct {

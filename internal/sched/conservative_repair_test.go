@@ -179,9 +179,9 @@ type repairPass struct {
 }
 
 // runRepairCase drives a conservative starter through the passes over
-// queue, with the repair oracle checking each; the engine's part —
-// removing the picks from the queue — is done here.
-func runRepairCase(t *testing.T, nodes int, queue []*job.Job, passes []repairPass) {
+// queue, with the repair oracle checking each, and returns the oracle;
+// the engine's part — removing the picks from the queue — is done here.
+func runRepairCase(t *testing.T, nodes int, queue []*job.Job, passes []repairPass) *repairOracle {
 	t.Helper()
 	ix := queueIndex(queue...)
 	o := newRepairOracle(t, NewConservativeStarter(0))
@@ -207,6 +207,7 @@ func runRepairCase(t *testing.T, nodes int, queue []*job.Job, passes []repairPas
 			ix.Remove(j)
 		}
 	}
+	return o
 }
 
 // queueIndex is an index holding jobs in order.
@@ -282,6 +283,29 @@ func TestConservativeRepairCases(t *testing.T) {
 			{now: 5, running: all, path: pathRebuild, fits: []int64{30, 50, 70}},
 			{now: 30, running: all[:1], free: 4, starts: []*job.Job{j1}, path: pathRepairMoved},
 		})
+	})
+	t.Run("a wider job after a narrower one found no start", func(t *testing.T) {
+		// R2 ends at 10, 40 s before its estimate, but R1 still holds 8
+		// nodes until 100. N finds no start before 50, so W, wider and
+		// longer, is not tested; X, wider but shorter, is, and so is T,
+		// which X's reservation keeps from starting before 115. Each
+		// stays.
+		r1 := &job.Job{ID: 1, Nodes: 8, Estimate: 100, Runtime: 100}
+		r2 := &job.Job{ID: 2, Nodes: 1, Estimate: 50, Runtime: 10}
+		n := &job.Job{ID: 11, Nodes: 3, Estimate: 10}
+		w := &job.Job{ID: 12, Nodes: 4, Estimate: 20}
+		x := &job.Job{ID: 13, Nodes: 6, Estimate: 5}
+		tail := &job.Job{ID: 14, Nodes: 1, Estimate: 1000}
+		both := []sim.Running{runEntry(r1, 100), runEntry(r2, 50)}
+		o := runRepairCase(t, nodes, []*job.Job{n, w, x, tail}, []repairPass{
+			{now: 5, running: both, path: pathRebuild, fits: []int64{100, 100, 110, 115}},
+			{now: 10, running: both[:1], path: pathRepair, fits: []int64{100, 100, 110, 115}},
+		})
+		// The frontier reaches X's width and no further: N's estimate up
+		// to the width below X's, X's at its own.
+		if rp := &o.rep; rp.hi != 6 || !slices.Equal(rp.minEst[3:7], []int64{10, 10, 10, 5}) {
+			t.Errorf("frontier up to width %d: %v, want up to 6: [10 10 10 5] from width 3", rp.hi, rp.minEst[3:rp.hi+1])
+		}
 	})
 	t.Run("two jobs depart in one pass", func(t *testing.T) {
 		// R1 and R2 both end at 20: J1 starts at once, J2 moves up behind

@@ -368,12 +368,30 @@ func TestConservativeReservationMovesLater(t *testing.T) {
 	pass(10, 4, both[1:], pathRepairMoved, []int64{30, 130, 130})
 }
 
+// stepWatch records the most steps a scratch profile held after any
+// placement or reservation.
+type stepWatch struct {
+	profile.Kernel
+	most *int
+}
+
+func (w stepWatch) Reserve(nodes int, start, end int64) {
+	w.Kernel.Reserve(nodes, start, end)
+	*w.most = max(*w.most, w.StepCount())
+}
+
+func (w stepWatch) StartMany(reqs []profile.StartReq, starts []int64) []int64 {
+	starts = w.Kernel.StartMany(reqs, starts)
+	*w.most = max(*w.most, w.StepCount())
+	return starts
+}
+
 // TestConservativeReuseRate pins how often reuse happens on the
 // exact-estimate CTC workload (the setting of Table 6), where nothing
 // completes early and most passes follow a submission or a completion
 // at its estimate: 31 rebuilds in 2,539 passes, where every pass used to
 // rebuild. The dead history the kept profile carries must stay bounded:
-// the profile never outgrows the tree kernel's array mode.
+// the profile never outgrows 1,024 steps.
 func TestConservativeReuseRate(t *testing.T) {
 	const nodes = 256
 	jobs, _, err := cli.Load(cli.LoadOptions{Kind: "ctc", Jobs: 2000, MachineNodes: nodes, Seed: 1})
@@ -381,8 +399,12 @@ func TestConservativeReuseRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats profile.Stats
+	most := 0
 	c, err := New(OrderFCFS, StartConservative, Config{MachineNodes: nodes,
-		Hooks: telemetry.Hooks{ProfileStats: &stats}})
+		Hooks: telemetry.Hooks{ProfileStats: &stats},
+		ProfileFactory: func(n int, from int64) profile.Kernel {
+			return stepWatch{profile.NewTree(n, from), &most}
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,9 +414,8 @@ func TestConservativeReuseRate(t *testing.T) {
 	if got, want := fmt.Sprintf("%d resets in %d passes", stats.Resets, stats.Passes), "31 resets in 2539 passes"; got != want {
 		t.Errorf("%s, want %s", got, want)
 	}
-	if stats.TreeMaxDepth != 0 || stats.TreeRebalances != 0 {
-		t.Errorf("the kept profile was promoted to the treap (depth %d, %d rebalances)",
-			stats.TreeMaxDepth, stats.TreeRebalances)
+	if most == 0 || most > 1024 {
+		t.Errorf("the kept profile held up to %d steps, want 1 to 1,024", most)
 	}
 }
 

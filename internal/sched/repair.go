@@ -31,11 +31,14 @@ type repair struct {
 	ready   bool
 	onTest  int
 	held    []heldRes
-	// minEst[w] is the least estimate of a job at most w wide whose test
-	// this pass found no start before until (math.MaxInt64: none); lo is
-	// the narrowest width set, len(minEst) when none is.
+	// minEst[w], for w up to hi, is the least estimate of a job at most w
+	// wide whose test this pass found no start before until
+	// (math.MaxInt64: none). hi is the widest such job's width, so
+	// minEst[hi] holds for every wider width too, and the frontier costs
+	// the widths the pass records, not what the machine has. lo is the
+	// narrowest width set: minEst is math.MaxInt64 outside [lo, hi].
 	minEst []int64
-	lo     int
+	lo, hi int
 }
 
 // heldRes is a kept reservation waiting to be reserved on the test
@@ -53,12 +56,12 @@ func (rp *repair) begin(running []sim.Running, until int64, machineNodes int) {
 	rp.held = rp.held[:0]
 	if len(rp.minEst) != machineNodes+1 {
 		rp.minEst = make([]int64, machineNodes+1)
-		rp.lo = 0
+		rp.lo, rp.hi = 0, machineNodes
 	}
-	for w := rp.lo; w < len(rp.minEst); w++ {
+	for w := rp.lo; w <= rp.hi; w++ {
 		rp.minEst[w] = math.MaxInt64
 	}
-	rp.lo = len(rp.minEst)
+	rp.lo, rp.hi = len(rp.minEst), 0
 }
 
 // hold records the reservation of a kept job that stays.
@@ -113,7 +116,7 @@ func (rp *repair) reserveBefore(t int64) {
 // until cannot find one either: such a test is skipped.
 func (s *ConservativeStarter) moves(j *job.Job, f, now int64) bool {
 	rp := &s.rep
-	if f == now || rp.minEst[j.Nodes] <= j.Estimate {
+	if f == now || rp.minEst[min(j.Nodes, rp.hi)] <= j.Estimate {
 		return false
 	}
 	if !rp.ready {
@@ -129,8 +132,17 @@ func (s *ConservativeStarter) moves(j *job.Job, f, now int64) bool {
 		return true
 	}
 	if t >= rp.until {
-		for w := j.Nodes; w < len(rp.minEst) && rp.minEst[w] > j.Estimate; w++ {
-			rp.minEst[w] = j.Estimate
+		m, w, hi := rp.minEst, j.Nodes, rp.hi
+		if w > hi {
+			// Widths in (hi, w] share minEst[hi]; with nothing recorded
+			// yet they are math.MaxInt64 already.
+			for x := hi + 1; rp.lo <= hi && x <= w; x++ {
+				m[x] = m[hi]
+			}
+			hi, rp.hi = w, w
+		}
+		for ; w <= hi && m[w] > j.Estimate; w++ {
+			m[w] = j.Estimate
 		}
 		rp.lo = min(rp.lo, j.Nodes)
 	}

@@ -521,8 +521,7 @@ type ConservativeStarter struct {
 	// scratch is the reusable reservation profile; Reset recycles its
 	// step storage. A Starter is owned by one simulation goroutine, so
 	// this is not a race. factory selects the backend (default:
-	// profile.NewTree, which keeps profiles of up to 1,024 steps on its
-	// O(S) array and moves larger ones to the O(log S) treap).
+	// profile.NewTree, the blocked step array).
 	scratch profile.Kernel
 	factory ProfileFactory
 	// announced holds maintenance windows (FailureAware): each pass carves

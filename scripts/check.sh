@@ -33,8 +33,8 @@
 #                single pass can miss
 #   fuzz-smoke   fixed-budget runs of the fuzz targets: the SWF reader
 #                (trace.FuzzReadSWF), the availability-profile
-#                differential oracle (profile.FuzzProfileOps), the tree
-#                kernel's structural invariants under the same oracle
+#                differential oracle (profile.FuzzProfileOps), the profile
+#                kernel's block invariants under the same oracle
 #                (profile.FuzzProfileTree), the fault-schedule
 #                generator/simulator invariants
 #                (faults.FuzzFailureSchedule), the daemon's snapshot
@@ -46,6 +46,11 @@
 #                budget — regressions on the seeded corpus and shallow
 #                mutations fail here; deep exploration is for manual
 #                `make fuzz` sessions
+#   bench-shapes go test -bench Shape -benchtime 1x -short over
+#                internal/profile — one op of each short shape-suite
+#                benchmark (the fragmented t = 0 pass at 1k and 4k jobs,
+#                the 10k staircase), so the suite that fixed the profile
+#                kernel's block size keeps compiling and running
 #   bench-smoke  go run ./benchmark -smoke — the repository's benchmark
 #                at tiny sizes: all six workloads run end to end, and the
 #                schedules they produce must match the committed
@@ -98,6 +103,7 @@ run fuzz-smoke go test -run='^$' -fuzz='^FuzzFailureSchedule$' -fuzztime=500x ./
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzReadSnapshot$' -fuzztime=500x ./internal/serve
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzIndexOps$' -fuzztime=500x ./internal/queue
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzIDTable$' -fuzztime=500x ./internal/queue
+run bench-shapes go test -run '^$' -bench Shape -benchtime 1x -short ./internal/profile
 
 step=bench-smoke
 echo "==> bench-smoke: go run ./benchmark -smoke"
