@@ -23,7 +23,7 @@ vet:
 
 # Repo-specific static analysis (internal/lint, DESIGN.md §9 and §13):
 # the full analyzer suite — including the protocol-aware contract
-# analyzers (passprotocol, streamcontract, journalsync, errflow) — then
+# analyzers (streamcontract, journalsync, errflow) — then
 # the suppression-budget audit with its per-analyzer ceilings.
 lint:
 	$(GO) run ./cmd/jobschedlint ./...

@@ -1,11 +1,10 @@
 // Command jobschedlint runs jobsched's repo-specific static-analysis
 // suite (internal/lint): the determinism (maprange), wallclock-hygiene,
 // telemetry-guard, checked-arithmetic and sim-purity analyzers, plus the
-// protocol-aware contract analyzers — passprotocol (kernel batch passes
-// open and close in one frame), streamcontract (Source.Next sentinel
-// handling, no Sink+Validate, bounded job retention), journalsync
-// (fsync-before-rename and success-only journal appends) and errflow
-// (no silently dropped errors in the core layers). Together they
+// protocol-aware contract analyzers — streamcontract (Source.Next
+// sentinel handling, bounded job retention), journalsync (fsync after
+// write and before rename) and errflow (no silently dropped errors in
+// the core layers). Together they
 // mechanically enforce the invariants the paper's evaluation methodology
 // assumes (replayable simulations, order-independent results, crash-safe
 // evaluation). The wallclock and simpurity checks propagate transitively

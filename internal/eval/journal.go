@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -21,8 +22,8 @@ import (
 // to an uninterrupted run.
 //
 // The format is deliberately line-oriented: a crash mid-write leaves at
-// most one torn final line, which resume detects (it fails to parse) and
-// drops — that cell simply re-runs. Dropping any malformed line is safe
+// most one torn final line, which resume detects (it has no newline) and
+// cuts off — that cell simply re-runs. Dropping any malformed line is safe
 // for the same reason: the journal is a cache, never the only copy.
 type Journal struct {
 	mu   sync.Mutex
@@ -119,14 +120,23 @@ func parseJournal(data []byte) (recs []journalRecord, stamp uint64, stamped bool
 // true, existing completed cells are loaded and later served by Lookup;
 // with resume false any previous content is truncated and the run starts
 // from scratch.
+//
+// A resumed journal is cut back to its last newline first: an
+// unterminated final line is a torn write (Record writes the newline
+// with the line), and the next append would otherwise be glued onto it
+// and dropped with it at the following resume.
 func OpenJournal(path string, resume bool) (*Journal, error) {
 	j := &Journal{done: make(map[string]Cell)}
+	var torn bool
+	var validEnd int
 	if resume {
 		data, err := os.ReadFile(path)
 		if err != nil && !os.IsNotExist(err) {
 			return nil, fmt.Errorf("eval: journal: %w", err)
 		}
-		recs, stamp, stamped, err := parseJournal(data)
+		validEnd = bytes.LastIndexByte(data, '\n') + 1
+		torn = validEnd < len(data)
+		recs, stamp, stamped, err := parseJournal(data[:validEnd])
 		if err != nil {
 			return nil, err
 		}
@@ -142,6 +152,13 @@ func OpenJournal(path string, resume bool) (*Journal, error) {
 	f, err := os.OpenFile(path, flags, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("eval: journal: %w", err)
+	}
+	if torn {
+		if err := f.Truncate(int64(validEnd)); err != nil {
+			cerr := f.Close()
+			_ = cerr // the truncate failure is the actionable error
+			return nil, fmt.Errorf("eval: journal: cutting torn tail: %w", err)
+		}
 	}
 	j.f = f
 	return j, nil
@@ -193,7 +210,8 @@ func (j *Journal) Fingerprint() (uint64, bool) {
 //
 // The merge is atomic: it is written to a temp file, fsynced, and
 // renamed over dst only on success, so a failed or interrupted merge
-// never destroys an existing journal at dst.
+// never destroys an existing journal at dst. The directory is fsynced
+// after the rename, so the new name survives a crash too.
 func MergeJournals(dst string, srcs ...string) error {
 	if len(srcs) == 0 {
 		return fmt.Errorf("eval: merge needs at least one source journal")
@@ -260,7 +278,21 @@ func MergeJournals(dst string, srcs ...string) error {
 		_ = os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, dst)
+	if err := os.Rename(tmp, dst); err != nil {
+		return err
+	}
+	// Durably record the rename itself: without the directory fsync a
+	// crash can forget the new name while keeping the new inode.
+	d, err := os.Open(filepath.Dir(dst))
+	if err != nil {
+		return fmt.Errorf("eval: merge: syncing dir: %w", err)
+	}
+	if err := d.Sync(); err != nil {
+		cerr := d.Close()
+		_ = cerr // the sync failure is the actionable error
+		return fmt.Errorf("eval: merge: syncing dir: %w", err)
+	}
+	return d.Close()
 }
 
 func caseFromString(s string) (Case, error) {
@@ -283,7 +315,14 @@ func (j *Journal) Lookup(grid string, c Case, o sched.OrderName, s sched.StartNa
 
 // Record appends a completed cell and fsyncs, so the entry survives a
 // crash immediately after. Safe for concurrent use by a Parallel grid.
+//
+// A cell whose Err is set is refused: resume trusts journaled cells and
+// never re-runs them, so journaling a failure would make a transient
+// error permanent.
 func (j *Journal) Record(grid string, c Case, cell Cell) error {
+	if cell.Err != "" {
+		return fmt.Errorf("eval: journal: cell %s/%s failed, only successful cells are journaled: %s", cell.Order, cell.Start, cell.Err)
+	}
 	line, err := json.Marshal(journalRecord{
 		Grid:      grid,
 		Case:      c.String(),

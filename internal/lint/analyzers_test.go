@@ -66,7 +66,6 @@ var corpusCases = []struct {
 	{"checkedarith", "testdata/checkedarith_helpers", "jobsched/internal/job"},
 	{"simpurity", "testdata/simpurity", "jobsched/internal/profile/fixture"},
 	{"simpurity", "testdata/simpurity_transitive", "jobsched/internal/sched/fixture"},
-	{"passprotocol", "testdata/passprotocol", "jobsched/internal/sched/fixture"},
 	{"streamcontract", "testdata/streamcontract", "jobsched/internal/cli/fixture"},
 	{"streamcontract", "testdata/streamcontract_sim", "jobsched/internal/sim"},
 	{"journalsync", "testdata/journalsync", "jobsched/internal/eval/fixture"},
@@ -131,7 +130,6 @@ func TestScopeFiltering(t *testing.T) {
 		{"checkedarith", "testdata/checkedarith", "jobsched/internal/stats"},
 		{"simpurity", "testdata/simpurity", "jobsched/internal/cli"},
 		{"wallclock", "testdata/wallclock", "jobsched/benchmark"},
-		{"passprotocol", "testdata/passprotocol", "jobsched/internal/profile"},
 		{"streamcontract", "testdata/streamcontract_sim", "jobsched/internal/stats"},
 		{"journalsync", "testdata/journalsync", "jobsched/internal/sim"},
 		{"errflow", "testdata/errflow", "jobsched/internal/cli"},
@@ -168,7 +166,7 @@ func TestCorpusCoversAllAnalyzers(t *testing.T) {
 // and diagnostics, so renames are breaking changes).
 func TestAnalyzerMetadata(t *testing.T) {
 	want := []string{"maprange", "wallclock", "telemetryguard", "checkedarith", "simpurity",
-		"passprotocol", "streamcontract", "journalsync", "errflow"}
+		"streamcontract", "journalsync", "errflow"}
 	all := Analyzers()
 	if len(all) != len(want) {
 		t.Fatalf("Analyzers() = %d analyzers, want %d", len(all), len(want))

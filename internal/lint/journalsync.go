@@ -14,10 +14,8 @@ var journalSyncScope = []string{
 	"jobsched/internal/serve",
 }
 
-const evalPkgPath = "jobsched/internal/eval"
-
 // JournalSyncAnalyzer returns the journal-durability analyzer. The
-// journal's crash-safety argument (DESIGN §10) rests on three write
+// journal's crash-safety argument (DESIGN §10) rests on two write
 // disciplines that nothing in the type system enforces:
 //
 //   - every (*os.File).Write/WriteString is followed by a Sync on the
@@ -28,14 +26,14 @@ const evalPkgPath = "jobsched/internal/eval"
 //     rename must be preceded (in the same function) by an fsync —
 //     directly, or through a package-local call that transitively
 //     reaches (*os.File).Sync (e.g. Journal.Record, which syncs every
-//     line);
-//   - Journal.Record is append-on-success only: recording a cell whose
-//     Err field is set would make a transient failure permanent, because
-//     resume trusts journaled cells and never re-runs them.
+//     line).
+//
+// That the journal holds only successful cells is not a lint rule:
+// eval.Journal.Record refuses a cell whose Err is set.
 func JournalSyncAnalyzer() *Analyzer {
 	a := &Analyzer{
 		Name: "journalsync",
-		Doc:  "journal durability: fsync after write and before rename, and never journal a failed cell",
+		Doc:  "journal durability: fsync after write and before rename",
 	}
 	a.Run = func(pass *Pass) {
 		if !inScope(pass.Pkg.Path, journalSyncScope) {
@@ -43,7 +41,6 @@ func JournalSyncAnalyzer() *Analyzer {
 		}
 		checkWriteSync(pass)
 		checkRenameSync(pass)
-		checkSuccessOnly(pass)
 	}
 	return a
 }
@@ -190,97 +187,4 @@ func checkRenameSync(pass *Pass) {
 			return true
 		})
 	}
-}
-
-// journalRecordCall reports whether the call is Journal.Record — a
-// method named Record on a receiver whose (possibly pointer) type is
-// named Journal and declared under internal/eval (the fixture corpus
-// defines its own). Returns the cell argument, by convention the last.
-func (p *Package) journalRecordCall(call *ast.CallExpr) (ast.Expr, bool) {
-	fn := p.calleeFunc(call)
-	if fn == nil || fn.Name() != "Record" || fn.Pkg() == nil || !hasPathPrefix(fn.Pkg().Path(), evalPkgPath) {
-		return nil, false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || len(call.Args) == 0 {
-		return nil, false
-	}
-	t := sig.Recv().Type()
-	if ptr, isPtr := t.(*types.Pointer); isPtr {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "Journal" {
-		return nil, false
-	}
-	return call.Args[len(call.Args)-1], true
-}
-
-// checkSuccessOnly flags Journal.Record calls whose cell argument
-// visibly carries an error: a composite literal setting Err to a
-// non-empty value, or an identifier whose Err field was assigned earlier
-// in the function.
-func checkSuccessOnly(pass *Pass) {
-	for _, f := range pass.Pkg.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			// Chains whose .Err field is assigned in this function, with the
-			// position of the first such assignment.
-			errSet := map[string]token.Pos{}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				as, ok := n.(*ast.AssignStmt)
-				if !ok {
-					return true
-				}
-				for _, lhs := range as.Lhs {
-					sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-					if !ok || sel.Sel.Name != "Err" {
-						continue
-					}
-					if key := flattenExpr(sel.X); key != "" {
-						if cur, seen := errSet[key]; !seen || as.Pos() < cur {
-							errSet[key] = as.Pos()
-						}
-					}
-				}
-				return true
-			})
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				cellArg, ok := pass.Pkg.journalRecordCall(call)
-				if !ok {
-					return true
-				}
-				if cl, isLit := ast.Unparen(cellArg).(*ast.CompositeLit); isLit {
-					for _, el := range cl.Elts {
-						kv, ok := el.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Err" && !isEmptyString(kv.Value) {
-							pass.Reportf(call.Pos(), "Journal.Record of a cell with Err set: the journal is append-on-success only — a journaled failure is trusted by resume and never re-runs")
-						}
-					}
-					return true
-				}
-				if key := flattenExpr(cellArg); key != "" {
-					if pos, tainted := errSet[key]; tainted && pos < call.Pos() {
-						pass.Reportf(call.Pos(), "Journal.Record of %q after its Err field was assigned: the journal is append-on-success only — a journaled failure is trusted by resume and never re-runs", key)
-					}
-				}
-				return true
-			})
-		}
-	}
-}
-
-func isEmptyString(e ast.Expr) bool {
-	lit, ok := ast.Unparen(e).(*ast.BasicLit)
-	return ok && lit.Kind == token.STRING && (lit.Value == `""` || lit.Value == "``")
 }

@@ -203,7 +203,6 @@ func Analyzers() []*Analyzer {
 		TelemetryGuardAnalyzer(),
 		CheckedArithAnalyzer(),
 		SimPurityAnalyzer(),
-		PassProtocolAnalyzer(),
 		StreamContractAnalyzer(),
 		JournalSyncAnalyzer(),
 		ErrFlowAnalyzer(),

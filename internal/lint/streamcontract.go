@@ -19,34 +19,30 @@ const (
 )
 
 // StreamContractAnalyzer returns the streaming-protocol analyzer. The
-// sim.Source contract has three load-bearing conventions that the type
+// sim.Source contract has two load-bearing conventions that the type
 // system cannot express, and each has a cheap syntactic witness:
 //
 //   - Next returns (nil, nil) as the done sentinel. A caller that never
 //     compares the returned *job.Job against nil will dereference the
 //     sentinel on the first exhausted source; every Next call site must
 //     have a nil check on the job result (and must not blank the error).
-//   - Options.Validate replays the whole schedule against a fresh
-//     profile after the run — it needs the full allocation slice, which
-//     streaming mode (Sink != nil) deliberately never materializes. The
-//     engine rejects the combination at run time; the analyzer rejects
-//     the literal or the assignment pair statically, before a grid
-//     sweep burns an hour to hit the error.
 //   - Streaming exists to bound memory: RunStream holds O(batch), not
 //     O(jobs). Growing a []*job.Job inside internal/sim without a
 //     same-function x = x[:0] reset reintroduces the O(jobs) footprint
 //     the mode was built to avoid.
+//
+// Combining Options.Sink with Options.Validate is not a lint rule: the
+// engine refuses the pair on entry, so the first cell of a run fails.
 func StreamContractAnalyzer() *Analyzer {
 	a := &Analyzer{
 		Name: "streamcontract",
-		Doc:  "streaming protocol: handle Source.Next's nil-job done sentinel, never combine Sink with Validate, no unbounded job-slice growth in the engine",
+		Doc:  "streaming protocol: handle Source.Next's nil-job done sentinel, no unbounded job-slice growth in the engine",
 	}
 	a.Run = func(pass *Pass) {
 		if !inScope(pass.Pkg.Path, streamContractScope) {
 			return
 		}
 		checkNextSentinel(pass)
-		checkSinkValidate(pass)
 		if pass.Pkg.Path == simPkgPath {
 			checkJobRetention(pass)
 		}
@@ -129,129 +125,6 @@ func checkNextSentinel(pass *Pass) {
 					pass.Reportf(as.Lhs[0].Pos(), "Source.Next job result discarded with _: the nil job IS the done sentinel; dropping it makes the stream end undetectable")
 				case !nilChecked[jobKey]:
 					pass.Reportf(call.Pos(), "Source.Next result %q is never nil-checked in this function: Next returns (nil, nil) as the done sentinel, and the first exhausted source will be dereferenced", jobKey)
-				}
-				return true
-			})
-		}
-	}
-}
-
-// simOptionsType reports whether t (or *t) is sim.Options.
-func isSimOptions(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == simPkgPath && obj.Name() == "Options"
-}
-
-func isTrueIdent(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "true"
-}
-
-func isNilExpr(e ast.Expr) bool {
-	return isNilIdent(ast.Unparen(e))
-}
-
-// checkSinkValidate statically rejects the Sink+Validate combination the
-// engine refuses at run time: in sim.Options composite literals, and in
-// same-function field-assignment pairs on the same options value.
-func checkSinkValidate(pass *Pass) {
-	// Composite literals.
-	pass.Pkg.inspectWithStack(func(n ast.Node, stack []ast.Node) bool {
-		cl, ok := n.(*ast.CompositeLit)
-		if !ok {
-			return true
-		}
-		tv, ok := pass.Pkg.Info.Types[cl]
-		if !ok || !isSimOptions(tv.Type) {
-			return true
-		}
-		var validatePos ast.Expr
-		sink := false
-		for _, el := range cl.Elts {
-			kv, ok := el.(*ast.KeyValueExpr)
-			if !ok {
-				continue
-			}
-			key, ok := kv.Key.(*ast.Ident)
-			if !ok {
-				continue
-			}
-			switch key.Name {
-			case "Validate":
-				if isTrueIdent(kv.Value) {
-					validatePos = kv.Value
-				}
-			case "Sink":
-				if !isNilExpr(kv.Value) {
-					sink = true
-				}
-			}
-		}
-		if validatePos != nil && sink {
-			pass.Reportf(validatePos.Pos(), "sim.Options combines Sink with Validate: true — validation replays the full allocation slice that streaming mode never materializes; the engine rejects this at run time")
-		}
-		return true
-	})
-
-	// Field-assignment pairs within one function.
-	for _, f := range pass.Pkg.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			type fieldSet struct {
-				validate ast.Node
-				sink     ast.Node
-			}
-			sets := map[string]*fieldSet{} // options chain key → fields set
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				as, ok := n.(*ast.AssignStmt)
-				if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-					return true
-				}
-				sel, ok := ast.Unparen(as.Lhs[0]).(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				tv, ok := pass.Pkg.Info.Types[sel.X]
-				if !ok || !isSimOptions(tv.Type) {
-					return true
-				}
-				base := flattenExpr(sel.X)
-				if base == "" {
-					return true
-				}
-				fs := sets[base]
-				if fs == nil {
-					fs = &fieldSet{}
-					sets[base] = fs
-				}
-				switch sel.Sel.Name {
-				case "Validate":
-					if isTrueIdent(as.Rhs[0]) {
-						fs.validate = as
-					}
-				case "Sink":
-					if !isNilExpr(as.Rhs[0]) {
-						fs.sink = as
-					}
-				}
-				if fs.validate != nil && fs.sink != nil {
-					// Report at the later of the two assignments, once.
-					later := fs.validate
-					if fs.sink.Pos() > later.Pos() {
-						later = fs.sink
-					}
-					pass.Reportf(later.Pos(), "%s sets both Sink and Validate: true — streaming never materializes the allocation slice validation replays; the engine rejects this at run time", base)
-					fs.validate, fs.sink = nil, nil // one report per pair
 				}
 				return true
 			})

@@ -1,14 +1,9 @@
 // Corpus for the journalsync analyzer. Loaded with the synthetic import
 // path jobsched/internal/eval/fixture — inside the evaluation layer's
-// durability boundary. The local Journal/Cell types mirror the real
-// journal's shape so the success-only rule can be pinned without
-// importing the package under test.
+// durability boundary.
 package fixture
 
-import (
-	"fmt"
-	"os"
-)
+import "os"
 
 // flaggedUnsyncedWrite: the append may sit in the page cache when the
 // caller reports the cell complete.
@@ -59,43 +54,4 @@ func flush(f *os.File) error {
 		return err
 	}
 	return f.Sync()
-}
-
-// Journal mirrors the real journal for the success-only rule.
-type Journal struct{ f *os.File }
-
-// Cell mirrors eval.Cell's error-carrying shape.
-type Cell struct {
-	Value float64
-	Err   string
-}
-
-// Record appends one cell line and fsyncs, like the real journal.
-func (j *Journal) Record(grid string, c Cell) error {
-	line := fmt.Sprintf("%s %g %s\n", grid, c.Value, c.Err)
-	if _, err := j.f.WriteString(line); err != nil {
-		return err
-	}
-	return j.f.Sync()
-}
-
-// flaggedRecordErrLiteral journals a failure outright.
-func flaggedRecordErrLiteral(j *Journal) error {
-	return j.Record("grid", Cell{Value: 1, Err: "simulate: boom"}) // want `Journal.Record of a cell with Err set`
-}
-
-// flaggedRecordTainted journals a cell after marking it failed.
-func flaggedRecordTainted(j *Journal, c Cell, err error) error {
-	c.Err = err.Error()
-	return j.Record("grid", c) // want `Journal.Record of "c" after its Err field was assigned`
-}
-
-// okRecordClean: success-only appends.
-func okRecordClean(j *Journal, c Cell) error {
-	return j.Record("grid", c)
-}
-
-// okRecordEmptyErrLiteral: an explicit empty Err is not a failure.
-func okRecordEmptyErrLiteral(j *Journal) error {
-	return j.Record("grid", Cell{Value: 2, Err: ""})
 }

@@ -1,6 +1,6 @@
-// Corpus for the streamcontract analyzer's caller-side rules. Loaded
+// Corpus for the streamcontract analyzer's caller-side rule. Loaded
 // with the synthetic import path jobsched/internal/cli/fixture — a
-// driver wiring sources and sinks into the engine.
+// driver consuming a source.
 package fixture
 
 import (
@@ -46,31 +46,4 @@ func okDrainLoop(src sim.Source) (int, error) {
 		}
 		n++
 	}
-}
-
-// flaggedOptionsLiteral: validation needs the retained schedule that
-// streaming never materializes.
-func flaggedOptionsLiteral(s sim.Sink) sim.Options {
-	return sim.Options{Validate: true, Sink: s} // want `sim.Options combines Sink with Validate: true`
-}
-
-// flaggedFieldPair: the same combination assembled field by field.
-func flaggedFieldPair(opt *sim.Options, s sim.Sink) {
-	opt.Validate = true
-	opt.Sink = s // want `opt sets both Sink and Validate: true`
-}
-
-// okValidateOnly: a batch run may validate.
-func okValidateOnly() sim.Options {
-	return sim.Options{Validate: true}
-}
-
-// okSinkOnly: a streaming run may sink.
-func okSinkOnly(s sim.Sink) sim.Options {
-	return sim.Options{Sink: s}
-}
-
-// okSinkNilLiteral: an explicit nil sink is not streaming mode.
-func okSinkNilLiteral() sim.Options {
-	return sim.Options{Validate: true, Sink: nil}
 }

@@ -159,16 +159,6 @@ func (p *Package) processStream(e ast.Expr) (string, bool) {
 	return "", false
 }
 
-// fileOf returns the *ast.File containing pos.
-func (p *Package) fileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
 // baseFilename returns the basename of the file holding pos.
 func (p *Package) baseFilename(pos token.Pos) string {
 	name := p.Fset.Position(pos).Filename

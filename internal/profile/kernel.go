@@ -36,7 +36,8 @@ type Kernel interface {
 	ReserveClamped(nodes int, start, end int64)
 	// Release adds free nodes on [start, end); panics beyond machine size.
 	Release(nodes int, start, end int64)
-	// BeginPass opens a batched scheduling pass (see StartMany).
+	// BeginPass sets the time StartMany places from (see StartMany).
+	// The conservative walk calls it once per pass.
 	BeginPass(now int64)
 	// StartMany places each request at its earliest fit from the pass
 	// time and reserves it, appending the start times to `starts`. The
@@ -47,8 +48,10 @@ type Kernel interface {
 	// one request at a time; Tree answers each request with a single
 	// scan.
 	StartMany(reqs []StartReq, starts []int64) []int64
-	// CommitPass closes the pass, restoring the canonical form when the
-	// implementation deferred coalescing work during the pass.
+	// CommitPass does nothing in every implementation: no operation
+	// defers work, so a pass has nothing to close. Production does not
+	// call it; it stays because the benchmark's timing wrapper forwards
+	// it.
 	CommitPass()
 	// StepCount returns the number of steps (diagnostics, tests).
 	StepCount() int

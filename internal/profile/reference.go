@@ -255,8 +255,7 @@ func (p *Reference) MinFree(start, end int64) int {
 	return min
 }
 
-// BeginPass opens a batched scheduling pass anchored at `now`. The
-// oracle defers nothing: the pass only records the anchor time.
+// BeginPass sets the time StartMany places from.
 func (p *Reference) BeginPass(now int64) { p.passNow = now }
 
 // StartMany places each request at its earliest fit from the pass time
@@ -266,7 +265,7 @@ func (p *Reference) StartMany(reqs []StartReq, starts []int64) []int64 {
 	return startManySequential(p, reqs, p.passNow, starts)
 }
 
-// CommitPass closes the pass. Nothing was deferred: no-op.
+// CommitPass does nothing: the oracle defers no work.
 func (p *Reference) CommitPass() {}
 
 // StepCount returns the number of steps (diagnostics, complexity tests).

@@ -26,11 +26,12 @@ type Stats struct {
 	Resets         int64
 
 	// Batch-pass counters (BeginPass/StartMany; see kernel.go). Passes
-	// counts opened passes, BatchedStarts the requests placed through
-	// StartMany. Excluded from Total: a batched start still performs its
-	// EarliestFit and Reserve, which Total already counts — adding the
-	// pass bookkeeping would double-count work and shift every report
-	// that predates the batch API.
+	// counts BeginPass calls, one per conservative backfilling walk;
+	// BatchedStarts the requests placed through StartMany. Excluded
+	// from Total: a batched start still performs its EarliestFit and
+	// Reserve, which Total already counts — adding the pass bookkeeping
+	// would double-count work and shift every report that predates the
+	// batch API.
 	Passes        int64
 	BatchedStarts int64
 	// Scanned counts the steps and the block and group bounds the

@@ -240,7 +240,7 @@ func (t *Tree) ReserveClamped(nodes int, start, end int64) {
 	t.rebalance(bs, be)
 }
 
-// BeginPass opens a batched scheduling pass anchored at `now`.
+// BeginPass sets the time StartMany places from and counts the pass.
 func (t *Tree) BeginPass(now int64) {
 	t.passNow = now
 	if t.stats != nil {
@@ -301,8 +301,8 @@ func (t *Tree) startOne(nodes int, duration int64, notBefore int64) int64 {
 	return start
 }
 
-// CommitPass closes the pass. Every operation keeps the canonical form,
-// so there is nothing left to do.
+// CommitPass does nothing: every operation keeps the canonical form,
+// so a pass has nothing to close.
 func (t *Tree) CommitPass() {}
 
 // StepCount returns the number of steps (diagnostics, complexity tests).

@@ -285,7 +285,6 @@ func (s *EASYStarter) PickMany(ix *queue.Index, now int64, free int, running []s
 	if drainsPending(s.announced, now) {
 		s.buildDrainProfile(now, running, machineNodes)
 		p := s.scratch
-		p.BeginPass(now)
 		for ix.Len() > 0 && free > 0 && !stopNow(s.interrupt) {
 			if len(s.picked) >= limit {
 				break
@@ -303,7 +302,6 @@ func (s *EASYStarter) PickMany(ix *queue.Index, now int64, free int, running []s
 			p.Reserve(j.Nodes, now, end)
 			ix.Hide(j)
 		}
-		p.CommitPass()
 		ix.UnhideAll()
 		return s.picked
 	}
@@ -743,7 +741,6 @@ func (s *ConservativeStarter) PickMany(ix *queue.Index, now int64, free int, run
 		}
 		w++
 	}
-	p.CommitPass()
 	// The kept fits this pass never reached stay kept behind the ones it
 	// rewrote (w <= visited, so the copy moves them down or nowhere).
 	if visited < k {

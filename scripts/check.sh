@@ -14,8 +14,8 @@
 #   lint         go run ./cmd/jobschedlint ./... — every repo-specific
 #                analyzer (determinism, wallclock hygiene, telemetry
 #                guards, checked arithmetic, sim purity; DESIGN.md §9)
-#                and the protocol-aware contract analyzers (passprotocol,
-#                streamcontract, journalsync, errflow; DESIGN.md §13);
+#                and the protocol-aware contract analyzers
+#                (streamcontract, journalsync, errflow; DESIGN.md §13);
 #                each finding names its analyzer
 #   lint-budget  scripts/lint-budget.sh — every //lint:ignore directive
 #                must be ledgered with a justification, and each

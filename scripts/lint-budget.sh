@@ -10,7 +10,8 @@
 #   budget <analyzer> <max-live-suppressions>
 #
 # An analyzer with live suppressions must have a budget line, and its
-# live count must not exceed the ceiling. The contract analyzers are
+# live count must not exceed the ceiling. A budget line must name an
+# analyzer that `jobschedlint -list` prints. The contract analyzers are
 # pinned at 0 so their invariants can only be suppressed by raising the
 # ceiling in a reviewed edit.
 #
@@ -32,6 +33,17 @@ status=0
 bad_budgets=$(awk '!/^#/ && $1 == "budget" && (NF != 3 || $3 !~ /^[0-9]+$/)' "$ledger")
 if [ -n "$bad_budgets" ]; then
 	printf 'lint-budget: malformed budget line: %s\n' "$bad_budgets" >&2
+	status=1
+fi
+
+# Every budget line must name an analyzer the suite still has: a ceiling
+# for a deleted analyzer guards nothing.
+known=$(go run ./cmd/jobschedlint -list | awk '{ print $1 }')
+stale_budgets=$(awk '!/^#/ && $1 == "budget" { print $2 }' "$ledger" | while read -r analyzer; do
+	printf '%s\n' "$known" | grep -qx "$analyzer" || printf '%s\n' "$analyzer"
+done)
+if [ -n "$stale_budgets" ]; then
+	printf 'lint-budget: budget line for an unknown analyzer: %s\n' "$stale_budgets" >&2
 	status=1
 fi
 
