@@ -61,7 +61,7 @@ examples-smoke:
 # Default-scale paper Tables 1-4 and 6 diffed against
 # results/evaluate_default.txt, and the exact-work ledger of Tables 3, 4
 # and 6 (evaluate -counters) against results/work_default.txt (Table 5
-# takes minutes and stays out).
+# takes 19-28 s on 2 vCPU and stays out).
 tables-smoke:
 	./scripts/tables-smoke.sh
 

@@ -34,26 +34,19 @@ func Load(opt LoadOptions) ([]*job.Job, int, error) {
 		return nil, 0, fmt.Errorf("cli: machine nodes must be positive")
 	}
 	switch opt.Kind {
-	case "ctc":
+	case "ctc", "prob":
 		if opt.Jobs <= 0 {
-			return nil, 0, fmt.Errorf("cli: ctc workload needs a job count")
+			return nil, 0, fmt.Errorf("cli: %s workload needs a job count", opt.Kind)
 		}
 		cfg := workload.DefaultCTCConfig()
 		cfg.SpanSeconds = cfg.SpanSeconds * int64(opt.Jobs) / int64(cfg.Jobs)
 		cfg.Jobs = opt.Jobs
 		cfg.Seed = opt.Seed
 		jobs, removed := trace.FilterMaxNodes(workload.CTC(cfg), opt.MachineNodes)
-		return jobs, removed, nil
-	case "prob":
-		if opt.Jobs <= 0 {
-			return nil, 0, fmt.Errorf("cli: prob workload needs a job count")
+		if opt.Kind == "ctc" {
+			return jobs, removed, nil
 		}
-		cfg := workload.DefaultCTCConfig()
-		cfg.SpanSeconds = cfg.SpanSeconds * int64(opt.Jobs) / int64(cfg.Jobs)
-		cfg.Jobs = opt.Jobs
-		cfg.Seed = opt.Seed
-		src, removed := trace.FilterMaxNodes(workload.CTC(cfg), opt.MachineNodes)
-		jobs, err := workload.Probabilistic(src, opt.Jobs, opt.Seed+1)
+		jobs, err := workload.Probabilistic(jobs, opt.Jobs, opt.Seed+1)
 		return jobs, removed, err
 	case "random":
 		if opt.Jobs <= 0 {

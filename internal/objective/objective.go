@@ -34,24 +34,10 @@ type AvgResponseTime struct{}
 // Name implements Metric.
 func (AvgResponseTime) Name() string { return "average response time" }
 
-// Eval implements Metric.
+// Eval implements Metric by folding s through sim.Aggregates.
 func (AvgResponseTime) Eval(s *sim.Schedule) float64 {
-	if len(s.Allocs) == 0 {
-		return 0
-	}
-	var sum float64
-	n := 0
-	for _, a := range s.Allocs {
-		if a.Aborted {
-			continue // the restarted attempt carries the response
-		}
-		sum += float64(a.ResponseTime())
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	g := s.Aggregates()
+	return g.AvgResponseTime()
 }
 
 // AvgWeightedResponseTime is the paper's night/weekend objective
@@ -64,27 +50,10 @@ type AvgWeightedResponseTime struct{}
 // Name implements Metric.
 func (AvgWeightedResponseTime) Name() string { return "average weighted response time" }
 
-// Eval implements Metric.
+// Eval implements Metric by folding s through sim.Aggregates.
 func (AvgWeightedResponseTime) Eval(s *sim.Schedule) float64 {
-	if len(s.Allocs) == 0 {
-		return 0
-	}
-	var sum float64
-	n := 0
-	for _, a := range s.Allocs {
-		if a.Aborted {
-			continue // the restarted attempt carries the response
-		}
-		// Weight = actual resource consumption; under kill-at-limit the
-		// consumed area is nodes × effective runtime.
-		w := float64(a.Job.Nodes) * float64(a.End-a.Start)
-		sum += w * float64(a.ResponseTime())
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	g := s.Aggregates()
+	return g.AvgWeightedResponseTime()
 }
 
 // Makespan is the completion time of the last job — the off-line load
@@ -141,23 +110,10 @@ type Utilization struct{}
 // Name implements Metric.
 func (Utilization) Name() string { return "utilization" }
 
-// Eval implements Metric.
+// Eval implements Metric by folding s through sim.Aggregates.
 func (Utilization) Eval(s *sim.Schedule) float64 {
-	mk := s.Makespan()
-	if mk == 0 {
-		return 0
-	}
-	var first int64 = mk
-	for _, a := range s.Allocs {
-		if a.Start < first {
-			first = a.Start
-		}
-	}
-	span := float64(mk-first) * float64(s.Machine.Nodes)
-	if span == 0 {
-		return 0
-	}
-	return s.UsedArea() / span
+	g := s.Aggregates()
+	return g.Utilization(s.Machine.Nodes)
 }
 
 // AvgWaitTime is the mean of start − submission (diagnostics).
@@ -166,22 +122,8 @@ type AvgWaitTime struct{}
 // Name implements Metric.
 func (AvgWaitTime) Name() string { return "average wait time" }
 
-// Eval implements Metric.
+// Eval implements Metric by folding s through sim.Aggregates.
 func (AvgWaitTime) Eval(s *sim.Schedule) float64 {
-	if len(s.Allocs) == 0 {
-		return 0
-	}
-	var sum float64
-	n := 0
-	for _, a := range s.Allocs {
-		if a.Aborted {
-			continue
-		}
-		sum += float64(a.WaitTime())
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	g := s.Aggregates()
+	return g.AvgWaitTime()
 }

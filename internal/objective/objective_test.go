@@ -134,3 +134,32 @@ func TestKilledJobWeightUsesEffectiveRuntime(t *testing.T) {
 		t.Errorf("weighted response = %v, want 7200", got)
 	}
 }
+
+func TestAbortedAttemptsCarryNoResponse(t *testing.T) {
+	// Job 0's first attempt is cut short by a failure at 30 and restarted
+	// at 40; job 1 runs undisturbed. The aborted attempt counts towards
+	// the used area only: responses 140 and 20, waits 40 and 0.
+	j0 := &job.Job{ID: 0, Nodes: 2, Submit: 0, Runtime: 100, Estimate: 100}
+	j1 := &job.Job{ID: 1, Nodes: 1, Submit: 5, Runtime: 20, Estimate: 20}
+	s := &sim.Schedule{
+		Machine: sim.Machine{Nodes: 4},
+		Allocs: []sim.Allocation{
+			{Job: j0, Start: 0, End: 30, Aborted: true},
+			{Job: j1, Start: 5, End: 25},
+			{Job: j0, Start: 40, End: 140},
+		},
+	}
+	for _, c := range []struct {
+		m    Metric
+		want float64
+	}{
+		{AvgResponseTime{}, (140 + 20) / 2},
+		{AvgWeightedResponseTime{}, (200*140 + 20*20) / 2},
+		{AvgWaitTime{}, (40 + 0) / 2},
+		{Utilization{}, (2*30 + 1*20 + 2*100) / (140.0 * 4)},
+	} {
+		if got := c.m.Eval(s); got != c.want {
+			t.Errorf("%s = %v, want %v", c.m.Name(), got, c.want)
+		}
+	}
+}

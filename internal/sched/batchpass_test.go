@@ -454,7 +454,7 @@ func TestReferenceSharesNoDecisionFunction(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"PickMany", "PickAdmitted", "Startable", "pickOneIx", "drainPickOneIx"} {
+	for _, want := range []string{"PickMany", "PickAdmitted", "Startable", "pickOne"} {
 		if !decisions[want] {
 			t.Errorf("production decision function %s not found: the scan is looking at the wrong files", want)
 		}

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"slices"
-
 	"jobsched/internal/job"
 	"jobsched/internal/queue"
 	"jobsched/internal/sim"
@@ -117,9 +115,7 @@ func (f *Filter) PickAdmitted(rule Admitter, ix *queue.Index, now int64, free in
 		free -= j.Nodes
 		// In ID order, as the engine hands running jobs over: the inner
 		// policy sees the set the engine would give it after this start.
-		r := sim.Running{Job: j, Start: now, EstEnd: job.AddSat(now, j.Estimate)}
-		i, _ := slices.BinarySearchFunc(run, r, byID)
-		run = slices.Insert(run, i, r)
+		run = joinRunning(run, j, now, byID)
 	}
 	f.runBuf = run[:0]
 	return f.picked

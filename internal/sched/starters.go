@@ -231,10 +231,10 @@ type EASYStarter struct {
 	// stats counts the drain profile's kernel operations.
 	rec   telemetry.Recorder
 	stats *profile.Stats
-	// announced holds the maintenance windows (FailureAware); when any
-	// window is still pending, PickMany switches from the sorted-completions
-	// shadow computation to a profile-based one that carves the drains
-	// out of future capacity.
+	// announced holds the maintenance windows (FailureAware); while any
+	// window is still pending, pickOne decides against a profile that
+	// carves the drains out of future capacity instead of the sorted
+	// completions.
 	announced []sim.Failure
 	// scratch is the reusable drain-aware availability profile (only
 	// allocated when windows are announced); factory selects its backend.
@@ -269,59 +269,44 @@ func (s *EASYStarter) Instrument(h telemetry.Hooks) {
 func (s *EASYStarter) Announce(windows []sim.Failure) { s.announced = windows }
 
 // PickMany implements Starter as the literal pick-one EASY loop with
-// picked jobs hidden pass-locally — except that the drain-aware path
-// builds its availability profile once per pass and extends it
-// incrementally with each started job, instead of rebuilding it per
-// start. The incremental Reserve equals the rebuild: a started job passed
-// the profile fit check, so within its reservation window the drains'
-// zero-clamp was not active and plain subtraction commutes with the
-// clamped drain subtraction.
+// picked jobs hidden pass-locally. The pass keeps what the next decision
+// needs instead of rebuilding it per start: the running list in shadow
+// order, sorted once with each pick inserted where the sort would have
+// put it, or — while an announced drain is pending — the drain-aware
+// profile, built once with each pick reserved on it. The incremental
+// Reserve equals the rebuild: a started job passed the profile fit
+// check, so within its reservation window the drains' zero-clamp was not
+// active and plain subtraction commutes with the clamped drain
+// subtraction.
 func (s *EASYStarter) PickMany(ix *queue.Index, now int64, free int, running []sim.Running, machineNodes, limit int) []*job.Job {
 	s.reset()
 	s.picked = s.picked[:0]
 	if ix.Len() == 0 {
 		return nil
 	}
-	if drainsPending(s.announced, now) {
+	drains := drainsPending(s.announced, now)
+	runLocal := s.runBuf[:0]
+	if drains {
 		s.buildDrainProfile(now, running, machineNodes)
-		p := s.scratch
-		for ix.Len() > 0 && free > 0 && !stopNow(s.interrupt) {
-			if len(s.picked) >= limit {
-				break
-			}
-			j := s.drainPickOneIx(ix, now, free)
-			if j == nil {
-				break
-			}
-			s.picked = append(s.picked, j)
-			free -= j.Nodes
-			end := job.AddSat(now, j.Estimate)
-			if end <= now {
-				end = now + 1
-			}
-			p.Reserve(j.Nodes, now, end)
-			ix.Hide(j)
-		}
-		ix.UnhideAll()
-		return s.picked
+	} else {
+		runLocal = append(runLocal, running...)
+		slices.SortFunc(runLocal, byEstEnd)
 	}
-	// The pass's running list in shadow order: sorted once, and each pick
-	// inserted where the sort would have put it.
-	runLocal := append(s.runBuf[:0], running...)
-	slices.SortFunc(runLocal, byEstEnd)
 	for ix.Len() > 0 && free > 0 && !stopNow(s.interrupt) {
 		if len(s.picked) >= limit {
 			break
 		}
-		j := s.pickOneIx(ix, now, free, runLocal)
+		j := s.pickOne(ix, now, free, runLocal, drains)
 		if j == nil {
 			break
 		}
 		s.picked = append(s.picked, j)
 		free -= j.Nodes
-		r := sim.Running{Job: j, Start: now, EstEnd: job.AddSat(now, j.Estimate)}
-		i, _ := slices.BinarySearchFunc(runLocal, r, byEstEnd)
-		runLocal = slices.Insert(runLocal, i, r)
+		if drains {
+			s.scratch.Reserve(j.Nodes, now, max(job.AddSat(now, j.Estimate), now+1))
+		} else {
+			runLocal = joinRunning(runLocal, j, now, byEstEnd)
+		}
 		ix.Hide(j)
 	}
 	s.runBuf = runLocal[:0]
@@ -329,17 +314,28 @@ func (s *EASYStarter) PickMany(ix *queue.Index, now int64, free int, running []s
 	return s.picked
 }
 
-// pickOneIx is the fault-free EASY decision against an explicit running
-// list sorted by byEstEnd: the backfill scan visits only candidates that
-// fit the free nodes (width-pruned), never the runs of too-wide jobs
-// between them. Depth = the candidate's rank in the remaining (visible)
-// order.
-func (s *EASYStarter) pickOneIx(ix *queue.Index, now int64, free int, running []sim.Running) *job.Job {
+// pickOne is the EASY decision: the head starts if it fits, else the
+// backfill scan visits only the candidates that fit the free nodes
+// (width-pruned), never the runs of too-wide jobs between them, and
+// starts the first that ends by the head's shadow time or leaves it its
+// nodes. Depth = the candidate's rank in the remaining (visible) order.
+//
+// Without drains, running is sorted by byEstEnd and gives the shadow.
+// While drains are pending (drains), the drain-aware scratch profile
+// models future capacity instead, in three places: a job must also fit
+// the profile for its whole estimated run from now, so nobody is started
+// straight into a known drain; the shadow time is the profile's earliest
+// fit for the head (which therefore lands after any drain the head
+// cannot straddle); and the spare nodes are what the profile leaves
+// free at the shadow. The width index only prunes the physical half of
+// the fit check; each surviving candidate still pays its profile query.
+func (s *EASYStarter) pickOne(ix *queue.Index, now int64, free int, running []sim.Running, drains bool) *job.Job {
+	p := s.scratch
 	head, headSlot := ix.First()
 	if head == nil {
 		return nil
 	}
-	if head.Nodes <= free {
+	if head.Nodes <= free && (!drains || p.EarliestFit(head.Nodes, head.Estimate, now) == now) {
 		s.stash(head, telemetry.Decision{
 			Starter: s.Name(), Reason: telemetry.ReasonHeadOfQueue, Head: telemetry.None,
 		})
@@ -348,7 +344,15 @@ func (s *EASYStarter) pickOneIx(ix *queue.Index, now int64, free int, running []
 	if ix.Len() == 1 {
 		return nil
 	}
-	shadow, spare := shadowTime(head, now, free, running)
+	var shadow int64
+	var spare int
+	if drains {
+		if shadow = p.EarliestFit(head.Nodes, head.Estimate, now); shadow < profile.Infinity {
+			spare = max(p.FreeAt(shadow)-head.Nodes, 0)
+		}
+	} else {
+		shadow, spare = shadowTime(head, now, free, running)
+	}
 	if s.rec != nil {
 		s.rec.Record(telemetry.Event{Type: telemetry.EventBackfill, At: now,
 			Job: telemetry.None, Starter: s.Name(), Head: int64(head.ID),
@@ -359,20 +363,21 @@ func (s *EASYStarter) pickOneIx(ix *queue.Index, now int64, free int, running []
 		if stopAt(s.interrupt, k) {
 			return nil
 		}
-		if job.AddSat(now, j.Estimate) <= shadow {
-			s.stash(j, telemetry.Decision{
-				Starter: s.Name(), Reason: telemetry.ReasonBackfillBeforeShadow,
-				Depth: ix.Rank(it.Slot()), Head: int64(head.ID), Shadow: shadow, Spare: spare,
-			})
-			return j
+		if drains && p.EarliestFit(j.Nodes, j.Estimate, now) != now {
+			continue
 		}
-		if j.Nodes <= spare {
-			s.stash(j, telemetry.Decision{
-				Starter: s.Name(), Reason: telemetry.ReasonBackfillSpareNodes,
-				Depth: ix.Rank(it.Slot()), Head: int64(head.ID), Shadow: shadow, Spare: spare,
-			})
-			return j
+		reason := telemetry.ReasonBackfillBeforeShadow
+		if job.AddSat(now, j.Estimate) > shadow {
+			if j.Nodes > spare {
+				continue
+			}
+			reason = telemetry.ReasonBackfillSpareNodes
 		}
+		s.stash(j, telemetry.Decision{
+			Starter: s.Name(), Reason: reason,
+			Depth: ix.Rank(it.Slot()), Head: int64(head.ID), Shadow: shadow, Spare: spare,
+		})
+		return j
 	}
 	return nil
 }
@@ -395,72 +400,6 @@ func (s *EASYStarter) buildDrainProfile(now int64, running []sim.Running, machin
 	reserveDrains(p, s.announced, now)
 }
 
-// drainPickOneIx is EASY's failure-aware decision, used while announced
-// maintenance windows are pending: future capacity is modeled by the
-// drain-aware scratch profile, the shadow time is the profile's earliest
-// fit for the head (which therefore lands *after* any drain the head
-// cannot straddle), and a job only starts now if the profile admits its
-// whole estimated run from now — so nobody is started straight into a
-// known drain. The width index only prunes the physical half of the fit
-// check; each surviving candidate still pays its profile query.
-func (s *EASYStarter) drainPickOneIx(ix *queue.Index, now int64, free int) *job.Job {
-	p := s.scratch
-	// fit: physically startable now (free nodes respect active outages)
-	// and the profile admits the whole estimated run starting now.
-	fit := func(j *job.Job) bool {
-		return j.Nodes <= free && p.EarliestFit(j.Nodes, j.Estimate, now) == now
-	}
-	head, headSlot := ix.First()
-	if head == nil {
-		return nil
-	}
-	if fit(head) {
-		s.stash(head, telemetry.Decision{
-			Starter: s.Name(), Reason: telemetry.ReasonHeadOfQueue, Head: telemetry.None,
-		})
-		return head
-	}
-	if ix.Len() == 1 {
-		return nil
-	}
-	shadow := p.EarliestFit(head.Nodes, head.Estimate, now)
-	spare := 0
-	if shadow < profile.Infinity {
-		if sp := p.FreeAt(shadow) - head.Nodes; sp > 0 {
-			spare = sp
-		}
-	}
-	if s.rec != nil {
-		s.rec.Record(telemetry.Event{Type: telemetry.EventBackfill, At: now,
-			Job: telemetry.None, Starter: s.Name(), Head: int64(head.ID),
-			Shadow: shadow, Spare: spare})
-	}
-	it := ix.IterAfter(headSlot)
-	for j, k := it.NextFit(free), 0; j != nil; j, k = it.NextFit(free), k+1 {
-		if stopAt(s.interrupt, k) {
-			return nil
-		}
-		if p.EarliestFit(j.Nodes, j.Estimate, now) != now {
-			continue
-		}
-		if job.AddSat(now, j.Estimate) <= shadow {
-			s.stash(j, telemetry.Decision{
-				Starter: s.Name(), Reason: telemetry.ReasonBackfillBeforeShadow,
-				Depth: ix.Rank(it.Slot()), Head: int64(head.ID), Shadow: shadow, Spare: spare,
-			})
-			return j
-		}
-		if j.Nodes <= spare {
-			s.stash(j, telemetry.Decision{
-				Starter: s.Name(), Reason: telemetry.ReasonBackfillSpareNodes,
-				Depth: ix.Rank(it.Slot()), Head: int64(head.ID), Shadow: shadow, Spare: spare,
-			})
-			return j
-		}
-	}
-	return nil
-}
-
 // shadowTime computes the head job's reservation: the earliest estimated
 // time at which enough nodes drain for the head, and the spare nodes left
 // over at that time after the head starts. ends must be sorted by
@@ -477,6 +416,15 @@ func shadowTime(head *job.Job, now int64, free int, ends []sim.Running) (shadow 
 	// simulator validates widths, so this is unreachable for valid jobs
 	// unless the queue head is wider than the machine.
 	return profile.Infinity, 0
+}
+
+// joinRunning inserts j, started now, into run — sorted by order —
+// where the sort would have put it: the running set a pass hands its
+// next decision.
+func joinRunning(run []sim.Running, j *job.Job, now int64, order func(a, b sim.Running) int) []sim.Running {
+	r := sim.Running{Job: j, Start: now, EstEnd: job.AddSat(now, j.Estimate)}
+	i, _ := slices.BinarySearchFunc(run, r, order)
+	return slices.Insert(run, i, r)
 }
 
 // byEstEnd orders running jobs by estimated completion, ties by ID: a
@@ -821,9 +769,7 @@ func (s *ConservativeStarter) remember(ix *queue.Index, now int64, running []sim
 	kp.changes = ix.Changes() + uint64(len(s.picked))
 	kp.running = append(kp.running[:0], running...)
 	for _, j := range s.picked {
-		r := sim.Running{Job: j, Start: now, EstEnd: job.AddSat(now, j.Estimate)}
-		i, _ := slices.BinarySearchFunc(kp.running, r, byID)
-		kp.running = slices.Insert(kp.running, i, r)
+		kp.running = joinRunning(kp.running, j, now, byID)
 	}
 }
 

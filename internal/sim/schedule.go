@@ -123,13 +123,14 @@ func (s *Schedule) Validate() error {
 	return nil
 }
 
-// UsedArea returns the summed node-seconds actually consumed by jobs.
-func (s *Schedule) UsedArea() float64 {
-	var sum float64
+// Aggregates folds the allocations, in order, into the schedule-level
+// metrics: the one definition the objective package evaluates.
+func (s *Schedule) Aggregates() Aggregates {
+	var g Aggregates
 	for _, a := range s.Allocs {
-		sum += float64(a.Job.Nodes) * float64(a.End-a.Start)
+		g.fold(a)
 	}
-	return sum
+	return g
 }
 
 // ByJobID returns the allocation for a given job ID, or nil.

@@ -81,7 +81,7 @@ func TestMakespanAndUsedArea(t *testing.T) {
 	if got := s.Makespan(); got != 250 {
 		t.Errorf("Makespan = %d, want 250", got)
 	}
-	if got := s.UsedArea(); got != 2*100+1*200 {
+	if got := s.Aggregates().UsedArea; got != 2*100+1*200 {
 		t.Errorf("UsedArea = %v", got)
 	}
 }
@@ -109,7 +109,7 @@ func TestByJobID(t *testing.T) {
 
 func TestEmptySchedule(t *testing.T) {
 	s := &Schedule{Machine: Machine{Nodes: 4}}
-	if s.Makespan() != 0 || s.UsedArea() != 0 {
+	if s.Makespan() != 0 || s.Aggregates().UsedArea != 0 {
 		t.Error("empty schedule has nonzero aggregates")
 	}
 	if err := s.Validate(); err != nil {

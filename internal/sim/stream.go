@@ -69,11 +69,14 @@ func (m MultiSink) Emit(a Allocation) error {
 	return nil
 }
 
-// Aggregates is a Sink accumulating the schedule-level metrics the
-// objective package computes from a retained schedule, in constant
-// memory. Response and wait sums are held as int64, so they are exact;
-// the weighted sum needs float64 and matches the objective package to
-// within summation-order rounding.
+// Aggregates is a Sink accumulating the schedule-level metrics in
+// constant memory. It is the one definition of the paper's schedule
+// objectives: objective.AvgResponseTime, AvgWeightedResponseTime,
+// AvgWaitTime and Utilization fold a retained schedule through it
+// (Schedule.Aggregates). Response and wait sums are held as int64, so
+// they are exact; the weighted and area sums are float64, so a stream
+// folded in completion order may differ from the same schedule folded
+// in allocation order by summation-order rounding.
 type Aggregates struct {
 	// Jobs counts finalized allocations, including failure-aborted
 	// attempts; Completed excludes them (aborted attempts carry no
@@ -86,8 +89,8 @@ type Aggregates struct {
 	// ResponseSum and WaitSum are summed over non-aborted allocations.
 	ResponseSum int64
 	WaitSum     int64
-	// WeightedSum accumulates resource-weighted responses: weight =
-	// nodes × actual execution time, as in objective.AvgWeightedResponseTime.
+	// WeightedSum accumulates resource-weighted responses over
+	// non-aborted allocations: weight = nodes × actual execution time.
 	WeightedSum float64
 	// UsedArea is the node-seconds consumed by all attempts, aborted
 	// ones included (they occupied the machine until the failure).
@@ -100,6 +103,12 @@ type Aggregates struct {
 
 // Emit implements Sink.
 func (g *Aggregates) Emit(a Allocation) error {
+	g.fold(a)
+	return nil
+}
+
+// fold adds one finalized allocation to the aggregates.
+func (g *Aggregates) fold(a Allocation) {
 	if g.Jobs == 0 || a.Start < g.FirstStart {
 		g.FirstStart = a.Start
 	}
@@ -110,7 +119,7 @@ func (g *Aggregates) Emit(a Allocation) error {
 	}
 	if a.Aborted {
 		g.AbortedAttempts++
-		return nil
+		return
 	}
 	g.Completed++
 	if a.Killed {
@@ -119,10 +128,11 @@ func (g *Aggregates) Emit(a Allocation) error {
 	g.ResponseSum = job.AddSat(g.ResponseSum, a.ResponseTime())
 	g.WaitSum = job.AddSat(g.WaitSum, a.WaitTime())
 	g.WeightedSum += float64(a.Job.Nodes) * float64(a.End-a.Start) * float64(a.ResponseTime())
-	return nil
 }
 
-// AvgResponseTime mirrors objective.AvgResponseTime.
+// AvgResponseTime is the paper's daytime objective (Example 5 rule 5):
+// the mean of completion − submission over completed jobs, all jobs
+// counting equally (rule 4: users are equal).
 func (g *Aggregates) AvgResponseTime() float64 {
 	if g.Completed == 0 {
 		return 0
@@ -130,7 +140,7 @@ func (g *Aggregates) AvgResponseTime() float64 {
 	return float64(g.ResponseSum) / float64(g.Completed)
 }
 
-// AvgWaitTime mirrors objective.AvgWaitTime.
+// AvgWaitTime is the mean of start − submission over completed jobs.
 func (g *Aggregates) AvgWaitTime() float64 {
 	if g.Completed == 0 {
 		return 0
@@ -138,7 +148,9 @@ func (g *Aggregates) AvgWaitTime() float64 {
 	return float64(g.WaitSum) / float64(g.Completed)
 }
 
-// AvgWeightedResponseTime mirrors objective.AvgWeightedResponseTime.
+// AvgWeightedResponseTime is the paper's night/weekend objective
+// (Section 4): response times weighted by the resources the job
+// consumed, averaged over completed jobs.
 func (g *Aggregates) AvgWeightedResponseTime() float64 {
 	if g.Completed == 0 {
 		return 0
@@ -146,8 +158,8 @@ func (g *Aggregates) AvgWeightedResponseTime() float64 {
 	return g.WeightedSum / float64(g.Completed)
 }
 
-// Utilization mirrors objective.Utilization on a machine of the given
-// size: used area over (makespan − first start) × nodes.
+// Utilization is the used fraction of node-seconds on a machine of the
+// given size: used area over (makespan − first start) × nodes.
 func (g *Aggregates) Utilization(nodes int) float64 {
 	span := float64(g.Makespan-g.FirstStart) * float64(nodes)
 	if g.Makespan == 0 || span == 0 {

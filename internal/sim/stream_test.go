@@ -180,7 +180,9 @@ func TestAggregatesMatchSchedule(t *testing.T) {
 	for _, j := range jobs {
 		j.Submit += 1000
 	}
-	opt := Options{Failures: []Failure{{At: 1070, Nodes: 2, Duration: 25}}}
+	// The failure takes the whole machine, so it aborts every attempt
+	// running at t=1070 and the aborted-attempt accounting is exercised.
+	opt := Options{Failures: []Failure{{At: 1070, Nodes: 4, Duration: 25}}}
 	want, err := Run(Machine{Nodes: 4}, jobs, &fifoScheduler{}, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -216,6 +218,9 @@ func TestAggregatesMatchSchedule(t *testing.T) {
 		respSum += a.ResponseTime()
 		waitSum += a.WaitTime()
 		weighted += float64(a.Job.Nodes) * float64(a.End-a.Start) * float64(a.ResponseTime())
+	}
+	if aborted == 0 {
+		t.Fatal("the failure aborted no attempt: the aborted-attempt accounting goes unchecked")
 	}
 	if agg.Jobs != int64(len(want.Schedule.Allocs)) || agg.Completed != completed ||
 		agg.AbortedAttempts != aborted || agg.Killed != killed {

@@ -64,8 +64,8 @@
 #                sections of results/evaluate_default.txt, and the exact
 #                work of Tables 3, 4 and 6 (evaluate -counters: profile
 #                and queue operation counts per cell) diffed against
-#                results/work_default.txt; Table 5 takes minutes and
-#                stays out
+#                results/work_default.txt; Table 5 takes 19-28 s on
+#                2 vCPU and stays out
 #   stream-smoke scripts/stream-smoke.sh — a ~1M-job synthetic trace
 #                simulated end-to-end under a GOMEMLIMIT heap ceiling
 #                (the bounded-memory streaming path), plus a 2-shard

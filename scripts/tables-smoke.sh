@@ -8,8 +8,8 @@
 # exact-work ledger, which must equal results/work_default.txt, and the
 # rest is the table. A ledger diff with matching tables means the same
 # decisions now cost a different amount of profile or queue work.
-# Table 5 stays out: it takes minutes (see EXPERIMENTS.md). Tables 7
-# and 8 are timings.
+# Table 5 stays out: it takes 19-28 s on 2 vCPU (see EXPERIMENTS.md).
+# Tables 7 and 8 are timings.
 # To accept a deliberate change, replace the section (or the ledger) with
 # the new output.
 set -eu
