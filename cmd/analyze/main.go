@@ -23,8 +23,8 @@ import (
 	"jobsched/internal/analysis"
 	"jobsched/internal/bounds"
 	"jobsched/internal/cli"
+	"jobsched/internal/durable"
 	"jobsched/internal/job"
-	"jobsched/internal/objective"
 	"jobsched/internal/sched"
 	"jobsched/internal/sim"
 	"jobsched/internal/stats"
@@ -210,12 +210,12 @@ func run(in, wl string, n, nodes int, seed int64, simulate bool, order, start st
 	if err != nil {
 		return err
 	}
-	resp := objective.AvgResponseTime{}.Eval(res.Schedule)
+	agg := res.Schedule.Aggregates()
 	fmt.Printf("\n== schedule (%s) ==\n", alg.Name())
 	fmt.Printf("avg response time:  %.4g s (gap vs bound: %.1f%%)\n",
-		resp, bounds.Gap(resp, lbResp)*100)
-	fmt.Printf("makespan:           %d s\n", res.Schedule.Makespan())
-	fmt.Printf("utilization:        %.1f%%\n", objective.Utilization{}.Eval(res.Schedule)*100)
+		agg.AvgResponseTime(), bounds.Gap(agg.AvgResponseTime(), lbResp)*100)
+	fmt.Printf("makespan:           %d s\n", agg.Makespan)
+	fmt.Printf("utilization:        %.1f%%\n", agg.Utilization(nodes)*100)
 	util := analysis.UtilizationSeries(res.Schedule)
 	backlog := analysis.BacklogSeries(res.Schedule)
 	fmt.Printf("peak backlog:       %.0f jobs\n", analysis.MaxValue(backlog))
@@ -226,15 +226,10 @@ func run(in, wl string, n, nodes int, seed int64, simulate bool, order, start st
 			name    string
 			samples []analysis.Sample
 		}{{"utilization", util}, {"backlog", backlog}} {
-			f, err := os.Create(fmt.Sprintf("%s/%s.csv", csvDir, series.name))
+			err := durable.ReplaceFile(fmt.Sprintf("%s/%s.csv", csvDir, series.name), func(w *bufio.Writer) error {
+				return analysis.SeriesCSV(w, series.name, series.samples)
+			})
 			if err != nil {
-				return err
-			}
-			if err := analysis.SeriesCSV(f, series.name, series.samples); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
 				return err
 			}
 		}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -27,6 +28,7 @@ import (
 	"time"
 
 	"jobsched/internal/cli"
+	"jobsched/internal/durable"
 	"jobsched/internal/eval"
 	"jobsched/internal/job"
 	"jobsched/internal/sched"
@@ -235,8 +237,7 @@ func run(full bool, scale, table int, csvDir string, nodes int, seed int64, trac
 			return err
 		}
 		for _, c := range g.Cells {
-			// Foreign cells of a sharded run are markers, not failures.
-			if c.Err != "" && !strings.Contains(c.Err, "owned by shard") {
+			if c.Err != "" && !c.OtherShard {
 				fmt.Fprintf(os.Stderr, "evaluate: cell %s/%s failed: %s\n",
 					c.Order, c.Start, firstLine(c.Err))
 			}
@@ -254,15 +255,7 @@ func run(full bool, scale, table int, csvDir string, nodes int, seed int64, trac
 		fmt.Println()
 		if csvDir != "" {
 			path := filepath.Join(csvDir, name+".csv")
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := g.CSV(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := writeCSV(path, g); err != nil {
 				return err
 			}
 			fmt.Printf("  (series written to %s)\n\n", path)
@@ -540,6 +533,11 @@ func sanitize(s string) string {
 	}, s)
 }
 
+// writeCSV durably replaces path with the grid's CSV series.
+func writeCSV(path string, g *eval.Grid) error {
+	return durable.ReplaceFile(path, func(w *bufio.Writer) error { return g.CSV(w) })
+}
+
 func computeTimeTable(title string, m sim.Machine, jobs []*workloadJob, csvDir, name string, interrupt func() bool) error {
 	// Computation time must be measured serially so cells are comparable;
 	// timings are not deterministic, so these tables are never journaled.
@@ -553,16 +551,7 @@ func computeTimeTable(title string, m sim.Machine, jobs []*workloadJob, csvDir, 
 		}
 		fmt.Println()
 		if csvDir != "" {
-			path := filepath.Join(csvDir, fmt.Sprintf("%s_%s.csv", name, c))
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := g.CSV(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := writeCSV(filepath.Join(csvDir, fmt.Sprintf("%s_%s.csv", name, c)), g); err != nil {
 				return err
 			}
 		}

@@ -11,11 +11,13 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 
+	"jobsched/internal/durable"
 	"jobsched/internal/objective"
 	"jobsched/internal/policy"
 )
@@ -80,38 +82,22 @@ func run(days int, seed int64, csv string) error {
 	summarize("off-line", offline)
 
 	if csv != "" {
-		f, err := os.Create(csv)
-		if err != nil {
-			return err
-		}
-		// bufio-free writes: the first failed Fprint latches no state, so
-		// every row's error and the Close error must both be surfaced.
-		werr := func() error {
-			if _, err := fmt.Fprintln(f, "set,label,drug_response_s,course_miss_pct,rank"); err != nil {
-				return err
-			}
+		// bufio latches the first write error; ReplaceFile's Flush reports it.
+		err := durable.ReplaceFile(csv, func(w *bufio.Writer) error {
+			fmt.Fprintln(w, "set,label,drug_response_s,course_miss_pct,rank")
 			for _, p := range ranked {
-				if _, err := fmt.Fprintf(f, "figure1,%s,%g,%g,%d\n", p.Label, p.Criteria[0], p.Criteria[1], p.Rank); err != nil {
-					return err
-				}
+				fmt.Fprintf(w, "figure1,%s,%g,%g,%d\n", p.Label, p.Criteria[0], p.Criteria[1], p.Rank)
 			}
 			for _, p := range online {
-				if _, err := fmt.Fprintf(f, "online,%s,%g,%g,\n", p.Label, p.Criteria[0], p.Criteria[1]); err != nil {
-					return err
-				}
+				fmt.Fprintf(w, "online,%s,%g,%g,\n", p.Label, p.Criteria[0], p.Criteria[1])
 			}
 			for _, p := range offline {
-				if _, err := fmt.Fprintf(f, "offline,%s,%g,%g,\n", p.Label, p.Criteria[0], p.Criteria[1]); err != nil {
-					return err
-				}
+				fmt.Fprintf(w, "offline,%s,%g,%g,\n", p.Label, p.Criteria[0], p.Criteria[1])
 			}
 			return nil
-		}()
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
+		})
+		if err != nil {
+			return err
 		}
 		fmt.Printf("\n(points written to %s)\n", csv)
 	}

@@ -24,7 +24,6 @@ import (
 	"jobsched/internal/cli"
 	"jobsched/internal/faults"
 	"jobsched/internal/job"
-	"jobsched/internal/objective"
 	"jobsched/internal/sched"
 	"jobsched/internal/sim"
 	"jobsched/internal/telemetry"
@@ -187,11 +186,7 @@ func runStream(order, start string, weight job.WeightFunc, wl, in string, n, nod
 	fmt.Printf("algorithm:                       %s\n", s.Name())
 	fmt.Printf("jobs completed:                  %d (streamed)\n", agg.Completed)
 	fmt.Printf("machine nodes:                   %d\n", nodes)
-	fmt.Printf("average response time:           %.4g s\n", agg.AvgResponseTime())
-	fmt.Printf("average weighted response time:  %.4g node-s^2\n", agg.AvgWeightedResponseTime())
-	fmt.Printf("average wait time:               %.4g s\n", agg.AvgWaitTime())
-	fmt.Printf("makespan:                        %d s\n", agg.Makespan)
-	fmt.Printf("utilization:                     %.2f%%\n", agg.Utilization(nodes)*100)
+	printMetrics(agg, nodes)
 	fmt.Printf("max queue length:                %d\n", res.MaxQueue)
 	fmt.Printf("wall time:                       %s\n", elapsed.Round(time.Millisecond))
 	if sampler != nil {
@@ -202,6 +197,15 @@ func runStream(order, start string, weight job.WeightFunc, wl, in string, n, nod
 		return cnt.Report(os.Stdout)
 	}
 	return nil
+}
+
+// printMetrics prints the schedule metrics block of both summaries.
+func printMetrics(agg *sim.Aggregates, nodes int) {
+	fmt.Printf("average response time:           %.4g s\n", agg.AvgResponseTime())
+	fmt.Printf("average weighted response time:  %.4g node-s^2\n", agg.AvgWeightedResponseTime())
+	fmt.Printf("average wait time:               %.4g s\n", agg.AvgWaitTime())
+	fmt.Printf("makespan:                        %d s\n", agg.Makespan)
+	fmt.Printf("utilization:                     %.2f%%\n", agg.Utilization(nodes)*100)
 }
 
 func run(order, start string, weight job.WeightFunc, wl, in string, n, nodes int, seed int64, exact bool, traceOut string, counters, memstats bool, fo *cli.FaultOptions) error {
@@ -283,11 +287,8 @@ func run(order, start string, weight job.WeightFunc, wl, in string, n, nodes int
 	fmt.Printf("algorithm:                       %s\n", s.Name())
 	fmt.Printf("jobs:                            %d\n", len(js))
 	fmt.Printf("machine nodes:                   %d\n", nodes)
-	fmt.Printf("average response time:           %.4g s\n", objective.AvgResponseTime{}.Eval(res.Schedule))
-	fmt.Printf("average weighted response time:  %.4g node-s^2\n", objective.AvgWeightedResponseTime{}.Eval(res.Schedule))
-	fmt.Printf("average wait time:               %.4g s\n", objective.AvgWaitTime{}.Eval(res.Schedule))
-	fmt.Printf("makespan:                        %d s\n", res.Schedule.Makespan())
-	fmt.Printf("utilization:                     %.2f%%\n", objective.Utilization{}.Eval(res.Schedule)*100)
+	agg := res.Schedule.Aggregates()
+	printMetrics(&agg, nodes)
 	fmt.Printf("max queue length:                %d\n", res.MaxQueue)
 	if fo.Enabled() {
 		fmt.Printf("aborted attempts:                %d\n", res.AbortedAttempts)

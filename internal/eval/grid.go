@@ -83,6 +83,9 @@ type Cell struct {
 	// budget, simulation error) when Options.KeepGoing let the rest of
 	// the grid proceed. Empty on success.
 	Err string
+	// OtherShard marks a cell a sharded run left to another shard (Err
+	// says which); it is not a failure.
+	OtherShard bool
 }
 
 // Grid holds the full result of one table's simulations.
@@ -294,7 +297,7 @@ func Run(title string, m sim.Machine, jobs []*job.Job, c Case, opt Options) (*Gr
 			}
 		}
 		if opt.ShardCount > 1 && i%opt.ShardCount != opt.ShardIndex {
-			g.Cells[i] = Cell{Order: o, Start: s,
+			g.Cells[i] = Cell{Order: o, Start: s, OtherShard: true,
 				Err: fmt.Sprintf("eval: cell owned by shard %d of %d (merge the shard journals to render)", i%opt.ShardCount, opt.ShardCount)}
 			return nil
 		}

@@ -1,15 +1,16 @@
 package eval
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
 
+	"jobsched/internal/durable"
 	"jobsched/internal/sched"
 )
 
@@ -21,13 +22,13 @@ import (
 // fresh run would compute, and the resumed tables render byte-identically
 // to an uninterrupted run.
 //
-// The format is deliberately line-oriented: a crash mid-write leaves at
-// most one torn final line, which resume detects (it has no newline) and
-// cuts off — that cell simply re-runs. Dropping any malformed line is safe
-// for the same reason: the journal is a cache, never the only copy.
+// The journal is a durable.Log: a crash mid-write leaves at most one
+// torn final line, which resume cuts off — that cell simply re-runs.
+// Dropping any malformed line is safe for the same reason: the journal
+// is a cache, never the only copy.
 type Journal struct {
 	mu   sync.Mutex
-	f    *os.File
+	log  *durable.Log
 	done map[string]Cell
 	// stamp is the evaluation fingerprint the journal is bound to (see
 	// Fingerprint); stamped reports whether one was recorded. Resuming
@@ -86,12 +87,12 @@ func (r journalRecord) cell() Cell {
 	}
 }
 
-// parseJournal decodes a journal file's lines into cell records and the
+// parseJournal decodes a journal's lines into cell records and the
 // stamp, dropping torn or malformed lines (the cells simply re-run).
 // Conflicting stamp lines in one file are an error: the file mixes two
 // evaluations and resuming from it would be wrong either way.
-func parseJournal(data []byte) (recs []journalRecord, stamp uint64, stamped bool, err error) {
-	for _, line := range bytes.Split(data, []byte("\n")) {
+func parseJournal(lines [][]byte) (recs []journalRecord, stamp uint64, stamped bool, err error) {
+	for _, line := range lines {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
@@ -120,47 +121,20 @@ func parseJournal(data []byte) (recs []journalRecord, stamp uint64, stamped bool
 // true, existing completed cells are loaded and later served by Lookup;
 // with resume false any previous content is truncated and the run starts
 // from scratch.
-//
-// A resumed journal is cut back to its last newline first: an
-// unterminated final line is a torn write (Record writes the newline
-// with the line), and the next append would otherwise be glued onto it
-// and dropped with it at the following resume.
 func OpenJournal(path string, resume bool) (*Journal, error) {
-	j := &Journal{done: make(map[string]Cell)}
-	var torn bool
-	var validEnd int
-	if resume {
-		data, err := os.ReadFile(path)
-		if err != nil && !os.IsNotExist(err) {
-			return nil, fmt.Errorf("eval: journal: %w", err)
-		}
-		validEnd = bytes.LastIndexByte(data, '\n') + 1
-		torn = validEnd < len(data)
-		recs, stamp, stamped, err := parseJournal(data[:validEnd])
-		if err != nil {
-			return nil, err
-		}
-		j.stamp, j.stamped = stamp, stamped
-		for _, rec := range recs {
-			j.done[rec.key()] = rec.cell()
-		}
-	}
-	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
-	if !resume {
-		flags = os.O_CREATE | os.O_WRONLY | os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
+	log, lines, err := durable.OpenLog(path, resume)
 	if err != nil {
 		return nil, fmt.Errorf("eval: journal: %w", err)
 	}
-	if torn {
-		if err := f.Truncate(int64(validEnd)); err != nil {
-			cerr := f.Close()
-			_ = cerr // the truncate failure is the actionable error
-			return nil, fmt.Errorf("eval: journal: cutting torn tail: %w", err)
-		}
+	recs, stamp, stamped, err := parseJournal(lines)
+	if err != nil {
+		_ = log.Close() // the parse failure is the actionable error
+		return nil, err
 	}
-	j.f = f
+	j := &Journal{log: log, done: make(map[string]Cell), stamp: stamp, stamped: stamped}
+	for _, rec := range recs {
+		j.done[rec.key()] = rec.cell()
+	}
 	return j, nil
 }
 
@@ -183,10 +157,7 @@ func (j *Journal) Stamp(fp uint64) error {
 	if err != nil {
 		return err
 	}
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	if err := j.f.Sync(); err != nil {
+	if err := j.log.Append(append(line, '\n')); err != nil {
 		return err
 	}
 	j.stamp, j.stamped = fp, true
@@ -208,10 +179,8 @@ func (j *Journal) Fingerprint() (uint64, bool) {
 // re-running the evaluation restores every cell without simulating and
 // renders byte-identically to a single-process run.
 //
-// The merge is atomic: it is written to a temp file, fsynced, and
-// renamed over dst only on success, so a failed or interrupted merge
-// never destroys an existing journal at dst. The directory is fsynced
-// after the rename, so the new name survives a crash too.
+// The merge is atomic (durable.ReplaceFile): a failed or interrupted
+// merge never destroys an existing journal at dst.
 func MergeJournals(dst string, srcs ...string) error {
 	if len(srcs) == 0 {
 		return fmt.Errorf("eval: merge needs at least one source journal")
@@ -227,7 +196,7 @@ func MergeJournals(dst string, srcs ...string) error {
 		if err != nil {
 			return fmt.Errorf("eval: merge: %w", err)
 		}
-		recs, fp, ok, err := parseJournal(data)
+		recs, fp, ok, err := parseJournal(bytes.Split(data, []byte("\n")))
 		if err != nil {
 			return fmt.Errorf("eval: merge %s: %w", src, err)
 		}
@@ -245,64 +214,25 @@ func MergeJournals(dst string, srcs ...string) error {
 			order = append(order, rec)
 		}
 	}
-	tmp := dst + ".merge.tmp"
-	out, err := OpenJournal(tmp, false)
-	if err != nil {
-		return err
-	}
-	err = func() error {
+	// One durable.ReplaceFile: the stamp, then the records in first-seen
+	// order, each line exactly as Record would have written it.
+	return durable.ReplaceFile(dst, func(w *bufio.Writer) error {
+		enc := json.NewEncoder(w)
 		if stamped {
-			if err := out.Stamp(stamp); err != nil {
+			if err := enc.Encode(stampRecord{Fingerprint: fmt.Sprintf("%016x", stamp)}); err != nil {
 				return err
 			}
 		}
 		for _, rec := range order {
-			c, err := caseFromString(rec.Case)
-			if err != nil {
-				return fmt.Errorf("eval: merge: %w", err)
+			if rec.Case != Unweighted.String() && rec.Case != Weighted.String() {
+				return fmt.Errorf("eval: merge: unknown case %q", rec.Case)
 			}
-			if err := out.Record(rec.Grid, c, rec.cell()); err != nil {
+			if err := enc.Encode(rec); err != nil {
 				return err
 			}
 		}
-		// Record fsyncs every line, but an empty merge (all sources torn or
-		// blank) writes none; sync unconditionally so the rename below never
-		// publishes an undurable file.
-		return out.f.Sync()
-	}()
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		// The merge failed and its error wins; the temp file is garbage.
-		_ = os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, dst); err != nil {
-		return err
-	}
-	// Durably record the rename itself: without the directory fsync a
-	// crash can forget the new name while keeping the new inode.
-	d, err := os.Open(filepath.Dir(dst))
-	if err != nil {
-		return fmt.Errorf("eval: merge: syncing dir: %w", err)
-	}
-	if err := d.Sync(); err != nil {
-		cerr := d.Close()
-		_ = cerr // the sync failure is the actionable error
-		return fmt.Errorf("eval: merge: syncing dir: %w", err)
-	}
-	return d.Close()
-}
-
-func caseFromString(s string) (Case, error) {
-	switch s {
-	case Unweighted.String():
-		return Unweighted, nil
-	case Weighted.String():
-		return Weighted, nil
-	}
-	return 0, fmt.Errorf("unknown case %q", s)
+		return nil
+	})
 }
 
 // Lookup returns the journaled result of a cell, if present.
@@ -342,10 +272,7 @@ func (j *Journal) Record(grid string, c Case, cell Cell) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	if err := j.f.Sync(); err != nil {
+	if err := j.log.Append(append(line, '\n')); err != nil {
 		return err
 	}
 	j.done[journalKey(grid, c, cell.Order, cell.Start)] = cell
@@ -361,4 +288,4 @@ func (j *Journal) Completed() int {
 
 // Close releases the underlying file. Recorded entries are already
 // synced; Close never loses data.
-func (j *Journal) Close() error { return j.f.Close() }
+func (j *Journal) Close() error { return j.log.Close() }

@@ -10,7 +10,9 @@ import (
 
 // Render writes the grid in the layout of the paper's Tables 3–6:
 // one row per order policy, three column pairs (sec, pct) for the list
-// scheduler, conservative backfilling and EASY backfilling.
+// scheduler, conservative backfilling and EASY backfilling. A cell
+// without a result shows its mark and no percent; without a reference
+// result every percent is n/a.
 func (g *Grid) Render(w io.Writer) error {
 	starts := []sched.StartName{sched.StartList, sched.StartConservative, sched.StartEASY}
 	if _, err := fmt.Fprintf(w, "%s — %s case (%d jobs, %d nodes)\n",
@@ -25,15 +27,21 @@ func (g *Grid) Render(w io.Writer) error {
 		"sec", "pct", "sec", "pct", "sec", "pct"); err != nil {
 		return err
 	}
+	refOK := g.Ref != nil && g.Ref.Err == ""
 	for _, o := range sched.GridOrders() {
 		row := fmt.Sprintf("%-14s", o)
 		for _, s := range starts {
-			c := g.Cell(o, s)
-			if c == nil {
-				row += fmt.Sprintf("%-11s %-10s ", "-", "-")
-				continue
+			val, pct := "-", "-"
+			switch c := g.Cell(o, s); {
+			case c == nil:
+			case c.Err != "":
+				val, pct = mark(c), ""
+			case !refOK:
+				val, pct = fmtSci(c.Value), "n/a"
+			default:
+				val, pct = fmtSci(c.Value), fmtPct(c.Pct, g.Ref == c)
 			}
-			row += fmt.Sprintf("%-11s %-10s ", fmtSci(c.Value), fmtPct(c.Pct, g.Ref == c))
+			row += fmt.Sprintf("%-11s %-10s ", val, pct)
 		}
 		if _, err := fmt.Fprintln(w, strings.TrimRight(row, " ")); err != nil {
 			return err
@@ -46,6 +54,15 @@ func (g *Grid) Render(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// mark is what a cell without a result shows instead of a number: ·
+// for another shard's cell, ERR for a failed one.
+func mark(c *Cell) string {
+	if c.OtherShard {
+		return "·"
+	}
+	return "ERR"
 }
 
 // fmtSci renders a value in the paper's scientific notation (4.91E+06).
@@ -66,30 +83,43 @@ func fmtPct(p float64, isRef bool) string {
 // RenderComputeTime writes the grid's scheduler computation times in the
 // layout of Tables 7–8: percent deviation from the FCFS/EASY reference,
 // list scheduler and EASY columns, with the two SMART variants combined
-// into one row as in the paper.
+// into one row as in the paper. Cells without a result follow Render's
+// rules.
 func (g *Grid) RenderComputeTime(w io.Writer) error {
 	ref := g.Cell(sched.OrderFCFS, sched.StartEASY)
-	if ref == nil || ref.SchedulerTime == 0 {
+	if ref == nil || ref.Err == "" && ref.SchedulerTime == 0 {
 		return fmt.Errorf("eval: no FCFS/EASY reference computation time")
 	}
 	refT := ref.SchedulerTime.Seconds()
+	pctOf := func(t float64) string {
+		if ref.Err != "" {
+			return "n/a"
+		}
+		return fmt.Sprintf("%+.1f%%", (t-refT)/refT*100)
+	}
 	pct := func(o sched.OrderName, s sched.StartName) string {
-		c := g.Cell(o, s)
-		if c == nil {
+		switch c := g.Cell(o, s); {
+		case c == nil:
 			return "-"
-		}
-		if c == ref {
+		case c.Err != "":
+			return mark(c)
+		case c == ref:
 			return "0%"
+		default:
+			return pctOf(c.SchedulerTime.Seconds())
 		}
-		return fmt.Sprintf("%+.1f%%", (c.SchedulerTime.Seconds()-refT)/refT*100)
 	}
 	smartPct := func(s sched.StartName) string {
 		a, b := g.Cell(sched.OrderSMARTFFIA, s), g.Cell(sched.OrderSMARTNFIW, s)
-		if a == nil || b == nil {
+		switch {
+		case a == nil || b == nil:
 			return "-"
+		case a.Err != "":
+			return mark(a)
+		case b.Err != "":
+			return mark(b)
 		}
-		mean := (a.SchedulerTime.Seconds() + b.SchedulerTime.Seconds()) / 2
-		return fmt.Sprintf("%+.1f%%", (mean-refT)/refT*100)
+		return pctOf((a.SchedulerTime.Seconds() + b.SchedulerTime.Seconds()) / 2)
 	}
 	if _, err := fmt.Fprintf(w, "%s — %s case, scheduler computation time (pct vs FCFS/EASY)\n",
 		g.Title, g.Case); err != nil {
@@ -120,14 +150,26 @@ func (g *Grid) RenderComputeTime(w io.Writer) error {
 
 // CSV writes the grid as comma-separated series — the data behind the
 // paper's bar-chart figures (Figures 3–6 plot exactly the table values).
+// A cell without a result has empty numeric fields, and without a
+// reference result every pct_vs_ref is empty.
 func (g *Grid) CSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "order,start,value_sec,pct_vs_ref,scheduler_seconds,max_queue,makespan,utilization"); err != nil {
 		return err
 	}
+	refOK := g.Ref != nil && g.Ref.Err == ""
 	for _, c := range g.Cells {
-		_, err := fmt.Fprintf(w, "%s,%s,%g,%.2f,%.6f,%d,%d,%.4f\n",
-			c.Order, c.Start, c.Value, c.Pct, c.SchedulerTime.Seconds(),
-			c.MaxQueue, c.Makespan, c.Utilization)
+		var err error
+		if c.Err != "" {
+			_, err = fmt.Fprintf(w, "%s,%s,,,,,,\n", c.Order, c.Start)
+		} else {
+			pct := ""
+			if refOK {
+				pct = fmt.Sprintf("%.2f", c.Pct)
+			}
+			_, err = fmt.Fprintf(w, "%s,%s,%g,%s,%.6f,%d,%d,%.4f\n",
+				c.Order, c.Start, c.Value, pct, c.SchedulerTime.Seconds(),
+				c.MaxQueue, c.Makespan, c.Utilization)
+		}
 		if err != nil {
 			return err
 		}

@@ -291,3 +291,33 @@ func TestFaultGridDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestKeepGoingRendersFailedCell: a -keepgoing grid whose PSRS/List cell
+// panics renders that cell as ERR with no percent — not as a value of 0
+// at -100.0%, which reads as a perfect schedule.
+func TestKeepGoingRendersFailedCell(t *testing.T) {
+	boom := func(o sched.OrderName, s sched.StartName) telemetry.Hooks {
+		if o == sched.OrderPSRS && s == sched.StartList {
+			panic("boom: injected cell failure")
+		}
+		return telemetry.Hooks{}
+	}
+	g, err := Run("keepgoing", sim.Machine{Nodes: 256}, robustnessJobs(t, 100, 125), Unweighted,
+		Options{Validate: true, KeepGoing: true, Hooks: boom})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := renderGrid(t, g)
+	var psrs string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "PSRS ") {
+			psrs = line
+		}
+	}
+	if !strings.HasPrefix(psrs, "PSRS          ERR                    ") {
+		t.Errorf("failed PSRS/List cell not marked ERR:\n%s", out)
+	}
+	if strings.Contains(out, "-100.0%") || strings.Contains(out, "0.00E+00") {
+		t.Errorf("failed cell rendered as a result:\n%s", out)
+	}
+}

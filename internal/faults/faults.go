@@ -92,9 +92,6 @@ type Plan struct {
 	Announced []sim.Failure
 }
 
-// Stochastic returns the number of non-announced (surprise) outages.
-func (p Plan) Stochastic() int { return len(p.Failures) - len(p.Announced) }
-
 // Generate compiles the configuration into a validated failure plan.
 // Identical configurations yield identical plans.
 func Generate(cfg Config) (Plan, error) {

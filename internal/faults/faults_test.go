@@ -28,9 +28,10 @@ func TestGenerateDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same config produced different plans")
 	}
-	if len(a.Failures) == 0 || a.Stochastic() == 0 || len(a.Announced) == 0 {
+	stochastic := len(a.Failures) - len(a.Announced)
+	if len(a.Failures) == 0 || stochastic == 0 || len(a.Announced) == 0 {
 		t.Fatalf("plan unexpectedly empty: %d failures, %d stochastic, %d announced",
-			len(a.Failures), a.Stochastic(), len(a.Announced))
+			len(a.Failures), stochastic, len(a.Announced))
 	}
 }
 
@@ -44,7 +45,7 @@ func TestGenerateExponentialRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Expect roughly horizon/MTBF = 100 failures; allow a generous band.
-	n := p.Stochastic()
+	n := len(p.Failures) - len(p.Announced)
 	if n < 50 || n > 200 {
 		t.Fatalf("got %d stochastic failures for MTBF 10k over 1M s, want ~100", n)
 	}

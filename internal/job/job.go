@@ -130,7 +130,3 @@ func UnitWeight(*Job) float64 { return 1 }
 // (average weighted response time objective; on-line, only the estimate
 // is known, so the estimated area is used).
 func AreaWeight(j *Job) float64 { return j.EstimatedArea() }
-
-// ActualAreaWeight gives a job its actual resource consumption as weight.
-// Objective functions use it; schedulers must not.
-func ActualAreaWeight(j *Job) float64 { return j.Area() }

@@ -75,9 +75,6 @@ func TestAreaAndWeights(t *testing.T) {
 	if got := AreaWeight(j); got != j.EstimatedArea() {
 		t.Errorf("AreaWeight = %v, want estimated area %v", got, j.EstimatedArea())
 	}
-	if got := ActualAreaWeight(j); got != j.Area() {
-		t.Errorf("ActualAreaWeight = %v, want area %v", got, j.Area())
-	}
 }
 
 func TestEffectiveRuntimeAndKilled(t *testing.T) {

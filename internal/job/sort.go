@@ -14,12 +14,6 @@ func SortBySubmit(jobs []*Job) []*Job {
 	return jobs
 }
 
-// SortByID orders jobs by ID in place and returns the slice.
-func SortByID(jobs []*Job) []*Job {
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].ID < jobs[b].ID })
-	return jobs
-}
-
 // Renumber assigns dense IDs 0..n-1 in the current slice order.
 func Renumber(jobs []*Job) {
 	for i, j := range jobs {
@@ -36,15 +30,6 @@ func MaxNodes(jobs []*Job) int {
 		}
 	}
 	return max
-}
-
-// TotalArea returns the summed actual resource consumption of the jobs.
-func TotalArea(jobs []*Job) float64 {
-	var sum float64
-	for _, j := range jobs {
-		sum += j.Area()
-	}
-	return sum
 }
 
 // Span returns the earliest submission and the latest possible completion

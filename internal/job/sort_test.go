@@ -1,7 +1,6 @@
 package job
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -45,20 +44,6 @@ func TestSortBySubmitProperty(t *testing.T) {
 	}
 }
 
-func TestSortByID(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	jobs := make([]*Job, 50)
-	for i := range jobs {
-		jobs[i] = &Job{ID: ID(r.Intn(1000))}
-	}
-	SortByID(jobs)
-	for i := 1; i < len(jobs); i++ {
-		if jobs[i-1].ID > jobs[i].ID {
-			t.Fatal("not sorted by ID")
-		}
-	}
-}
-
 func TestRenumber(t *testing.T) {
 	jobs := []*Job{{ID: 42}, {ID: 7}, {ID: 99}}
 	Renumber(jobs)
@@ -76,16 +61,6 @@ func TestMaxNodes(t *testing.T) {
 	jobs := []*Job{{Nodes: 3}, {Nodes: 17}, {Nodes: 5}}
 	if got := MaxNodes(jobs); got != 17 {
 		t.Errorf("MaxNodes = %d, want 17", got)
-	}
-}
-
-func TestTotalArea(t *testing.T) {
-	jobs := []*Job{
-		{Nodes: 2, Runtime: 10},
-		{Nodes: 3, Runtime: 100},
-	}
-	if got := TotalArea(jobs); got != 2*10+3*100 {
-		t.Errorf("TotalArea = %v", got)
 	}
 }
 

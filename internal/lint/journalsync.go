@@ -6,10 +6,12 @@ import (
 	"go/types"
 )
 
-// journalSyncScope: the evaluation layer owns the crash-safe journal and
-// the rendered result files, and the service layer owns the session WAL
-// and snapshots; durability discipline is enforced in both.
+// journalSyncScope: internal/durable holds the two fsync protocols the
+// journal, the session WAL, snapshots and result files are written
+// through; eval and serve stay in scope so a hand-rolled copy is checked
+// too.
 var journalSyncScope = []string{
+	"jobsched/internal/durable",
 	"jobsched/internal/eval",
 	"jobsched/internal/serve",
 }

@@ -544,3 +544,71 @@ func indexOf(s, sub string) int {
 	}
 	return -1
 }
+
+// TestRecoveryUnfinishedCreate: a Create that failed or crashed before
+// its config rename was never acked. Its directory — empty, or holding
+// only the config temp file — is removed at open and the store starts;
+// a directory with a WAL but no config has committed operations and
+// still refuses to open.
+func TestRecoveryUnfinishedCreate(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		files []string
+		ok    bool
+	}{
+		{"empty", nil, true},
+		{"config-temp", []string{configFile + ".tmp"}, true},
+		{"wal-without-config", []string{walFile}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := OpenStore(dir, StoreOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Create("kept", Config{Nodes: 8}); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Drain(ctx); err != nil {
+				t.Fatal(err)
+			}
+			half := filepath.Join(dir, "sessions", "half")
+			if err := os.Mkdir(half, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range tc.files {
+				line := []byte(`{"seq":1,"op":"advance","at":5}` + "\n")
+				if err := os.WriteFile(filepath.Join(half, f), line, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			store, err = OpenStore(dir, StoreOptions{})
+			if !tc.ok {
+				if err == nil || !strings.Contains(err.Error(), "reading config") {
+					t.Fatalf("a session with a WAL and no config opened: %v", err)
+				}
+				if _, serr := os.Stat(filepath.Join(half, walFile)); serr != nil {
+					t.Fatalf("refused session's WAL is gone: %v", serr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("unfinished create blocks the open: %v", err)
+			}
+			if _, serr := os.Stat(half); !os.IsNotExist(serr) {
+				t.Fatalf("unfinished create's directory kept: %v", serr)
+			}
+			if got := store.Names(); !slices.Equal(got, []string{"kept"}) {
+				t.Fatalf("sessions after open = %v, want [kept]", got)
+			}
+			if err := store.Create("half", Config{Nodes: 4}); err != nil {
+				t.Fatalf("re-creating the unfinished session: %v", err)
+			}
+			if err := store.Drain(ctx); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -59,55 +58,6 @@ type Snapshot struct {
 	// a corrupt or hand-edited snapshot cannot silently resurrect a
 	// session into a state no client was ever acked.
 	Fingerprint string `json:"fingerprint"`
-}
-
-// writeFileAtomic durably replaces dir/name with what write produces:
-// write to a temp file, fsync it, rename over the target, fsync the
-// directory. The content fsync before the rename is what makes the
-// rename a commit point — a crash can leave the old file or the new one,
-// never a torn mix (the kill-mid-write recovery test pins this).
-func writeFileAtomic(dir, name string, write func(*bufio.Writer) error) error {
-	tmp := filepath.Join(dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("serve: writing %s: %w", name, err)
-	}
-	w := bufio.NewWriterSize(f, 64<<10)
-	err = write(w)
-	if err == nil {
-		err = w.Flush()
-	}
-	if err != nil {
-		cerr := f.Close()
-		_ = cerr // the write failure is the actionable error
-		return fmt.Errorf("serve: writing %s: %w", name, err)
-	}
-	if err := f.Sync(); err != nil {
-		cerr := f.Close()
-		_ = cerr // the sync failure is the actionable error
-		return fmt.Errorf("serve: syncing %s: %w", name, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("serve: closing %s: %w", name, err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		return fmt.Errorf("serve: publishing %s: %w", name, err)
-	}
-	// Durably record the rename itself: without the directory fsync a
-	// crash can forget the new name while keeping the new inode.
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("serve: syncing dir for %s: %w", name, err)
-	}
-	if err := d.Sync(); err != nil {
-		cerr := d.Close()
-		_ = cerr // the sync failure is the actionable error
-		return fmt.Errorf("serve: syncing dir for %s: %w", name, err)
-	}
-	if err := d.Close(); err != nil {
-		return fmt.Errorf("serve: syncing dir for %s: %w", name, err)
-	}
-	return nil
 }
 
 // readSnapshot loads the session snapshot, or returns (nil, nil) when

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"jobsched/internal/durable"
 )
 
 // streamSnapshot returns the snapshot document the store would write
@@ -28,7 +30,7 @@ func streamSnapshot(t testing.TB, sess *Session, walSeq uint64) []byte {
 // publishSnapshot writes sess's snapshot into dir the way the store does.
 func publishSnapshot(t testing.TB, dir string, sess *Session, walSeq uint64) {
 	t.Helper()
-	err := writeFileAtomic(dir, snapshotFile, func(w *bufio.Writer) error {
+	err := durable.ReplaceFile(filepath.Join(dir, snapshotFile), func(w *bufio.Writer) error {
 		return sess.writeSnapshot(w, walSeq)
 	})
 	if err != nil {

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync"
 
+	"jobsched/internal/durable"
 	"jobsched/internal/telemetry"
 )
 
@@ -90,7 +91,7 @@ type Store struct {
 func OpenStore(dir string, opt StoreOptions) (*Store, error) {
 	opt = opt.withDefaults()
 	root := filepath.Join(dir, "sessions")
-	if err := os.MkdirAll(root, 0o755); err != nil {
+	if err := durable.MkdirAll(root); err != nil {
 		return nil, fmt.Errorf("serve: store: %w", err)
 	}
 	st := &Store{dir: dir, opt: opt, sessions: make(map[string]*handle)}
@@ -103,7 +104,22 @@ func OpenStore(dir string, opt StoreOptions) (*Store, error) {
 			continue
 		}
 		name := e.Name()
-		h, err := openHandle(name, filepath.Join(root, name), opt)
+		sdir := filepath.Join(root, name)
+		abandoned, err := abandonedCreate(sdir)
+		if err == nil && abandoned {
+			// A Create that never reached its config rename was never
+			// acked: nothing of it is worth keeping.
+			opt.logf("session %s: removing a create that never finished", name)
+			err = durable.RemoveAll(sdir)
+			if err == nil {
+				continue
+			}
+		}
+		if err != nil {
+			st.closeAll()
+			return nil, fmt.Errorf("serve: store: %w", err)
+		}
+		h, err := openHandle(name, sdir, opt)
 		if err != nil {
 			st.closeAll()
 			return nil, fmt.Errorf("serve: recovering session %s: %w", name, err)
@@ -114,6 +130,23 @@ func OpenStore(dir string, opt StoreOptions) (*Store, error) {
 		}
 	}
 	return st, nil
+}
+
+// abandonedCreate reports whether a session directory holds nothing,
+// or only the config temp file: the footprint of a Create that failed
+// or crashed before its config rename. A directory with a WAL or a
+// snapshot but no config is not one, and fails its recovery.
+func abandonedCreate(dir string) (bool, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return false, err
+	}
+	for _, e := range entries {
+		if e.Name() != configFile+".tmp" {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // closeAll abandons all handles without draining (open-failure path).
@@ -142,22 +175,22 @@ func (s *Store) Create(name string, cfg Config) error {
 		return ErrExists
 	}
 	dir := filepath.Join(s.dir, "sessions", name)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("serve: create: %w", err)
-	}
 	data, err := json.MarshalIndent(cfg, "", " ")
 	if err != nil {
 		return fmt.Errorf("serve: create: %w", err)
 	}
-	// The config is written atomically (tmp+rename, both fsynced): a
-	// crash mid-create leaves either no config — an empty directory the
-	// next open treats as garbage — or a complete one.
-	err = writeFileAtomic(dir, configFile, func(w *bufio.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
+	// The config is written atomically: a failure or crash mid-create
+	// leaves either no config — a directory the next open removes (see
+	// abandonedCreate) — or a complete one.
+	err = durable.MkdirAll(dir)
+	if err == nil {
+		err = durable.ReplaceFile(filepath.Join(dir, configFile), func(w *bufio.Writer) error {
+			_, err := w.Write(data)
+			return err
+		})
+	}
 	if err != nil {
-		return err
+		return fmt.Errorf("serve: create: %w", err)
 	}
 	h, err := openHandle(name, dir, s.opt)
 	if err != nil {
@@ -703,7 +736,7 @@ func (h *handle) snapshotLocked() {
 // the current WAL position, streamed from the live session: no copy of
 // the state is built. Requires h.mu.
 func (h *handle) writeSnapshot() error {
-	err := writeFileAtomic(h.dir, snapshotFile, func(w *bufio.Writer) error {
+	err := durable.ReplaceFile(filepath.Join(h.dir, snapshotFile), func(w *bufio.Writer) error {
 		return h.sess.writeSnapshot(w, h.wal.LastSeq())
 	})
 	if err == nil {

@@ -20,7 +20,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
+
+	"jobsched/internal/durable"
 )
 
 // Operation names in the WAL.
@@ -42,80 +43,57 @@ type Record struct {
 	Jobs []JobSpec `json:"jobs,omitempty"`
 }
 
-// WAL is an append-only fsynced operation log. It is not safe for
-// concurrent use; the per-session worker is its single writer.
+// WAL is an append-only fsynced operation log on a durable.Log. It is
+// not safe for concurrent use; the per-session worker is its single
+// writer.
 type WAL struct {
-	f       *os.File
-	path    string
+	log     *durable.Log
 	nextSeq uint64
 	buf     bytes.Buffer
 }
 
 // OpenWAL opens (creating if absent) the log at path and returns the
-// committed records in order. A torn final line — the footprint of a
-// crash mid-write — is dropped and truncated away before appending
-// resumes; a torn or out-of-sequence record anywhere else is corruption
-// and refused, because silently skipping committed operations would
-// replay to a different state than the one clients were acked. A record
-// only counts as committed if its trailing newline made it to disk:
-// acks happen after the newline-inclusive buffer is fsynced, so an
-// unterminated final line — even one that unmarshals cleanly, a write
-// torn exactly at the closing brace — was never acknowledged, and
-// keeping it would leave the next append gluing two records onto one
-// unparseable line.
+// committed records in order. A record only counts as committed if its
+// trailing newline made it to disk: acks happen after the
+// newline-inclusive buffer is fsynced, so an unterminated final line —
+// even one that unmarshals cleanly, a write torn exactly at the closing
+// brace — was never acknowledged, and durable.OpenLog cuts it off. A
+// final line that ends in a newline but does not parse (a zero-filled
+// block) is cut the same way. A torn or out-of-sequence record anywhere
+// else is corruption and refused, because silently skipping committed
+// operations would replay to a different state than the one clients
+// were acked.
 func OpenWAL(path string) (*WAL, []Record, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("serve: wal: %w", err)
-	}
-	var (
-		recs     []Record
-		validEnd int
-		lineNo   int
-	)
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // unterminated final line: torn even if it parses, drop it
-		}
-		end := off + nl + 1
-		line := data[off : off+nl]
-		lineNo++
-		var rec Record
-		if uerr := json.Unmarshal(line, &rec); uerr != nil || rec.Op == "" {
-			if end == len(data) {
-				break // torn tail: crash mid-append, drop it
-			}
-			return nil, nil, fmt.Errorf("serve: wal %s: corrupt record at line %d", path, lineNo)
-		}
-		if rec.Seq != uint64(len(recs))+1 {
-			return nil, nil, fmt.Errorf("serve: wal %s: line %d has seq %d, want %d (log is missing committed operations)",
-				path, lineNo, rec.Seq, len(recs)+1)
-		}
-		recs = append(recs, rec)
-		validEnd = end
-		off = end
-	}
-
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	log, lines, err := durable.OpenLog(path, true)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: wal: %w", err)
 	}
-	if validEnd < len(data) {
-		// Drop the torn tail on disk too, so the next append starts on a
-		// clean line boundary.
-		if err := f.Truncate(int64(validEnd)); err != nil {
-			cerr := f.Close()
-			_ = cerr // the truncate failure is the actionable error
-			return nil, nil, fmt.Errorf("serve: wal: truncating torn tail: %w", err)
+	recs := make([]Record, 0, len(lines))
+	for i, line := range lines {
+		var rec Record
+		if uerr := json.Unmarshal(line, &rec); uerr != nil || rec.Op == "" {
+			if i == len(lines)-1 {
+				err = log.Cut(i) // torn tail: crash mid-append, drop it
+				if err != nil {
+					err = fmt.Errorf("serve: wal: cutting torn tail: %w", err)
+				}
+				break
+			}
+			err = fmt.Errorf("serve: wal %s: corrupt record at line %d", path, i+1)
+			break
 		}
+		if rec.Seq != uint64(len(recs))+1 {
+			err = fmt.Errorf("serve: wal %s: line %d has seq %d, want %d (log is missing committed operations)",
+				path, i+1, rec.Seq, len(recs)+1)
+			break
+		}
+		recs = append(recs, rec)
 	}
-	if _, err := f.Seek(int64(validEnd), 0); err != nil {
-		cerr := f.Close()
-		_ = cerr // the seek failure is the actionable error
-		return nil, nil, fmt.Errorf("serve: wal: %w", err)
+	if err != nil {
+		_ = log.Close() // the parse or cut failure is the actionable error
+		return nil, nil, err
 	}
-	return &WAL{f: f, path: path, nextSeq: uint64(len(recs)) + 1}, recs, nil
+	return &WAL{log: log, nextSeq: uint64(len(recs)) + 1}, recs, nil
 }
 
 // LastSeq returns the sequence number of the last committed record
@@ -140,11 +118,8 @@ func (w *WAL) Append(recs []Record) error {
 		w.buf.Write(line)
 		w.buf.WriteByte('\n')
 	}
-	if _, err := w.f.Write(w.buf.Bytes()); err != nil {
+	if err := w.log.Append(w.buf.Bytes()); err != nil {
 		return fmt.Errorf("serve: wal append: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("serve: wal sync: %w", err)
 	}
 	w.nextSeq += uint64(len(recs))
 	return nil
@@ -152,4 +127,4 @@ func (w *WAL) Append(recs []Record) error {
 
 // Close releases the underlying file. Appended records are already
 // synced; Close never loses data.
-func (w *WAL) Close() error { return w.f.Close() }
+func (w *WAL) Close() error { return w.log.Close() }

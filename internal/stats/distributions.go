@@ -74,17 +74,5 @@ func (d *Discrete) Sample(r *rand.Rand) int64 {
 	return d.values[lo]
 }
 
-// Prob returns the probability of value v (0 if absent).
-func (d *Discrete) Prob(v int64) float64 {
-	prev := 0.0
-	for i, val := range d.values {
-		if val == v {
-			return d.cum[i] - prev
-		}
-		prev = d.cum[i]
-	}
-	return 0
-}
-
 // Len returns the number of distinct values.
 func (d *Discrete) Len() int { return len(d.values) }

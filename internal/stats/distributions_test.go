@@ -42,16 +42,6 @@ func TestUniformIntCoversRange(t *testing.T) {
 	}
 }
 
-func TestUniformFloat(t *testing.T) {
-	r := NewRand(5)
-	for i := 0; i < 10000; i++ {
-		v := UniformFloat(r, -2, 3)
-		if v < -2 || v >= 3 {
-			t.Fatalf("UniformFloat out of range: %v", v)
-		}
-	}
-}
-
 func TestLogUniformBoundsAndShape(t *testing.T) {
 	r := NewRand(6)
 	lo, hi := 10.0, 10000.0
@@ -101,15 +91,12 @@ func TestExponentialMean(t *testing.T) {
 }
 
 func TestDiscreteProbabilities(t *testing.T) {
+	// The weights are normalized into a cumulative table.
 	d := NewDiscrete([]int64{1, 2, 4}, []float64{1, 1, 2})
-	if got := d.Prob(1); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("Prob(1) = %v", got)
-	}
-	if got := d.Prob(4); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Prob(4) = %v", got)
-	}
-	if got := d.Prob(99); got != 0 {
-		t.Errorf("Prob(absent) = %v", got)
+	for i, want := range []float64{0.25, 0.5, 1} {
+		if math.Abs(d.cum[i]-want) > 1e-12 {
+			t.Errorf("cum[%d] = %v, want %v", i, d.cum[i], want)
+		}
 	}
 	if d.Len() != 3 {
 		t.Errorf("Len = %d", d.Len())

@@ -79,23 +79,9 @@ func (h *Histogram) binOf(v int64) int {
 // Total returns the number of observations.
 func (h *Histogram) Total() int64 { return h.total }
 
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.counts) }
-
-// Count returns the count of bin i.
-func (h *Histogram) Count(i int) int64 { return h.counts[i] }
-
 // BinBounds returns (lo, hi] for bin i.
 func (h *Histogram) BinBounds(i int) (lo, hi int64) {
 	return h.bounds[i], h.bounds[i+1]
-}
-
-// Prob returns the empirical probability of bin i.
-func (h *Histogram) Prob(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[i]) / float64(h.total)
 }
 
 // Sample draws a value: pick a bin proportionally to its count, then a
@@ -181,9 +167,6 @@ func (jh *JointHistogram) Add(nodes int, estimate, runtime int64) {
 
 // Total returns the number of observations.
 func (jh *JointHistogram) Total() int64 { return jh.total }
-
-// NodeCounts returns the distinct node counts observed, ascending.
-func (jh *JointHistogram) NodeCounts() []int { return jh.nodeOrder }
 
 // Sample draws (nodes, estimate, runtime) with runtime <= estimate
 // enforced (a residual within-bin violation is clamped into the bin's

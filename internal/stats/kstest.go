@@ -57,17 +57,6 @@ func KSCriticalValue(n, m int, alpha float64) float64 {
 	return c * math.Sqrt(float64(n+m)/float64(n*m))
 }
 
-// KSSameDistribution reports whether the two samples pass the KS test at
-// significance alpha (true = cannot reject that they share a
-// distribution).
-func KSSameDistribution(a, b []float64, alpha float64) bool {
-	d := KSStatistic(a, b)
-	if math.IsNaN(d) {
-		return false
-	}
-	return d <= KSCriticalValue(len(a), len(b), alpha)
-}
-
 // KSAgainstCDF returns the one-sample KS statistic of a sample against a
 // theoretical CDF — used to verify the Weibull fit of the submission
 // process.

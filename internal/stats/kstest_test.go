@@ -35,7 +35,7 @@ func TestKSSameDistributionAcceptsSameSource(t *testing.T) {
 		a[i] = w.Sample(r)
 		b[i] = w.Sample(r)
 	}
-	if !KSSameDistribution(a, b, 0.01) {
+	if KSStatistic(a, b) > KSCriticalValue(len(a), len(b), 0.01) {
 		t.Error("same-distribution samples rejected at α=0.01")
 	}
 }
@@ -50,7 +50,7 @@ func TestKSSameDistributionRejectsDifferentSources(t *testing.T) {
 		a[i] = w1.Sample(r)
 		b[i] = w2.Sample(r)
 	}
-	if KSSameDistribution(a, b, 0.01) {
+	if KSStatistic(a, b) <= KSCriticalValue(len(a), len(b), 0.01) {
 		t.Error("clearly different distributions accepted")
 	}
 }

@@ -37,8 +37,3 @@ func UniformInt(r *rand.Rand, lo, hi int64) int64 {
 	}
 	return lo + r.Int63n(hi-lo+1)
 }
-
-// UniformFloat returns a float uniformly distributed in [lo, hi).
-func UniformFloat(r *rand.Rand, lo, hi float64) float64 {
-	return lo + r.Float64()*(hi-lo)
-}

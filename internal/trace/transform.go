@@ -56,30 +56,6 @@ func ScaleEstimates(jobs []*job.Job, factor float64) []*job.Job {
 	return out
 }
 
-// Truncate returns the first n jobs in submission order (a scaled-down
-// workload with unchanged distributional shape). n >= len keeps all.
-func Truncate(jobs []*job.Job, n int) []*job.Job {
-	sorted := job.SortBySubmit(job.CloneAll(jobs))
-	if n < len(sorted) {
-		sorted = sorted[:n]
-	}
-	job.Renumber(sorted)
-	return sorted
-}
-
-// ShiftToZero returns a copy whose earliest submission is at time 0.
-func ShiftToZero(jobs []*job.Job) []*job.Job {
-	out := job.CloneAll(jobs)
-	if len(out) == 0 {
-		return out
-	}
-	first, _ := job.Span(out)
-	for _, j := range out {
-		j.Submit -= first
-	}
-	return out
-}
-
 // Stats summarizes a workload for model fitting and reporting.
 type Stats struct {
 	Jobs          int

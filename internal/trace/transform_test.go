@@ -82,34 +82,6 @@ func TestScaleEstimatesPanicsBelowOne(t *testing.T) {
 	ScaleEstimates(mkJobs(), 0.5)
 }
 
-func TestTruncate(t *testing.T) {
-	out := Truncate(mkJobs(), 2)
-	if len(out) != 2 {
-		t.Fatalf("len = %d", len(out))
-	}
-	// Keeps the earliest submitters.
-	if out[0].Submit != 100 || out[1].Submit != 200 {
-		t.Errorf("wrong prefix: %v, %v", out[0].Submit, out[1].Submit)
-	}
-	// n larger than input keeps all.
-	if got := Truncate(mkJobs(), 100); len(got) != 3 {
-		t.Errorf("over-truncate len = %d", len(got))
-	}
-}
-
-func TestShiftToZero(t *testing.T) {
-	out := ShiftToZero(mkJobs())
-	if out[0].Submit != 0 {
-		t.Errorf("first submit = %d", out[0].Submit)
-	}
-	if out[2].Submit != 200 {
-		t.Errorf("relative spacing broken: %d", out[2].Submit)
-	}
-	if got := ShiftToZero(nil); len(got) != 0 {
-		t.Error("nil input")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize(mkJobs())
 	if s.Jobs != 3 {

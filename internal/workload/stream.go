@@ -59,9 +59,6 @@ func (s *Streamer) Next() (*job.Job, error) {
 	return j, nil
 }
 
-// Generated returns the number of jobs yielded so far.
-func (s *Streamer) Generated() int { return s.i }
-
 // CalibratedStreamConfig returns a RandomizedConfig for n jobs whose
 // arrival rate is calibrated so the offered load on a machine of the
 // given node count is approximately the target fraction of capacity

@@ -31,8 +31,8 @@ func TestStreamerMatchesRandomized(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("streamed %d jobs, slice generator %d", len(got), len(want))
 	}
-	if s.Generated() != cfg.Jobs {
-		t.Errorf("Generated() = %d", s.Generated())
+	if s.i != cfg.Jobs {
+		t.Errorf("generated %d jobs, want %d", s.i, cfg.Jobs)
 	}
 	for i := range want {
 		if *got[i] != *want[i] {

@@ -51,6 +51,11 @@
 #                benchmark (the fragmented t = 0 pass at 1k and 4k jobs,
 #                the 10k staircase), so the suite that fixed the profile
 #                kernel's block size keeps compiling and running
+#   bench-root   go test -bench . -benchtime 1x over the root package —
+#                one op of every bench in bench_test.go and
+#                extensions_bench_test.go (the Tables 3-8, Figures 1-2
+#                and ablation harness DESIGN §4-5 cite), so they keep
+#                running
 #   bench-smoke  go run ./benchmark -smoke — the repository's benchmark
 #                at tiny sizes: all six workloads run end to end, and the
 #                schedules they produce must match the committed
@@ -104,6 +109,7 @@ run fuzz-smoke go test -run='^$' -fuzz='^FuzzReadSnapshot$' -fuzztime=500x ./int
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzIndexOps$' -fuzztime=500x ./internal/queue
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzIDTable$' -fuzztime=500x ./internal/queue
 run bench-shapes go test -run '^$' -bench Shape -benchtime 1x -short ./internal/profile
+run bench-root go test -run '^$' -bench . -benchtime 1x .
 
 step=bench-smoke
 echo "==> bench-smoke: go run ./benchmark -smoke"
