@@ -31,15 +31,17 @@ lint:
 
 # Fixed-budget fuzz runs of the SWF reader, the availability-profile
 # differential oracle, the profile kernel's block invariants, the
-# fault-schedule invariants, the daemon's snapshot decoder + restore, the
-# queue index against its naive model and its ID → slot table against a
-# plain map — the same budgets the tier-1 gate uses.
+# fault-schedule invariants, the daemon's snapshot decoder + restore, its
+# snapshot-job and WAL-record appenders against json.Marshal, the queue
+# index against its naive model and its ID → slot table against a plain
+# map — the same budgets the tier-1 gate uses.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadSWF$$' -fuzztime=500x ./internal/trace
 	$(GO) test -run='^$$' -fuzz='^FuzzProfileOps$$' -fuzztime=500x ./internal/profile
 	$(GO) test -run='^$$' -fuzz='^FuzzProfileTree$$' -fuzztime=500x ./internal/profile
 	$(GO) test -run='^$$' -fuzz='^FuzzFailureSchedule$$' -fuzztime=500x ./internal/faults
 	$(GO) test -run='^$$' -fuzz='^FuzzReadSnapshot$$' -fuzztime=500x ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotEncoding$$' -fuzztime=500x ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzIndexOps$$' -fuzztime=500x ./internal/queue
 	$(GO) test -run='^$$' -fuzz='^FuzzIDTable$$' -fuzztime=500x ./internal/queue
 

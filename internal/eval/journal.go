@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -174,7 +176,8 @@ func (j *Journal) Fingerprint() (uint64, bool) {
 // MergeJournals unions several shard journals into dst (replacing it).
 // Every stamped source must carry the same fingerprint — shards of one
 // evaluation by construction — and dst inherits it. Duplicate cells
-// (e.g. from overlapping resumes) keep their first occurrence. The
+// (e.g. from overlapping resumes) keep their first occurrence; the
+// cells are written sorted by grid, case, order and start. The
 // merged journal is a normal journal: opening it with resume and
 // re-running the evaluation restores every cell without simulating and
 // renders byte-identically to a single-process run.
@@ -214,8 +217,12 @@ func MergeJournals(dst string, srcs ...string) error {
 			order = append(order, rec)
 		}
 	}
-	// One durable.ReplaceFile: the stamp, then the records in first-seen
-	// order, each line exactly as Record would have written it.
+	// Workers journal cells in the order they finish, so first-seen order
+	// varies from run to run; sorted by key, merging the same cells gives
+	// the same bytes whatever order the lines and sources came in.
+	slices.SortFunc(order, func(a, b journalRecord) int { return strings.Compare(a.key(), b.key()) })
+	// One durable.ReplaceFile: the stamp, then the records in key order,
+	// each line exactly as Record would have written it.
 	return durable.ReplaceFile(dst, func(w *bufio.Writer) error {
 		enc := json.NewEncoder(w)
 		if stamped {

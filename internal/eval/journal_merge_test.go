@@ -93,3 +93,65 @@ func TestMergeJournalsReplacesDst(t *testing.T) {
 		t.Error("merged journal lost the source cell")
 	}
 }
+
+// The merged bytes do not depend on the order cells were journaled in
+// (a parallel grid appends them as they finish) nor on the order the
+// sources are named in.
+func TestMergeJournalsIndependentOfLineOrder(t *testing.T) {
+	dir := t.TempDir()
+	cells := []struct {
+		grid string
+		c    Case
+		cell Cell
+	}{
+		{"g1", Unweighted, Cell{Order: "FCFS", Start: "EASY", Value: 1, MaxQueue: 3}},
+		{"g1", Weighted, Cell{Order: "FCFS", Start: "EASY", Value: 2}},
+		{"g1", Unweighted, Cell{Order: "PSRS", Start: "List", Value: 3.5, Makespan: 40}},
+		{"g2", Unweighted, Cell{Order: "FCFS", Start: "Backfilling", Value: 4, Utilization: 0.25}},
+		{"g0", Weighted, Cell{Order: "SMART-FFIA", Start: "EASY", Value: 5}},
+	}
+	write := func(name string, perm []int) string {
+		path := filepath.Join(dir, name)
+		j, err := OpenJournal(path, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Stamp(0xfeed); err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range perm {
+			if err := j.Record(cells[i].grid, cells[i].c, cells[i].cell); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	a := write("a.jsonl", []int{0, 1, 2, 3, 4})
+	b := write("b.jsonl", []int{4, 2, 0, 3, 1})
+	merge := func(name string, srcs ...string) []byte {
+		dst := filepath.Join(dir, name)
+		if err := MergeJournals(dst, srcs...); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	want := merge("ab.jsonl", a, b)
+	for _, m := range []struct {
+		name string
+		srcs []string
+	}{{"ba.jsonl", []string{b, a}}, {"a-only.jsonl", []string{a}}, {"b-only.jsonl", []string{b}}} {
+		if got := merge(m.name, m.srcs...); string(got) != string(want) {
+			t.Errorf("merge into %s:\n%s\ndiffers from the merge of a, b:\n%s", m.name, got, want)
+		}
+	}
+	if n := strings.Count(string(want), "\n"); n != 1+len(cells) {
+		t.Errorf("merged journal has %d lines, want the stamp and %d cells:\n%s", n, len(cells), want)
+	}
+}

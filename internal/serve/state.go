@@ -233,8 +233,8 @@ func (s *Session) Snapshot(walSeq uint64) *Snapshot {
 }
 
 // writeSnapshot streams the document json.Marshal(s.Snapshot(walSeq))
-// would build, one job at a time, so that a snapshot costs no memory
-// proportional to the session.
+// would build, one job at a time through appendSnapJob, so that a
+// snapshot costs no memory proportional to the session.
 func (s *Session) writeSnapshot(w *bufio.Writer, walSeq uint64) error {
 	head, err := json.Marshal(s.snapHeader(walSeq))
 	if err != nil {
@@ -245,23 +245,20 @@ func (s *Session) writeSnapshot(w *bufio.Writer, walSeq uint64) error {
 	if _, err := w.Write(head[:len(head)-1]); err != nil {
 		return err
 	}
+	var buf []byte // one job's bytes, reused across jobs
 	for sec, key := range sectionKeys {
 		if _, err := fmt.Fprintf(w, ",%q:[", key); err != nil {
 			return err
 		}
 		first := true
 		err := s.eachJob(section(sec), func(st *jobState) error {
+			buf = buf[:0]
 			if !first {
-				if err := w.WriteByte(','); err != nil {
-					return err
-				}
+				buf = append(buf, ',')
 			}
 			first = false
-			data, err := json.Marshal(st.snap())
-			if err != nil {
-				return err
-			}
-			_, err = w.Write(data)
+			buf = appendSnapJob(buf, st)
+			_, err := w.Write(buf)
 			return err
 		})
 		if err != nil {

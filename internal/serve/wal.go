@@ -17,7 +17,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -49,7 +48,7 @@ type Record struct {
 type WAL struct {
 	log     *durable.Log
 	nextSeq uint64
-	buf     bytes.Buffer
+	buf     []byte // the batch being appended, reused across batches
 }
 
 // OpenWAL opens (creating if absent) the log at path and returns the
@@ -100,25 +99,22 @@ func OpenWAL(path string) (*WAL, []Record, error) {
 // (0 when the log is empty).
 func (w *WAL) LastSeq() uint64 { return w.nextSeq - 1 }
 
-// Append assigns consecutive sequence numbers to recs, writes them as
-// one buffer, and fsyncs — a whole client batch costs a single write
-// and a single fsync (group commit). On any error the log must be
-// considered of unknown durability: the caller reloads from disk.
+// Append assigns consecutive sequence numbers to recs, encodes them
+// with appendRecord into one buffer, writes it, and fsyncs — a whole
+// client batch costs a single write and a single fsync (group commit).
+// On any error the log must be considered of unknown durability: the
+// caller reloads from disk.
 func (w *WAL) Append(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	w.buf.Reset()
+	w.buf = w.buf[:0]
 	for i := range recs {
 		recs[i].Seq = w.nextSeq + uint64(i)
-		line, err := json.Marshal(recs[i])
-		if err != nil {
-			return fmt.Errorf("serve: wal: %w", err)
-		}
-		w.buf.Write(line)
-		w.buf.WriteByte('\n')
+		w.buf = appendRecord(w.buf, &recs[i])
+		w.buf = append(w.buf, '\n')
 	}
-	if err := w.log.Append(w.buf.Bytes()); err != nil {
+	if err := w.log.Append(w.buf); err != nil {
 		return fmt.Errorf("serve: wal append: %w", err)
 	}
 	w.nextSeq += uint64(len(recs))

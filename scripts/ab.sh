@@ -11,7 +11,9 @@
 # so each builds and boots its own jobschedd. Reports and logs stay in
 # .bench_build/ab/.
 #
-# Printed: one line per run (exit status, correct, failed), then per
+# Printed: one line per run (exit status, correct, attempted, failed:
+# on serve_backlog the queue grows with the operations a run completes,
+# so attempted shows how near a run came to shedding), then per
 # end-to-end metric of BENCHMARK.json the pairs the working tree won
 # (strictly better in the metric's direction), and each side's median
 # and quartiles over the runs (quartiles as the benchmark computes them).
@@ -50,7 +52,7 @@ run() { # side pair seed
 		>"$out/$1-$2.log" 2>&1 || rc=$?
 	local res=null
 	[ -s "$out/$1-$2.json" ] &&
-		res=$(jq -c --arg w "$workload" '[.results[] | select(.workload == $w and (.traced | not))][0] | {correct, failed}' "$out/$1-$2.json")
+		res=$(jq -c --arg w "$workload" '[.results[] | select(.workload == $w and (.traced | not))][0] | {correct, attempted, failed}' "$out/$1-$2.json")
 	echo "pair $2 seed $3 $1: exit $rc $res"
 	if [ "$rc" != 0 ] || [ "$res" = null ] || [ "$(jq '.correct and .failed == 0' <<<"$res")" != true ]; then
 		status=1

@@ -39,7 +39,9 @@
 #                generator/simulator invariants
 #                (faults.FuzzFailureSchedule), the daemon's snapshot
 #                decoder, restore and streaming writer
-#                (serve.FuzzReadSnapshot), the queue index's
+#                (serve.FuzzReadSnapshot), its snapshot-job and WAL-record
+#                appenders against json.Marshal
+#                (serve.FuzzSnapshotEncoding), the queue index's
 #                mutations and queries against its naive model
 #                (queue.FuzzIndexOps) and its ID → slot table against a
 #                plain map (queue.FuzzIDTable). A short deterministic
@@ -106,6 +108,7 @@ run fuzz-smoke go test -run='^$' -fuzz='^FuzzProfileOps$' -fuzztime=500x ./inter
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzProfileTree$' -fuzztime=500x ./internal/profile
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzFailureSchedule$' -fuzztime=500x ./internal/faults
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzReadSnapshot$' -fuzztime=500x ./internal/serve
+run fuzz-smoke go test -run='^$' -fuzz='^FuzzSnapshotEncoding$' -fuzztime=500x ./internal/serve
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzIndexOps$' -fuzztime=500x ./internal/queue
 run fuzz-smoke go test -run='^$' -fuzz='^FuzzIDTable$' -fuzztime=500x ./internal/queue
 run bench-shapes go test -run '^$' -bench Shape -benchtime 1x -short ./internal/profile
